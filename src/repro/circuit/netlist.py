@@ -79,8 +79,8 @@ class Circuit:
             return net
         if self.driver_of(net) is not None:
             raise ValueError(f"net {net!r} is already driven by a gate")
+        # A primary input is in neither index: nothing to invalidate.
         self.primary_inputs.append(net)
-        self._invalidate()
         return net
 
     def add_output(self, net: str) -> str:
@@ -119,13 +119,17 @@ class Circuit:
             )
         gate = Gate(name=name, gate_type=spec.gate_type, inputs=inputs, output=output)
         self.gates[name] = gate
-        self._invalidate()
+        # driver_of() above built the driver index; keep it current in place
+        # so building a circuit gate by gate stays linear.
+        self._drivers[output] = name
+        self.__dict__.pop("_fanout_index", None)
         return gate
 
     # ------------------------------------------------------------------ #
-    # indices (built lazily, invalidated on mutation)
+    # indices (built lazily; add_gate keeps the driver index current)
     # ------------------------------------------------------------------ #
     def _invalidate(self) -> None:
+        """Drop both indices; call after mutating ``gates`` directly."""
         self.__dict__.pop("_driver_index", None)
         self.__dict__.pop("_fanout_index", None)
 

@@ -2,16 +2,16 @@
 
 One call of :func:`run_compiled` answers an entire vector set:
 
-1. logic values propagate for all vectors at once — per (level, gate type)
-   group one gather + truth-table lookup updates a ``(net, vector)`` bit
-   matrix;
+1. logic values propagate for all vectors at once — per logic level one
+   gather + truth-table lookup updates a ``(net, vector)`` bit matrix;
 2. per-pin injections are gathered from the compiled LUT arrays and
-   accumulated per net with a single ``np.add.at``;
+   summed per net in pin order, the order ``np.add.at`` would use;
 3. per-pin loading currents (input loading excludes the injection of *all*
    of the gate's own pins on the net — a gate never loads itself, even with
    tied inputs — and primary-input nets are ideal) feed a batched piecewise-linear
    interpolation over the characterized response curves — the vectorized
-   equivalent of the scalar per-pin ``np.interp`` calls;
+   equivalent of the scalar per-pin ``np.interp`` calls — that gathers only
+   the two grid points bracketing each lookup;
 4. per-gate components are clamped at zero and summed into circuit totals.
 
 The arithmetic matches the scalar estimator's lookup path step for step
@@ -36,40 +36,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.report import CircuitLeakageReport, GateLeakage
-from repro.engine.compile import CompiledCircuit
+from repro.engine.compile import N_COMPONENTS, CompiledCircuit, GateTypeTable
 from repro.gates.lut import enforce_injection_range
 from repro.spice.analysis import ComponentBreakdown
 
 #: Vector-chunk size bounding the engine's peak memory (the widest per-chunk
-#: temporary is the gathered response tensor: gates x chunk x pins x grid x 3).
+#: temporary is one gate type's gathered bracketing pairs:
+#: gates x chunk x pins x 2 x 3).
 DEFAULT_CHUNK_SIZE = 512
-
-
-def _interp_batch(grid: np.ndarray, curves: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Piecewise-linear interpolation of per-row curves at per-row queries.
-
-    Parameters
-    ----------
-    grid:
-        ``(G,)`` strictly increasing sample positions shared by all rows.
-    curves:
-        ``(..., G, C)`` sampled values (one curve of ``C`` components per row).
-    queries:
-        ``(...)`` query positions, one per row.
-
-    Returns ``(..., C)`` values with flat extrapolation outside the grid,
-    matching ``np.interp``'s clamping semantics (and returning the exact
-    sample when a query hits a grid point, which is what makes a zero
-    loading current contribute an exactly-zero delta).
-    """
-    left = np.searchsorted(grid, queries, side="right") - 1
-    left = np.clip(left, 0, grid.size - 2)
-    x0 = grid[left]
-    x1 = grid[left + 1]
-    t = np.clip((queries - x0) / (x1 - x0), 0.0, 1.0)
-    v0 = np.take_along_axis(curves, left[..., None, None], axis=-2)[..., 0, :]
-    v1 = np.take_along_axis(curves, (left + 1)[..., None, None], axis=-2)[..., 0, :]
-    return v0 + t[..., None] * (v1 - v0)
 
 
 @dataclass
@@ -301,35 +275,30 @@ def _run_chunk(
     n_vectors = pi_bits.shape[1]
 
     # 1. propagate logic values as a (net, vector) bit matrix -------------- #
-    net_values = np.zeros((compiled.n_nets, n_vectors), dtype=np.uint8)
+    # The extra last row is the always-zero net padding narrow gates.
+    net_values = np.zeros((compiled.n_nets + 1, n_vectors), dtype=np.uint8)
     net_values[compiled.pi_indices] = pi_bits
-    for group in compiled.level_groups:
-        table = compiled.tables[group.type_index]
-        k = table.num_inputs
-        weights = (1 << np.arange(k - 1, -1, -1, dtype=np.int64))[None, :, None]
-        gathered = net_values[group.input_nets]  # (n, k, V)
-        packed = (gathered.astype(np.int64) * weights).sum(axis=1)
-        vec_index[group.gate_indices] = packed
-        net_values[group.output_nets] = table.truth[packed]
+    for level in compiled.levels:
+        packed = (net_values[level.input_nets] * level.weights).sum(axis=1)  # (n, V)
+        vec_index[level.gates] = packed
+        net_values[level.output_nets] = compiled.truth[packed + level.truth_offset]
 
+    packed_of = [vec_index[group.gate_indices] for group in compiled.type_groups]
     if not include_loading:
-        for group in compiled.type_groups:
+        for group, packed in zip(compiled.type_groups, packed_of):
             table = compiled.tables[group.type_index]
-            per_gate[group.gate_indices] = np.maximum(
-                table.nominal[vec_index[group.gate_indices]], 0.0
-            )
+            per_gate[group.gate_indices] = np.maximum(table.nominal[packed], 0.0)
         return
 
     # 2. per-pin injections, accumulated per net -------------------------- #
     pin_injection = np.zeros((compiled.n_pins, n_vectors))
-    for group in compiled.type_groups:
+    for group, packed in zip(compiled.type_groups, packed_of):
         table = compiled.tables[group.type_index]
-        inj = table.pin_injection[vec_index[group.gate_indices]]  # (n, V, k)
+        inj = table.pin_injection[packed]  # (n, V, k)
         pin_injection[group.pin_slice] = np.swapaxes(inj, 1, 2).reshape(
             -1, n_vectors
         )
-    net_injection = np.zeros((compiled.n_nets, n_vectors))
-    np.add.at(net_injection, compiled.pin_net, pin_injection)
+    net_injection = _accumulate(compiled.net_rounds, pin_injection, compiled.n_nets)
 
     # 3. per-pin loading: everyone else's injection on my net -------------- #
     # "Everyone else" excludes every pin of the pin's own gate on that net,
@@ -337,10 +306,11 @@ def _run_chunk(
     # keeps a gate from loading itself through its other pin (mirrors the
     # scalar estimator's own-injection subtraction).  Without tied inputs
     # every group holds one pin and the group sum IS the pin injection, so
-    # the common case skips the second scatter-add.
+    # the common case skips the second accumulation.
     if compiled.has_tied_inputs:
-        own_injection = np.zeros((compiled.n_pin_groups, n_vectors))
-        np.add.at(own_injection, compiled.pin_group, pin_injection)
+        own_injection = _accumulate(
+            compiled.group_rounds, pin_injection, compiled.n_pin_groups
+        )
         pin_loading = (
             net_injection[compiled.pin_net] - own_injection[compiled.pin_group]
         )
@@ -349,49 +319,103 @@ def _run_chunk(
     pin_loading[compiled.pin_on_pi] = 0.0
 
     # 4. LUT lookup per (gate, pin), clamped accumulation ------------------ #
-    for group in compiled.type_groups:
+    for group, packed in zip(compiled.type_groups, packed_of):
         table = compiled.tables[group.type_index]
         n = group.gate_indices.size
         k = table.num_inputs
-        packed = vec_index[group.gate_indices]  # (n, V)
+        loading = np.empty((k + 1, n, n_vectors))
+        loading[:k] = pin_loading[group.pin_slice].reshape(n, k, n_vectors).transpose(1, 0, 2)
+        loading[k] = net_injection[group.output_nets]
 
-        loading_in = pin_loading[group.pin_slice].reshape(n, k, n_vectors)
-        loading_out = net_injection[group.output_nets][:, None, :]  # (n, 1, V)
-        loading = np.concatenate([loading_in, loading_out], axis=1)  # (n, k+1, V)
-        loading = np.swapaxes(loading, 1, 2)  # (n, V, k+1)
+        components = _lookup_components(table, packed, loading)
+        for c in range(N_COMPONENTS):
+            per_gate[group.gate_indices, :, c] = components[c]
+        input_loading[group.gate_indices] = loading[:k].sum(axis=0)
+        output_loading[group.gate_indices] = loading[k]
 
-        active = loading != 0.0
-        has_response = table.has_response[packed]  # (n, V, k+1)
-        if np.any(active & ~has_response):
-            g_bad, v_bad, p_bad = np.argwhere(active & ~has_response)[0]
+
+def _lookup_components(
+    table: GateTypeTable, packed: np.ndarray, loading: np.ndarray
+) -> np.ndarray:
+    """Return the clamped ``(3, n, V)`` leakage components of one type's gates.
+
+    ``packed`` is the ``(n, V)`` packed input vector of every gate and
+    ``loading`` the ``(k+1, n, V)`` loading current at every pin (input pins
+    first, output pin last).  Arrays are pin-major and component-major,
+    ``(3, k+1, n, V)``, so every pass runs over long contiguous rows.
+    """
+    k = table.num_inputs
+    grid = table.grid
+    inactive = loading == 0.0
+
+    if not table.complete:
+        missing = ~inactive & np.take(~table.has_response.T, packed, axis=1)
+        if np.any(missing):
+            # First offender in (gate, vector, pin) order.
+            g_bad, v_bad, p_bad = np.argwhere(missing.transpose(1, 2, 0))[0]
             raise KeyError(
                 f"pin index {int(p_bad)} of {table.name} has no characterized "
                 f"response but sees a nonzero loading current"
             )
 
-        # The same out-of-range policy as ResponseCurve.breakdown_at: the
-        # engine interpolates baked arrays directly, so it reports clamped
-        # lookups itself (warn once per gate type and direction).
-        low, high = float(table.grid[0]), float(table.grid[-1])
-        out_low = active & (loading < low)
-        out_high = active & (loading > high)
-        if np.any(out_low):
-            enforce_injection_range(
-                f"gate type {table.name!r}", float(loading[out_low].min()),
-                low, high, dedup_key=("engine", table.name),
-            )
-        if np.any(out_high):
-            enforce_injection_range(
-                f"gate type {table.name!r}", float(loading[out_high].max()),
-                low, high, dedup_key=("engine", table.name),
-            )
+    # The same out-of-range policy as ResponseCurve.breakdown_at: the
+    # engine interpolates baked arrays directly, so it reports clamped
+    # lookups itself (warn once per gate type and direction).  A zero
+    # loading is no lookup, but the grid brackets zero (compile checks it),
+    # so the extremes of all loadings are the extremes of the lookups.
+    low, high = float(grid[0]), float(grid[-1])
+    lowest, highest = float(loading.min()), float(loading.max())
+    if lowest < low:
+        enforce_injection_range(
+            f"gate type {table.name!r}", lowest, low, high,
+            dedup_key=("engine", table.name),
+        )
+    if highest > high:
+        enforce_injection_range(
+            f"gate type {table.name!r}", highest, low, high,
+            dedup_key=("engine", table.name),
+        )
 
-        nominal = table.nominal[packed]  # (n, V, 3)
-        curves = table.response[packed]  # (n, V, k+1, G, 3)
-        interpolated = _interp_batch(table.grid, curves, loading)
-        delta = np.where(active[..., None], interpolated - nominal[:, :, None, :], 0.0)
-        components = np.maximum(nominal + delta.sum(axis=2), 0.0)
+    # Piecewise-linear interpolation with flat extrapolation (np.interp
+    # semantics; a query on a grid point returns that exact sample).  Only
+    # the pair of grid points bracketing each lookup is gathered.
+    left = np.searchsorted(grid, loading, side="right")
+    left -= 1
+    np.clip(left, 0, grid.size - 2, out=left)
+    x0 = grid[left]
+    t = loading - x0
+    t /= grid[left + 1] - x0
+    np.clip(t, 0.0, 1.0, out=t)
+    segments = grid.size - 1
+    pin_offset = np.arange(k + 1)[:, None, None] * (segments << k)
+    rows = packed * segments + pin_offset  # (pin, vector, segment) column
+    rows += left
+    pair = np.take(table.pairs, rows, axis=1)  # (6, k+1, n, V)
+    v0, interpolated = pair[:N_COMPONENTS], pair[N_COMPONENTS:]
+    interpolated -= v0  # in place: v0 + t * (v1 - v0)
+    interpolated *= t
+    interpolated += v0
 
-        per_gate[group.gate_indices] = components
-        input_loading[group.gate_indices] = loading[..., :k].sum(axis=2)
-        output_loading[group.gate_indices] = loading[..., k]
+    # A zero loading contributes an exactly-zero delta; components are
+    # clamped at zero per gate before any circuit accumulation.
+    nominal = np.take(table.nominal.T, packed, axis=1)  # (3, n, V)
+    delta = interpolated
+    delta -= nominal[:, None]
+    np.copyto(delta, 0.0, where=inactive)
+    components = delta.sum(axis=1)
+    components += nominal
+    return np.maximum(components, 0.0, out=components)
+
+
+def _accumulate(
+    rounds: list[tuple[np.ndarray, np.ndarray]], values: np.ndarray, n_rows: int
+) -> np.ndarray:
+    """Sum rows of ``values`` into ``n_rows`` targets, round by round.
+
+    Equals ``np.add.at(zeros, targets, values)`` bitwise for the rounds of
+    :func:`repro.engine.compile._accumulation_rounds`.
+    """
+    out = np.zeros((n_rows, values.shape[1]))
+    for targets, sources in rounds:
+        out[targets] += values[sources]
+    return out

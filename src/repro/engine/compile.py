@@ -11,10 +11,14 @@ the characterized LUT grids never change.  Compilation hoists it out:
   :class:`GateTypeTable` — truth table, nominal components, per-pin
   injections and per-pin response curves as dense NumPy arrays indexed by the
   packed input vector;
-* the circuit is levelized and grouped by (level, gate type) so logic values
-  propagate for a whole campaign at once as bit-matrix gathers;
+* every response curve is re-laid out as bracketing pairs, so a lookup
+  gathers only the two grid points it interpolates between;
+* the circuit is levelized and every level gets padded input-net, bit-weight
+  and truth-table-offset arrays, so logic values propagate for a whole
+  campaign at once with one bit-matrix gather per level;
 * all receiver pins are laid out as flat arrays so per-net loading currents
-  accumulate with one ``np.add.at`` instead of a Python dict walk per vector.
+  accumulate in a few duplicate-free array adds instead of a Python dict
+  walk per vector.
 
 The resulting :class:`CompiledCircuit` answers an entire vector set in a few
 array passes (see :mod:`repro.engine.campaign`) and is cached per
@@ -66,6 +70,15 @@ class GateTypeTable:
         ``has_response``.
     has_response:
         ``(2**k, k + 1)`` mask of characterized (vector, pin) responses.
+    pairs:
+        ``(6, (k + 1) * 2**k * (G - 1))`` bracketing pairs of ``response``,
+        one column per (pin, packed vector, grid segment ``g``) in that
+        order: rows 0-2 hold the three components at grid point ``g`` and
+        rows 3-5 at ``g + 1``, so one gather fetches both ends of the
+        segment a lookup interpolates on, one contiguous row per component.
+    complete:
+        True when every (vector, pin) has a response, so no lookup can
+        miss one.
     """
 
     name: str
@@ -76,6 +89,8 @@ class GateTypeTable:
     grid: np.ndarray
     response: np.ndarray
     has_response: np.ndarray
+    pairs: np.ndarray
+    complete: bool
 
     @property
     def num_pins(self) -> int:
@@ -122,6 +137,13 @@ def _build_type_table(library: GateLibrary, gate_type_name: str) -> GateTypeTabl
         # No characterized responses at all (only possible with exotic
         # characterization options); keep a valid 2-point dummy grid.
         grid = np.array([-1.0, 1.0])
+    if not grid[0] <= 0.0 <= grid[-1]:
+        # A zero loading is no lookup; the campaign's range check relies
+        # on it lying inside the grid (curve_grid() always contains 0.0).
+        raise ValueError(
+            f"engine requires an injection grid that brackets zero; "
+            f"{spec.name} spans [{grid[0]:.3e}, {grid[-1]:.3e}] A"
+        )
     response = np.zeros((n_vectors, len(pins), grid.size, N_COMPONENTS))
     for (index, p), matrix in curves.items():
         response[index, p] = matrix
@@ -135,7 +157,56 @@ def _build_type_table(library: GateLibrary, gate_type_name: str) -> GateTypeTabl
         grid=np.asarray(grid, dtype=float),
         response=response,
         has_response=has_response,
+        pairs=bracketing_pairs(response),
+        complete=bool(has_response.all()),
     )
+
+
+def _accumulation_rounds(targets: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split ``np.add.at(out, targets, values)`` into duplicate-free rounds.
+
+    Round ``r`` pairs every target with its ``r``-th source in source order,
+    as ``(targets, sources)`` index arrays.  Adding the rounds one after the
+    other into zeros sums each target's sources left to right, the order
+    ``np.add.at`` uses, so the sums are bitwise the same; every round is a
+    plain fancy-index add, which is much faster than ``np.add.at``.
+    """
+    order = np.argsort(targets, kind="stable")
+    counts = np.bincount(targets)
+    rank = np.empty(targets.size, dtype=np.intp)
+    rank[order] = np.arange(targets.size) - (np.cumsum(counts) - counts)[targets[order]]
+    rounds: list[tuple[np.ndarray, np.ndarray]] = []
+    for r in range(int(rank.max()) + 1 if rank.size else 0):
+        sources = np.flatnonzero(rank == r)
+        rounds.append((targets[sources], sources))
+    return rounds
+
+
+def bracketing_pairs(response: np.ndarray) -> np.ndarray:
+    """Return the :attr:`GateTypeTable.pairs` layout of a response tensor."""
+    by_pin = np.transpose(response, (3, 1, 0, 2))  # (3, k+1, 2**k, G)
+    return np.concatenate(
+        [by_pin[..., :-1].reshape(N_COMPONENTS, -1), by_pin[..., 1:].reshape(N_COMPONENTS, -1)]
+    )
+
+
+@dataclass(frozen=True)
+class _Level:
+    """Gates of one logic level, propagated with one gather.
+
+    Levelized gate numbering makes a level's gates the contiguous range
+    ``gates``.  ``input_nets`` pads every gate to the level's widest arity
+    with the always-zero dummy net and ``weights`` holds each pin's bit
+    weight (zero on padding), so the packed input vector of every gate is
+    one weighted sum; ``truth_offset`` places each gate's row block in the
+    concatenated truth table :attr:`CompiledCircuit.truth`.
+    """
+
+    gates: slice
+    input_nets: np.ndarray
+    weights: np.ndarray
+    truth_offset: np.ndarray
+    output_nets: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -213,41 +284,41 @@ class CompiledCircuit:
             self.gate_type_index[g] = type_of[gate.gate_type.value]
             self.gate_output_net[g] = self.net_index[gate.output]
 
-        # --- (level, type) groups for propagation, type groups for LUTs -- #
-        def _group(names: list[str], pin_base: int) -> tuple[_GateGroup, int]:
-            indices = np.array([gate_order[n] for n in names], dtype=np.intp)
-            first = circuit.gates[names[0]]
-            k = first.spec.num_inputs
-            inputs = np.array(
-                [
-                    [self.net_index[net] for net in circuit.gates[n].inputs]
-                    for n in names
-                ],
-                dtype=np.intp,
-            ).reshape(len(names), k)
-            outputs = np.array(
-                [self.net_index[circuit.gates[n].output] for n in names],
-                dtype=np.intp,
-            )
-            count = len(names) * k
-            group = _GateGroup(
-                type_index=type_of[first.gate_type.value],
-                gate_indices=indices,
-                input_nets=inputs,
-                output_nets=outputs,
-                pin_slice=slice(pin_base, pin_base + count),
-            )
-            return group, pin_base + count
-
-        by_level_type: dict[tuple[int, int], list[str]] = {}
+        # --- per-level logic arrays ---------------------------------------- #
+        #: Concatenated truth tables of every type (row offsets per type).
+        self.truth = np.concatenate([table.truth for table in self.tables])
+        type_offset = np.cumsum([0] + [table.truth.size for table in self.tables])
+        #: Row ``n_nets`` of the campaign's bit matrix is an always-zero net
+        #: that pads the narrower gates of a level.
+        dummy_net = self.n_nets
+        by_level: dict[int, list[str]] = {}
         for name in self.gate_names:
-            key = (levels[name], type_of[circuit.gates[name].gate_type.value])
-            by_level_type.setdefault(key, []).append(name)
-        self.level_groups: list[_GateGroup] = []
-        for key in sorted(by_level_type):
-            group, _ = _group(by_level_type[key], 0)
-            self.level_groups.append(group)
+            by_level.setdefault(levels[name], []).append(name)
+        self.levels: list[_Level] = []
+        first = 0
+        for level in sorted(by_level):
+            gates = [circuit.gates[name] for name in by_level[level]]
+            width = max(len(gate.inputs) for gate in gates)
+            input_nets = np.full((len(gates), width), dummy_net, dtype=np.intp)
+            weights = np.zeros((len(gates), width, 1), dtype=np.int64)
+            for row, gate in enumerate(gates):
+                k = len(gate.inputs)
+                input_nets[row, :k] = [self.net_index[net] for net in gate.inputs]
+                weights[row, :k, 0] = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
+            self.levels.append(
+                _Level(
+                    gates=slice(first, first + len(gates)),
+                    input_nets=input_nets,
+                    weights=weights,
+                    truth_offset=type_offset[
+                        self.gate_type_index[first : first + len(gates)]
+                    ][:, None],
+                    output_nets=self.gate_output_net[first : first + len(gates)],
+                )
+            )
+            first += len(gates)
 
+        # --- type groups for the LUT lookups ------------------------------ #
         by_type: dict[int, list[str]] = {}
         for name in self.gate_names:
             by_type.setdefault(type_of[circuit.gates[name].gate_type.value], []).append(
@@ -256,8 +327,24 @@ class CompiledCircuit:
         self.type_groups: list[_GateGroup] = []
         pin_base = 0
         for t in sorted(by_type):
-            group, pin_base = _group(by_type[t], pin_base)
-            self.type_groups.append(group)
+            names = by_type[t]
+            k = self.tables[t].num_inputs
+            count = len(names) * k
+            self.type_groups.append(
+                _GateGroup(
+                    type_index=t,
+                    gate_indices=np.array([gate_order[n] for n in names], dtype=np.intp),
+                    input_nets=np.array(
+                        [[self.net_index[net] for net in circuit.gates[n].inputs] for n in names],
+                        dtype=np.intp,
+                    ).reshape(len(names), k),
+                    output_nets=np.array(
+                        [self.net_index[circuit.gates[n].output] for n in names], dtype=np.intp
+                    ),
+                    pin_slice=slice(pin_base, pin_base + count),
+                )
+            )
+            pin_base += count
         self.n_pins = pin_base
 
         #: Net index of every flat input pin (gate-major inside each group).
@@ -281,6 +368,12 @@ class CompiledCircuit:
         #: With no tied inputs every group holds exactly one pin and the
         #: campaign keeps the cheaper per-pin subtraction.
         self.has_tied_inputs = self.n_pin_groups != self.n_pins
+        #: The per-net and per-group sums of pin injections, as rounds of
+        #: duplicate-free adds (see :func:`_accumulation_rounds`).
+        self.net_rounds = _accumulation_rounds(self.pin_net)
+        self.group_rounds = (
+            _accumulation_rounds(self.pin_group) if self.has_tied_inputs else []
+        )
 
     # ------------------------------------------------------------------ #
     # queries used by campaign running and report materialization

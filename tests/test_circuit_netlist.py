@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.circuit import netlist
+from repro.circuit.bench_io import parse_bench, write_bench
+from repro.circuit.generators import iscas_like
 from repro.circuit.netlist import Circuit
 from repro.gates.library import GateType
 
@@ -80,6 +83,50 @@ class TestQueries:
         small_circuit.add_gate("g3", GateType.INV, ["n2"], "n3")
         assert small_circuit.driver_of("n3") == "g3"
         assert ("g3", "a") in small_circuit.fanout_of("n2")
+
+    def test_indices_stay_current_while_interleaving(self):
+        """add_gate/add_input between queries keep both indexes exact."""
+        circuit = Circuit(name="interleaved")
+        circuit.add_input("a")
+        assert circuit.driver_of("a") is None
+        circuit.add_gate("g1", GateType.INV, ["a"], "n1")
+        assert circuit.driver_of("n1") == "g1"
+        assert circuit.fanout_of("a") == [("g1", "a")]
+        circuit.add_input("b")
+        assert circuit.fanout_of("b") == []
+        circuit.add_gate("g2", GateType.NAND2, ["n1", "b"], "n2")
+        assert circuit.fanout_of("n1") == [("g2", "a")]
+        circuit.add_gate("g3", GateType.NOR2, ["n1", "n1"], "n3")
+        assert circuit.driver_of("n3") == "g3"
+        assert circuit.fanout_of("n1") == [("g2", "a"), ("g3", "a"), ("g3", "b")]
+        circuit.add_input("c")
+        circuit.add_gate("g4", GateType.NAND3, ["c", "n2", "n3"], "n4")
+
+        cached_drivers = circuit._drivers
+        cached_fanouts = circuit._fanouts
+        circuit._invalidate()
+        assert cached_drivers == circuit._drivers
+        assert cached_fanouts == circuit._fanouts
+        assert {net: circuit.driver_of(net) for net in circuit.nets()} == {
+            "a": None, "b": None, "c": None,
+            "n1": "g1", "n2": "g2", "n3": "g3", "n4": "g4",
+        }
+
+    def test_large_bench_parse_builds_driver_index_once(self, monkeypatch):
+        """Parsing is linear: the driver index is built once, not per gate."""
+        text = write_bench(iscas_like("s13207"))
+        builds = []
+        original = netlist.Circuit._drivers.fget
+
+        def counting(circuit):
+            if "_driver_index" not in circuit.__dict__:
+                builds.append(circuit.name)
+            return original(circuit)
+
+        monkeypatch.setattr(netlist.Circuit, "_drivers", property(counting))
+        circuit = parse_bench(text, name="big")
+        assert circuit.gate_count > 8000
+        assert len(builds) <= 1
 
     def test_copy_is_independent(self, small_circuit):
         clone = small_circuit.copy(name="clone")
