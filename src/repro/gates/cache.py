@@ -10,9 +10,9 @@ the *same settings* — the same technology (every device parameter, not just
 the name), the same injection grid, driver fanout and solver tolerances.
 Each cache file therefore carries a fingerprint of the full
 :class:`~repro.device.params.TechnologyParams` and
-:class:`~repro.gates.characterize.CharacterizationOptions`, and a strict
-load refuses a mismatch instead of silently returning records characterized
-under different settings.
+:class:`~repro.gates.characterize.CharacterizationOptions` (plus the sparse
+solver's column ordering), and a strict load refuses a mismatch instead of
+silently returning records characterized under different settings.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 from repro.device.params import TechnologyParams
 from repro.gates.characterize import CharacterizationOptions, GateLibrary
 from repro.gates.lut import GateVectorCharacterization, ResponseCurve
+from repro.spice import sparse
 from repro.spice.analysis import ComponentBreakdown
 
 #: Format version written into every cache file.  Version 2 added the
@@ -61,12 +62,15 @@ def characterization_settings(
 
     Contains every input that can change a characterized record: the full
     technology parameter tree (both device flavours), the characterization
-    options (injection grid, drivers, solver tolerances, engine) and the
-    characterization temperature.  The options are canonicalized by walking
-    their dataclass fields recursively, so the nested
+    options (injection grid, drivers, solver tolerances, engine), the
+    characterization temperature and the sparse backend's SuperLU column
+    ordering.  The options are canonicalized by walking their dataclass
+    fields recursively, so the nested
     :class:`~repro.spice.solver.SolverOptions` — including ``method`` and
     the Newton knobs — always enters the fingerprint: caches characterized
-    by different solver methods are never conflated.
+    by different solver methods are never conflated.  The ordering is a
+    module constant rather than an option, but it changes the last bits of
+    every sparse solve just as the dense/sparse choice does.
     """
     canonical_options = _canonical(options)
     # The non-convergence *reporting* policy (warn vs raise) can never
@@ -77,6 +81,7 @@ def characterization_settings(
         "technology": _canonical(technology),
         "options": canonical_options,
         "temperature_k": temperature_k,
+        "sparse_ordering": sparse._PERMC_SPEC,
     }
 
 
@@ -199,7 +204,7 @@ def _describe_mismatch(
 ) -> list[str]:
     """Return the top-level settings sections that differ."""
     mismatches = []
-    for key in ("technology", "options", "temperature_k"):
+    for key in ("technology", "options", "temperature_k", "sparse_ordering"):
         if stored.get(key) != current.get(key):
             mismatches.append(key)
     return mismatches or ["settings"]

@@ -103,7 +103,14 @@ class SolverOptions:
         sparse Newton backend.  The dense backend amortizes its O(N³)
         batched factorization well on the small cells of the
         characterizer; on circuit-sized systems the sparse factorization
-        wins long before memory becomes the binding constraint.
+        wins long before memory becomes the binding constraint.  The
+        default sits in the crossover band of the committed sweep
+        ``benchmarks/bench_sparse_crossover.py``
+        (``benchmarks/sparse_crossover.json``) over
+        ``iscas_like(n, rng=3)``: at 16 and 64 columns dense was ahead up
+        to 107 and 88 free nodes, and sparse at every size from 179 on;
+        at one column the two stayed within 0.8–1.3x of each other from
+        63 to 299 free nodes.
     newton_dense_memory_limit:
         Byte budget of the dense backend's ``(B, N, N)`` Jacobian stack.
         ``method="newton"`` *pre-flight checks* the allocation against this
@@ -123,7 +130,7 @@ class SolverOptions:
     newton_max_iterations: int = 60
     newton_backtracks: int = 12
     newton_step_limit: float = 0.5
-    newton_sparse_threshold: int = 1024
+    newton_sparse_threshold: int = 128
     newton_dense_memory_limit: float = 4.0e9
 
     def __post_init__(self) -> None:

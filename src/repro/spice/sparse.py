@@ -31,14 +31,34 @@ count (a handful of entries per row regardless of N).
   reported through the same ``singular`` flag the dense backend uses, so
   the shared globalization loop hands them to the Gauss–Seidel fallback
   unchanged.
+* **A symmetric ordering.**  The pattern is structurally symmetric with a
+  full diagonal: free node *i* couples to free node *j* exactly where one
+  transistor touches both, and every free node carries its own
+  conductance.  That is the case KLU orders with a symmetric minimum
+  degree on the pattern of A+Aᵀ (Davis & Palamadai Natarajan, "Algorithm
+  907: KLU", ACM TOMS 37(3), 2010), so the pinned ordering is SuperLU's
+  ``MMD_AT_PLUS_A``.  COLAMD, SuperLU's default, orders the columns of an
+  unsymmetric A and fills far more on these matrices.  First Newton
+  Jacobian of each circuit (``benchmarks/bench_sparse_crossover.py``):
+
+  ===========  ==========  ===========  =============  ===============
+  circuit      free nodes  L+U, COLAMD  L+U, A+Aᵀ MMD  factorize (ms)
+  ===========  ==========  ===========  =============  ===============
+  alu88               490        3,558          2,829     0.54 → 0.41
+  s838                984       40,145         15,022     4.33 → 2.43
+  synth600          1,363       99,723         28,508    10.72 → 4.47
+  synth2400         5,395    1,877,258        377,461   591.7 → 70.7
+  ===========  ==========  ===========  =============  ===============
 
 Memory is O(nnz · columns) for the values plus SuperLU's fill-in — on
 layered logic netlists a few dozen bytes per transistor per column — so
 systems far beyond the dense wall stay cheap.  The trade-off is the
 per-column Python-loop factorization, which loses to one batched LAPACK
-call on the characterizer's small cells; the ``"auto"`` policy in
-:func:`repro.spice.newton.resolve_newton_method` keeps those on the dense
-path.
+call on small systems; the ``"auto"`` policy in
+:func:`repro.spice.newton.resolve_newton_method` keeps the characterizer's
+cells, and any system below the measured crossover of
+:attr:`~repro.spice.solver.SolverOptions.newton_sparse_threshold` free
+nodes, on the dense path.
 """
 
 from __future__ import annotations
@@ -49,10 +69,13 @@ from scipy.sparse.linalg import splu
 
 from repro.spice.newton import _NewtonAssembler
 
-#: Fixed SuperLU column-permutation strategy.  Pinning it makes the
-#: factorization a pure function of the (shared) sparsity pattern and the
-#: column's values, keeping solves reproducible across SciPy defaults.
-_PERMC_SPEC = "COLAMD"
+#: Fixed SuperLU column-permutation strategy: minimum degree on the
+#: pattern of A+Aᵀ, because circuit Jacobians are structurally symmetric
+#: with a full diagonal (see the module docstring's fill table).  Pinning
+#: it makes the factorization a pure function of the (shared) sparsity
+#: pattern and the column's values, keeping solves reproducible across
+#: SciPy defaults.
+_PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
 class SparseNewtonBackend:

@@ -89,6 +89,19 @@ SCHEMAS: dict[str, dict[str, type | tuple]] = {
         "large.dense_infeasible_batch": int,
         "large.sparse_solver_stats.fallbacks": int,
     },
+    "sparse_crossover.json": {
+        "seed": int,
+        "permc_spec": str,
+        "newton_sparse_threshold": int,
+        "dense_parity_bar": NUMBER,
+        "fill.*.free_nodes": int,
+        "fill.*.structurally_symmetric": bool,
+        "fill.*.full_diagonal": bool,
+        "fill.*.colamd_lu_nnz": int,
+        "fill.*.pinned_lu_nnz": int,
+        "sweep.*.crossover_free_nodes": (int, type(None)),
+        "sweep.*.points": list,
+    },
     "session.json": {
         "circuit": str,
         "gates": int,

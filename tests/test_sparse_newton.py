@@ -6,25 +6,29 @@ Covers the backend abstraction introduced around
 * parity — the sparse backend must agree with the dense backend on mixed
   batches (voltages and per-owner leakage to ~machine precision, far
   below the 1e-12 relative bar asserted here);
+* the structure the pinned SuperLU ordering assumes: a structurally
+  symmetric shared pattern with a full diagonal;
 * the solver-level invariants the dense path already guarantees, now for
   the sparse path: bitwise batch-composition invariance and the bitwise
   Gauss–Seidel fallback;
 * the ``"auto"`` dispatch policy (free-node threshold and dense-memory
   escape) and the resolved-method reporting;
 * the pre-flight dense-Jacobian memory guard and its actionable message;
-* the characterization-cache fingerprint: the new solver options fork
-  caches, strict loads refuse a backend mismatch;
+* the characterization-cache fingerprint: the solver options and the
+  SuperLU ordering fork caches, strict loads refuse a backend mismatch;
 * the scalable layered-DAG generator the large-system benchmark builds on
   (``iscas_like(n_gates)``), which must be lint-clean by construction.
 """
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
 
 from repro.analysis.netlist_lint import lint_circuit
 from repro.circuit.flatten import flatten_batch
 from repro.circuit.generators import iscas_like, layered_logic
 from repro.circuit.graph import logic_depth
+from repro.circuit.logic import random_vectors
 from repro.device.mosfet import Mosfet
 from repro.gates.cache import (
     characterization_fingerprint,
@@ -42,10 +46,12 @@ from repro.spice.batched import BatchedDcSolver
 from repro.spice.netlist import NodeKind, TransistorNetlist
 from repro.spice.newton import (
     DenseJacobianMemoryError,
+    _NewtonAssembler,
     dense_jacobian_bytes,
     resolve_newton_method,
 )
 from repro.spice.solver import SolverOptions
+from repro.spice.sparse import SparseNewtonBackend
 
 TIGHT = dict(voltage_tol=1e-11, xtol=1e-14, max_sweeps=250)
 TIGHT_DENSE = SolverOptions(method="newton", **TIGHT)
@@ -120,6 +126,26 @@ class TestSparseDenseParity:
         assert np.max(np.abs(sparse.voltages - relaxed.voltages)) <= 1e-9
 
 
+class TestSparsePattern:
+    def test_shared_pattern_is_symmetric_with_full_diagonal(self, bulk25):
+        """The pinned ordering works on the pattern of A+A^T, which is only
+        the Jacobian's own pattern when that is structurally symmetric; a
+        full diagonal keeps every pivot structurally available."""
+        circuit = iscas_like(48, rng=7)
+        flattened = flatten_batch(
+            circuit, bulk25, list(random_vectors(circuit, 1, rng=1))
+        )
+        solver = BatchedDcSolver(flattened.netlist_views(), 300.0, TIGHT_SPARSE)
+        backend = SparseNewtonBackend(_NewtonAssembler(solver))
+        n = backend.assembler.n_free
+        pattern = csc_matrix(
+            (np.ones(backend.nnz), backend.indices, backend.indptr), shape=(n, n)
+        )
+        assert n > 100
+        assert (pattern != pattern.T).nnz == 0
+        assert np.all(pattern.diagonal() == 1.0)
+
+
 @pytest.mark.slow
 class TestSparseBatchInvariance:
     def test_batch_composition_is_bitwise_neutral(self, bulk25):
@@ -184,9 +210,10 @@ class TestSparseFallback:
 
 class TestAutoDispatch:
     def test_resolution_policy(self):
-        dense_default = SolverOptions(method="auto")
-        assert resolve_newton_method(dense_default, 8, 4) == "newton"
-        assert resolve_newton_method(dense_default, 1024, 1) == "newton-sparse"
+        auto = SolverOptions(method="auto")
+        assert resolve_newton_method(auto, 8, 4) == "newton"
+        assert resolve_newton_method(auto, 127, 64) == "newton"
+        assert resolve_newton_method(auto, 128, 1) == "newton-sparse"
         assert resolve_newton_method(SolverOptions(method="newton"), 5000, 64) == (
             "newton"
         )
@@ -259,22 +286,32 @@ class TestSparseCacheFingerprint:
             solver=SolverOptions(**solver_kwargs),
         )
 
-    def test_backend_options_change_fingerprint(self, bulk25):
+    def test_backend_options_change_fingerprint(self, bulk25, monkeypatch):
         """Each backend knob is part of the cache identity: dense and sparse
-        agree only to ~1e-15, not bitwise, so records must not be shared."""
-        fingerprints = {
-            characterization_fingerprint(
-                bulk25, self._options(**kwargs), bulk25.temperature_k
-            )
-            for kwargs in (
-                dict(method="newton"),
-                dict(method="newton-sparse"),
-                dict(method="auto"),
-                dict(method="auto", newton_sparse_threshold=64),
-                dict(method="auto", newton_dense_memory_limit=1e8),
-            )
-        }
-        assert len(fingerprints) == 5
+        agree only to ~1e-15, not bitwise, so records must not be shared.
+        The same holds for two SuperLU column orderings."""
+        kwargs_set = (
+            dict(method="newton"),
+            dict(method="newton-sparse"),
+            dict(method="auto"),
+            dict(method="auto", newton_sparse_threshold=64),
+            dict(method="auto", newton_dense_memory_limit=1e8),
+        )
+
+        def fingerprints():
+            return {
+                characterization_fingerprint(
+                    bulk25, self._options(**kwargs), bulk25.temperature_k
+                )
+                for kwargs in kwargs_set
+            }
+
+        pinned = fingerprints()
+        assert len(pinned) == 5
+        monkeypatch.setattr("repro.spice.sparse._PERMC_SPEC", "COLAMD")
+        other_ordering = fingerprints()
+        assert len(other_ordering) == 5
+        assert not pinned & other_ordering
 
     def test_strict_load_refuses_backend_mismatch(self, bulk25, tmp_path):
         path = tmp_path / "library.json"
@@ -362,34 +399,32 @@ class TestLayeredGenerator:
 
     @pytest.mark.slow
     def test_flattened_circuit_solves_with_auto_sparse(self, bulk25):
-        """End-to-end: a generated circuit flattens past the (lowered) auto
-        threshold and the sparse backend solves it, matching Gauss–Seidel."""
-        circuit = iscas_like(48, rng=7)
-        rng = np.random.default_rng(1)
-        assignments = [
-            {
-                pi: int(v)
-                for pi, v in zip(
-                    circuit.primary_inputs,
-                    rng.integers(0, 2, len(circuit.primary_inputs)),
-                )
-            }
-            for _ in range(2)
-        ]
-        flattened = flatten_batch(circuit, bulk25, assignments)
+        """End-to-end: a generated circuit flattens to 145 free nodes, just
+        past the default ``auto`` threshold, so ``auto`` sends it to the
+        sparse backend by its node count alone (its dense stack is far
+        below the memory limit); the result matches dense and
+        Gauss–Seidel."""
+        circuit = iscas_like(64, rng=7)
+        flattened = flatten_batch(
+            circuit, bulk25, list(random_vectors(circuit, 2, rng=1))
+        )
         views = flattened.netlist_views()
         free = sum(
             1
             for node in flattened.netlist.nodes.values()
             if node.kind is NodeKind.FREE
         )
-        auto = SolverOptions(method="auto", newton_sparse_threshold=free, **TIGHT)
-        op = BatchedDcSolver(views, 300.0, auto).solve(
+        auto = SolverOptions(method="auto", **TIGHT)
+        assert free >= auto.newton_sparse_threshold
+        assert dense_jacobian_bytes(len(views), free) < auto.newton_dense_memory_limit
+        op = BatchedDcSolver(views, 300.0, auto).solve(flattened.initial_voltages())
+        dense = BatchedDcSolver(views, 300.0, TIGHT_DENSE).solve(
             flattened.initial_voltages()
         )
         relaxed = BatchedDcSolver(views, 300.0, TIGHT_GS).solve(
             flattened.initial_voltages()
         )
         assert op.method == "newton-sparse"
-        assert op.all_converged
+        assert op.all_converged and dense.all_converged
+        assert np.max(np.abs(op.voltages - dense.voltages)) <= 1e-12
         assert np.max(np.abs(op.voltages - relaxed.voltages)) <= 1e-9
