@@ -8,11 +8,13 @@ of every gate in one :class:`~repro.spice.netlist.TransistorNetlist`, with
   value so the DC solver starts near the answer.
 
 A circuit flattens to *one* transistor topology: different input vectors only
-change the fixed primary-input rails and the free-node seeds.
-:func:`flatten_batch` exploits that — it builds the shared netlist once and
-derives per-vector fixed-voltage and seed *arrays*, which is exactly the
-same-topology contract :class:`~repro.spice.batched.BatchedDcSolver` solves
-in one vectorized pass.
+change the fixed primary-input rails and the free-node seeds, and different
+supplies only scale them.  :func:`flatten_batch` exploits that — it builds
+the shared netlist once and derives per-vector fixed-voltage and seed
+*arrays*, which is exactly the same-topology contract
+:class:`~repro.spice.batched.BatchedDcSolver` solves in one vectorized pass;
+:meth:`FlattenedCircuit.at_supplies` does the same for one vector at many
+supplies (the Monte-Carlo dies).
 
 Keeping the expansion separate from the solver lets tests inspect the
 flattened structure (transistor counts, node sharing) independently of any
@@ -29,7 +31,7 @@ from repro.circuit.logic import propagate
 from repro.circuit.netlist import Circuit
 from repro.device.params import TechnologyParams
 from repro.gates.templates import build_gate_transistors, internal_seed_levels
-from repro.spice.netlist import Node, TransistorNetlist
+from repro.spice.netlist import SUPPLY, Node, TransistorNetlist
 
 
 @dataclass
@@ -94,6 +96,31 @@ class FlattenedCircuit:
                 # seed table does not know — fail loudly, not silently.
                 guesses[node] = vdd * levels[node[prefix:]]
         return guesses
+
+    def at_supplies(self, supply: np.ndarray) -> "BatchedFlattenedCircuit":
+        """Instantiate this flattened circuit at ``B`` supply voltages.
+
+        Column ``b`` runs at ``supply[b]``: its supply rail, primary-input
+        rails and free-node seeds are what :func:`flatten` would give under
+        a technology with that ``vdd``.  The transistor list is shared, so
+        the device parameters of each column are bound separately (see
+        :meth:`~repro.device.batched.PackedMosfets.from_kinds`).
+        """
+        supply = np.asarray(supply, dtype=float)
+        values = self.net_values
+        rails = {
+            net: supply * values[net] for net in self.circuit.primary_inputs
+        }
+        rails[SUPPLY] = supply
+        return BatchedFlattenedCircuit(
+            circuit=self.circuit,
+            netlist=self.netlist,
+            assignments=[self.input_assignment] * supply.size,
+            net_values=[values] * supply.size,
+            internal_nodes=self.internal_nodes,
+            fixed_voltages=rails,
+            supply=supply,
+        )
 
 
 def _build_netlist(
@@ -168,7 +195,10 @@ class BatchedFlattenedCircuit:
         Per gate, the instance-internal node names of its template.
     fixed_voltages:
         Per primary-input net, the ``(B,)`` rail voltages implied by the
-        assignments.
+        assignments (and the supply rail when ``supply`` is set).
+    supply:
+        Per-column supply voltages ``(B,)``, or None when every column runs
+        at ``netlist.vdd``.
     """
 
     circuit: Circuit
@@ -177,6 +207,7 @@ class BatchedFlattenedCircuit:
     net_values: list[dict[str, int]]
     internal_nodes: dict[str, list[str]]
     fixed_voltages: dict[str, np.ndarray]
+    supply: np.ndarray | None = None
 
     @property
     def batch(self) -> int:
@@ -192,10 +223,11 @@ class BatchedFlattenedCircuit:
         """Return per-vector rail-based initial guesses as ``(B,)`` arrays.
 
         Column ``b`` equals what :meth:`FlattenedCircuit.initial_voltages`
-        returns for ``assignments[b]``, so the batched solve starts every
-        instance exactly where the scalar reference solve would.
+        returns for ``assignments[b]`` (at supply ``supply[b]``), so the
+        batched solve starts every instance exactly where the scalar
+        reference solve would.
         """
-        vdd = self.netlist.vdd
+        vdd: float | np.ndarray = self.netlist.vdd if self.supply is None else self.supply
         guesses: dict[str, np.ndarray] = {}
         for net in self.net_values[0]:
             if self.circuit.is_primary_input(net):
@@ -204,6 +236,8 @@ class BatchedFlattenedCircuit:
                 [values[net] for values in self.net_values], dtype=float
             )
         for gate_name, nodes in self.internal_nodes.items():
+            if not nodes:
+                continue
             gate = self.circuit.gates[gate_name]
             per_vector = [
                 internal_seed_levels(
@@ -225,14 +259,18 @@ class BatchedFlattenedCircuit:
         """Return ``B`` per-vector views of the shared netlist.
 
         Each view owns fresh :class:`Node` objects (so its primary-input
-        rails can differ) but shares the transistor instance list — and
-        therefore the device models — with every other view, which is what
-        lets :class:`~repro.spice.batched.BatchedDcSolver` pack the device
-        parameters once instead of ``B`` times.
+        rails, and its supply under ``supply``, can differ) but shares the
+        transistor instance list — and therefore the device models — with
+        every other view, which is what lets
+        :class:`~repro.spice.batched.BatchedDcSolver` pack the device
+        parameters once instead of ``B`` times (or take a pack bound per
+        column, as the Monte-Carlo engine does).
         """
         views: list[TransistorNetlist] = []
         for b in range(self.batch):
-            view = TransistorNetlist(vdd=self.netlist.vdd)
+            view = TransistorNetlist(
+                vdd=self.netlist.vdd if self.supply is None else float(self.supply[b])
+            )
             view.nodes = {
                 name: Node(
                     name=name,

@@ -12,6 +12,9 @@ Parameter arrays that are constant along the batch axis (the common case:
 only Monte-Carlo inter-die variation perturbs device parameters between batch
 instances) are stored with a broadcast axis of length one, so a
 characterization batch pays almost nothing for carrying its parameters.
+Monte-Carlo batches pack through :meth:`PackedMosfets.from_kinds`, which
+extracts each device kind once per column instead of one
+:class:`~repro.device.mosfet.Mosfet` per transistor per column.
 
 The arithmetic deliberately mirrors :meth:`Mosfet._compute` operation for
 operation (same normalization, same source/drain ordering, same assembly
@@ -199,6 +202,43 @@ class PackedMosfets:
                 # vth_shift rides on top of the static threshold, exactly as
                 # the scalar path adds it after effective_threshold().
                 raw[1, t, b] += mosfet.vth_shift
+        self._bind(raw)
+
+    @classmethod
+    def from_kinds(
+        cls,
+        kinds: Sequence[Sequence[DeviceParams]],
+        slot_kinds: Sequence[int],
+        vth_shift: np.ndarray,
+        temperature_k: float,
+    ) -> "PackedMosfets":
+        """Pack a grid whose slots share a few device kinds that vary per column.
+
+        The Monte-Carlo binding: ``kinds[k][b]`` is device kind ``k`` (a
+        technology flavour at one width) under column ``b``'s inter-die
+        shifts, slot ``t`` takes kind ``slot_kinds[t]``, and ``vth_shift``
+        is the ``(T, B)`` per-transistor threshold shift.  Equals
+        ``PackedMosfets(grid, temperature_k)`` over
+        ``grid[t][b] = Mosfet(kinds[slot_kinds[t]][b], vth_shift=vth_shift[t, b])``
+        bit for bit, without building the ``T * B`` Mosfet objects.
+        """
+        table = np.array(
+            [[_device_constants(device, temperature_k) for device in row] for row in kinds]
+        )
+        # (kinds, B, fields) -> (fields, T, B) in one gather, laid out like
+        # the Mosfet-grid constructor's block.
+        raw = np.ascontiguousarray(
+            table.transpose(2, 0, 1)[:, np.asarray(slot_kinds, dtype=int)]
+        )
+        raw[1] += vth_shift
+        packed = object.__new__(cls)
+        packed.temperature_k = float(temperature_k)
+        packed.slots, packed.batch = raw.shape[1:]
+        packed._bind(raw)
+        return packed
+
+    def _bind(self, raw: np.ndarray) -> None:
+        """Store the ``(fields, T, B)`` parameter block as per-field arrays."""
         for name, values in zip(_ARRAY_FIELDS, raw):
             setattr(self, name, _compress(values))
         self._btbt_stacked_cache = None

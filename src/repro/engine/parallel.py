@@ -12,10 +12,11 @@ embarrassingly parallel and CPU-bound, i.e. exactly the workload a process
 pool (not threads: the solves are pure Python/NumPy) speeds up.
 
 With the default ``engine="batched"`` the unit of distribution is a
-*contiguous batch* of samples, not a single sample: each worker flattens its
-chunk and runs two :class:`~repro.spice.batched.BatchedDcSolver` solves, so
-process-level parallelism multiplies the batched solver's vectorization
-instead of replacing it.  ``engine="scalar"`` distributes one sample per
+*contiguous batch* of samples, not a single sample: each worker binds its
+chunk's parameters to the two study structures and runs two
+:class:`~repro.spice.batched.BatchedDcSolver` solves, so process-level
+parallelism multiplies the batched solver's vectorization instead of
+replacing it.  ``engine="scalar"`` distributes one sample per
 pool task through the original reference path.
 
 Reproducibility is the design constraint: both the serial driver and this
@@ -52,6 +53,7 @@ from repro.variation.montecarlo import (
     _simulate_batch_star,
     _simulate_draws_batch_star,
     _simulate_draws_scalar_star,
+    _warn_nonconverged,
     build_sample_task,
     loaded_transistor_count,
     simulate_batch,
@@ -151,9 +153,11 @@ class ParallelMonteCarlo:
         parameters it gets, so pooled runs stay bitwise serial-identical.
     on_nonconverged:
         Non-convergence policy forwarded to every sample solve (``"warn"``
-        / ``"raise"`` / ``"drop"``); under ``"drop"`` the pooled result
-        reports the dropped count in ``metadata["dropped_nonconverged"]``
-        exactly like the serial driver.
+        / ``"raise"`` / ``"drop"``); under ``"warn"`` :meth:`run` emits one
+        warning in this process from the merged flags (workers stay
+        quiet), and under ``"drop"`` the pooled result reports the dropped
+        count in ``metadata["dropped_nonconverged"]`` — both exactly like
+        the serial driver.
     resilience:
         Optional :class:`~repro.resilience.ResilienceOptions` — retry
         policy, per-chunk deadline, checkpoint/resume, fault injection.
@@ -285,6 +289,7 @@ class ParallelMonteCarlo:
                 },
             )
             results = [sample for batch in batches for sample in batch]
+        _warn_nonconverged(task, results, samples)
         metadata = {
             **_result_metadata(self.sampler, task, samples, len(results)),
             **metadata,

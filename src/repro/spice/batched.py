@@ -9,8 +9,10 @@ both batched workloads of this library:
 
 * gate characterization — one cell topology swept over (input vector, pin,
   injection-current) grids, and
-* Monte-Carlo process variation — one circuit flattened per sample with
-  shifted technologies and per-transistor Vth shifts.
+* Monte-Carlo process variation — each structure flattened once, its views
+  run at per-sample supplies, and the per-sample device parameters
+  (inter-die shifts, per-transistor Vth shifts) bound as arrays in a
+  pre-built :class:`~repro.device.batched.PackedMosfets` pack.
 
 Solution scheme
 ---------------
@@ -239,7 +241,10 @@ class _ClusterComponent:
 
 
 class BatchedDcSolver:
-    """Gauss–Seidel DC solver for a batch of same-topology netlists.
+    """DC solver for a batch of same-topology netlists.
+
+    Damped Newton by default, Gauss–Seidel relaxation as the oracle and the
+    per-column fallback (see :attr:`~repro.spice.solver.SolverOptions.method`).
 
     Parameters
     ----------
@@ -252,6 +257,12 @@ class BatchedDcSolver:
     options:
         Same options as the scalar solver; ``xtol`` bounds the per-node root
         accuracy, ``voltage_tol`` the sweep convergence.
+    packed:
+        Optional pre-built ``(transistors, B)`` device pack replacing the
+        one packed from the netlists' Mosfets.  Only for views sharing one
+        transistor list (:meth:`BatchedFlattenedCircuit.netlist_views
+        <repro.circuit.flatten.BatchedFlattenedCircuit.netlist_views>`),
+        whose columns differ in device parameters the list cannot carry.
     """
 
     def __init__(
@@ -259,6 +270,7 @@ class BatchedDcSolver:
         netlists: Sequence[TransistorNetlist],
         temperature_k: float,
         options: SolverOptions | None = None,
+        packed: PackedMosfets | None = None,
     ) -> None:
         if not netlists:
             raise ValueError("need at least one netlist")
@@ -282,13 +294,24 @@ class BatchedDcSolver:
         ]
 
         # Device grid: slot t, instance b.
-        self.packed = PackedMosfets(
-            [
-                [net.transistors[t].mosfet for net in self.netlists]
-                for t in range(len(reference.transistors))
-            ],
-            self.temperature_k,
-        )
+        if packed is None:
+            packed = PackedMosfets(
+                [
+                    [net.transistors[t].mosfet for net in self.netlists]
+                    for t in range(len(reference.transistors))
+                ],
+                self.temperature_k,
+            )
+        elif (
+            any(net.transistors is not reference.transistors for net in self.netlists)
+            or (packed.slots, packed.batch) != (len(reference.transistors), self.batch)
+            or packed.temperature_k != self.temperature_k
+        ):
+            raise ValueError(
+                "a pre-built device pack needs views sharing one transistor "
+                "list, a (transistors, batch) grid and the solve temperature"
+            )
+        self.packed = packed
 
         # Per-transistor terminal rows, used by the post-solve analysis.
         self._transistor_rows = np.array(

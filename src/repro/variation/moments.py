@@ -66,7 +66,7 @@ agreement against the MC oracle at a fixed tolerance bar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -82,7 +82,8 @@ from repro.variation.montecarlo import (
     _study_circuits,
     build_sample_task,
 )
-from repro.variation.spec import InterDieSample, VariationSpec, apply_inter_die
+from repro.variation.qmc import ParameterDraws
+from repro.variation.spec import VariationSpec
 from repro.variation.statistics import _percent_change
 
 #: Leakage mechanisms fitted separately; ``total`` is assembled from them.
@@ -97,6 +98,9 @@ DEFAULT_INTERACTION_AXES = 6
 
 #: Default node count of the deterministic Sobol quadrature.
 DEFAULT_QUADRATURE_POINTS = 2**14
+
+#: :class:`~repro.variation.qmc.ParameterDraws` fields of the inter-die axes.
+_INTER_FIELDS = ("delta_length_nm", "delta_tox_nm", "delta_vth_v", "delta_vdd_v")
 
 
 @dataclass(frozen=True)
@@ -257,27 +261,27 @@ def _axes(task: SampleTask, transistor_names: list[str]) -> list[_Axis]:
     return [axis for axis in inter + intra if axis.sigma > 0.0]
 
 
-def _shift_parameters(
-    task: SampleTask, shifts: list[tuple[_Axis, float]]
-) -> tuple[TechnologyParams, dict[str, float]]:
-    """Return the (technology, intra-Vth map) of one characterization column.
+def _parameter_columns(
+    task: SampleTask,
+    transistor_names: list[str],
+    columns: list[list[tuple[_Axis, float]]],
+) -> ParameterDraws:
+    """Return characterization columns as one parameter block.
 
-    ``shifts`` lists (axis, offset in sigma units) pairs — one entry for a
-    stencil column, two for a pairwise-interaction probe.
+    Each column lists (axis, offset in sigma units) pairs — none for the
+    center, one for a stencil column, two for a pairwise-interaction probe.
     """
-    inter = InterDieSample(
-        delta_length_nm=0.0, delta_tox_nm=0.0, delta_vth_v=0.0, delta_vdd_v=0.0
-    )
-    intra: dict[str, float] = {}
-    for axis, offset in shifts:
-        value = offset * axis.sigma
-        if axis.kind == "inter":
-            inter = replace(
-                inter, **{axis.inter_field: getattr(inter, axis.inter_field) + value}
-            )
-        else:
-            intra[axis.transistor] = intra.get(axis.transistor, 0.0) + value
-    return apply_inter_die(task.technology, inter), intra
+    inter = {name: np.zeros(len(columns)) for name in _INTER_FIELDS}
+    intra = np.zeros((len(columns), len(transistor_names)))
+    row_of = {name: row for row, name in enumerate(transistor_names)}
+    for column, shifts in enumerate(columns):
+        for axis, offset in shifts:
+            value = offset * axis.sigma
+            if axis.kind == "inter":
+                inter[axis.inter_field][column] += value
+            else:
+                intra[column, row_of[axis.transistor]] += value
+    return ParameterDraws(spec=task.spec, intra_vth_v=intra, **inter)
 
 
 def _component_values(samples: list[MonteCarloSample], loaded: bool) -> np.ndarray:
@@ -463,11 +467,11 @@ def propagate_loaded_inverter_moments(
     ts = np.array([-t_max, -t_max / 2.0, t_max / 2.0, t_max])
 
     # Column 0 is the shared center; then one column per (axis, offset).
-    columns = [_shift_parameters(task, [])]
-    for axis in axes:
-        for t in ts:
-            columns.append(_shift_parameters(task, [(axis, float(t))]))
-    solved = _solve_parameter_sets(task, columns)
+    columns: list[list[tuple[_Axis, float]]] = [[]]
+    columns += [[(axis, float(t))] for axis in axes for t in ts]
+    solved = _solve_parameter_sets(
+        task, _parameter_columns(task, transistor_names, columns)
+    )
 
     surrogates: dict[bool, dict[str, _Surrogate]] = {}
     for loaded in (True, False):
@@ -503,15 +507,15 @@ def propagate_loaded_inverter_moments(
         )
         top = np.argsort(-strength)[: min(interaction_axes, len(axes))]
         pairs = [(int(i), int(j)) for n, i in enumerate(top) for j in top[n + 1 :]]
-        probes = []
-        for i, j in pairs:
-            for si, sj in ((t_max, t_max), (t_max, -t_max), (-t_max, t_max), (-t_max, -t_max)):
-                probes.append(
-                    _shift_parameters(task, [(axes[i], si), (axes[j], sj)])
-                )
+        probes = [
+            [(axes[i], si), (axes[j], sj)]
+            for i, j in pairs
+            for si, sj in ((t_max, t_max), (t_max, -t_max), (-t_max, t_max), (-t_max, -t_max))
+        ]
         solve_columns += len(probes)
+        probe_draws = _parameter_columns(task, transistor_names, probes)
         probe_values = {
-            loaded: _component_values(_solve_parameter_sets(task, probes), loaded)
+            loaded: _component_values(_solve_parameter_sets(task, probe_draws), loaded)
             for loaded in (True, False)
         }
         for loaded in (True, False):

@@ -1,28 +1,32 @@
 """Monte-Carlo driver for the loaded-inverter variation study (Figs. 10-11).
 
-For every sample the driver
+Every sample
 
-1. draws the inter-die shifts (L, Tox, Vth, VDD) and applies them to the
-   technology,
-2. flattens two structures built from that shifted technology:
+1. draws the inter-die shifts (L, Tox, Vth, VDD) shared by the die,
+2. draws per-transistor intra-die Vth shifts for the transistors of the
+   *loaded* structure,
+3. solves two structures under those parameters:
 
    * the *loaded* inverter of Fig. 10 — an inverter ``g`` whose input net is
      shared with ``input_loads`` other inverters and whose output net feeds
      ``output_loads`` inverters, and
    * the *unloaded* twin — the same driver + inverter with no neighbours,
+     whose transistors reuse the intra-die shifts of their loaded-structure
+     counterparts, so the two solves differ only by the presence of loading,
 
-3. draws per-transistor intra-die Vth shifts (the shift of a transistor in
-   the loaded structure is reused for its counterpart in the unloaded one,
-   so the two solves differ only by the presence of loading),
-4. solves both and records the leakage components of the inverter under
-   study.
+4. records the leakage components of the inverter under study.
 
-Two solver engines are available: ``"batched"`` (default) flattens every
-sample and solves all loaded structures as one
-:class:`~repro.spice.batched.BatchedDcSolver` batch (and all unloaded twins
-as a second batch); ``"scalar"`` runs the original one-sample-at-a-time
-reference path.  Both consume identical random streams, so they simulate
-identical parameter draws and differ only at the solver-tolerance level.
+Two solver engines are available.  ``"batched"`` (default) flattens each
+structure once with the nominal technology — variation changes numbers,
+never topology — and binds every sample's parameters as arrays: per-sample
+supplies for the rails and seeds, per-sample constants of the shifted
+device flavours, and a (transistor, sample) Vth-shift matrix.  All loaded
+structures then solve as one :class:`~repro.spice.batched.BatchedDcSolver`
+batch and all unloaded twins as a second.  ``"scalar"`` runs the original
+one-sample-at-a-time reference path, which flattens each sample under its
+shifted technology; it is the oracle the batched engine is held to.  Both
+consume identical parameter draws and differ only at the solver-tolerance
+level.
 
 Two *samplers* are available on top: ``"mc"`` (default) draws pseudo-random
 parameters from per-sample ``SeedSequence.spawn`` streams; ``"qmc"`` draws
@@ -32,11 +36,14 @@ variance-reduced path that reaches a given Fig. 10/11 accuracy at a
 fraction of the sample budget.
 
 Sample convergence is governed by ``on_nonconverged``: ``"warn"`` (default)
-records the sample and emits a :class:`MonteCarloConvergenceWarning`,
-``"raise"`` turns a stalled solve into a hard ``RuntimeError``, and
-``"drop"`` excludes the sample from the recorded populations (the dropped
-count is reported in ``MonteCarloResult.metadata``) — so a non-converged
-operating point can never silently bias the Fig. 10/11 statistics.
+records the sample with ``converged=False`` and the run emits one
+:class:`MonteCarloConvergenceWarning` naming the non-converged count,
+pointed at the caller's line (a pooled run warns in the parent, from the
+merged flags); ``"raise"`` turns a stalled solve into a hard
+``RuntimeError``; and ``"drop"`` excludes the sample from the recorded
+populations (the dropped count is reported in ``MonteCarloResult.metadata``)
+— so a non-converged operating point can never silently bias the
+Fig. 10/11 statistics.
 
 The resulting paired samples are exactly what Fig. 10 histograms ("No
 Loading" vs "with Loading") and Fig. 11 statistics (loading-induced change of
@@ -53,7 +60,8 @@ import numpy as np
 
 from repro.circuit.flatten import flatten
 from repro.circuit.generators import loaded_inverter_cluster
-from repro.device.params import TechnologyParams
+from repro.device.batched import PackedMosfets
+from repro.device.params import DeviceParams, TechnologyParams
 from repro.spice.analysis import ComponentBreakdown, leakage_by_owner
 from repro.spice.batched import BatchedDcSolver
 from repro.spice.solver import DcSolver, SolverOptions
@@ -61,9 +69,11 @@ from repro.utils.rng import RngLike, spawn_streams
 from repro.variation.qmc import ParameterDraws, draw_qmc_parameters
 from repro.variation.spec import (
     VariationSpec,
+    _shift_device,
     apply_inter_die,
     sample_inter_die,
     sample_intra_die_vth,
+    shifted_vdd,
 )
 
 #: Name of the inverter under study inside the generated cluster.
@@ -77,14 +87,16 @@ NONCONVERGED_POLICIES = ("warn", "raise", "drop")
 
 
 class MonteCarloConvergenceWarning(UserWarning):
-    """A Monte-Carlo sample's DC solve ended without converging.
+    """Samples of a Monte-Carlo run ended without converging.
 
     A sample recorded from a non-converged operating point can bias the
-    Fig. 10/11 statistics; the warning names the structure and the worst
-    final voltage update so the offending configuration is identifiable.
-    Emitted under ``on_nonconverged="warn"`` (the default); ``"raise"``
-    turns the condition into a ``RuntimeError`` and ``"drop"`` excludes the
-    affected samples instead.
+    Fig. 10/11 statistics; the warning names how many of the requested
+    samples did not converge and the study configuration, and points at the
+    line that started the run.  Emitted once per run under
+    ``on_nonconverged="warn"`` (the default); ``"raise"`` turns the
+    condition into a ``RuntimeError`` naming the structure and the worst
+    final voltage update, and ``"drop"`` excludes the affected samples
+    instead.
     """
 
 
@@ -155,13 +167,14 @@ def _check_policy(on_nonconverged: str) -> str:
     return on_nonconverged
 
 
-def _handle_nonconvergence(policy: str, message: str, stacklevel: int) -> None:
-    """Apply the non-convergence policy for one solve (or batch of solves)."""
+def _raise_nonconverged(policy: str, message: str) -> None:
+    """Apply the ``"raise"`` policy to a solve (or batch) that did not converge.
+
+    ``"warn"`` is applied once per run by the drivers
+    (:func:`_warn_nonconverged`) and ``"drop"`` by :func:`_keep_converged`.
+    """
     if policy == "raise":
         raise RuntimeError(message)
-    if policy == "warn":
-        warnings.warn(message, MonteCarloConvergenceWarning, stacklevel=stacklevel)
-    # "drop": the caller excludes the affected samples; nothing to emit.
 
 
 def _solve_target_leakage(
@@ -175,8 +188,8 @@ def _solve_target_leakage(
 ) -> tuple[ComponentBreakdown, bool]:
     """Flatten, apply per-transistor Vth shifts, solve, return gate ``g``'s leakage.
 
-    Returns ``(breakdown, converged)``; the non-convergence policy is
-    applied here for ``"warn"``/``"raise"`` (the caller drops).
+    Returns ``(breakdown, converged)``; the ``"raise"`` policy is applied
+    here.
     """
     flattened = flatten(circuit, technology, input_assignment)
     for transistor in flattened.netlist.transistors:
@@ -186,12 +199,11 @@ def _solve_target_leakage(
     solver = DcSolver(flattened.netlist, temperature_k, solver_options)
     op = solver.solve(initial_voltages=flattened.initial_voltages())
     if not op.converged:
-        _handle_nonconvergence(
+        _raise_nonconverged(
             on_nonconverged,
             f"Monte-Carlo solve of {circuit.name!r} did not converge within "
             f"{solver_options.max_sweeps} sweeps; largest final voltage "
             f"update {op.max_update:.3e} V",
-            stacklevel=4,
         )
     return leakage_by_owner(flattened.netlist, op)[_TARGET_GATE], bool(op.converged)
 
@@ -213,36 +225,6 @@ class SampleTask:
     temperature_k: float
     solver_options: SolverOptions
     on_nonconverged: str = "warn"
-
-
-def _draw_sample_parameters(
-    task: SampleTask,
-    rng: np.random.Generator,
-    loaded_flat_names: list[str],
-) -> tuple[TechnologyParams, dict[str, float]]:
-    """Draw one sample's shifted technology and intra-die Vth shifts.
-
-    Shared by the scalar and batched engines so both consume a stream in
-    exactly the same order (inter-die draws first, then one intra-die shift
-    per transistor of the loaded structure).
-    """
-    inter = sample_inter_die(task.spec, rng)
-    shifted = apply_inter_die(task.technology, inter)
-    # The unloaded twin shares the shifts of its two gates (driver and 'g')
-    # so that the only difference between the two solves is the loading.
-    shifts = sample_intra_die_vth(task.spec, rng, len(loaded_flat_names))
-    return shifted, dict(zip(loaded_flat_names, shifts))
-
-
-def _draws_sample_parameters(
-    task: SampleTask,
-    draws: ParameterDraws,
-    index: int,
-    loaded_flat_names: list[str],
-) -> tuple[TechnologyParams, dict[str, float]]:
-    """Return sample ``index``'s pre-drawn shifted technology and Vth shifts."""
-    shifted = apply_inter_die(task.technology, draws.inter_die(index))
-    return shifted, dict(zip(loaded_flat_names, draws.intra_vth(index)))
 
 
 def _loaded_flat_names(loaded_circuit) -> list[str]:
@@ -272,14 +254,47 @@ def _study_circuits(task: SampleTask):
     return loaded_circuit, unloaded_circuit, assignment, _loaded_flat_names(loaded_circuit)
 
 
+def _stream_draws(
+    task: SampleTask, streams: Sequence[np.random.Generator]
+) -> ParameterDraws:
+    """Draw one sample's parameters from each stream, as one block.
+
+    Every engine consumes a stream in this order — the inter-die shifts
+    first, then one intra-die Vth shift per transistor of the loaded
+    structure — so the scalar and batched engines simulate identical draws.
+    """
+    count = loaded_transistor_count(task.input_loads, task.output_loads)
+    inter, intra = [], []
+    for rng in streams:
+        inter.append(sample_inter_die(task.spec, rng))
+        intra.append(sample_intra_die_vth(task.spec, rng, count))
+    return ParameterDraws(
+        spec=task.spec,
+        delta_length_nm=np.array([sample.delta_length_nm for sample in inter]),
+        delta_tox_nm=np.array([sample.delta_tox_nm for sample in inter]),
+        delta_vth_v=np.array([sample.delta_vth_v for sample in inter]),
+        delta_vdd_v=np.array([sample.delta_vdd_v for sample in inter]),
+        intra_vth_v=np.array(intra).reshape(len(intra), count),
+    )
+
+
+def _check_draws(task: SampleTask, draws: ParameterDraws) -> None:
+    """Reject a draw block whose intra-die axes do not fit the loaded structure."""
+    count = loaded_transistor_count(task.input_loads, task.output_loads)
+    if draws.transistor_count != count:
+        raise ValueError(
+            f"draws carry {draws.transistor_count} intra-die axes but the "
+            f"loaded structure has {count} transistors"
+        )
+
+
 def _simulate_one(
-    task: SampleTask,
-    shifted: TechnologyParams,
-    intra: dict[str, float],
-    circuits,
+    task: SampleTask, draws: ParameterDraws, index: int, circuits
 ) -> MonteCarloSample:
-    """Solve one sample's loaded and unloaded structures through the scalar path."""
-    loaded_circuit, unloaded_circuit, assignment, _ = circuits
+    """Solve sample ``index`` of ``draws`` through the scalar path."""
+    loaded_circuit, unloaded_circuit, assignment, names = circuits
+    shifted = apply_inter_die(task.technology, draws.inter_die(index))
+    intra = dict(zip(names, draws.intra_vth(index)))
     with_loading, loaded_ok = _solve_target_leakage(
         loaded_circuit, shifted, assignment, intra, task.temperature_k,
         task.solver_options, task.on_nonconverged,
@@ -302,65 +317,87 @@ def simulate_sample(task: SampleTask, rng: np.random.Generator) -> MonteCarloSam
     :func:`repro.utils.rng.spawn_streams`, so the serial and parallel
     drivers produce bitwise-identical results for the same root seed.
     """
-    circuits = _study_circuits(task)
-    shifted, intra = _draw_sample_parameters(task, rng, circuits[3])
-    return _simulate_one(task, shifted, intra, circuits)
+    return _simulate_one(task, _stream_draws(task, [rng]), 0, _study_circuits(task))
 
 
 def _solve_parameter_sets(
-    task: SampleTask,
-    parameter_sets: list[tuple[TechnologyParams, dict[str, float]]],
+    task: SampleTask, draws: ParameterDraws
 ) -> list[MonteCarloSample]:
-    """Solve a block of pre-drawn parameter sets as two batched DC solves.
+    """Solve a block of parameter columns as two batched DC solves.
 
-    The shared engine of :func:`simulate_batch` (stream-drawn parameters)
-    and :func:`simulate_batch_from_draws` (Sobol-drawn parameters): every
-    per-column update of the batched solver is independent of the other
-    columns, so the result is bitwise-identical however the parameter sets
+    The one batched engine behind :func:`simulate_batch` (stream-drawn
+    columns), :func:`simulate_batch_from_draws` (Sobol-drawn columns), the
+    pool path and :mod:`repro.variation.moments` (stencil columns).
+    Variation changes numbers, never topology, so each structure is
+    flattened once with the nominal technology and column ``b``'s
+    parameters are bound as arrays:
+
+    * supply — rails and seeds at :func:`~repro.variation.spec.shifted_vdd`,
+      the clamped supply :func:`~repro.variation.spec.apply_inter_die` uses;
+    * devices — each distinct slot device (the two flavours at unit width
+      in the cluster) shifted by column ``b``'s inter-die sample, packed per
+      kind and gathered per slot
+      (:meth:`~repro.device.batched.PackedMosfets.from_kinds`); exact
+      because ``_shift_device`` touches only L/Tox/Vth0 and ``scaled_width``
+      only the width;
+    * Vth — a (transistor, column) matrix of the loaded structure's
+      intra-die shifts; the unloaded twin takes its transistors' shifts by
+      name.
+
+    Column ``b`` is therefore bitwise what flattening both structures under
+    ``apply_inter_die(technology, draws.inter_die(b))`` would solve, and
+    every per-column update of the batched solver is independent of the
+    other columns, so the result is bitwise-identical however the columns
     are chunked across workers.
     """
-    loaded_circuit, unloaded_circuit, assignment, _ = _study_circuits(task)
+    loaded_circuit, unloaded_circuit, assignment, names = _study_circuits(task)
+    flats = [
+        flatten(circuit, task.technology, assignment)
+        for circuit in (loaded_circuit, unloaded_circuit)
+    ]
+    inter = [draws.inter_die(b) for b in range(draws.sample_count)]
+    devices = list(
+        dict.fromkeys(t.mosfet.device for f in flats for t in f.netlist.transistors)
+    )
+    kinds = [[_shift_device(device, sample) for sample in inter] for device in devices]
+    kind_of: dict[DeviceParams, int] = {device: k for k, device in enumerate(devices)}
+    shift_row = {name: row for row, name in enumerate(names)}
+    supply = shifted_vdd(task.technology.vdd, draws.delta_vdd_v)
 
-    loaded_flat, unloaded_flat = [], []
-    for shifted, intra in parameter_sets:
-        for circuit, flats in (
-            (loaded_circuit, loaded_flat),
-            (unloaded_circuit, unloaded_flat),
-        ):
-            flattened = flatten(circuit, shifted, assignment)
-            for transistor in flattened.netlist.transistors:
-                shift = intra.get(transistor.name)
-                if shift is not None:
-                    transistor.mosfet.vth_shift = shift
-            flats.append(flattened)
-
-    def solve_batch(flats, label):
+    tables, converged = [], []
+    for flattened, label in zip(flats, ("loaded-structure", "unloaded-structure")):
+        transistors = flattened.netlist.transistors
+        packed = PackedMosfets.from_kinds(
+            kinds,
+            [kind_of[t.mosfet.device] for t in transistors],
+            draws.intra_vth_v[:, [shift_row[t.name] for t in transistors]].T,
+            task.temperature_k,
+        )
+        batch = flattened.at_supplies(supply)
         solver = BatchedDcSolver(
-            [f.netlist for f in flats], task.temperature_k, task.solver_options
+            batch.netlist_views(), task.temperature_k, task.solver_options, packed
         )
-        op = solver.solve(
-            initial_voltages=[f.initial_voltages() for f in flats]
-        )
+        op = solver.solve(initial_voltages=batch.initial_voltages())
         if not op.all_converged:
             bad = np.flatnonzero(~op.converged)
-            _handle_nonconvergence(
+            _raise_nonconverged(
                 task.on_nonconverged,
                 f"{bad.size} of {op.batch} Monte-Carlo {label} solves did "
                 f"not converge (worst final voltage update "
                 f"{float(op.max_update[bad].max()):.3e} V)",
-                stacklevel=5,
             )
-        return solver.leakage_by_owner(op)[_TARGET_GATE], np.asarray(op.converged, bool)
+        tables.append(solver.leakage_by_owner(op)[_TARGET_GATE])
+        converged.append(np.asarray(op.converged, bool))
 
-    loaded_leakage, loaded_ok = solve_batch(loaded_flat, "loaded-structure")
-    unloaded_leakage, unloaded_ok = solve_batch(unloaded_flat, "unloaded-structure")
+    loaded, unloaded = tables
+    both = converged[0] & converged[1]
     return [
         MonteCarloSample(
-            with_loading=loaded_leakage.at(index),
-            without_loading=unloaded_leakage.at(index),
-            converged=bool(loaded_ok[index] and unloaded_ok[index]),
+            with_loading=loaded.at(b),
+            without_loading=unloaded.at(b),
+            converged=bool(both[b]),
         )
-        for index in range(len(loaded_flat))
+        for b in range(draws.sample_count)
     ]
 
 
@@ -373,6 +410,28 @@ def _keep_converged(
     return [sample for sample in samples if sample.converged]
 
 
+def _warn_nonconverged(
+    task: SampleTask, samples: list[MonteCarloSample], requested: int
+) -> None:
+    """Apply the ``"warn"`` policy once for a finished run.
+
+    Called from the run drivers (serial and pooled alike, after the merge),
+    so ``stacklevel=3`` names the line that started the run.
+    """
+    if task.on_nonconverged != "warn":
+        return
+    failed = sum(not sample.converged for sample in samples)
+    if failed:
+        warnings.warn(
+            f"{failed} of {requested} Monte-Carlo samples did not converge "
+            f"(input {task.input_value}, {task.input_loads}+"
+            f"{task.output_loads} loads); they are recorded with "
+            "converged=False",
+            MonteCarloConvergenceWarning,
+            stacklevel=3,
+        )
+
+
 def simulate_batch(
     task: SampleTask, streams: Sequence[np.random.Generator]
 ) -> list[MonteCarloSample]:
@@ -380,19 +439,17 @@ def simulate_batch(
 
     Stream ``i`` is consumed exactly like :func:`simulate_sample` would, so
     the parameter draws are bitwise-identical to the scalar engine's; the
-    flattened loaded structures of *all* samples then solve as one
-    :class:`~repro.spice.batched.BatchedDcSolver` batch (the unloaded twins
-    as a second one).  Because every per-column update of the batched solver
-    is independent of the other columns, the result is also bitwise-identical
-    however the streams are chunked — which is what lets
+    drawn block then solves through the shared batched engine (loaded
+    structures as one :class:`~repro.spice.batched.BatchedDcSolver` batch,
+    unloaded twins as a second).  Because every per-column update of the
+    batched solver is independent of the other columns, the result is also
+    bitwise-identical however the streams are chunked — which is what lets
     :class:`repro.engine.parallel.ParallelMonteCarlo` distribute contiguous
     batches across workers without changing the answer.
     """
-    names = _loaded_flat_names(loaded_inverter_cluster(task.input_loads, task.output_loads))
-    parameter_sets = [
-        _draw_sample_parameters(task, rng, names) for rng in streams
-    ]
-    return _keep_converged(task, _solve_parameter_sets(task, parameter_sets))
+    return _keep_converged(
+        task, _solve_parameter_sets(task, _stream_draws(task, streams))
+    )
 
 
 def simulate_batch_from_draws(
@@ -405,35 +462,23 @@ def simulate_batch_from_draws(
     so workers receive :meth:`~repro.variation.qmc.ParameterDraws.slice`
     blocks and chunking can never change which parameters a sample gets.
     """
-    names = _loaded_flat_names(loaded_inverter_cluster(task.input_loads, task.output_loads))
-    if draws.transistor_count != len(names):
-        raise ValueError(
-            f"draws carry {draws.transistor_count} intra-die axes but the "
-            f"loaded structure has {len(names)} transistors"
-        )
-    parameter_sets = [
-        _draws_sample_parameters(task, draws, index, names)
-        for index in range(draws.sample_count)
-    ]
-    return _keep_converged(task, _solve_parameter_sets(task, parameter_sets))
+    _check_draws(task, draws)
+    return _keep_converged(task, _solve_parameter_sets(task, draws))
 
 
 def simulate_samples_from_draws(
     task: SampleTask, draws: ParameterDraws
 ) -> list[MonteCarloSample]:
     """Scalar-engine twin of :func:`simulate_batch_from_draws` (one solve each)."""
+    _check_draws(task, draws)
     circuits = _study_circuits(task)
-    names = circuits[3]
-    if draws.transistor_count != len(names):
-        raise ValueError(
-            f"draws carry {draws.transistor_count} intra-die axes but the "
-            f"loaded structure has {len(names)} transistors"
-        )
-    samples = []
-    for index in range(draws.sample_count):
-        shifted, intra = _draws_sample_parameters(task, draws, index, names)
-        samples.append(_simulate_one(task, shifted, intra, circuits))
-    return _keep_converged(task, samples)
+    return _keep_converged(
+        task,
+        [
+            _simulate_one(task, draws, index, circuits)
+            for index in range(draws.sample_count)
+        ],
+    )
 
 
 def _simulate_batch_star(
@@ -569,18 +614,13 @@ def run_loaded_inverter_monte_carlo(
         draws = draw_qmc_parameters(
             task.spec, samples, loaded_transistor_count(input_loads, output_loads), rng
         )
-        if engine == "batched":
-            collected = simulate_batch_from_draws(task, draws)
-        else:
-            collected = simulate_samples_from_draws(task, draws)
     else:
-        streams = spawn_streams(rng, samples)
-        if engine == "batched":
-            collected = simulate_batch(task, streams)
-        else:
-            collected = _keep_converged(
-                task, [simulate_sample(task, stream) for stream in streams]
-            )
+        draws = _stream_draws(task, spawn_streams(rng, samples))
+    if engine == "batched":
+        collected = simulate_batch_from_draws(task, draws)
+    else:
+        collected = simulate_samples_from_draws(task, draws)
+    _warn_nonconverged(task, collected, samples)
     return MonteCarloResult(
         spec=task.spec,
         input_value=input_value,

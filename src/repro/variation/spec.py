@@ -113,17 +113,24 @@ def _shift_device(device: DeviceParams, sample: InterDieSample) -> DeviceParams:
     )
 
 
+def shifted_vdd(vdd: float, delta_vdd_v: float | np.ndarray) -> np.ndarray:
+    """Return the supplies of dies shifted by ``delta_vdd_v`` from ``vdd``.
+
+    The shift is clamped so VDD never drops below half its nominal value (a
+    die that far off would fail functionally, not just leak).
+    """
+    return np.maximum(vdd + delta_vdd_v, 0.5 * vdd)
+
+
 def apply_inter_die(
     technology: TechnologyParams, sample: InterDieSample
 ) -> TechnologyParams:
     """Return a technology with one die's shared parameter shifts applied.
 
-    The supply shift is clamped so VDD never drops below half its nominal
-    value (a die that far off would fail functionally, not just leak).
+    The supply follows :func:`shifted_vdd` (clamped at half the nominal).
     """
-    new_vdd = max(technology.vdd + sample.delta_vdd_v, 0.5 * technology.vdd)
     return technology.replace(
-        vdd=new_vdd,
+        vdd=float(shifted_vdd(technology.vdd, sample.delta_vdd_v)),
         nmos=_shift_device(technology.nmos, sample),
         pmos=_shift_device(technology.pmos, sample),
     )

@@ -7,10 +7,14 @@ tight relative tolerance, and — for the batch plumbing itself — results that
 are bitwise independent of how instances are grouped into batches.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from repro.device.batched import PackedMosfets
+from repro.circuit.flatten import flatten
+from repro.circuit.generators import loaded_inverter_cluster
+from repro.device.batched import _ARRAY_FIELDS, PackedMosfets
 from repro.device.mosfet import Mosfet
 from repro.gates.characterize import CharacterizationOptions, GateCharacterizer
 from repro.gates.library import GateType, gate_spec
@@ -21,10 +25,23 @@ from repro.spice.netlist import TransistorNetlist
 from repro.spice.solver import DcSolver, SolverOptions
 from repro.utils.rng import spawn_streams
 from repro.utils.rootfind import chandrupatla
+from repro.variation import moments
 from repro.variation.montecarlo import (
+    MonteCarloSample,
     build_sample_task,
+    loaded_transistor_count,
     simulate_batch,
+    simulate_batch_from_draws,
     simulate_sample,
+)
+from repro.variation.qmc import ParameterDraws, draw_qmc_parameters
+from repro.variation.spec import (
+    InterDieSample,
+    VariationSpec,
+    _shift_device,
+    apply_inter_die,
+    sample_inter_die,
+    sample_intra_die_vth,
 )
 
 #: Tolerances tight enough that solver-termination noise sits far below the
@@ -76,6 +93,30 @@ class TestVectorizedDeviceModels:
         grid = [[Mosfet(bulk25.nmos), Mosfet(bulk25.pmos)]]
         with pytest.raises(ValueError, match="polarity"):
             PackedMosfets(grid, 300.0)
+
+    @pytest.mark.parametrize("columns", [1, 5])
+    def test_from_kinds_equals_mosfet_grid(self, bulk25, columns):
+        kinds = [
+            [
+                flavour.replace(length_nm=flavour.length_nm + 0.3 * b)
+                for b in range(columns)
+            ]
+            for flavour in (bulk25.nmos, bulk25.pmos, bulk25.nmos.scaled_width(2.0))
+        ]
+        slot_kinds = [0, 1, 2, 0, 1]
+        vth_shift = np.random.default_rng(3).normal(0.0, 0.03, size=(5, columns))
+        got = PackedMosfets.from_kinds(kinds, slot_kinds, vth_shift, 310.0)
+        want = PackedMosfets(
+            [
+                [Mosfet(kinds[k][b], vth_shift=vth_shift[t, b]) for b in range(columns)]
+                for t, k in enumerate(slot_kinds)
+            ],
+            310.0,
+        )
+        assert (got.slots, got.batch) == (want.slots, want.batch)
+        for name in _ARRAY_FIELDS:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).shape == getattr(want, name).shape
 
 
 class TestChandrupatla:
@@ -228,6 +269,12 @@ class TestBatchedSolverEquivalence:
             assert np.array_equal(alone.voltages[:, 0], op.voltages[:, index])
             assert alone.sweeps[0] == op.sweeps[index]
 
+    def test_prebuilt_pack_needs_views_sharing_one_transistor_list(self, bulk25):
+        netlists = [_nand2_cell(bulk25, (1, 0)), _nand2_cell(bulk25, (0, 1))]
+        packed = BatchedDcSolver(netlists, 300.0).packed
+        with pytest.raises(ValueError, match="pre-built device pack"):
+            BatchedDcSolver(netlists, 300.0, packed=packed)
+
     def test_topology_mismatch_rejected(self, bulk25):
         good = _nand2_cell(bulk25, (0, 0))
         renamed = TransistorNetlist(vdd=bulk25.vdd)
@@ -349,3 +396,157 @@ class TestBatchedMonteCarloEquivalence:
         for a, b in zip(whole, chunked):
             assert a.with_loading.total == b.with_loading.total
             assert a.without_loading.total == b.without_loading.total
+
+
+def _per_sample_flatten_oracle(task, draws):
+    """The batch construction the array binding replaced, kept as its oracle.
+
+    Every column flattens both study structures under its own shifted
+    technology and writes the intra-die shifts onto the transistors' Mosfets
+    (the unloaded twin by name); each structure's columns then solve as one
+    batch, exactly as the engine's do.
+    """
+    loaded = loaded_inverter_cluster(task.input_loads, task.output_loads)
+    unloaded = loaded_inverter_cluster(0, 0, name="unloaded_inverter")
+    assignment = {"in": 1 - task.input_value}
+    names = [f"{gate}.{suffix}" for gate in loaded.gates for suffix in ("mn1", "mp2")]
+    solved = []
+    for circuit in (loaded, unloaded):
+        flats = []
+        for index in range(draws.sample_count):
+            shifted = apply_inter_die(task.technology, draws.inter_die(index))
+            flat = flatten(circuit, shifted, assignment)
+            shifts = dict(zip(names, draws.intra_vth(index)))
+            for transistor in flat.netlist.transistors:
+                transistor.mosfet.vth_shift = shifts[transistor.name]
+            flats.append(flat)
+        solver = BatchedDcSolver(
+            [f.netlist for f in flats], task.temperature_k, task.solver_options
+        )
+        op = solver.solve(initial_voltages=[f.initial_voltages() for f in flats])
+        solved.append((solver.leakage_by_owner(op)["g"], op.converged))
+    (with_loading, loaded_ok), (without_loading, unloaded_ok) = solved
+    return [
+        MonteCarloSample(
+            with_loading.at(b), without_loading.at(b), bool(loaded_ok[b] and unloaded_ok[b])
+        )
+        for b in range(draws.sample_count)
+    ]
+
+
+def _redraw_streams(task, seed, count):
+    """Re-draw what ``simulate_batch`` draws from ``spawn_streams(seed, count)``."""
+    transistors = loaded_transistor_count(task.input_loads, task.output_loads)
+    inter, intra = [], []
+    for rng in spawn_streams(seed, count):
+        inter.append(astuple(sample_inter_die(task.spec, rng)))
+        intra.append(sample_intra_die_vth(task.spec, rng, transistors))
+    return ParameterDraws(task.spec, *np.array(inter).T, intra_vth_v=np.array(intra))
+
+
+def _as_dicts(samples):
+    return [
+        (s.with_loading.as_dict(), s.without_loading.as_dict(), s.converged)
+        for s in samples
+    ]
+
+
+#: Specs of the binding cases: the default, one whose VDD sigma puts some
+#: columns on the 0.5 VDD clamp, and one without intra-die variation.
+BINDING_SPECS = {
+    "default": VariationSpec(),
+    "clamp": VariationSpec(sigma_vdd_v=0.3, truncation=2.0),
+    "no-intra": VariationSpec(sigma_vth_intra_v=0.0),
+}
+
+#: (spec, input value, input loads, output loads) of the binding cases.
+BINDING_CASES = [
+    ("default", 0, 6, 6),
+    ("default", 1, 2, 0),
+    ("clamp", 0, 2, 0),
+    ("clamp", 1, 6, 6),
+    ("no-intra", 1, 6, 6),
+    ("no-intra", 0, 2, 0),
+]
+
+
+def _binding_task(technology, case):
+    spec, input_value, input_loads, output_loads = case
+    return build_sample_task(
+        technology,
+        spec=BINDING_SPECS[spec],
+        input_value=input_value,
+        input_loads=input_loads,
+        output_loads=output_loads,
+    )
+
+
+def _assert_case_covered(task, draws):
+    """The clamp cases must put columns on the clamp; check the clamp itself."""
+    vdd = task.technology.vdd
+    clamped = np.flatnonzero(draws.delta_vdd_v < -0.5 * vdd)
+    if task.spec is BINDING_SPECS["clamp"]:
+        assert clamped.size > 0
+        for b in clamped:
+            assert apply_inter_die(task.technology, draws.inter_die(b)).vdd == 0.5 * vdd
+    if task.spec is BINDING_SPECS["no-intra"]:
+        assert not draws.intra_vth_v.any()
+
+
+@pytest.mark.slow
+class TestMonteCarloBinding:
+    """The array binding is bitwise the per-sample-flatten construction."""
+
+    @pytest.mark.parametrize("case", BINDING_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_stream_batch_matches_oracle(self, d25s, case):
+        task = _binding_task(d25s, case)
+        draws = _redraw_streams(task, 17, 16)
+        _assert_case_covered(task, draws)
+        got = simulate_batch(task, spawn_streams(17, 16))
+        assert _as_dicts(got) == _as_dicts(_per_sample_flatten_oracle(task, draws))
+
+    @pytest.mark.parametrize("case", BINDING_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_draws_batch_matches_oracle(self, d25s, case):
+        task = _binding_task(d25s, case)
+        draws = draw_qmc_parameters(
+            task.spec, 16, loaded_transistor_count(task.input_loads, task.output_loads), 3
+        )
+        _assert_case_covered(task, draws)
+        got = simulate_batch_from_draws(task, draws)
+        assert _as_dicts(got) == _as_dicts(_per_sample_flatten_oracle(task, draws))
+
+    @pytest.mark.parametrize(
+        "interaction_axes, method", [(0, "closed-form"), (4, "sobol-quadrature")]
+    )
+    @pytest.mark.parametrize("case", [("default", 0, 2, 0), ("clamp", 1, 6, 6)])
+    def test_moments_match_oracle(self, d25s, monkeypatch, case, interaction_axes, method):
+        spec, input_value, input_loads, output_loads = case
+        kwargs = dict(
+            spec=BINDING_SPECS[spec],
+            input_value=input_value,
+            input_loads=input_loads,
+            output_loads=output_loads,
+            interaction_axes=interaction_axes,
+            quadrature_points=2**10,
+        )
+        got = moments.propagate_loaded_inverter_moments(d25s, **kwargs)
+        monkeypatch.setattr(moments, "_solve_parameter_sets", _per_sample_flatten_oracle)
+        want = moments.propagate_loaded_inverter_moments(d25s, **kwargs)
+        assert got.method == want.method == method
+        assert got.loaded == want.loaded
+        assert got.unloaded == want.unloaded
+
+    @pytest.mark.parametrize("flavour", ["nmos", "pmos"])
+    def test_inter_die_shift_commutes_with_width_scaling(self, d25s, flavour):
+        device = getattr(d25s, flavour)
+        samples = [
+            InterDieSample(0.0, 0.0, 0.0, 0.0),
+            InterDieSample(-1.7, 0.05, -0.02, 0.01),
+            InterDieSample(6.0, -0.2, 0.09, -0.1),
+            InterDieSample(-60.0, -5.0, 0.03, 0.0),  # hits the L and Tox floors
+        ]
+        for sample in samples:
+            for width in (1, 2, 3):
+                assert _shift_device(device.scaled_width(width), sample) == (
+                    _shift_device(device, sample).scaled_width(width)
+                )

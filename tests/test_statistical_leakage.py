@@ -10,6 +10,7 @@ empty-population guards of the Fig. 10 / Fig. 11 drivers.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -372,6 +373,34 @@ class TestNonconvergedPolicies:
         assert result.sample_count == 4
         assert not result.converged_mask.any()
         assert result.metadata.get("dropped_nonconverged", 0) == 0
+
+    @pytest.mark.parametrize("run", ["pooled", "serial-batched", "serial-scalar"])
+    def test_warning_reaches_the_caller(self, d25s, run):
+        """One warning per run, in this process, at this file's line.
+
+        A pooled run's workers used to warn in their own processes, so the
+        caller saw nothing; the parent now warns from the merged flags.
+        """
+        options = SolverOptions(max_sweeps=1, newton_max_iterations=1)
+        runs = {
+            "pooled": lambda: ParallelMonteCarlo(
+                d25s, solver_options=options, max_workers=2
+            ).run(4, rng=1),
+            "serial-batched": lambda: run_loaded_inverter_monte_carlo(
+                d25s, samples=4, rng=1, solver_options=options
+            ),
+            "serial-scalar": lambda: run_loaded_inverter_monte_carlo(
+                d25s, samples=4, rng=1, solver_options=options, engine="scalar"
+            ),
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runs[run]()
+        ours = [w for w in caught if w.category is MonteCarloConvergenceWarning]
+        assert not result.converged_mask.any()
+        assert len(ours) == 1
+        assert ours[0].filename == __file__
+        assert "4 of 4 Monte-Carlo samples did not converge" in str(ours[0].message)
 
     def test_raise_policy(self, d25s):
         with pytest.raises(RuntimeError, match="did not converge"):
