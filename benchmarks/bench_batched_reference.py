@@ -6,9 +6,11 @@ the batched SPICE layer: the circuit flattens once, every vector of a chunk
 solves as one :class:`~repro.spice.batched.BatchedDcSolver` batch, and the
 per-gate leakage of the whole chunk aggregates in one array pass, while
 reproducing the scalar :class:`~repro.spice.solver.DcSolver` oracle's
-numbers to well below 1e-9 relative error per leakage component.
+numbers (:func:`repro.oracle.per_vector_campaign` over a
+:class:`~repro.core.reference.ReferenceSimulator`) to well below 1e-9
+relative error per leakage component.
 
-Both engines run with tightened solver tolerances so root-finder
+Both paths run with tightened solver tolerances so root-finder
 termination noise sits far below the agreement bar; the tolerances are
 recorded in the JSON alongside the timings.
 
@@ -32,8 +34,9 @@ from pathlib import Path
 from benchmarks.conftest import run_once
 from repro.circuit.generators import alu, array_multiplier, iscas_like
 from repro.circuit.logic import random_vectors
-from repro.core.reference import run_reference_campaign
+from repro.core.reference import ReferenceSimulator, run_reference_campaign
 from repro.core.report import REPORT_COMPONENTS
+from repro.oracle import per_vector_campaign
 from repro.spice.solver import SolverOptions
 
 SEED = 1205
@@ -49,7 +52,7 @@ VECTORS = int(os.environ.get("REFERENCE_BENCH_VECTORS", "64"))
 MIN_SPEEDUP = float(os.environ.get("REFERENCE_BENCH_MIN_SPEEDUP", "5.0"))
 MAX_RELATIVE_ERROR = 1.0e-9
 
-#: Tight solver settings shared by both engines (see module docstring).
+#: Tight solver settings shared by both paths (see module docstring).
 TIGHT_SOLVER = SolverOptions(voltage_tol=1e-11, xtol=1e-14, max_sweeps=250)
 
 
@@ -99,21 +102,13 @@ def _run_circuit(technology, circuit):
 
     start = time.perf_counter()
     batched = run_reference_campaign(
-        circuit,
-        technology,
-        vectors=vectors,
-        solver_options=TIGHT_SOLVER,
-        engine="batched",
+        circuit, technology, vectors=vectors, solver_options=TIGHT_SOLVER
     )
     batched_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    scalar = run_reference_campaign(
-        circuit,
-        technology,
-        vectors=vectors,
-        solver_options=TIGHT_SOLVER,
-        engine="scalar",
+    scalar = per_vector_campaign(
+        ReferenceSimulator(technology, solver_options=TIGHT_SOLVER), circuit, vectors
     )
     scalar_seconds = time.perf_counter() - start
 
@@ -131,7 +126,7 @@ def _run_circuit(technology, circuit):
         "max_relative_error": _max_relative_error(
             batched.reports, scalar.reports
         ),
-        # Convergence cost of each engine: iterations/sweeps per solve.
+        # Convergence cost of each path: iterations/sweeps per solve.
         "batched_solver": _solver_stats(batched.reports),
         "scalar_solver": _solver_stats(scalar.reports),
     }

@@ -5,10 +5,12 @@ workloads of this library — characterizing a full gate library (pins x
 vectors x injection grids of structurally identical cell solves) and the
 Fig. 10/11 Monte-Carlo study (hundreds of identical-topology inverter-pair
 solves) — collapse into a handful of vectorized batched solves while
-reproducing the scalar :class:`~repro.spice.solver.DcSolver` oracle's leakage
-numbers to well below 1e-9 relative error.
+reproducing the scalar :class:`~repro.spice.solver.DcSolver` oracles'
+leakage numbers (:func:`repro.oracle.characterize_per_cell` and
+:func:`repro.oracle.monte_carlo_per_sample`) to well below 1e-9 relative
+error.
 
-Both engines run with tightened solver tolerances so that root-finder
+Both paths run with tightened solver tolerances so that root-finder
 termination noise (which would otherwise dominate at the default 5 uV /
 1e-8 V settings) sits far below the agreement bar; the tolerances are
 recorded in the JSON alongside the timings.
@@ -26,16 +28,27 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.device.presets import make_technology
-from repro.gates.characterize import CharacterizationOptions, GateLibrary
-from repro.gates.library import GateType
+from repro.gates.characterize import (
+    CharacterizationOptions,
+    GateCharacterizer,
+    GateLibrary,
+)
+from repro.gates.library import GateType, gate_spec
+from repro.oracle import characterize_per_cell, monte_carlo_per_sample
 from repro.spice.solver import SolverOptions
-from repro.variation.montecarlo import run_loaded_inverter_monte_carlo
+from repro.variation.montecarlo import (
+    MonteCarloResult,
+    build_sample_task,
+    draw_parameters,
+    run_loaded_inverter_monte_carlo,
+)
 
 SEED = 2005
 MC_SAMPLES = int(os.environ.get("BATCHED_BENCH_MC_SAMPLES", "200"))
@@ -48,7 +61,7 @@ MC_SAMPLES = int(os.environ.get("BATCHED_BENCH_MC_SAMPLES", "200"))
 MIN_SPEEDUP = float(os.environ.get("BATCHED_BENCH_MIN_SPEEDUP", "5.0"))
 MAX_RELATIVE_ERROR = 1.0e-9
 
-#: Tight solver settings shared by both engines (see module docstring).
+#: Tight solver settings shared by both paths (see module docstring).
 TIGHT_SOLVER = SolverOptions(voltage_tol=1e-11, xtol=1e-14, max_sweeps=250)
 
 
@@ -70,11 +83,28 @@ def _relative(observed: float, expected: float) -> float:
     return abs(observed - expected) / max(abs(expected), 1e-30)
 
 
-def _characterization_error(batched: GateLibrary, scalar: GateLibrary) -> float:
+def _characterize_per_cell(technology, gate_types, options):
+    """Characterize every vector of ``gate_types`` through the per-cell oracle.
+
+    Returns the oracle's characterizer (its ``solve_stats`` count every
+    cell relaxation) and the records keyed by (gate type name, vector).
+    """
+    characterizer = GateCharacterizer(technology, options=options)
+    records = {}
+    for gate_type in gate_types:
+        spec = gate_spec(gate_type)
+        for vector in spec.all_vectors():
+            records[(spec.name, vector)] = characterize_per_cell(
+                characterizer, gate_type, vector
+            )
+    return characterizer, records
+
+
+def _characterization_error(batched: GateLibrary, scalar: dict) -> float:
     """Max relative leakage error across every record, curve and component."""
     worst = 0.0
     for record in batched.cached_records():
-        oracle = scalar.characterization(record.gate_type_name, record.vector)
+        oracle = scalar[(record.gate_type_name, tuple(record.vector))]
         for name in ("subthreshold", "gate", "btbt"):
             worst = max(
                 worst,
@@ -95,41 +125,37 @@ def _characterization_error(batched: GateLibrary, scalar: GateLibrary) -> float:
 
 def _run_characterization(technology, gate_types):
     batched_library = GateLibrary(
-        technology,
-        options=CharacterizationOptions(engine="batched", solver=TIGHT_SOLVER),
+        technology, options=CharacterizationOptions(solver=TIGHT_SOLVER)
     )
     start = time.perf_counter()
     records = batched_library.precharacterize(gate_types)
     batched_seconds = time.perf_counter() - start
 
-    scalar_library = GateLibrary(
-        technology,
-        options=CharacterizationOptions(engine="scalar", solver=TIGHT_SOLVER),
-    )
+    # The per-cell oracle always relaxes; its stats record that method.
+    relaxation = replace(TIGHT_SOLVER, method="gauss-seidel")
     start = time.perf_counter()
-    scalar_library.precharacterize(gate_types)
+    scalar = _characterize_per_cell(
+        technology, gate_types, CharacterizationOptions(solver=relaxation)
+    )
     scalar_seconds = time.perf_counter() - start
-    return batched_library, scalar_library, records, batched_seconds, scalar_seconds
+    return batched_library, scalar, records, batched_seconds, scalar_seconds
 
 
 def _run_monte_carlo(technology):
     start = time.perf_counter()
     batched = run_loaded_inverter_monte_carlo(
-        technology,
-        samples=MC_SAMPLES,
-        rng=SEED,
-        engine="batched",
-        solver_options=TIGHT_SOLVER,
+        technology, samples=MC_SAMPLES, rng=SEED, solver_options=TIGHT_SOLVER
     )
     batched_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    scalar = run_loaded_inverter_monte_carlo(
-        technology,
-        samples=MC_SAMPLES,
-        rng=SEED,
-        engine="scalar",
-        solver_options=TIGHT_SOLVER,
+    task = build_sample_task(technology, solver_options=TIGHT_SOLVER)
+    scalar = MonteCarloResult(
+        task.spec,
+        task.input_value,
+        task.input_loads,
+        task.output_loads,
+        monte_carlo_per_sample(task, draw_parameters(task, "mc", MC_SAMPLES, SEED)),
     )
     scalar_seconds = time.perf_counter() - start
 
@@ -153,11 +179,11 @@ def _run_workloads(technology, gate_types):
 def test_batched_solver_speedup(benchmark, d25s):
     gate_types = _gate_types()
     (
-        (batched_library, scalar_library, records, char_batched_s, char_scalar_s),
+        (batched_library, (scalar, scalar_records), records, char_batched_s, char_scalar_s),
         (mc_batched_s, mc_scalar_s, mc_error),
     ) = run_once(benchmark, _run_workloads, d25s, gate_types)
 
-    char_error = _characterization_error(batched_library, scalar_library)
+    char_error = _characterization_error(batched_library, scalar_records)
     char_speedup = char_scalar_s / char_batched_s if char_batched_s > 0 else float("nan")
     mc_speedup = mc_scalar_s / mc_batched_s if mc_batched_s > 0 else float("nan")
 
@@ -177,9 +203,9 @@ def test_batched_solver_speedup(benchmark, d25s):
             "speedup": char_speedup,
             "max_relative_error": char_error,
             # Convergence cost, not just wall clock: per-solve iteration
-            # counts of each engine (sweeps or Newton iterations).
+            # counts of each path (sweeps or Newton iterations).
             "batched_solver_stats": batched_library.characterizer.solve_stats,
-            "scalar_solver_stats": scalar_library.characterizer.solve_stats,
+            "scalar_solver_stats": scalar.solve_stats,
         },
         "monte_carlo": {
             "samples": MC_SAMPLES,

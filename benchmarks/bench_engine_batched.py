@@ -7,7 +7,8 @@ NumPy array passes, while reproducing the scalar
 :class:`~repro.core.estimator.LoadingAwareEstimator` circuit totals to
 rounding error.
 
-This benchmark times both paths on the identical vector set, checks the
+This benchmark times both paths on the identical vector set (the scalar
+loop is the oracle :func:`repro.oracle.per_vector_campaign`), checks the
 per-component agreement, and records the numbers as JSON
 (``benchmarks/engine_batched.json`` by default, override with
 ``ENGINE_BENCH_JSON``) so CI can archive the speedup trend.  Environment
@@ -31,6 +32,7 @@ from repro.core.estimator import LoadingAwareEstimator
 from repro.core.report import REPORT_COMPONENTS
 from repro.core.vectors import run_vector_campaign
 from repro.engine import compile_circuit
+from repro.oracle import per_vector_campaign
 
 CIRCUIT = "s838"
 SCALE = float(os.environ.get("ENGINE_BENCH_SCALE", "1.0"))
@@ -58,13 +60,11 @@ def _run_campaigns(estimator, circuit, vectors):
     timed separately by the test and excluded here.
     """
     start = time.perf_counter()
-    batched = run_vector_campaign(
-        estimator, circuit, vectors=vectors, engine="batched"
-    )
+    batched = run_vector_campaign(estimator, circuit, vectors=vectors)
     batched_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    scalar = run_vector_campaign(estimator, circuit, vectors=vectors, engine="scalar")
+    scalar = per_vector_campaign(estimator, circuit, vectors)
     scalar_seconds = time.perf_counter() - start
     return batched, batched_seconds, scalar, scalar_seconds
 

@@ -38,13 +38,14 @@ import os
 import time
 from pathlib import Path
 
-from benchmarks.bench_batched_solver import _characterization_error
+from benchmarks.bench_batched_solver import _characterization_error, _characterize_per_cell
 from benchmarks.conftest import run_once
 from repro.circuit.generators import iscas_like
 from repro.circuit.logic import random_vectors
-from repro.core.reference import run_reference_campaign
+from repro.core.reference import ReferenceSimulator, run_reference_campaign
 from repro.gates.characterize import CharacterizationOptions, GateLibrary
 from repro.gates.library import GateType
+from repro.oracle import per_vector_campaign
 from repro.spice.solver import SolverOptions
 
 SEED = 2605
@@ -79,15 +80,14 @@ def _json_path() -> Path:
     return Path(__file__).resolve().parent / "newton_solver.json"
 
 
-def _characterize(technology, gate_types, solver, engine="batched"):
+def _options(solver):
     # on_nonconverged="raise": a silently non-converged cell would corrupt
     # the agreement measurement, so the benchmark fails loudly instead.
-    library = GateLibrary(
-        technology,
-        options=CharacterizationOptions(
-            engine=engine, solver=solver, on_nonconverged="raise"
-        ),
-    )
+    return CharacterizationOptions(solver=solver, on_nonconverged="raise")
+
+
+def _characterize(technology, gate_types, solver):
+    library = GateLibrary(technology, options=_options(solver))
     start = time.perf_counter()
     library.precharacterize(gate_types)
     elapsed = time.perf_counter() - start
@@ -97,9 +97,9 @@ def _characterize(technology, gate_types, solver, engine="batched"):
 def _run_characterization(technology, gate_types):
     newton, newton_s = _characterize(technology, gate_types, NEWTON)
     relaxed, relaxed_s = _characterize(technology, gate_types, GAUSS_SEIDEL)
-    scalar, scalar_s = _characterize(
-        technology, gate_types, GAUSS_SEIDEL, engine="scalar"
-    )
+    start = time.perf_counter()
+    _, scalar = _characterize_per_cell(technology, gate_types, _options(GAUSS_SEIDEL))
+    scalar_s = time.perf_counter() - start
     stats = newton.characterizer.solve_stats
     return {
         "gate_types": [gate_type.value for gate_type in gate_types],
@@ -130,22 +130,19 @@ def _run_reference(technology, circuit):
 
     start = time.perf_counter()
     newton = run_reference_campaign(
-        circuit, technology, vectors=vectors, solver_options=NEWTON,
-        engine="batched",
+        circuit, technology, vectors=vectors, solver_options=NEWTON
     )
     newton_s = time.perf_counter() - start
 
     start = time.perf_counter()
     relaxed = run_reference_campaign(
-        circuit, technology, vectors=vectors, solver_options=GAUSS_SEIDEL,
-        engine="batched",
+        circuit, technology, vectors=vectors, solver_options=GAUSS_SEIDEL
     )
     relaxed_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    scalar = run_reference_campaign(
-        circuit, technology, vectors=vectors, solver_options=GAUSS_SEIDEL,
-        engine="scalar",
+    scalar = per_vector_campaign(
+        ReferenceSimulator(technology, solver_options=GAUSS_SEIDEL), circuit, vectors
     )
     scalar_s = time.perf_counter() - start
 
@@ -156,8 +153,7 @@ def _run_reference(technology, circuit):
     # Bitwise batch-composition invariance: re-chunking the Newton campaign
     # must reproduce every per-gate component exactly.
     rechunked = run_reference_campaign(
-        circuit, technology, vectors=vectors, solver_options=NEWTON,
-        engine="batched", chunk_size=17,
+        circuit, technology, vectors=vectors, solver_options=NEWTON, chunk_size=17
     )
     chunk_invariant = _campaign_breakdowns(newton) == _campaign_breakdowns(
         rechunked

@@ -92,7 +92,6 @@ def _campaign(circuit, technology, vectors, options, chunk_size=64):
         technology,
         vectors=vectors,
         solver_options=options,
-        engine="batched",
         chunk_size=chunk_size,
     )
     return result, time.perf_counter() - start

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Compile-once / run-many campaigns with the batched engine.
 
-The scalar estimator answers one vector at a time; campaign workloads
-(Fig. 12 statistics, minimum-leakage-vector search) ask hundreds.  The
-batched engine compiles the circuit + characterized library into flat LUT
-arrays once, then answers whole vector sets as array passes:
+The estimator's ``estimate`` answers one vector at a time; campaign
+workloads (Fig. 12 statistics, minimum-leakage-vector search) ask
+hundreds.  The batched engine compiles the circuit + characterized library
+into flat LUT arrays once, then answers whole vector sets as array passes:
 
 * ``run_vector_campaign`` routes library-backed estimators through the
-  engine automatically (``engine="scalar"`` forces the old path);
+  engine;
 * the compile cache makes repeated campaigns on the same circuit reuse the
   flattened arrays, so only the first campaign pays the compile;
 * the same LUT totals feed ``minimum_leakage_vector``, so exhaustive
@@ -52,14 +52,9 @@ def main() -> None:
     )
     batched_s = time.perf_counter() - start
 
-    start = time.perf_counter()
-    scalar = run_vector_campaign(estimator, circuit, vectors=vectors, engine="scalar")
-    scalar_s = time.perf_counter() - start
-
     rows = [
         ["compile (one-time)", compile_s, "-"],
         ["batched campaign", batched_s, batched.mean_total() * 1e9],
-        ["scalar campaign", scalar_s, scalar.mean_total() * 1e9],
     ]
     print(
         format_table(
@@ -68,7 +63,6 @@ def main() -> None:
             title=f"100-vector campaign on '{circuit.name}' ({circuit.gate_count} gates)",
         )
     )
-    print(f"\nbatched vs scalar speed-up: {scalar_s / batched_s:.1f}x")
 
     # Run-many: the minimum-leakage-vector search reuses the cached compile.
     start = time.perf_counter()

@@ -7,8 +7,7 @@ the Fig. 10 study — solves as one :class:`~repro.spice.batched.BatchedDcSolver
 call instead of one scalar Gauss–Seidel solve per cell.  This example walks
 the whole pipeline:
 
-1. characterize the full gate library with the batched engine (the scalar
-   engine remains available as ``CharacterizationOptions(engine="scalar")``);
+1. characterize the full gate library with the batched solver;
 2. persist it with the fingerprinted cache (a reload under different
    settings is refused instead of silently reusing stale records);
 3. run a batched vector campaign on an ISCAS-like circuit on top of the
@@ -71,9 +70,7 @@ def main() -> None:
 
     # 4. The Fig. 10 Monte-Carlo study, all samples as one batch.
     start = time.perf_counter()
-    monte_carlo = run_loaded_inverter_monte_carlo(
-        technology, samples=200, rng=7, engine="batched"
-    )
+    monte_carlo = run_loaded_inverter_monte_carlo(technology, samples=200, rng=7)
     monte_carlo_s = time.perf_counter() - start
 
     rows = [

@@ -2,13 +2,12 @@
 """Validate the LUT estimator against the batched transistor-level reference.
 
 Fig. 12(a) compares the loading-aware estimate with a full "SPICE" solve of
-the circuit.  The scalar reference relaxes one vector at a time; the batched
-reference path flattens the circuit *once* and solves a whole vector set as
-same-topology batches, which is what makes many-vector validation campaigns
-interactive:
+the circuit.  The batched reference path flattens the circuit *once* and
+solves a whole vector set as same-topology batches, which is what makes
+many-vector validation campaigns interactive:
 
 * ``run_reference_campaign`` is the reference twin of
-  ``run_vector_campaign`` (``engine="scalar"`` keeps the per-vector oracle);
+  ``run_vector_campaign``;
 * chunking only bounds memory — results are bitwise independent of how the
   vector set is split into batches;
 * ``ParallelReferenceCampaign`` fans chunks across worker processes and
@@ -66,18 +65,6 @@ def main() -> None:
             rows,
             title="Fig. 12(a): estimator vs transistor-level reference",
         )
-    )
-
-    # The scalar oracle produces the same numbers, one relaxation at a time;
-    # two vectors are enough to see the per-vector cost difference.
-    start = time.perf_counter()
-    run_reference_campaign(
-        circuit, technology, vectors=vectors[:2], engine="scalar"
-    )
-    scalar_seconds = (time.perf_counter() - start) / 2 * len(vectors)
-    print(
-        f"\nscalar-oracle estimate for {len(vectors)} vectors: "
-        f"~{scalar_seconds:.1f}s (batched ran {scalar_seconds / reference_seconds:.1f}x faster)"
     )
 
 

@@ -10,9 +10,10 @@ solved against all attached transistors, the result contains the full loading
 effect with no one-level approximation; the estimator's accuracy is measured
 against it (Fig. 12a).
 
-Two solve paths exist.  :meth:`ReferenceSimulator.estimate` is the original
-scalar path — one :class:`~repro.spice.solver.DcSolver` relaxation per input
-vector — retained as the oracle.  :meth:`ReferenceSimulator.estimate_batch`
+:meth:`ReferenceSimulator.estimate` answers a single vector with one
+:class:`~repro.spice.solver.DcSolver` relaxation (the runtime comparison
+times it; run per vector through :func:`repro.oracle.per_vector_campaign`
+it is the Gauss–Seidel oracle).  :meth:`ReferenceSimulator.estimate_batch`
 rides the batched SPICE layer: the circuit flattens *once*
 (:func:`repro.circuit.flatten.flatten_batch`) and all vectors of a chunk
 solve together as one :class:`~repro.spice.batched.BatchedDcSolver` batch,
@@ -44,9 +45,6 @@ from repro.utils.rng import RngLike
 #: largest suite circuits within tens of megabytes while still amortizing the
 #: vectorized per-node root finds over a wide batch.
 DEFAULT_REFERENCE_CHUNK_SIZE = 64
-
-#: Engine modes accepted by the reference campaign entry points.
-REFERENCE_ENGINES = ("batched", "scalar")
 
 
 def _missing_owner_error(gate: Gate, owners_present: Iterable[str]) -> RuntimeError:
@@ -105,7 +103,7 @@ class ReferenceSimulator:
         preflight_circuit(circuit, lint=self.lint)
 
     # ------------------------------------------------------------------ #
-    # scalar oracle path
+    # single-vector path
     # ------------------------------------------------------------------ #
     def estimate(
         self, circuit: Circuit, input_assignment: dict[str, int]
@@ -252,7 +250,6 @@ def run_reference_campaign(
     rng: RngLike = None,
     temperature_k: float | None = None,
     solver_options: SolverOptions | None = None,
-    engine: str = "batched",
     chunk_size: int = DEFAULT_REFERENCE_CHUNK_SIZE,
     lint: str = "raise",
 ) -> VectorCampaignResult:
@@ -268,13 +265,10 @@ def run_reference_campaign(
     vectors:
         Explicit vector set; when omitted, ``count`` random vectors are
         drawn using ``rng``.
-    engine:
-        ``"batched"`` (default) solves ``chunk_size``-bounded batches
-        through :meth:`ReferenceSimulator.estimate_batch`; ``"scalar"``
-        runs the original one-solve-per-vector oracle path.
     chunk_size:
-        Memory bound of the batched engine; has no effect on the results
-        (chunking is bitwise-neutral) nor on the scalar engine.
+        Vectors per :meth:`ReferenceSimulator.estimate_batch` solve; a
+        memory bound with no effect on the results (chunking is
+        bitwise-neutral).
     lint:
         Netlist pre-flight policy (``"raise"`` | ``"warn"`` | ``"off"``),
         forwarded to :class:`ReferenceSimulator`.
@@ -283,8 +277,6 @@ def run_reference_campaign(
     :class:`repro.engine.parallel.ParallelReferenceCampaign`, which returns
     identical reports for the same inputs.
     """
-    if engine not in REFERENCE_ENGINES:
-        raise ValueError(f"engine must be one of {REFERENCE_ENGINES}, got {engine!r}")
     if vectors is None:
         vectors = list(random_vectors(circuit, count, rng))
     else:
@@ -294,12 +286,8 @@ def run_reference_campaign(
         # campaign would only surface later as NaN means.
         raise ValueError("no vectors to evaluate")
     simulator = ReferenceSimulator(technology, temperature_k, solver_options, lint=lint)
-    if engine == "batched":
-        reports = simulator.estimate_batch(circuit, vectors, chunk_size=chunk_size)
-    else:
-        reports = [simulator.estimate(circuit, vector) for vector in vectors]
     return VectorCampaignResult(
         circuit_name=circuit.name,
         method=ReferenceSimulator.method_name,
-        reports=reports,
+        reports=simulator.estimate_batch(circuit, vectors, chunk_size=chunk_size),
     )

@@ -12,8 +12,9 @@ Campaigns over the library-backed estimators
 (:class:`~repro.core.estimator.LoadingAwareEstimator` and its no-loading
 variant) route through the batched engine of :mod:`repro.engine` by default:
 the circuit + library are compiled once into flat LUT arrays and the whole
-vector set is answered in a few array passes.  ``engine="scalar"`` forces
-the per-vector scalar path, which the regression tests use as the oracle.
+vector set is answered in a few array passes.  Any other estimator is
+walked vector by vector; the same walk over a library-backed estimator is
+the test oracle :func:`repro.oracle.per_vector_campaign`.
 """
 
 from __future__ import annotations
@@ -29,13 +30,9 @@ from repro.core.estimator import LoadingAwareEstimator
 from repro.core.report import REPORT_COMPONENTS, CircuitLeakageReport
 from repro.utils.rng import RngLike
 
-#: Engine routing modes accepted by the campaign entry points.
-ENGINE_MODES = ("auto", "batched", "scalar")
-
-#: Width cap of the *scalar* exhaustive fallback of
-#: ``minimum_leakage_vector(strategy='exhaustive')``: one per-vector
-#: estimator walk per candidate, so far fewer inputs are feasible than
-#: through the batched oracle.
+#: Width cap of the exhaustive sweep over an estimator that is not
+#: library-backed: one per-vector estimator walk per candidate, so far fewer
+#: inputs are feasible than through the batched engine.
 _MAX_SCALAR_EXHAUSTIVE_INPUTS = 16
 
 
@@ -108,16 +105,34 @@ def _engine_backed(estimator: LeakageEstimator) -> bool:
     return isinstance(estimator, LoadingAwareEstimator)
 
 
-def _check_engine_mode(engine: str, estimator: LeakageEstimator) -> bool:
-    """Validate ``engine`` and return whether to use the batched path."""
-    if engine not in ENGINE_MODES:
-        raise ValueError(f"engine must be one of {ENGINE_MODES}, got {engine!r}")
-    if engine == "batched" and not _engine_backed(estimator):
+def _estimate_each(
+    estimator: LeakageEstimator, circuit: Circuit, vectors: list[dict[str, int]]
+) -> VectorCampaignResult:
+    """Evaluate ``vectors`` with one ``estimator.estimate`` call each."""
+    reports = [estimator.estimate(circuit, vector) for vector in vectors]
+    method = reports[0].method if reports else getattr(estimator, "method_name", "?")
+    return VectorCampaignResult(
+        circuit_name=circuit.name, method=method, reports=reports
+    )
+
+
+def _check_exhaustive_width(n_inputs: int, library_backed: bool) -> None:
+    """Refuse an exhaustive sweep too wide for the path that would stream it."""
+    from repro.optimize.search import MAX_EXHAUSTIVE_INPUTS, check_exhaustive_width
+
+    if library_backed:
+        check_exhaustive_width(n_inputs)
+    elif n_inputs > _MAX_SCALAR_EXHAUSTIVE_INPUTS:
+        # One estimator.estimate call per vector is ~1000x an engine row,
+        # so 2**16 per-vector walks is already minutes.
         raise ValueError(
-            "engine='batched' requires a library-backed estimator "
-            f"(got {type(estimator).__name__})"
+            f"exhaustive search over {n_inputs} inputs would stream "
+            f"2**{n_inputs} vectors through the per-vector scalar "
+            f"estimator (cap: {_MAX_SCALAR_EXHAUSTIVE_INPUTS} inputs); use a "
+            "library-backed estimator — which raises the cap to "
+            f"{MAX_EXHAUSTIVE_INPUTS} and unlocks strategy='greedy'/"
+            "'genetic' for wider circuits"
         )
-    return engine != "scalar" and _engine_backed(estimator)
 
 
 def _run_batched_campaign(
@@ -159,11 +174,13 @@ def run_vector_campaign(
     vectors: Iterable[dict[str, int]] | None = None,
     count: int = 100,
     rng: RngLike = None,
-    engine: str = "auto",
     lint: str = "raise",
     session=None,
 ) -> VectorCampaignResult:
     """Run ``estimator`` over a vector set and collect the reports.
+
+    Library-backed estimators are answered by the batched engine; any other
+    estimator is walked vector by vector.
 
     Parameters
     ----------
@@ -171,10 +188,6 @@ def run_vector_campaign(
         Explicit vector set; when omitted, ``count`` random vectors are drawn
         using ``rng`` (pass the same seed to different estimators to compare
         them on identical vectors).
-    engine:
-        ``"auto"`` routes library-backed estimators through the batched
-        engine; ``"batched"`` requires it; ``"scalar"`` forces the
-        per-vector scalar path (the cross-check oracle).
     session:
         Optional :class:`repro.service.EstimationSession` the batched path
         compiles through; default is the process-default session, so
@@ -189,7 +202,6 @@ def run_vector_campaign(
     """
     from repro.analysis import preflight_circuit
 
-    use_batched = _check_engine_mode(engine, estimator)
     explicit_vectors = vectors is not None
     if vectors is None:
         vectors = list(random_vectors(circuit, count, rng))
@@ -200,13 +212,9 @@ def run_vector_campaign(
     preflight_circuit(
         circuit, lint=lint, vectors=vectors if explicit_vectors else None
     )
-    if vectors and use_batched:
+    if vectors and _engine_backed(estimator):
         return _run_batched_campaign(estimator, circuit, vectors, session)
-    reports = [estimator.estimate(circuit, vector) for vector in vectors]
-    method = reports[0].method if reports else getattr(estimator, "method_name", "?")
-    return VectorCampaignResult(
-        circuit_name=circuit.name, method=method, reports=reports
-    )
+    return _estimate_each(estimator, circuit, vectors)
 
 
 @dataclass(frozen=True)
@@ -284,7 +292,6 @@ def minimum_leakage_vector(
     exhaustive: bool = False,
     count: int = 100,
     rng: RngLike = None,
-    engine: str = "auto",
     strategy: str | None = None,
     strategy_options=None,
     islands: int = 1,
@@ -300,9 +307,10 @@ def minimum_leakage_vector(
         When True every possible input vector is evaluated (only feasible for
         small circuits); otherwise ``vectors`` or ``count`` random vectors
         are used.  Passing both ``exhaustive=True`` and an explicit
-        ``vectors`` set is ambiguous and raises ``ValueError``.
-    engine:
-        Same routing switch as :func:`run_vector_campaign`.
+        ``vectors`` set is ambiguous and raises ``ValueError``, and so does
+        a circuit wider than the sweep's input cap
+        (:data:`repro.optimize.MAX_EXHAUSTIVE_INPUTS` through the batched
+        engine, 16 inputs for a per-vector estimator).
     strategy:
         Optional search-strategy dispatch into :mod:`repro.optimize`:
         ``"exhaustive"`` evaluates every vector (the oracle), ``"greedy"``
@@ -313,11 +321,9 @@ def minimum_leakage_vector(
         classic behavior driven by ``vectors`` / ``exhaustive`` / ``count``.
         Strategies are incompatible with an explicit ``vectors=`` set or
         ``exhaustive=True`` (the strategy already decides the candidates).
-        ``engine=`` is validated exactly as in the classic path: the
-        heuristics only have a batched implementation (``engine='scalar'``
-        raises), while ``strategy='exhaustive'`` honors ``engine='scalar'``
-        by streaming the oracle through the per-vector estimator — behind
-        the same input-width guard as the batched oracle.
+        ``strategy='exhaustive'`` over an estimator that is not
+        library-backed streams every vector through the estimator, behind
+        the same input-width guard as ``exhaustive=True``.
     strategy_options / islands / max_workers / rng:
         Forwarded to :func:`repro.optimize.minimize_leakage` when a
         heuristic strategy is selected: per-strategy knobs
@@ -344,12 +350,9 @@ def minimum_leakage_vector(
     from repro.analysis import preflight_circuit, preflight_vectors
 
     preflight_circuit(circuit, lint=lint)
+    library_backed = _engine_backed(estimator)
     if strategy is not None:
-        from repro.optimize import (
-            MAX_EXHAUSTIVE_INPUTS,
-            SEARCH_STRATEGIES,
-            minimize_leakage,
-        )
+        from repro.optimize import SEARCH_STRATEGIES, minimize_leakage
 
         if strategy not in SEARCH_STRATEGIES:
             raise ValueError(
@@ -360,7 +363,7 @@ def minimum_leakage_vector(
                 "strategy= already decides the candidate set; drop the "
                 "explicit vectors=/exhaustive= arguments"
             )
-        # Uniform knob validation, shared by the batched and scalar
+        # Uniform knob validation, shared by the batched and per-vector
         # branches: the deterministic oracle takes no search knobs, and
         # silently dropping them would mask a caller who meant a heuristic.
         if strategy == "exhaustive":
@@ -371,22 +374,12 @@ def minimum_leakage_vector(
                     "strategy='exhaustive' does not parallelize over islands "
                     "or workers"
                 )
-        # Validate engine= exactly like the classic path (bad names raise,
-        # engine='batched' demands a library-backed estimator) so strategy=
-        # never silently swallows an engine request.
-        use_batched = _check_engine_mode(engine, estimator)
-        if strategy in ("greedy", "genetic"):
-            if not _engine_backed(estimator):
-                raise ValueError(
-                    f"strategy={strategy!r} requires a library-backed "
-                    f"estimator (got {type(estimator).__name__})"
-                )
-            if not use_batched:
-                raise ValueError(
-                    f"strategy={strategy!r} only has a batched "
-                    "implementation; drop engine='scalar'"
-                )
-        if use_batched:
+        if strategy != "exhaustive" and not library_backed:
+            raise ValueError(
+                f"strategy={strategy!r} requires a library-backed "
+                f"estimator (got {type(estimator).__name__})"
+            )
+        if library_backed:
             result = minimize_leakage(
                 estimator,
                 circuit,
@@ -398,30 +391,15 @@ def minimum_leakage_vector(
                 session=session,
             )
             return result.best_assignment, result.best_total
-        # strategy='exhaustive' without the batched engine (non-library
-        # estimator, or an explicit engine='scalar' oracle request): stream
-        # every vector through the scalar loop below.  The width guard is
-        # tighter than the batched oracle's MAX_EXHAUSTIVE_INPUTS — one
-        # estimator.estimate call per vector is ~1000x an engine row, so
-        # 2**16 scalar solves is already minutes.
-        n_inputs = len(circuit.primary_inputs)
-        scalar_cap = min(MAX_EXHAUSTIVE_INPUTS, _MAX_SCALAR_EXHAUSTIVE_INPUTS)
-        if n_inputs > scalar_cap:
-            raise ValueError(
-                f"exhaustive search over {n_inputs} inputs would stream "
-                f"2**{n_inputs} vectors through the per-vector scalar "
-                f"estimator (cap: {scalar_cap} inputs); use a "
-                "library-backed estimator — which raises the cap to "
-                f"{MAX_EXHAUSTIVE_INPUTS} and unlocks strategy='greedy'/"
-                "'genetic' for wider circuits"
-            )
+        # strategy='exhaustive' over a per-vector estimator: stream every
+        # vector through the loop below.
         exhaustive = True
     if exhaustive and vectors is not None:
         raise ValueError(
             "pass either exhaustive=True or an explicit vectors= set, not both"
         )
-    use_batched = _check_engine_mode(engine, estimator)
     if exhaustive:
+        _check_exhaustive_width(len(circuit.primary_inputs), library_backed)
         # Streamed, not materialized: 2**n vectors must never live at once.
         candidates: Iterable[dict[str, int]] = exhaustive_vectors(circuit)
     elif vectors is not None:
@@ -434,7 +412,7 @@ def minimum_leakage_vector(
 
     best_vector: dict[str, int] | None = None
     best_total = float("inf")
-    if use_batched:
+    if library_backed:
         from repro.service import default_session
 
         # Stream through the session: exhaustive sweeps never materialize

@@ -11,20 +11,18 @@ Every unit of work is an independent set of transistor-level DC solves —
 embarrassingly parallel and CPU-bound, i.e. exactly the workload a process
 pool (not threads: the solves are pure Python/NumPy) speeds up.
 
-With the default ``engine="batched"`` the unit of distribution is a
-*contiguous batch* of samples, not a single sample: each worker binds its
-chunk's parameters to the two study structures and runs two
-:class:`~repro.spice.batched.BatchedDcSolver` solves, so process-level
-parallelism multiplies the batched solver's vectorization instead of
-replacing it.  ``engine="scalar"`` distributes one sample per
-pool task through the original reference path.
+The unit of distribution is a *contiguous batch* of samples, not a single
+sample: each worker binds its chunk's parameters to the two study
+structures and runs two :class:`~repro.spice.batched.BatchedDcSolver`
+solves, so process-level parallelism multiplies the batched solver's
+vectorization instead of replacing it.
 
-Reproducibility is the design constraint: both the serial driver and this
-parallel one derive sample ``i``'s generator from the same
-``SeedSequence.spawn`` tree (:func:`repro.utils.rng.spawn_streams`), and the
-batched solver's per-column updates are independent of batch composition, so
-a run is bitwise-identical for a given root seed and engine regardless of
-worker count, chunking, or completion order.  The regression tests pin the
+Reproducibility is the design constraint: the serial driver and this
+parallel one draw the same parameter block
+(:func:`repro.variation.montecarlo.draw_parameters`) and the batched
+solver's per-column updates are independent of batch composition, so a run
+is bitwise-identical for a given root seed and sampler regardless of worker
+count, chunking, or completion order.  The regression tests pin the
 parallel samples against the serial driver's.
 """
 
@@ -35,33 +33,22 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.circuit.netlist import Circuit
-from repro.core.reference import (
-    DEFAULT_REFERENCE_CHUNK_SIZE,
-    REFERENCE_ENGINES,
-    ReferenceSimulator,
-)
+from repro.core.reference import DEFAULT_REFERENCE_CHUNK_SIZE, ReferenceSimulator
 from repro.core.vectors import VectorCampaignResult
 from repro.device.params import TechnologyParams
 from repro.resilience import ResilienceOptions, checkpoint_fingerprint
 from repro.spice.solver import SolverOptions
-from repro.utils.rng import RngLike, rng_state_token, spawn_streams
+from repro.utils.rng import RngLike, rng_state_token
 from repro.variation.montecarlo import (
     SAMPLERS,
     MonteCarloResult,
-    _keep_converged,
     _result_metadata,
-    _simulate_batch_star,
     _simulate_draws_batch_star,
-    _simulate_draws_scalar_star,
     _warn_nonconverged,
     build_sample_task,
-    loaded_transistor_count,
-    simulate_batch,
+    draw_parameters,
     simulate_batch_from_draws,
-    simulate_sample,
-    simulate_samples_from_draws,
 )
-from repro.variation.qmc import draw_qmc_parameters
 from repro.variation.spec import VariationSpec
 
 
@@ -118,14 +105,6 @@ def supervised_map(
     return results, {"resilience": resilience_meta}
 
 
-def _simulate_scalar_chunk_star(args):
-    """Process-pool adapter: run one contiguous chunk of scalar samples."""
-    task, streams = args
-    return _keep_converged(
-        task, [simulate_sample(task, stream) for stream in streams]
-    )
-
-
 class ParallelMonteCarlo:
     """Fans Monte-Carlo samples of the Fig. 10 study across worker processes.
 
@@ -141,16 +120,14 @@ class ParallelMonteCarlo:
         Worker-process count; ``None`` uses the CPU count (capped at 8 —
         beyond that pool startup dominates for typical sample counts) and
         ``1`` runs in-process with no pool at all.
-    engine:
-        ``"batched"`` (default) ships contiguous stream chunks to workers,
-        each solved as one batch; ``"scalar"`` ships contiguous sample
-        chunks through the reference path one sample at a time.
     sampler:
         ``"mc"`` (default) spawns one pseudo-random stream per sample;
-        ``"qmc"`` draws the whole scrambled-Sobol parameter block up front
-        and ships :meth:`~repro.variation.qmc.ParameterDraws.slice` chunks
-        — chunk boundaries choose *who* solves a sample, never *which*
-        parameters it gets, so pooled runs stay bitwise serial-identical.
+        ``"qmc"`` draws a scrambled-Sobol block.  Either way the whole
+        parameter block is drawn up front and workers receive contiguous
+        :meth:`~repro.variation.qmc.ParameterDraws.slice` chunks, each
+        solved as one batch — chunk boundaries choose *who* solves a
+        sample, never *which* parameters it gets, so pooled runs stay
+        bitwise serial-identical.
     on_nonconverged:
         Non-convergence policy forwarded to every sample solve (``"warn"``
         / ``"raise"`` / ``"drop"``); under ``"warn"`` :meth:`run` emits one
@@ -176,7 +153,6 @@ class ParallelMonteCarlo:
         temperature_k: float | None = None,
         solver_options: SolverOptions | None = None,
         max_workers: int | None = None,
-        engine: str = "batched",
         sampler: str = "mc",
         on_nonconverged: str = "warn",
         resilience: ResilienceOptions | None = None,
@@ -191,14 +167,11 @@ class ParallelMonteCarlo:
             solver_options=solver_options,
             on_nonconverged=on_nonconverged,
         )
-        if engine not in ("batched", "scalar"):
-            raise ValueError(f"unknown Monte-Carlo engine {engine!r}")
         if sampler not in SAMPLERS:
             raise ValueError(
                 f"unknown sampler {sampler!r}; expected one of {SAMPLERS}"
             )
         self.max_workers = default_workers(max_workers)
-        self.engine = engine
         self.sampler = sampler
         self.resilience = resilience
 
@@ -208,11 +181,9 @@ class ParallelMonteCarlo:
         Samples keep their stream order in the result (worker completion
         order never matters), so ``run(n, seed)`` equals the serial
         ``run_loaded_inverter_monte_carlo(..., samples=n, rng=seed,
-        engine=..., sampler=...)`` sample for sample — bitwise, for either
-        engine and either sampler, and still under injected faults: a
-        retried chunk re-runs from its original spawned streams (``"mc"``)
-        or its pre-drawn parameter slice (``"qmc"``), which live untouched
-        in this process.
+        sampler=...)`` sample for sample — bitwise, for either sampler, and
+        still under injected faults: a retried chunk re-runs from its
+        pre-drawn parameter slice, which lives untouched in this process.
         """
         if samples < 1:
             raise ValueError("samples must be at least 1")
@@ -223,64 +194,28 @@ class ParallelMonteCarlo:
             and self.resilience.checkpoint_path is not None
             else "absent"
         )
-        draws = streams = None
-        if self.sampler == "qmc":
-            draws = draw_qmc_parameters(
-                task.spec,
-                samples,
-                loaded_transistor_count(task.input_loads, task.output_loads),
-                rng,
-            )
-        else:
-            streams = spawn_streams(rng, samples)
+        draws = draw_parameters(task, self.sampler, samples, rng)
         workers = min(self.max_workers, samples)
         metadata: dict[str, object] = {}
         if workers == 1 and self.resilience is None:
-            if self.sampler == "qmc":
-                simulate_draws = (
-                    simulate_batch_from_draws
-                    if self.engine == "batched"
-                    else simulate_samples_from_draws
-                )
-                results = simulate_draws(task, draws)
-            elif self.engine == "batched":
-                results = simulate_batch(task, streams)
-            else:
-                results = _keep_converged(
-                    task, [simulate_sample(task, stream) for stream in streams]
-                )
+            results = simulate_batch_from_draws(task, draws)
         else:
             # Contiguous chunks, one pool task per chunk; order-preserving
             # supervised map + per-column solver independence keep results
             # identical to the serial run whatever the chunk boundaries,
             # worker count, or injected faults.
-            if self.engine == "batched":
-                chunk = -(-samples // workers)
-                fn: Callable[[Any], Any] = (
-                    _simulate_draws_batch_star
-                    if self.sampler == "qmc"
-                    else _simulate_batch_star
-                )
-            else:
-                chunk = max(1, samples // (workers * 4))
-                fn = (
-                    _simulate_draws_scalar_star
-                    if self.sampler == "qmc"
-                    else _simulate_scalar_chunk_star
-                )
-            starts = range(0, samples, chunk)
-            if self.sampler == "qmc":
-                items = [(task, draws.slice(start, start + chunk)) for start in starts]
-            else:
-                items = [(task, streams[start : start + chunk]) for start in starts]
+            chunk = -(-samples // workers)
+            items = [
+                (task, draws.slice(start, start + chunk))
+                for start in range(0, samples, chunk)
+            ]
             batches, metadata = supervised_map(
-                fn,
+                _simulate_draws_batch_star,
                 items,
                 workers,
                 self.resilience,
                 lambda: {
                     "kind": "monte-carlo",
-                    "engine": self.engine,
                     "sampler": self.sampler,
                     "task": task,
                     "samples": samples,
@@ -316,7 +251,6 @@ class _ReferenceChunkTask:
     technology: TechnologyParams
     temperature_k: float | None
     solver_options: SolverOptions | None
-    engine: str
 
 
 def _reference_chunk_star(args: tuple[_ReferenceChunkTask, list[dict[str, int]]]):
@@ -325,10 +259,8 @@ def _reference_chunk_star(args: tuple[_ReferenceChunkTask, list[dict[str, int]]]
     simulator = ReferenceSimulator(
         task.technology, task.temperature_k, task.solver_options
     )
-    if task.engine == "batched":
-        # The chunk already is the memory bound; solve it as one batch.
-        return simulator.estimate_batch(task.circuit, chunk, chunk_size=len(chunk))
-    return [simulator.estimate(task.circuit, vector) for vector in chunk]
+    # The chunk already is the memory bound; solve it as one batch.
+    return simulator.estimate_batch(task.circuit, chunk, chunk_size=len(chunk))
 
 
 class ParallelReferenceCampaign:
@@ -354,10 +286,6 @@ class ParallelReferenceCampaign:
         ``1`` runs in-process with no pool at all.
     chunk_size:
         Vectors per batch (the per-worker memory bound).
-    engine:
-        ``"batched"`` (default) solves each chunk as one batch;
-        ``"scalar"`` runs the oracle path vector by vector inside each
-        chunk.
     resilience:
         Optional :class:`~repro.resilience.ResilienceOptions` — retry
         policy, per-chunk deadline, checkpoint/resume, fault injection.
@@ -372,13 +300,8 @@ class ParallelReferenceCampaign:
         solver_options: SolverOptions | None = None,
         max_workers: int | None = None,
         chunk_size: int = DEFAULT_REFERENCE_CHUNK_SIZE,
-        engine: str = "batched",
         resilience: ResilienceOptions | None = None,
     ) -> None:
-        if engine not in REFERENCE_ENGINES:
-            raise ValueError(
-                f"engine must be one of {REFERENCE_ENGINES}, got {engine!r}"
-            )
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
         self.technology = technology
@@ -386,7 +309,6 @@ class ParallelReferenceCampaign:
         self.solver_options = solver_options
         self.max_workers = default_workers(max_workers)
         self.chunk_size = chunk_size
-        self.engine = engine
         self.resilience = resilience
 
     def run(
@@ -401,7 +323,6 @@ class ParallelReferenceCampaign:
             technology=self.technology,
             temperature_k=self.temperature_k,
             solver_options=self.solver_options,
-            engine=self.engine,
         )
         chunks = [
             vectors[start : start + self.chunk_size]

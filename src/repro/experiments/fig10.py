@@ -84,18 +84,14 @@ def run_fig10_variation_histograms(
     rng: RngLike = 0,
     input_loads: int = 6,
     output_loads: int = 6,
-    engine: str = "batched",
     sampler: str = "mc",
     on_nonconverged: str = "warn",
     solver_options: SolverOptions | None = None,
 ) -> Fig10Result:
     """Run the Fig. 10 Monte-Carlo study (input '0', output '1').
 
-    ``engine`` selects the Monte-Carlo solver path: ``"batched"`` (default)
-    solves all samples as one batch, ``"scalar"`` keeps the per-sample
-    reference loop.  ``sampler`` picks the parameter sampler (``"mc"``
-    default, ``"qmc"`` scrambled Sobol) and ``on_nonconverged`` the
-    convergence policy, as in
+    ``sampler`` picks the parameter sampler (``"mc"`` default, ``"qmc"``
+    scrambled Sobol) and ``on_nonconverged`` the convergence policy, as in
     :func:`repro.variation.montecarlo.run_loaded_inverter_monte_carlo`.
 
     Raises ``ValueError`` when the recorded population is empty (every
@@ -111,7 +107,6 @@ def run_fig10_variation_histograms(
         input_value=0,
         input_loads=input_loads,
         output_loads=output_loads,
-        engine=engine,
         sampler=sampler,
         on_nonconverged=on_nonconverged,
         solver_options=solver_options,

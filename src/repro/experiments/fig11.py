@@ -83,7 +83,6 @@ def run_fig11_variation_statistics(
     rng: RngLike = 0,
     component: str = "total",
     base_spec: VariationSpec | None = None,
-    engine: str = "batched",
     sampler: str = "mc",
     on_nonconverged: str = "warn",
     solver_options: SolverOptions | None = None,
@@ -91,10 +90,8 @@ def run_fig11_variation_statistics(
 ) -> Fig11Result:
     """Sweep the inter-die Vth sigma and collect mean/std loading shifts.
 
-    ``engine`` selects the Monte-Carlo solver path (``"batched"`` default,
-    ``"scalar"`` reference), ``sampler`` the parameter sampler (``"mc"``
-    default, ``"qmc"`` scrambled Sobol) and ``on_nonconverged`` the
-    convergence policy, as in
+    ``sampler`` selects the parameter sampler (``"mc"`` default, ``"qmc"``
+    scrambled Sobol) and ``on_nonconverged`` the convergence policy, as in
     :func:`repro.variation.montecarlo.run_loaded_inverter_monte_carlo`.
     ``estimator`` picks how the shifts are computed from the populations:
     ``"empirical"`` (default) uses the direct sample mean/std,
@@ -130,7 +127,6 @@ def run_fig11_variation_statistics(
             samples=samples,
             rng=generator,
             input_value=0,
-            engine=engine,
             sampler=sampler,
             on_nonconverged=on_nonconverged,
             solver_options=solver_options,

@@ -13,12 +13,10 @@ Three sub-results, matching the paper's panels:
 The circuit suite is the paper's: six ISCAS89-sized circuits (synthetic
 stand-ins, see DESIGN.md), the 8x8 array multiplier and the 8-bit ALU.
 The reference column of panel (a) rides the batched transistor-level path
-(:func:`repro.core.reference.run_reference_campaign`) by default, which is
-what makes validating the full suite at real vector counts feasible; the
-scalar one-solve-per-vector oracle stays available via
-``reference_engine="scalar"``.  Vector counts and the synthetic-circuit
-scale remain parameters; the benchmark harness records the configuration
-used for every reported number in EXPERIMENTS.md.
+(:func:`repro.core.reference.run_reference_campaign`), which is what makes
+validating the full suite at real vector counts feasible.  Vector counts
+and the synthetic-circuit scale remain parameters; the benchmark harness
+records the configuration used for every reported number in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -29,11 +27,7 @@ from repro.circuit.logic import random_vectors
 from repro.circuit.netlist import Circuit
 from repro.core.baseline import NoLoadingEstimator
 from repro.core.estimator import LoadingAwareEstimator
-from repro.core.reference import (
-    DEFAULT_REFERENCE_CHUNK_SIZE,
-    REFERENCE_ENGINES,
-    run_reference_campaign,
-)
+from repro.core.reference import DEFAULT_REFERENCE_CHUNK_SIZE, run_reference_campaign
 from repro.core.vectors import (
     LoadingImpactStatistics,
     loading_impact_statistics,
@@ -59,7 +53,6 @@ class Fig12CircuitEntry:
     reference_power_uw: float | None = None
     estimate_vs_reference_percent: dict[str, float] | None = None
     reference_vector_count: int = 0
-    reference_engine: str | None = None
 
 
 @dataclass
@@ -135,7 +128,6 @@ def run_fig12_circuit_estimation(
     reference_vectors: int = 8,
     reference_max_gates: int | None = None,
     rng: RngLike = 0,
-    reference_engine: str = "batched",
     reference_chunk_size: int = DEFAULT_REFERENCE_CHUNK_SIZE,
     session=None,
 ) -> Fig12Result:
@@ -157,10 +149,6 @@ def run_fig12_circuit_estimation(
         a wall-clock escape hatch for smoke configurations (see
         EXPERIMENTS.md).  The default of ``None`` validates the full suite:
         the batched reference path makes that feasible.
-    reference_engine:
-        ``"batched"`` (default) solves reference vectors in memory-bounded
-        same-topology batches; ``"scalar"`` forces the original
-        one-relaxation-per-vector oracle.
     reference_chunk_size:
         Vectors per batched reference solve (peak-memory bound; results are
         bitwise independent of it).
@@ -174,11 +162,6 @@ def run_fig12_circuit_estimation(
         figure generated in :attr:`Fig12Result.cache_stats`.
     """
     from repro.service import default_session, stats_delta
-    if reference_engine not in REFERENCE_ENGINES:
-        raise ValueError(
-            f"reference_engine must be one of {REFERENCE_ENGINES}, "
-            f"got {reference_engine!r}"
-        )
     sess = session or default_session()
     technology = technology or make_technology("d25-s")
     library = library or sess.library(technology)
@@ -218,7 +201,6 @@ def run_fig12_circuit_estimation(
                 circuit,
                 technology,
                 vectors=ref_vectors,
-                engine=reference_engine,
                 chunk_size=reference_chunk_size,
             )
             est_campaign = run_vector_campaign(
@@ -237,7 +219,6 @@ def run_fig12_circuit_estimation(
                 key: sum(values) / len(values) for key, values in diffs.items()
             }
             entry.reference_vector_count = len(ref_vectors)
-            entry.reference_engine = reference_engine
 
         result.entries.append(entry)
     result.cache_stats = stats_delta(stats_before, sess.stats())

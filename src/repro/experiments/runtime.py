@@ -67,7 +67,6 @@ class RuntimeComparison:
     batched_seconds: float = float("nan")
     compile_seconds: float = float("nan")
     characterization_seconds: float = float("nan")
-    characterization_engine: str = ""
     solver_method: str = ""
     solver_backends: str = ""
     reference_solver_method: str = ""
@@ -103,10 +102,7 @@ class RuntimeComparison:
             ["estimator time [s]", self.estimator_seconds],
             ["batched engine time [s]", self.batched_seconds],
             ["engine compile time [s]", self.compile_seconds],
-            [
-                f"library warm-up time [s] ({self.characterization_engine or 'n/a'})",
-                self.characterization_seconds,
-            ],
+            ["library warm-up time [s]", self.characterization_seconds],
             ["cell solver method", self.solver_method or "n/a"],
             ["cell solver backends used", self.solver_backends or "n/a"],
             ["reference solver method", self.reference_solver_method or "n/a"],
@@ -159,8 +155,8 @@ def run_runtime_comparison(
     # (gate type, vector) pair the campaign can hit must be characterized
     # up front, otherwise the timed scalar loop silently pays for cell
     # solves that are a one-time library cost.  The warm-up wall time is
-    # recorded separately — it is where the batched characterization engine
-    # (CharacterizationOptions.engine) shows up.
+    # recorded separately — it is where the batched characterization shows
+    # up.
     start = time.perf_counter()
     for vector in vector_list:
         warm_report = estimator.estimate(circuit, vector)
@@ -202,9 +198,6 @@ def run_runtime_comparison(
         batched_seconds=batched_seconds,
         compile_seconds=compile_seconds,
         characterization_seconds=characterization_seconds,
-        characterization_engine=library.characterizer.options.engine,
-        # Engine-aware: the scalar engine always relaxes regardless of
-        # SolverOptions.method, and solve_stats records what actually ran.
         solver_method=str(library.characterizer.solve_stats["method"]),
         solver_backends=_format_backends(
             library.characterizer.solve_stats["methods"]

@@ -62,7 +62,7 @@ def characterization_settings(
 
     Contains every input that can change a characterized record: the full
     technology parameter tree (both device flavours), the characterization
-    options (injection grid, drivers, solver tolerances, engine), the
+    options (injection grid, solver tolerances), the
     characterization temperature and the sparse backend's SuperLU column
     ordering.  The options are canonicalized by walking their dataclass
     fields recursively, so the nested
@@ -218,7 +218,7 @@ def load_library(library: GateLibrary, path: str | Path, strict: bool = True) ->
     strict:
         When True (default) the cache fingerprint must match the library's
         full characterization settings — every technology parameter, the
-        injection grid, driver fanout, solver tolerances and engine; any
+        injection grid and the solver tolerances; any
         mismatch raises ``ValueError`` naming the differing section, so a
         stale cache can never silently supply records characterized under
         different settings.  When False the records are loaded regardless,

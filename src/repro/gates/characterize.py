@@ -12,15 +12,14 @@ For every (gate type, input vector) it builds a small characterization cell:
 
 The cell is solved once without loading (the nominal record) and once per
 (pin, injection) grid point, giving the per-pin response curves of
-:class:`~repro.gates.lut.GateVectorCharacterization`.  Two solver engines are
-available (``CharacterizationOptions.engine``):
-
-* ``"batched"`` (default) — all cells of a (gate type, vector), or of a whole
-  gate type, are one :class:`~repro.spice.batched.BatchedDcSolver` call: the
-  nominal cells solve first, then every (pin, injection) cell solves in a
-  single batch warm-started from its vector's nominal operating point;
-* ``"scalar"`` — the original one-:class:`DcSolver`-per-cell path, kept as
-  the cross-check oracle for the batched engine.
+:class:`~repro.gates.lut.GateVectorCharacterization`.  All cells of a
+(gate type, vector), or of a whole gate type, are one
+:class:`~repro.spice.batched.BatchedDcSolver` call: the nominal cells solve
+first, then every (pin, injection) cell solves in a single batch
+warm-started from its vector's nominal operating point.  Single cells (the
+Figs. 5-9 sweeps) solve through :meth:`GateCharacterizer.solve_cell`; the
+one-cell-at-a-time characterization it supports is the test oracle
+:func:`repro.oracle.characterize_per_cell`.
 
 :class:`GateLibrary` wraps the characterizer with caching so a circuit-level
 run characterizes each (gate type, vector) at most once.
@@ -38,11 +37,7 @@ from repro.device.params import TechnologyParams
 from repro.gates.library import GateSpec, GateType, gate_spec
 from repro.gates.lut import GateVectorCharacterization, ResponseCurve
 from repro.gates.templates import build_gate_transistors
-from repro.spice.analysis import (
-    ComponentBreakdown,
-    gate_injection_at_node,
-    leakage_by_owner,
-)
+from repro.spice.analysis import ComponentBreakdown, leakage_by_owner
 from repro.spice.batched import BatchedDcSolver, BatchedOperatingPoint
 from repro.spice.netlist import TransistorNetlist
 from repro.spice.solver import DcSolver, OperatingPoint, SolverOptions
@@ -75,34 +70,20 @@ class CharacterizationOptions:
     ----------
     injection_grid:
         Signed loading currents (A) characterized at every pin.
-    include_drivers:
-        When True (default) every DUT input is driven by a nominal inverter;
-        when False inputs are ideal rails (no input-loading response — useful
-        only for debugging the templates).
-    driver_fanout:
-        Width multiplier of the driver inverters; 1.0 models a minimum-size
-        upstream stage.
     solver:
         DC solver options used for every cell solve.
-    engine:
-        ``"batched"`` (default) solves a vector's whole injection grid — or a
-        gate type's whole (vector, pin, injection) sweep — as one batched DC
-        solve; ``"scalar"`` keeps the original per-cell :class:`DcSolver`
-        path as the cross-check oracle.
     on_nonconverged:
         Policy for cell solves that end without converging: ``"warn"``
         (default) emits a :class:`CharacterizationConvergenceWarning` naming
         the gate type, the offending vectors and the worst final voltage
         update; ``"raise"`` turns the condition into a ``RuntimeError``.
-        Applies to both engines — a record built from a non-converged
-        operating point would otherwise silently carry wrong leakage.
+        Applies to batched and single-cell solves alike — a record built
+        from a non-converged operating point would otherwise silently carry
+        wrong leakage.
     """
 
     injection_grid: tuple[float, ...] = DEFAULT_INJECTION_GRID
-    include_drivers: bool = True
-    driver_fanout: float = 1.0
     solver: SolverOptions = field(default_factory=SolverOptions)
-    engine: str = "batched"
     on_nonconverged: str = "warn"
 
     def __post_init__(self) -> None:
@@ -112,10 +93,6 @@ class CharacterizationOptions:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("injection_grid must be strictly increasing")
         object.__setattr__(self, "injection_grid", grid)
-        if self.driver_fanout <= 0:
-            raise ValueError("driver_fanout must be positive")
-        if self.engine not in ("batched", "scalar"):
-            raise ValueError(f"unknown characterization engine {self.engine!r}")
         if self.on_nonconverged not in ("warn", "raise"):
             raise ValueError(
                 f"on_nonconverged must be 'warn' or 'raise', "
@@ -125,10 +102,10 @@ class CharacterizationOptions:
     def curve_grid(self) -> list[float]:
         """Return the response-curve abscissae: the grid with 0.0 included.
 
-        Both characterization engines build their :class:`ResponseCurve`
-        objects on exactly this grid (the zero point reuses the nominal
-        solve), so sharing the construction here keeps their records
-        structurally identical.
+        The batched characterization and its per-cell oracle build their
+        :class:`ResponseCurve` objects on exactly this grid (the zero point
+        reuses the nominal solve), so sharing the construction here keeps
+        their records structurally identical.
         """
         grid = list(self.injection_grid)
         if 0.0 not in grid:
@@ -149,7 +126,7 @@ class CellSolution:
 
 @dataclass
 class _CellBuild:
-    """An unsolved characterization cell (shared by both solver engines)."""
+    """An unsolved characterization cell (batched and single-cell solves)."""
 
     netlist: TransistorNetlist
     initial: dict[str, float]
@@ -182,11 +159,7 @@ class GateCharacterizer:
         #: plus Newton fallback columns); an ``"auto"`` request never
         #: appears here, only what it resolved to.
         self.solve_stats: dict[str, object] = {
-            "method": (
-                "gauss-seidel"
-                if self.options.engine == "scalar"
-                else self.options.solver.method
-            ),
+            "method": self.options.solver.method,
             "solves": 0,
             "iterations": 0,
             "max_iterations": 0,
@@ -258,16 +231,13 @@ class GateCharacterizer:
             net = f"net_{pin}"
             input_nets[pin] = net
             pins[pin] = net
-            if self.options.include_drivers:
-                drive_in = f"drv_{pin}_in"
-                # The driver output must equal the DUT input bit, so the
-                # driver input is the complement.
-                netlist.add_node(drive_in, fixed_voltage=vdd * (1 - bit))
-                netlist.add_node(net)
-                self._build_driver(netlist, f"drv_{pin}", drive_in, net)
-                initial[net] = vdd * bit
-            else:
-                netlist.add_node(net, fixed_voltage=vdd * bit)
+            drive_in = f"drv_{pin}_in"
+            # The driver output must equal the DUT input bit, so the driver
+            # input is the complement.
+            netlist.add_node(drive_in, fixed_voltage=vdd * (1 - bit))
+            netlist.add_node(net)
+            self._build_driver(netlist, f"drv_{pin}", drive_in, net)
+            initial[net] = vdd * bit
 
         output_net = "net_y"
         pins[spec.output] = output_net
@@ -300,8 +270,6 @@ class GateCharacterizer:
         """Return the full characterization record for (gate type, vector)."""
         spec = gate_spec(gate_type)
         vector = self._check_vector(spec, vector)
-        if self.options.engine == "scalar":
-            return self._characterize_scalar(spec, vector)
         return self._characterize_batched(spec, [vector])[vector]
 
     def characterize_type(
@@ -311,10 +279,10 @@ class GateCharacterizer:
     ) -> dict[tuple[int, ...], GateVectorCharacterization]:
         """Characterize several vectors of one gate type in one pass.
 
-        With the batched engine this is the fastest path through the
-        characterizer: the nominal cells of every vector solve as one batch,
-        then the whole (vector, pin, injection) sweep solves as a second
-        batch warm-started from the nominal operating points.
+        This is the fastest path through the characterizer: the nominal
+        cells of every vector solve as one batch, then the whole (vector,
+        pin, injection) sweep solves as a second batch warm-started from the
+        nominal operating points.
         """
         spec = gate_spec(gate_type)
         if vectors is None:
@@ -324,41 +292,7 @@ class GateCharacterizer:
             raise ValueError("duplicate vectors in characterize_type")
         if not vectors:
             return {}
-        if self.options.engine == "scalar":
-            return {
-                vector: self._characterize_scalar(spec, vector)
-                for vector in vectors
-            }
         return self._characterize_batched(spec, vectors)
-
-    def _characterize_scalar(
-        self, spec: GateSpec, vector: tuple[int, ...]
-    ) -> GateVectorCharacterization:
-        """One-cell-at-a-time characterization (the oracle engine)."""
-        nominal_cell = self.solve_cell(spec.gate_type, vector)
-        nominal = nominal_cell.dut_breakdown
-
-        pin_injection: dict[str, float] = {}
-        input_voltages: dict[str, float] = {}
-        for pin, net in nominal_cell.input_nets.items():
-            input_voltages[pin] = nominal_cell.op.voltage(net)
-            pin_injection[pin] = gate_injection_at_node(
-                nominal_cell.netlist, nominal_cell.op, net
-            )
-
-        responses: dict[str, ResponseCurve] = {}
-        for pin in self._characterizable_pins(spec):
-            responses[pin] = self._response_curve(spec, vector, pin, nominal)
-
-        return GateVectorCharacterization(
-            gate_type_name=spec.name,
-            vector=vector,
-            nominal=nominal,
-            output_voltage=nominal_cell.op.voltage(nominal_cell.output_net),
-            input_voltages=input_voltages,
-            pin_injection=pin_injection,
-            responses=responses,
-        )
 
     def _characterize_batched(
         self, spec: GateSpec, vectors: list[tuple[int, ...]]
@@ -374,7 +308,7 @@ class GateCharacterizer:
         options = self.options
         grid = options.curve_grid()
         nonzero = [amps for amps in grid if amps != 0.0]
-        pins = self._characterizable_pins(spec)
+        pins = list(spec.inputs) + [spec.output]
 
         # Phase one: nominal cells, one column per vector.
         nominal_cells = [self._build_cell(spec, vector, {}) for vector in vectors]
@@ -530,58 +464,18 @@ class GateCharacterizer:
             f"{worst:.3e} V): {shown}"
         )
 
-    def _characterizable_pins(self, spec: GateSpec) -> list[str]:
-        """Return the pins a response curve is characterized for.
-
-        With ideal (fixed) inputs an injected current cannot move an input
-        net, so only the output pin has a loading response.
-        """
-        if not self.options.include_drivers:
-            return [spec.output]
-        return list(spec.inputs) + [spec.output]
-
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _response_curve(
-        self,
-        spec: GateSpec,
-        vector: tuple[int, ...],
-        pin: str,
-        nominal: ComponentBreakdown,
-    ) -> ResponseCurve:
-        grid = self.options.curve_grid()
-        subthreshold, gate, btbt = [], [], []
-        for amps in grid:
-            if amps == 0.0:
-                breakdown = nominal
-            else:
-                breakdown = self.solve_cell(
-                    spec.gate_type, vector, {pin: amps}
-                ).dut_breakdown
-            subthreshold.append(breakdown.subthreshold)
-            gate.append(breakdown.gate)
-            btbt.append(breakdown.btbt)
-        return ResponseCurve(
-            pin=pin,
-            injections=np.asarray(grid),
-            subthreshold=np.asarray(subthreshold),
-            gate=np.asarray(gate),
-            btbt=np.asarray(btbt),
-        )
-
     def _build_driver(
         self, netlist: TransistorNetlist, instance: str, input_net: str, output_net: str
     ) -> None:
         from repro.device.mosfet import Mosfet
         from repro.spice.netlist import GROUND, SUPPLY
 
-        fanout = self.options.driver_fanout
-        nmos = self.technology.nmos.scaled_width(fanout)
-        pmos = self.technology.pmos.scaled_width(fanout)
         netlist.add_transistor(
             name=f"{instance}.mn",
-            mosfet=Mosfet(nmos),
+            mosfet=Mosfet(self.technology.nmos),
             gate=input_net,
             drain=output_net,
             source=GROUND,
@@ -590,7 +484,7 @@ class GateCharacterizer:
         )
         netlist.add_transistor(
             name=f"{instance}.mp",
-            mosfet=Mosfet(pmos),
+            mosfet=Mosfet(self.technology.pmos),
             gate=input_net,
             drain=output_net,
             source=SUPPLY,
@@ -686,8 +580,8 @@ class GateLibrary:
         """Characterize every vector of the given gate types; return the count.
 
         Uncached vectors of a gate type are characterized together through
-        :meth:`GateCharacterizer.characterize_type`, so with the batched
-        engine a whole type costs two batched DC solves.
+        :meth:`GateCharacterizer.characterize_type`, so a whole type costs
+        two batched DC solves.
         """
         count = 0
         for gate_type in gate_types:

@@ -570,6 +570,16 @@ def genetic_minimize(
     )
 
 
+def check_exhaustive_width(n_inputs: int) -> None:
+    """Refuse an exhaustive sweep over more than MAX_EXHAUSTIVE_INPUTS inputs."""
+    if n_inputs > MAX_EXHAUSTIVE_INPUTS:
+        raise ValueError(
+            f"exhaustive search over {n_inputs} inputs would evaluate "
+            f"2**{n_inputs} vectors; use strategy='greedy' or 'genetic' "
+            f"beyond {MAX_EXHAUSTIVE_INPUTS} inputs"
+        )
+
+
 def exhaustive_minimize(
     compiled: CompiledCircuit,
     include_loading: bool = True,
@@ -588,12 +598,7 @@ def exhaustive_minimize(
         compiled, include_loading=include_loading, chunk_size=chunk_size
     )
     n = objective.n_inputs
-    if n > MAX_EXHAUSTIVE_INPUTS:
-        raise ValueError(
-            f"exhaustive search over {n} inputs would evaluate 2**{n} vectors; "
-            "use strategy='greedy' or 'genetic' beyond "
-            f"{MAX_EXHAUSTIVE_INPUTS} inputs"
-        )
+    check_exhaustive_width(n)
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     best_total = np.inf
     best_code = 0

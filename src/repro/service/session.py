@@ -459,7 +459,6 @@ class EstimationSession:
         input_loads: int = 6,
         output_loads: int = 6,
         sampler: str = "qmc",
-        engine: str = "batched",
         on_nonconverged: str = "drop",
         limit: float | None = None,
         confidence: float = 0.95,
@@ -482,7 +481,7 @@ class EstimationSession:
 
         The pooled population is cached under the SHA-256 fingerprint of
         every setting that shapes it (technology tree, spec, budget,
-        sampler, engine, convergence policy, rng state token), so follow-up
+        sampler, convergence policy, rng state token), so follow-up
         queries — a different percentile, a different component, a yield
         limit — reuse it without a single new circuit solve.  Dropped
         non-converged samples (default policy ``"drop"``: a stalled corner
@@ -505,7 +504,6 @@ class EstimationSession:
                 "input_loads": input_loads,
                 "output_loads": output_loads,
                 "sampler": sampler,
-                "engine": engine,
                 "on_nonconverged": on_nonconverged,
                 "rng": rng_state_token(rng),
             }
@@ -529,7 +527,6 @@ class EstimationSession:
                     input_value=input_value,
                     input_loads=input_loads,
                     output_loads=output_loads,
-                    engine=engine,
                     sampler=sampler,
                     on_nonconverged=on_nonconverged,
                 )

@@ -513,9 +513,11 @@ def propagate_loaded_inverter_moments(
             for si, sj in ((t_max, t_max), (t_max, -t_max), (-t_max, t_max), (-t_max, -t_max))
         ]
         solve_columns += len(probes)
-        probe_draws = _parameter_columns(task, transistor_names, probes)
+        probe_solved = _solve_parameter_sets(
+            task, _parameter_columns(task, transistor_names, probes)
+        )
         probe_values = {
-            loaded: _component_values(_solve_parameter_sets(task, probe_draws), loaded)
+            loaded: _component_values(probe_solved, loaded)
             for loaded in (True, False)
         }
         for loaded in (True, False):

@@ -16,24 +16,22 @@ Every sample
 
 4. records the leakage components of the inverter under study.
 
-Two solver engines are available.  ``"batched"`` (default) flattens each
-structure once with the nominal technology — variation changes numbers,
-never topology — and binds every sample's parameters as arrays: per-sample
-supplies for the rails and seeds, per-sample constants of the shifted
-device flavours, and a (transistor, sample) Vth-shift matrix.  All loaded
-structures then solve as one :class:`~repro.spice.batched.BatchedDcSolver`
-batch and all unloaded twins as a second.  ``"scalar"`` runs the original
-one-sample-at-a-time reference path, which flattens each sample under its
-shifted technology; it is the oracle the batched engine is held to.  Both
-consume identical parameter draws and differ only at the solver-tolerance
-level.
+Each structure is flattened once with the nominal technology — variation
+changes numbers, never topology — and every sample's parameters are bound
+as arrays: per-sample supplies for the rails and seeds, per-sample
+constants of the shifted device flavours, and a (transistor, sample)
+Vth-shift matrix.  All loaded structures then solve as one
+:class:`~repro.spice.batched.BatchedDcSolver` batch and all unloaded twins
+as a second.  The one-sample-at-a-time path that flattens each sample under
+its shifted technology is the test oracle
+:func:`repro.oracle.monte_carlo_per_sample`.
 
-Two *samplers* are available on top: ``"mc"`` (default) draws pseudo-random
-parameters from per-sample ``SeedSequence.spawn`` streams; ``"qmc"`` draws
-the whole parameter block from a scrambled Sobol sequence
-(:mod:`repro.variation.qmc`) with the same marginal distributions — the
-variance-reduced path that reaches a given Fig. 10/11 accuracy at a
-fraction of the sample budget.
+Two *samplers* feed that solve (:func:`draw_parameters`): ``"mc"``
+(default) draws pseudo-random parameters from per-sample
+``SeedSequence.spawn`` streams; ``"qmc"`` draws the whole parameter block
+from a scrambled Sobol sequence (:mod:`repro.variation.qmc`) with the same
+marginal distributions — the variance-reduced path that reaches a given
+Fig. 10/11 accuracy at a fraction of the sample budget.
 
 Sample convergence is governed by ``on_nonconverged``: ``"warn"`` (default)
 records the sample with ``converged=False`` and the run emits one
@@ -62,15 +60,14 @@ from repro.circuit.flatten import flatten
 from repro.circuit.generators import loaded_inverter_cluster
 from repro.device.batched import PackedMosfets
 from repro.device.params import DeviceParams, TechnologyParams
-from repro.spice.analysis import ComponentBreakdown, leakage_by_owner
+from repro.spice.analysis import ComponentBreakdown
 from repro.spice.batched import BatchedDcSolver
-from repro.spice.solver import DcSolver, SolverOptions
+from repro.spice.solver import SolverOptions
 from repro.utils.rng import RngLike, spawn_streams
 from repro.variation.qmc import ParameterDraws, draw_qmc_parameters
 from repro.variation.spec import (
     VariationSpec,
     _shift_device,
-    apply_inter_die,
     sample_inter_die,
     sample_intra_die_vth,
     shifted_vdd,
@@ -177,37 +174,6 @@ def _raise_nonconverged(policy: str, message: str) -> None:
         raise RuntimeError(message)
 
 
-def _solve_target_leakage(
-    circuit,
-    technology: TechnologyParams,
-    input_assignment: dict[str, int],
-    intra_vth: dict[str, float],
-    temperature_k: float,
-    solver_options: SolverOptions,
-    on_nonconverged: str = "warn",
-) -> tuple[ComponentBreakdown, bool]:
-    """Flatten, apply per-transistor Vth shifts, solve, return gate ``g``'s leakage.
-
-    Returns ``(breakdown, converged)``; the ``"raise"`` policy is applied
-    here.
-    """
-    flattened = flatten(circuit, technology, input_assignment)
-    for transistor in flattened.netlist.transistors:
-        shift = intra_vth.get(transistor.name)
-        if shift is not None:
-            transistor.mosfet.vth_shift = shift
-    solver = DcSolver(flattened.netlist, temperature_k, solver_options)
-    op = solver.solve(initial_voltages=flattened.initial_voltages())
-    if not op.converged:
-        _raise_nonconverged(
-            on_nonconverged,
-            f"Monte-Carlo solve of {circuit.name!r} did not converge within "
-            f"{solver_options.max_sweeps} sweeps; largest final voltage "
-            f"update {op.max_update:.3e} V",
-        )
-    return leakage_by_owner(flattened.netlist, op)[_TARGET_GATE], bool(op.converged)
-
-
 @dataclass(frozen=True)
 class SampleTask:
     """Everything one Monte-Carlo sample needs, minus its random stream.
@@ -259,9 +225,8 @@ def _stream_draws(
 ) -> ParameterDraws:
     """Draw one sample's parameters from each stream, as one block.
 
-    Every engine consumes a stream in this order — the inter-die shifts
-    first, then one intra-die Vth shift per transistor of the loaded
-    structure — so the scalar and batched engines simulate identical draws.
+    A stream is consumed in this order — the inter-die shifts first, then
+    one intra-die Vth shift per transistor of the loaded structure.
     """
     count = loaded_transistor_count(task.input_loads, task.output_loads)
     inter, intra = [], []
@@ -288,36 +253,28 @@ def _check_draws(task: SampleTask, draws: ParameterDraws) -> None:
         )
 
 
-def _simulate_one(
-    task: SampleTask, draws: ParameterDraws, index: int, circuits
-) -> MonteCarloSample:
-    """Solve sample ``index`` of ``draws`` through the scalar path."""
-    loaded_circuit, unloaded_circuit, assignment, names = circuits
-    shifted = apply_inter_die(task.technology, draws.inter_die(index))
-    intra = dict(zip(names, draws.intra_vth(index)))
-    with_loading, loaded_ok = _solve_target_leakage(
-        loaded_circuit, shifted, assignment, intra, task.temperature_k,
-        task.solver_options, task.on_nonconverged,
-    )
-    without_loading, unloaded_ok = _solve_target_leakage(
-        unloaded_circuit, shifted, assignment, intra, task.temperature_k,
-        task.solver_options, task.on_nonconverged,
-    )
-    return MonteCarloSample(
-        with_loading=with_loading,
-        without_loading=without_loading,
-        converged=loaded_ok and unloaded_ok,
-    )
+def draw_parameters(
+    task: SampleTask, sampler: str, samples: int, rng: RngLike
+) -> ParameterDraws:
+    """Draw the parameter block of one ``samples``-sample run.
 
-
-def simulate_sample(task: SampleTask, rng: np.random.Generator) -> MonteCarloSample:
-    """Run one Monte-Carlo sample, drawing everything from ``rng``.
-
-    Sample ``i`` of a run consumes exactly stream ``i`` of
-    :func:`repro.utils.rng.spawn_streams`, so the serial and parallel
-    drivers produce bitwise-identical results for the same root seed.
+    ``"mc"`` consumes one ``SeedSequence.spawn`` stream per sample (sample
+    ``i`` uses stream ``i``); ``"qmc"`` draws a scrambled Sobol block seeded
+    through ``rng``.  The serial driver solves the whole block and the pool
+    driver solves :meth:`~repro.variation.qmc.ParameterDraws.slice` chunks
+    of it, so chunk boundaries choose *who* solves a sample, never *which*
+    parameters it gets — pooled runs are bitwise serial-identical.
     """
-    return _simulate_one(task, _stream_draws(task, [rng]), 0, _study_circuits(task))
+    if sampler not in SAMPLERS:
+        raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
+    if sampler == "qmc":
+        return draw_qmc_parameters(
+            task.spec,
+            samples,
+            loaded_transistor_count(task.input_loads, task.output_loads),
+            rng,
+        )
+    return _stream_draws(task, spawn_streams(rng, samples))
 
 
 def _solve_parameter_sets(
@@ -325,11 +282,10 @@ def _solve_parameter_sets(
 ) -> list[MonteCarloSample]:
     """Solve a block of parameter columns as two batched DC solves.
 
-    The one batched engine behind :func:`simulate_batch` (stream-drawn
-    columns), :func:`simulate_batch_from_draws` (Sobol-drawn columns), the
-    pool path and :mod:`repro.variation.moments` (stencil columns).
-    Variation changes numbers, never topology, so each structure is
-    flattened once with the nominal technology and column ``b``'s
+    The one batched solve behind :func:`simulate_batch_from_draws` (drawn
+    columns, serial or pooled) and :mod:`repro.variation.moments` (stencil
+    columns).  Variation changes numbers, never topology, so each structure
+    is flattened once with the nominal technology and column ``b``'s
     parameters are bound as arrays:
 
     * supply — rails and seeds at :func:`~repro.variation.spec.shifted_vdd`,
@@ -432,60 +388,20 @@ def _warn_nonconverged(
         )
 
 
-def simulate_batch(
-    task: SampleTask, streams: Sequence[np.random.Generator]
-) -> list[MonteCarloSample]:
-    """Run one Monte-Carlo sample per stream, solving them as two batches.
-
-    Stream ``i`` is consumed exactly like :func:`simulate_sample` would, so
-    the parameter draws are bitwise-identical to the scalar engine's; the
-    drawn block then solves through the shared batched engine (loaded
-    structures as one :class:`~repro.spice.batched.BatchedDcSolver` batch,
-    unloaded twins as a second).  Because every per-column update of the
-    batched solver is independent of the other columns, the result is also
-    bitwise-identical however the streams are chunked — which is what lets
-    :class:`repro.engine.parallel.ParallelMonteCarlo` distribute contiguous
-    batches across workers without changing the answer.
-    """
-    return _keep_converged(
-        task, _solve_parameter_sets(task, _stream_draws(task, streams))
-    )
-
-
 def simulate_batch_from_draws(
     task: SampleTask, draws: ParameterDraws
 ) -> list[MonteCarloSample]:
     """Run one sample per pre-drawn parameter row, solving them as two batches.
 
-    The quasi-Monte-Carlo twin of :func:`simulate_batch`: the parameters
-    were drawn up front (:func:`repro.variation.qmc.draw_qmc_parameters`),
-    so workers receive :meth:`~repro.variation.qmc.ParameterDraws.slice`
-    blocks and chunking can never change which parameters a sample gets.
+    The parameters were drawn up front (:func:`draw_parameters`), so workers
+    receive :meth:`~repro.variation.qmc.ParameterDraws.slice` blocks and
+    chunking can never change which parameters a sample gets.  Because
+    every per-column update of the batched solver is independent of the
+    other columns, the result is also bitwise-identical however the rows
+    are chunked.
     """
     _check_draws(task, draws)
     return _keep_converged(task, _solve_parameter_sets(task, draws))
-
-
-def simulate_samples_from_draws(
-    task: SampleTask, draws: ParameterDraws
-) -> list[MonteCarloSample]:
-    """Scalar-engine twin of :func:`simulate_batch_from_draws` (one solve each)."""
-    _check_draws(task, draws)
-    circuits = _study_circuits(task)
-    return _keep_converged(
-        task,
-        [
-            _simulate_one(task, draws, index, circuits)
-            for index in range(draws.sample_count)
-        ],
-    )
-
-
-def _simulate_batch_star(
-    args: tuple[SampleTask, Sequence[np.random.Generator]]
-) -> list[MonteCarloSample]:
-    """Process-pool adapter: unpack the (task, stream-chunk) pair."""
-    return simulate_batch(*args)
 
 
 def _simulate_draws_batch_star(
@@ -493,13 +409,6 @@ def _simulate_draws_batch_star(
 ) -> list[MonteCarloSample]:
     """Process-pool adapter: solve one pre-drawn parameter block as a batch."""
     return simulate_batch_from_draws(*args)
-
-
-def _simulate_draws_scalar_star(
-    args: tuple[SampleTask, ParameterDraws]
-) -> list[MonteCarloSample]:
-    """Process-pool adapter: solve one pre-drawn block sample by sample."""
-    return simulate_samples_from_draws(*args)
 
 
 def build_sample_task(
@@ -551,7 +460,6 @@ def run_loaded_inverter_monte_carlo(
     output_loads: int = 6,
     temperature_k: float | None = None,
     solver_options: SolverOptions | None = None,
-    engine: str = "batched",
     sampler: str = "mc",
     on_nonconverged: str = "warn",
 ) -> MonteCarloResult:
@@ -574,9 +482,6 @@ def run_loaded_inverter_monte_carlo(
     input_loads / output_loads:
         Number of inverters loading the input and output nets (6 and 6 in
         Fig. 10).
-    engine:
-        ``"batched"`` (default) solves all samples as two batched DC solves;
-        ``"scalar"`` runs the original per-sample reference path.
     sampler:
         ``"mc"`` (default) draws pseudo-random parameters from per-sample
         spawned streams; ``"qmc"`` draws the whole block from a scrambled
@@ -590,16 +495,13 @@ def run_loaded_inverter_monte_carlo(
     With ``sampler="mc"`` each sample draws from its own
     ``SeedSequence.spawn``-derived stream (sample ``i`` uses stream ``i``);
     with ``sampler="qmc"`` the whole parameter block is drawn up front and
-    sliced.  Either way the result is bitwise-identical to
-    :class:`repro.engine.parallel.ParallelMonteCarlo` for the same seed,
-    engine and sampler.
+    sliced.  Either way all samples solve as two batched DC solves and the
+    result is bitwise-identical to
+    :class:`repro.engine.parallel.ParallelMonteCarlo` for the same seed and
+    sampler.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if engine not in ("batched", "scalar"):
-        raise ValueError(f"unknown Monte-Carlo engine {engine!r}")
-    if sampler not in SAMPLERS:
-        raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
     task = build_sample_task(
         technology,
         spec=spec,
@@ -610,16 +512,9 @@ def run_loaded_inverter_monte_carlo(
         solver_options=solver_options,
         on_nonconverged=on_nonconverged,
     )
-    if sampler == "qmc":
-        draws = draw_qmc_parameters(
-            task.spec, samples, loaded_transistor_count(input_loads, output_loads), rng
-        )
-    else:
-        draws = _stream_draws(task, spawn_streams(rng, samples))
-    if engine == "batched":
-        collected = simulate_batch_from_draws(task, draws)
-    else:
-        collected = simulate_samples_from_draws(task, draws)
+    collected = simulate_batch_from_draws(
+        task, draw_parameters(task, sampler, samples, rng)
+    )
     _warn_nonconverged(task, collected, samples)
     return MonteCarloResult(
         spec=task.spec,

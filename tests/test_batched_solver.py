@@ -19,6 +19,7 @@ from repro.device.mosfet import Mosfet
 from repro.gates.characterize import CharacterizationOptions, GateCharacterizer
 from repro.gates.library import GateType, gate_spec
 from repro.gates.templates import build_gate_transistors
+from repro.oracle import characterize_per_cell, monte_carlo_per_sample
 from repro.spice.analysis import leakage_by_owner
 from repro.spice.batched import BatchedDcSolver
 from repro.spice.netlist import TransistorNetlist
@@ -28,11 +29,10 @@ from repro.utils.rootfind import chandrupatla
 from repro.variation import moments
 from repro.variation.montecarlo import (
     MonteCarloSample,
+    _stream_draws,
     build_sample_task,
     loaded_transistor_count,
-    simulate_batch,
     simulate_batch_from_draws,
-    simulate_sample,
 )
 from repro.variation.qmc import ParameterDraws, draw_qmc_parameters
 from repro.variation.spec import (
@@ -311,15 +311,11 @@ class TestBatchedSolverEquivalence:
 @pytest.mark.slow
 class TestBatchedCharacterizationEquivalence:
     def test_records_match_scalar_engine(self, bulk25):
-        kwargs = dict(injection_grid=SMALL_GRID, solver=TIGHT)
-        scalar = GateCharacterizer(
-            bulk25, options=CharacterizationOptions(engine="scalar", **kwargs)
-        )
-        batched = GateCharacterizer(
-            bulk25, options=CharacterizationOptions(engine="batched", **kwargs)
-        )
+        options = CharacterizationOptions(injection_grid=SMALL_GRID, solver=TIGHT)
+        scalar = GateCharacterizer(bulk25, options=options)
+        batched = GateCharacterizer(bulk25, options=options)
         for vector in ((0, 1), (1, 1)):
-            want = scalar.characterize(GateType.NAND2, vector)
+            want = characterize_per_cell(scalar, GateType.NAND2, vector)
             got = batched.characterize(GateType.NAND2, vector)
             assert got.output_voltage == pytest.approx(
                 want.output_voltage, abs=1e-9
@@ -358,10 +354,6 @@ class TestBatchedCharacterizationEquivalence:
         with pytest.raises(ValueError, match="duplicate"):
             characterizer.characterize_type(GateType.INV, [(0,), (0,)])
 
-    def test_engine_validation(self):
-        with pytest.raises(ValueError, match="engine"):
-            CharacterizationOptions(engine="gpu")
-
 
 @pytest.mark.slow
 class TestBatchedMonteCarloEquivalence:
@@ -369,10 +361,9 @@ class TestBatchedMonteCarloEquivalence:
         task = build_sample_task(
             d25s, input_loads=2, output_loads=2, solver_options=TIGHT
         )
-        streams = spawn_streams(31, 6)
-        batched = simulate_batch(task, streams)
-        for index, stream in enumerate(spawn_streams(31, 6)):
-            scalar = simulate_sample(task, stream)
+        draws = _stream_draws(task, spawn_streams(31, 6))
+        batched = simulate_batch_from_draws(task, draws)
+        for index, scalar in enumerate(monte_carlo_per_sample(task, draws)):
             for loaded in (True, False):
                 want = scalar.with_loading if loaded else scalar.without_loading
                 got = (
@@ -388,11 +379,10 @@ class TestBatchedMonteCarloEquivalence:
 
     def test_chunking_is_bitwise_invariant(self, d25s):
         task = build_sample_task(d25s, input_loads=1, output_loads=1)
-        whole = simulate_batch(task, spawn_streams(5, 4))
-        fresh = spawn_streams(5, 4)  # streams are stateful: re-spawn per run
-        chunked = simulate_batch(task, fresh[:2]) + simulate_batch(
-            task, fresh[2:]
-        )
+        draws = _stream_draws(task, spawn_streams(5, 4))
+        whole = simulate_batch_from_draws(task, draws)
+        chunked = simulate_batch_from_draws(task, draws.slice(0, 2))
+        chunked += simulate_batch_from_draws(task, draws.slice(2, 4))
         for a, b in zip(whole, chunked):
             assert a.with_loading.total == b.with_loading.total
             assert a.without_loading.total == b.without_loading.total
@@ -435,7 +425,7 @@ def _per_sample_flatten_oracle(task, draws):
 
 
 def _redraw_streams(task, seed, count):
-    """Re-draw what ``simulate_batch`` draws from ``spawn_streams(seed, count)``."""
+    """Re-draw what ``_stream_draws`` draws from ``spawn_streams(seed, count)``."""
     transistors = loaded_transistor_count(task.input_loads, task.output_loads)
     inter, intra = [], []
     for rng in spawn_streams(seed, count):
@@ -502,7 +492,7 @@ class TestMonteCarloBinding:
         task = _binding_task(d25s, case)
         draws = _redraw_streams(task, 17, 16)
         _assert_case_covered(task, draws)
-        got = simulate_batch(task, spawn_streams(17, 16))
+        got = simulate_batch_from_draws(task, _stream_draws(task, spawn_streams(17, 16)))
         assert _as_dicts(got) == _as_dicts(_per_sample_flatten_oracle(task, draws))
 
     @pytest.mark.parametrize("case", BINDING_CASES, ids=lambda c: "-".join(map(str, c)))

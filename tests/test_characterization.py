@@ -23,10 +23,6 @@ class TestCharacterizationOptions:
         with pytest.raises(ValueError):
             CharacterizationOptions(injection_grid=(0.0,))
 
-    def test_driver_fanout_positive(self):
-        with pytest.raises(ValueError):
-            CharacterizationOptions(driver_fanout=0.0)
-
 
 class TestSolveCell:
     def test_nominal_inverter_components(self, bulk25):
@@ -65,12 +61,6 @@ class TestSolveCell:
         assert loaded.subthreshold < nominal.subthreshold
         assert loaded.gate < nominal.gate
         assert loaded.btbt < nominal.btbt
-
-    def test_without_drivers_inputs_are_ideal(self, bulk25):
-        options = CharacterizationOptions(include_drivers=False)
-        characterizer = GateCharacterizer(bulk25, options=options)
-        cell = characterizer.solve_cell(GateType.INV, (1,))
-        assert cell.op.voltage("net_a") == pytest.approx(bulk25.vdd)
 
 
 class TestCharacterizationRecords:

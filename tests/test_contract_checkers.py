@@ -201,6 +201,37 @@ class TestRC106SwallowedFailure:
         assert codes(snippet, "src/repro/resilience/snippet.py") == ["RC106"]
 
 
+#: Every import form that binds repro.oracle or one of its names (RC107).
+ORACLE_IMPORTS = [
+    "import repro.oracle\n",
+    "import repro.oracle as oracle\n",
+    "from repro.oracle import per_vector_campaign\n",
+    "from repro import oracle\n",
+]
+
+
+class TestRC107OracleImportInProduction:
+    @pytest.mark.parametrize("snippet", ORACLE_IMPORTS)
+    def test_fires_under_src_repro(self, snippet):
+        assert codes(snippet) == ["RC107"]
+        assert codes(snippet, "/checkout/src/repro/engine/snippet.py") == ["RC107"]
+
+    @pytest.mark.parametrize(
+        "path", ["tests/test_snippet.py", "benchmarks/bench_snippet.py"]
+    )
+    def test_tests_and_benchmarks_may_import_it(self, path):
+        for snippet in ORACLE_IMPORTS:
+            assert codes(snippet, path) == []
+
+    def test_other_repro_imports_are_clean(self):
+        snippet = "import repro.optimize\nfrom repro import core, engine\n"
+        assert codes(snippet) == []
+
+    def test_suppression_comment(self):
+        snippet = "from repro import oracle  # contract: allow(RC107)\n"
+        assert codes(snippet) == []
+
+
 class TestHarness:
     def test_syntax_error_reported_not_raised(self):
         found = check_source("def broken(:\n", GENERIC_PATH)
@@ -218,7 +249,7 @@ class TestHarness:
         assert registry == sorted(registry)
         assert len(set(registry)) == len(registry)
         assert registry == [
-            "RC101", "RC102", "RC103", "RC104", "RC105", "RC106",
+            "RC101", "RC102", "RC103", "RC104", "RC105", "RC106", "RC107",
         ]
 
     def test_source_tree_is_contract_clean(self):

@@ -1,7 +1,7 @@
 """Differential fuzzing: independent implementations must agree on random inputs.
 
-The repo keeps two implementations of everything fast: a scalar oracle and a
-batched path (PRs 1-4).  The regression suites pin them against each other
+Every fast path has a per-item oracle (:mod:`repro.oracle`) or a second
+solver method to be held to.  The regression suites pin them against each other
 on fixed circuits; this module fuzzes the *structure* too — random small
 circuits from :mod:`repro.circuit.generators` under random vectors — and
 asserts the recorded agreement bars hold for every sampled topology:
@@ -27,6 +27,7 @@ from repro.core.estimator import LoadingAwareEstimator
 from repro.core.reference import ReferenceSimulator
 from repro.core.report import REPORT_COMPONENTS
 from repro.core.vectors import run_vector_campaign
+from repro.oracle import per_vector_campaign
 from repro.spice.solver import SolverOptions
 from repro.utils.rng import spawn_streams
 
@@ -58,12 +59,8 @@ def test_engine_matches_scalar_estimator_on_random_circuits(seed, library25):
     )
     estimator = LoadingAwareEstimator(library25)
     vectors = list(random_vectors(circuit, 6, rng=vector_rng))
-    batched = run_vector_campaign(
-        estimator, circuit, vectors=vectors, engine="batched"
-    )
-    scalar = run_vector_campaign(
-        estimator, circuit, vectors=vectors, engine="scalar"
-    )
+    batched = run_vector_campaign(estimator, circuit, vectors=vectors)
+    scalar = per_vector_campaign(estimator, circuit, vectors)
     for component in REPORT_COMPONENTS:
         gap = _relative_gap(batched.totals(component), scalar.totals(component))
         assert gap <= ENGINE_BAR, (

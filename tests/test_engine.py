@@ -1,8 +1,9 @@
 """Regression tests for the batched campaign engine.
 
-The contract of :mod:`repro.engine` is equivalence: the scalar
-:class:`LoadingAwareEstimator` is the oracle, and the batched engine must
-reproduce its totals (and per-gate breakdowns) to rounding error while the
+The contract of :mod:`repro.engine` is equivalence: the per-vector
+:class:`LoadingAwareEstimator` walk (:func:`repro.oracle.per_vector_campaign`)
+is the oracle, and the batched engine must reproduce its totals (and
+per-gate breakdowns) to rounding error while the
 parallel Monte-Carlo driver must reproduce the serial sample stream
 bitwise.  A second oracle, the engine's earlier full-grid gather kept
 below, pins every engine output array bitwise.
@@ -41,6 +42,7 @@ from repro.engine.compile import bracketing_pairs
 from repro.gates import lut
 from repro.gates.characterize import GateLibrary
 from repro.gates.library import GateType
+from repro.oracle import per_vector_campaign
 from repro.variation.montecarlo import run_loaded_inverter_monte_carlo
 
 
@@ -486,12 +488,8 @@ class TestBatchedCampaignMatchesScalar:
         circuit = iscas_like(name, scale=scale)
         estimator = LoadingAwareEstimator(library_d25s)
         vectors = list(random_vectors(circuit, 12, rng=9))
-        batched = run_vector_campaign(
-            estimator, circuit, vectors=vectors, engine="batched"
-        )
-        scalar = run_vector_campaign(
-            estimator, circuit, vectors=vectors, engine="scalar"
-        )
+        batched = run_vector_campaign(estimator, circuit, vectors=vectors)
+        scalar = per_vector_campaign(estimator, circuit, vectors)
         _assert_campaigns_match(batched, scalar)
 
     def test_tied_inputs_pin_to_scalar(self, library_d25s):
@@ -512,12 +510,8 @@ class TestBatchedCampaignMatchesScalar:
 
         estimator = LoadingAwareEstimator(library_d25s)
         vectors = [{"in": 0}, {"in": 1}]
-        batched = run_vector_campaign(
-            estimator, circuit, vectors=vectors, engine="batched"
-        )
-        scalar = run_vector_campaign(
-            estimator, circuit, vectors=vectors, engine="scalar"
-        )
+        batched = run_vector_campaign(estimator, circuit, vectors=vectors)
+        scalar = per_vector_campaign(estimator, circuit, vectors)
         _assert_campaigns_match(batched, scalar)
         for v in range(len(vectors)):
             report_b, report_s = batched.reports[v], scalar.reports[v]
@@ -530,24 +524,16 @@ class TestBatchedCampaignMatchesScalar:
         circuit = iscas_like("s838", scale=0.1)
         estimator = NoLoadingEstimator(library_d25s)
         vectors = list(random_vectors(circuit, 6, rng=2))
-        batched = run_vector_campaign(
-            estimator, circuit, vectors=vectors, engine="batched"
-        )
-        scalar = run_vector_campaign(
-            estimator, circuit, vectors=vectors, engine="scalar"
-        )
+        batched = run_vector_campaign(estimator, circuit, vectors=vectors)
+        scalar = per_vector_campaign(estimator, circuit, vectors)
         _assert_campaigns_match(batched, scalar)
 
     def test_materialized_reports_match_scalar_per_gate(self, library_d25s):
         circuit = loaded_inverter_cluster(4, 4)
         estimator = LoadingAwareEstimator(library_d25s)
         vectors = list(random_vectors(circuit, 3, rng=5))
-        batched = run_vector_campaign(
-            estimator, circuit, vectors=vectors, engine="batched"
-        )
-        scalar = run_vector_campaign(
-            estimator, circuit, vectors=vectors, engine="scalar"
-        )
+        batched = run_vector_campaign(estimator, circuit, vectors=vectors)
+        scalar = per_vector_campaign(estimator, circuit, vectors)
         for v in range(3):
             report_b = batched.reports[v]
             report_s = scalar.reports[v]
@@ -582,35 +568,15 @@ class TestBatchedCampaignMatchesScalar:
         assert len(campaign.reports) == 5
         assert campaign.reports[0].metadata["engine"] == "batched"
 
-    def test_engine_mode_validation(self, library_d25s):
-        circuit = nand_tree(1)
-        estimator = LoadingAwareEstimator(library_d25s)
-        with pytest.raises(ValueError, match="engine"):
-            run_vector_campaign(estimator, circuit, count=1, rng=0, engine="bogus")
-
-        class NotLibraryBacked:
-            method_name = "custom"
-
-            def estimate(self, circuit, assignment):  # pragma: no cover
-                raise NotImplementedError
-
-        with pytest.raises(ValueError, match="library-backed"):
-            run_vector_campaign(
-                NotLibraryBacked(), circuit, count=1, rng=0, engine="batched"
-            )
-
     def test_minimum_leakage_vector_matches_scalar(self, library_d25s):
         circuit = random_logic("minv_engine", 5, 18, rng=3)
         estimator = LoadingAwareEstimator(library_d25s)
         vectors = list(random_vectors(circuit, 10, rng=7))
-        vec_b, total_b = minimum_leakage_vector(
-            estimator, circuit, vectors=vectors, engine="batched"
-        )
-        vec_s, total_s = minimum_leakage_vector(
-            estimator, circuit, vectors=vectors, engine="scalar"
-        )
-        assert vec_b == vec_s
-        assert total_b == pytest.approx(total_s, rel=1e-12)
+        vec_b, total_b = minimum_leakage_vector(estimator, circuit, vectors=vectors)
+        oracle = per_vector_campaign(estimator, circuit, vectors).totals()
+        best = int(np.argmin(oracle))
+        assert vec_b == vectors[best]
+        assert total_b == pytest.approx(oracle[best], rel=1e-12)
 
     def test_bad_assignment_rejected_like_propagate(self, library_d25s):
         circuit = nand_tree(1)

@@ -543,7 +543,7 @@ class TestConvergencePolicy:
         characterizer = GateCharacterizer(
             bulk25,
             options=CharacterizationOptions(
-                injection_grid=self.GRID, engine="scalar", solver=self.STARVED
+                injection_grid=self.GRID, solver=self.STARVED
             ),
         )
         with pytest.warns(
@@ -555,7 +555,7 @@ class TestConvergencePolicy:
         characterizer = GateCharacterizer(
             bulk25,
             options=CharacterizationOptions(
-                injection_grid=self.GRID, engine="batched", solver=self.STARVED
+                injection_grid=self.GRID, solver=self.STARVED
             ),
         )
         with pytest.warns(
@@ -568,7 +568,6 @@ class TestConvergencePolicy:
             bulk25,
             options=CharacterizationOptions(
                 injection_grid=self.GRID,
-                engine="batched",
                 solver=self.STARVED,
                 on_nonconverged="raise",
             ),

@@ -1,6 +1,6 @@
 """Regression tests for the batched transistor-level reference path.
 
-The contract mirrors the batched campaign engine's: the scalar
+The contract mirrors the batched campaign engine's: the per-vector
 :meth:`ReferenceSimulator.estimate` relaxation is the oracle, and
 :meth:`ReferenceSimulator.estimate_batch` must reproduce its per-gate
 breakdowns and totals to solver-tolerance error while being *bitwise*
@@ -22,6 +22,7 @@ from repro.circuit.logic import random_vectors
 from repro.core.reference import ReferenceSimulator, run_reference_campaign
 from repro.core.report import REPORT_COMPONENTS
 from repro.engine import ParallelReferenceCampaign
+from repro.oracle import per_vector_campaign
 from repro.spice.solver import SolverOptions
 
 #: Solver-tolerance-level agreement between the scalar and batched engines
@@ -159,24 +160,14 @@ class TestReferenceCampaign:
     def test_batched_campaign_matches_scalar_campaign(self, d25s):
         circuit = inverter_chain(3)
         vectors = [{"in": 0}, {"in": 1}]
-        batched = run_reference_campaign(
-            circuit, d25s, vectors=vectors, engine="batched"
-        )
-        scalar = run_reference_campaign(
-            circuit, d25s, vectors=vectors, engine="scalar"
-        )
+        batched = run_reference_campaign(circuit, d25s, vectors=vectors)
+        scalar = per_vector_campaign(ReferenceSimulator(d25s), circuit, vectors)
         assert batched.method == scalar.method == "reference"
         assert batched.vector_count == scalar.vector_count == 2
         np.testing.assert_allclose(
             batched.totals(), scalar.totals(), rtol=ENGINE_RTOL
         )
         assert batched.runtime_s() > 0.0
-
-    def test_engine_validation(self, d25s):
-        with pytest.raises(ValueError, match="engine"):
-            run_reference_campaign(
-                inverter_chain(1), d25s, vectors=[{"in": 0}], engine="quantum"
-            )
 
     def test_empty_vector_set_rejected(self, d25s):
         with pytest.raises(ValueError, match="no vectors"):
@@ -202,8 +193,6 @@ class TestReferenceCampaign:
             assert _bitwise_equal(a, b)
 
     def test_parallel_driver_validation(self, d25s):
-        with pytest.raises(ValueError, match="engine"):
-            ParallelReferenceCampaign(d25s, engine="nope")
         with pytest.raises(ValueError, match="chunk_size"):
             ParallelReferenceCampaign(d25s, chunk_size=0)
         with pytest.raises(ValueError, match="max_workers"):

@@ -334,7 +334,6 @@ class TestBackendReporting:
             bulk25,
             options=CharacterizationOptions(
                 injection_grid=(-1e-6, 1e-6),
-                engine="batched",
                 solver=SolverOptions(method="newton-sparse", **TIGHT),
             ),
         )
@@ -350,7 +349,6 @@ class TestBackendReporting:
             bulk25,
             options=CharacterizationOptions(
                 injection_grid=(-1e-6, 1e-6),
-                engine="batched",
                 solver=SolverOptions(method="auto", **TIGHT),
             ),
         )

@@ -21,6 +21,7 @@ from repro.experiments.fig11 import run_fig11_variation_statistics
 from repro.service import EstimationSession
 from repro.spice.solver import SolverOptions
 from repro.utils.rng import ensure_rng
+from repro.variation import moments
 from repro.variation.moments import (
     clipped_gaussian_exp_moment,
     propagate_loaded_inverter_moments,
@@ -337,26 +338,6 @@ class TestQmcMonteCarlo:
         assert pooled.metadata["sampler"] == "qmc"
         assert _samples_bitwise_equal(serial, pooled)
 
-    def test_qmc_serial_vs_pool_bitwise_scalar(self, d25s):
-        serial = run_loaded_inverter_monte_carlo(
-            d25s,
-            samples=8,
-            rng=11,
-            input_loads=2,
-            output_loads=2,
-            sampler="qmc",
-            engine="scalar",
-        )
-        pooled = ParallelMonteCarlo(
-            d25s,
-            input_loads=2,
-            output_loads=2,
-            max_workers=2,
-            engine="scalar",
-            sampler="qmc",
-        ).run(8, rng=11)
-        assert _samples_bitwise_equal(serial, pooled)
-
 
 @pytest.mark.slow
 class TestNonconvergedPolicies:
@@ -374,7 +355,7 @@ class TestNonconvergedPolicies:
         assert not result.converged_mask.any()
         assert result.metadata.get("dropped_nonconverged", 0) == 0
 
-    @pytest.mark.parametrize("run", ["pooled", "serial-batched", "serial-scalar"])
+    @pytest.mark.parametrize("run", ["pooled", "serial-batched"])
     def test_warning_reaches_the_caller(self, d25s, run):
         """One warning per run, in this process, at this file's line.
 
@@ -388,9 +369,6 @@ class TestNonconvergedPolicies:
             ).run(4, rng=1),
             "serial-batched": lambda: run_loaded_inverter_monte_carlo(
                 d25s, samples=4, rng=1, solver_options=options
-            ),
-            "serial-scalar": lambda: run_loaded_inverter_monte_carlo(
-                d25s, samples=4, rng=1, solver_options=options, engine="scalar"
             ),
         }
         with warnings.catch_warnings(record=True) as caught:
@@ -414,18 +392,19 @@ class TestNonconvergedPolicies:
                 on_nonconverged="raise",
             )
 
-    @pytest.mark.parametrize("engine", ["batched", "scalar"])
-    def test_drop_policy_counts_dropped(self, d25s, engine):
-        result = run_loaded_inverter_monte_carlo(
-            d25s,
-            samples=2,
-            rng=0,
+    @pytest.mark.parametrize("run", ["batched", "pooled"])
+    def test_drop_policy_counts_dropped(self, d25s, run):
+        """The serial one-block run and the pooled slices both report drops."""
+        kwargs = dict(
             input_loads=2,
             output_loads=2,
             solver_options=NONCONVERGING,
-            engine=engine,
             on_nonconverged="drop",
         )
+        if run == "pooled":
+            result = ParallelMonteCarlo(d25s, max_workers=2, **kwargs).run(2, rng=0)
+        else:
+            result = run_loaded_inverter_monte_carlo(d25s, samples=2, rng=0, **kwargs)
         assert result.sample_count == 0
         assert result.metadata["dropped_nonconverged"] == 2
 
@@ -500,7 +479,15 @@ class TestMomentPropagation:
         assert math.isfinite(result.mean_shift_percent())
         assert math.isfinite(result.std_shift_percent())
 
-    def test_quadrature_path(self, d25s):
+    def test_quadrature_path(self, d25s, monkeypatch):
+        solve = moments._solve_parameter_sets
+        columns = []
+
+        def counting(task, draws):
+            columns.append(draws.sample_count)
+            return solve(task, draws)
+
+        monkeypatch.setattr(moments, "_solve_parameter_sets", counting)
         result = propagate_loaded_inverter_moments(
             d25s,
             input_loads=2,
@@ -511,6 +498,9 @@ class TestMomentPropagation:
         assert result.method == "sobol-quadrature"
         assert result.interaction_pairs > 0
         assert result.estimate("total").mean > 0.0
+        # Each solved column is one loaded and one unloaded structure solve;
+        # the interaction probes are solved once for both tables.
+        assert 2 * sum(columns) == result.solve_count
 
     def test_order_validation(self, d25s):
         with pytest.raises(ValueError, match="order"):

@@ -306,29 +306,31 @@ class TestStrategyDispatch:
         expected = minimum_leakage_vector(estimator, circuit, exhaustive=True)
         assert (vector, total) == expected
 
-    def test_exhaustive_strategy_honors_scalar_engine(
-        self, estimator, small_circuit
+    def test_exhaustive_flag_refuses_wide_circuits_before_evaluating(
+        self, estimator
     ):
-        """engine='scalar' + strategy='exhaustive' streams the scalar oracle."""
-        by_scalar = minimum_leakage_vector(
-            estimator, small_circuit, strategy="exhaustive", engine="scalar"
-        )
-        by_batched = minimum_leakage_vector(
-            estimator, small_circuit, strategy="exhaustive"
-        )
-        assert by_scalar[0] == by_batched[0]
-        assert by_scalar[1] == pytest.approx(by_batched[1], rel=1e-11)
+        """exhaustive=True applies the same input caps as strategy='exhaustive'."""
+
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"a refused sweep used session.{name}")
+
+        class Unevaluated:
+            def estimate(self, circuit, assignment):
+                raise AssertionError("a refused sweep evaluated a vector")
+
+        wide = MAX_EXHAUSTIVE_INPUTS + 1
+        circuit = random_logic("exhaustive_wide", wide, 40, rng=4)
+        with pytest.raises(ValueError, match=f"2\\*\\*{wide} vectors"):
+            minimum_leakage_vector(
+                estimator, circuit, exhaustive=True, session=Untouchable()
+            )
+        circuit = random_logic("exhaustive_scalar_wide", 17, 24, rng=4)
+        with pytest.raises(ValueError, match="2\\*\\*17"):
+            minimum_leakage_vector(Unevaluated(), circuit, exhaustive=True)
 
     def test_strategy_engine_validation(self, estimator, library25):
         circuit = nand_tree(2)
-        with pytest.raises(ValueError, match="engine must be one of"):
-            minimum_leakage_vector(
-                estimator, circuit, strategy="greedy", engine="bogus"
-            )
-        with pytest.raises(ValueError, match="batched"):
-            minimum_leakage_vector(
-                estimator, circuit, strategy="greedy", engine="scalar"
-            )
         # The scalar exhaustive fallback carries its own (tighter) width
         # guard: per-vector estimator walks cap out far below the batched
         # oracle's limit.

@@ -43,6 +43,12 @@ in every environment the tests run in):
     batch error turns a recoverable fault into silently wrong or hanging
     results; handle it (retry, release waiters, degrade) or re-raise.
 
+``RC107 oracle-import-in-production``
+    Nothing under ``src/repro/`` imports :mod:`repro.oracle`.  The
+    per-item oracles there exist so tests and benchmarks can hold the
+    production solve paths to them; a production import would turn an
+    oracle back into a second solve path.
+
 A violating line can be suppressed with a trailing
 ``# contract: allow(RC104)`` comment naming the code.
 """
@@ -519,6 +525,51 @@ def check_swallowed_failures(
     return violations
 
 
+# --------------------------------------------------------------------- #
+# RC107 — repro.oracle imported by production code
+# --------------------------------------------------------------------- #
+_ORACLE_MODULE = "repro.oracle"
+
+
+def _is_production_path(path: str) -> bool:
+    posix = Path(path).as_posix()
+    return posix.startswith("src/repro/") or "/src/repro/" in posix
+
+
+def _imported_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """Return the modules (and ``from`` members) an absolute import names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if node.module and not node.level:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def check_oracle_imports(
+    tree: ast.Module, aliases: dict[str, str], path: str
+) -> list[Violation]:
+    violations = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any(
+            module == _ORACLE_MODULE or module.startswith(_ORACLE_MODULE + ".")
+            for module in _imported_modules(node)
+        ):
+            violations.append(
+                Violation(
+                    code="RC107",
+                    message=(
+                        "repro.oracle imported by production code; the "
+                        "per-item oracles are for tests and benchmarks only"
+                    ),
+                    path=path,
+                    line=node.lineno,
+                )
+            )
+    return violations
+
+
 #: The checker registry.  Codes are stable; tooling and tests key on them.
 CHECKERS: tuple[CheckerSpec, ...] = (
     CheckerSpec(
@@ -565,6 +616,13 @@ CHECKERS: tuple[CheckerSpec, ...] = (
         ),
         applies=_is_resilient_path,
         run=check_swallowed_failures,
+    ),
+    CheckerSpec(
+        code="RC107",
+        slug="oracle-import-in-production",
+        description="Nothing under src/repro/ imports repro.oracle.",
+        applies=_is_production_path,
+        run=check_oracle_imports,
     ),
 )
 
