@@ -3,17 +3,14 @@
 The resilience layer's claim is also operational: a supervised Monte-Carlo
 run that loses a worker mid-flight (``kill-worker``) and hits a transient
 chunk failure (``raise``) must finish **bitwise identical** to the serial
-oracle, at a bounded recovery overhead; and a run resumed from an on-disk
-checkpoint must skip every completed chunk and still land on the same
-bytes.  Three measured sides, same task and seed throughout:
+oracle, at a bounded recovery overhead.  Two measured sides, same task and
+seed throughout:
 
 * **fault-free**: the supervised pool with no injector — the baseline the
   overhead ratio is charged against;
 * **faulted**: deterministic injector kills the worker hosting one chunk
   and poisons another chunk's first attempt — the pool restarts, the
-  retries re-run from the original spawned seed streams;
-* **resume**: a checkpointed run, then a second run with ``resume=True``
-  that must re-execute **zero** chunks.
+  retries re-run from the original spawned seed streams.
 
 Records ``benchmarks/resilience.json`` (override with
 ``RESILIENCE_BENCH_JSON``) for CI to archive.  Environment knobs for smoke
@@ -81,7 +78,7 @@ def _timed_run(technology, resilience):
     return result, time.perf_counter() - start
 
 
-def test_resilience_recovery_overhead(benchmark, bulk25, tmp_path):
+def test_resilience_recovery_overhead(benchmark, bulk25):
     # The oracle is the plain serial path: no pool, no supervision.
     oracle = run_loaded_inverter_monte_carlo(bulk25, samples=SAMPLES, rng=SEED)
 
@@ -94,45 +91,25 @@ def test_resilience_recovery_overhead(benchmark, bulk25, tmp_path):
             FaultSpec(kind="raise", chunks=frozenset({1})),
         ),
     )
-    checkpoint_path = tmp_path / "bench.ckpt"
 
     def measure():
         fault_free = _timed_run(bulk25, ResilienceOptions(policy=POLICY))
         faulted = _timed_run(
             bulk25, ResilienceOptions(policy=POLICY, injector=injector)
         )
-        checkpointed = _timed_run(
-            bulk25,
-            ResilienceOptions(
-                policy=POLICY,
-                checkpoint_path=checkpoint_path,
-                keep_checkpoint=True,
-            ),
-        )
-        resumed = _timed_run(
-            bulk25,
-            ResilienceOptions(
-                policy=POLICY, checkpoint_path=checkpoint_path, resume=True
-            ),
-        )
-        return fault_free, faulted, checkpointed, resumed
+        return fault_free, faulted
 
-    (
-        (clean_result, clean_seconds),
-        (faulted_result, faulted_seconds),
-        (checkpointed_result, checkpointed_seconds),
-        (resumed_result, resumed_seconds),
-    ) = run_once(benchmark, measure)
+    (clean_result, clean_seconds), (faulted_result, faulted_seconds) = run_once(
+        benchmark, measure
+    )
 
     clean_identical = _samples_bitwise_equal(clean_result, oracle)
     faulted_identical = _samples_bitwise_equal(faulted_result, oracle)
-    resumed_identical = _samples_bitwise_equal(resumed_result, oracle)
     overhead = (
         faulted_seconds / clean_seconds if clean_seconds > 0 else float("nan")
     )
 
     faulted_ledger = faulted_result.metadata["resilience"]
-    resumed_ledger = resumed_result.metadata["resilience"]
     record = {
         "seed": SEED,
         "samples": SAMPLES,
@@ -151,16 +128,6 @@ def test_resilience_recovery_overhead(benchmark, bulk25, tmp_path):
             "pool_restarts": faulted_ledger["pool_restarts"],
             "gave_up": faulted_ledger["gave_up"],
         },
-        "resume": {
-            "checkpointed_seconds": checkpointed_seconds,
-            "resumed_seconds": resumed_seconds,
-            "bitwise_identical": resumed_identical,
-            "resumed_chunks": resumed_ledger["resumed_chunks"],
-            "reexecuted_attempts": resumed_ledger["attempts"],
-            "checkpoint_publishes": checkpointed_result.metadata["resilience"][
-                "checkpoint_publishes"
-            ],
-        },
     }
     path = _json_path()
     path.write_text(json.dumps(record, indent=2) + "\n")
@@ -169,20 +136,15 @@ def test_resilience_recovery_overhead(benchmark, bulk25, tmp_path):
     print(
         f"fault-free {clean_seconds:.2f}s vs faulted {faulted_seconds:.2f}s "
         f"-> {overhead:.2f}x overhead ({faulted_ledger['retries']} retries, "
-        f"{faulted_ledger['pool_restarts']} pool restart(s)); resume "
-        f"re-ran {resumed_ledger['attempts']} chunks ({path})"
+        f"{faulted_ledger['pool_restarts']} pool restart(s)) ({path})"
     )
 
     # Bitwise bars — never relaxed.
     assert clean_identical, "supervised pool differs from serial oracle"
     assert faulted_identical, "faulted run did not recover bitwise"
-    assert resumed_identical, "resumed run differs from serial oracle"
     # Ledger bars: the injected faults actually happened and were survived.
     assert faulted_ledger["pool_restarts"] >= 1
     assert 0 in faulted_ledger["retried_chunks"]
     assert 1 in faulted_ledger["retried_chunks"]
     assert faulted_ledger["gave_up"] == 0
-    # Resume re-executed nothing.
-    assert resumed_ledger["resumed_chunks"] == resumed_ledger["chunks"]
-    assert resumed_ledger["attempts"] == 0
     assert overhead <= MAX_OVERHEAD

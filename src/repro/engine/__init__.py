@@ -33,7 +33,6 @@ from repro.engine.compile import (
     CompiledCircuit,
     GateTypeTable,
     clear_compile_cache,
-    compile_cache_info,
     compile_circuit,
     default_compile_cache,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "ParallelMonteCarlo",
     "ParallelReferenceCampaign",
     "clear_compile_cache",
-    "compile_cache_info",
     "compile_circuit",
     "default_compile_cache",
     "run_compiled",

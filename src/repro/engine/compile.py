@@ -92,11 +92,6 @@ class GateTypeTable:
     pairs: np.ndarray
     complete: bool
 
-    @property
-    def num_pins(self) -> int:
-        """Return the number of characterizable pins (inputs plus output)."""
-        return self.num_inputs + 1
-
 
 def _build_type_table(library: GateLibrary, gate_type_name: str) -> GateTypeTable:
     """Flatten every vector of one gate type into a :class:`GateTypeTable`."""
@@ -565,11 +560,6 @@ _DEFAULT_CACHE = CompileCache()
 def default_compile_cache() -> CompileCache:
     """Return the process-default :class:`CompileCache`."""
     return _DEFAULT_CACHE
-
-
-def compile_cache_info() -> CompileCacheInfo:
-    """Return the default cache's :meth:`CompileCache.cache_info`."""
-    return _DEFAULT_CACHE.cache_info()
 
 
 def compile_circuit(

@@ -36,9 +36,9 @@ from repro.circuit.netlist import Circuit
 from repro.core.reference import DEFAULT_REFERENCE_CHUNK_SIZE, ReferenceSimulator
 from repro.core.vectors import VectorCampaignResult
 from repro.device.params import TechnologyParams
-from repro.resilience import ResilienceOptions, checkpoint_fingerprint
+from repro.resilience import ResilienceOptions
 from repro.spice.solver import SolverOptions
-from repro.utils.rng import RngLike, rng_state_token
+from repro.utils.rng import RngLike
 from repro.variation.montecarlo import (
     SAMPLERS,
     MonteCarloResult,
@@ -66,43 +66,18 @@ def supervised_map(
     items: Sequence[Any],
     workers: int,
     resilience: ResilienceOptions | None,
-    fingerprint_payload: Callable[[], dict[str, Any]],
 ) -> tuple[list[Any], dict[str, object]]:
     """Run a chunked pool map under resilience supervision.
 
     The shared pooled path of every chunked driver (both campaign classes
     here and the island fan-out of :mod:`repro.optimize.search`): builds
     the supervised executor from ``resilience`` (defaults apply when the
-    caller passed ``None``), wires up the fingerprinted checkpoint and the
-    resume set when configured, and returns ``(results, metadata)`` with
-    the retry ledger under ``metadata["resilience"]``.
-
-    ``fingerprint_payload`` is only called when a checkpoint is configured;
-    it must return everything that can change a chunk result or the chunk
-    layout (task definition, options, RNG state token, chunk count).
+    caller passed ``None``) and returns ``(results, metadata)`` with the
+    retry ledger under ``metadata["resilience"]``.
     """
     opts = resilience or ResilienceOptions()
-    checkpoint = None
-    completed = None
-    if opts.checkpoint_path is not None:
-        payload = fingerprint_payload()
-        if payload.get("rng", "absent") is None:
-            raise ValueError(
-                "checkpointing requires a reproducible rng (an explicit seed "
-                "or Generator); rng=None runs cannot be resumed bitwise"
-            )
-        checkpoint = opts.checkpoint(checkpoint_fingerprint(payload))
-        if opts.resume:
-            completed = checkpoint.load()
-    results, ledger = opts.executor(workers).map(
-        fn, items, checkpoint=checkpoint, completed=completed
-    )
-    resilience_meta = ledger.as_dict()
-    if checkpoint is not None:
-        resilience_meta["checkpoint_publishes"] = checkpoint.publishes
-        if not opts.keep_checkpoint:
-            checkpoint.complete()
-    return results, {"resilience": resilience_meta}
+    results, ledger = opts.executor(workers).map(fn, items)
+    return results, {"resilience": ledger.as_dict()}
 
 
 class ParallelMonteCarlo:
@@ -137,7 +112,7 @@ class ParallelMonteCarlo:
         the serial driver.
     resilience:
         Optional :class:`~repro.resilience.ResilienceOptions` — retry
-        policy, per-chunk deadline, checkpoint/resume, fault injection.
+        policy, per-chunk deadline, fault injection.
         Providing it forces the supervised pool path even at one worker;
         pooled runs without it still get the default supervision
         (worker-death recovery with the stock retry policy).
@@ -188,12 +163,6 @@ class ParallelMonteCarlo:
         if samples < 1:
             raise ValueError("samples must be at least 1")
         task = self.task
-        rng_token = (
-            rng_state_token(rng)
-            if self.resilience is not None
-            and self.resilience.checkpoint_path is not None
-            else "absent"
-        )
         draws = draw_parameters(task, self.sampler, samples, rng)
         workers = min(self.max_workers, samples)
         metadata: dict[str, object] = {}
@@ -210,18 +179,7 @@ class ParallelMonteCarlo:
                 for start in range(0, samples, chunk)
             ]
             batches, metadata = supervised_map(
-                _simulate_draws_batch_star,
-                items,
-                workers,
-                self.resilience,
-                lambda: {
-                    "kind": "monte-carlo",
-                    "sampler": self.sampler,
-                    "task": task,
-                    "samples": samples,
-                    "chunks": len(items),
-                    "rng": rng_token,
-                },
+                _simulate_draws_batch_star, items, workers, self.resilience
             )
             results = [sample for batch in batches for sample in batch]
         _warn_nonconverged(task, results, samples)
@@ -288,7 +246,7 @@ class ParallelReferenceCampaign:
         Vectors per batch (the per-worker memory bound).
     resilience:
         Optional :class:`~repro.resilience.ResilienceOptions` — retry
-        policy, per-chunk deadline, checkpoint/resume, fault injection.
+        policy, per-chunk deadline, fault injection.
         Providing it forces the supervised pool path even at one worker;
         pooled runs without it still get the default supervision.
     """
@@ -338,12 +296,6 @@ class ParallelReferenceCampaign:
                 [(task, chunk) for chunk in chunks],
                 workers,
                 self.resilience,
-                lambda: {
-                    "kind": "reference-campaign",
-                    "task": task,
-                    "vectors": vectors,
-                    "chunk_size": self.chunk_size,
-                },
             )
         return VectorCampaignResult(
             circuit_name=circuit.name,

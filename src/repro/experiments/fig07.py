@@ -41,11 +41,6 @@ class NandVectorPanel:
         """Return the vector as the paper prints it, e.g. ``"01"``."""
         return f"{self.vector[0]}{self.vector[1]}"
 
-    def total_series(self, pin: str) -> list[float]:
-        """Return the LD of the total leakage along the sweep for one pin."""
-        source = {"a": self.input_a, "b": self.input_b, "y": self.output}[pin]
-        return [effect.total for effect in source]
-
     def to_table(self) -> str:
         """Render LD of the total leakage for the three perturbed pins."""
         rows = []

@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -51,6 +52,21 @@ def _canonical(value: object) -> object:
     if isinstance(value, float) and value != value:  # pragma: no cover - NaN guard
         return "nan"
     return value
+
+
+def settings_fingerprint(payload: Mapping[str, Any]) -> str:
+    """Return the SHA-256 hex digest of ``payload`` as sorted-key JSON.
+
+    The payload is not walked by :func:`_canonical`: keys are sorted at
+    every dict level, JSON-native values (strings, numbers, booleans,
+    ``None``, lists, tuples) are written as they are, and every value JSON
+    cannot encode — a dataclass such as a technology or a variation spec,
+    an array — enters as its ``str()``, which for a dataclass is its repr.
+    Two payloads therefore hash equal when their JSON values and those
+    reprs agree.
+    """
+    canonical = json.dumps(dict(payload), sort_keys=True, default=str)
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def characterization_settings(

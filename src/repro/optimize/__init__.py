@@ -6,9 +6,7 @@ the paper's estimator ultimately serves (Sec. 6: the minimum-leakage standby
 vector, which can change once loading is considered):
 
 * :mod:`repro.optimize.objective` — whole candidate populations scored as
-  single engine array passes, with an exact evaluation ledger
-  (:meth:`LeakageObjective.for_circuit` compiles through an
-  :class:`repro.service.EstimationSession`);
+  single engine array passes, with an exact evaluation ledger;
 * :mod:`repro.optimize.search` — batched random-restart greedy bit-flip
   hill climbing, an island-model genetic search, and the streaming
   exhaustive oracle, all bitwise-reproducible from a seed whether islands

@@ -59,34 +59,6 @@ class LeakageObjective:
         self.chunk_size = chunk_size
         self.evaluations = 0
 
-    @classmethod
-    def for_circuit(
-        cls,
-        circuit,
-        library,
-        include_loading: bool = True,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        session=None,
-    ) -> "LeakageObjective":
-        """Build an objective by compiling through an estimation session.
-
-        The session-first constructor: compiles ``circuit`` against
-        ``library`` through ``session`` (default: the process-default
-        :func:`repro.service.default_session`), so repeated objectives over
-        the same circuit hit the session's compile cache instead of paying
-        a fresh compile each.  Linting already happened at compile time, so
-        the construction-time re-lint is skipped.
-        """
-        from repro.service import default_session
-
-        compiled = (session or default_session()).compiled(circuit, library)
-        return cls(
-            compiled,
-            include_loading=include_loading,
-            chunk_size=chunk_size,
-            lint="off",
-        )
-
     @property
     def n_inputs(self) -> int:
         """Return the number of primary inputs (candidate bit width)."""

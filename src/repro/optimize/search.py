@@ -52,7 +52,7 @@ from repro.engine.compile import CompiledCircuit
 from repro.engine.parallel import default_workers, supervised_map
 from repro.optimize.objective import LeakageObjective
 from repro.resilience import ResilienceOptions
-from repro.utils.rng import RngLike, rng_state_token, spawn_streams
+from repro.utils.rng import RngLike, spawn_streams
 from repro.utils.tables import format_table
 
 #: Strategies accepted by :func:`minimize_leakage` (and the
@@ -398,37 +398,18 @@ def _run_islands(
     tasks: Sequence[_IslandTask],
     max_workers: int | None,
     resilience: ResilienceOptions | None,
-    rng_token: object,
 ) -> tuple[list[IslandDiagnostics], dict[str, object]]:
     """Run islands serially or over a supervised pool — identical results.
 
     The pool path mirrors :class:`~repro.engine.parallel.ParallelMonteCarlo`:
     an order-preserving supervised map over self-contained tasks whose
     randomness was spawned up front, so completion order, worker count and
-    crash-and-retry recovery can never leak into the outcome.  An island is
-    the chunk unit of checkpoint/resume: a resumed search skips completed
-    islands and re-runs only the rest from their original streams.
+    crash-and-retry recovery can never leak into the outcome.
     """
     workers = min(default_workers(max_workers), len(tasks))
     if workers == 1 and resilience is None:
         return [_run_island(task) for task in tasks], {}
-    first = tasks[0]
-    return supervised_map(
-        _run_island,
-        tasks,
-        workers,
-        resilience,
-        lambda: {
-            "kind": "island-search",
-            "strategy": first.strategy,
-            "circuit": first.compiled.circuit,
-            "include_loading": first.include_loading,
-            "chunk_size": first.chunk_size,
-            "options": first.options,
-            "islands": len(tasks),
-            "rng": rng_token,
-        },
-    )
+    return supervised_map(_run_island, tasks, workers, resilience)
 
 
 def _merge_result(
@@ -492,16 +473,11 @@ def greedy_minimize(
     descends deterministically, so the outcome is bitwise independent of
     the island split *and* of the worker count: ``islands``/``max_workers``
     only spread the restart groups over processes (supervised via
-    ``resilience`` — worker death, deadlines, checkpoint/resume).
+    ``resilience`` — worker death, deadlines).
     """
     options = options or GreedyOptions()
     if islands < 1:
         raise ValueError("islands must be at least 1")
-    rng_token = (
-        rng_state_token(rng)
-        if resilience is not None and resilience.checkpoint_path is not None
-        else "absent"
-    )
     streams = spawn_streams(rng, options.restarts)
     parts = min(islands, options.restarts)
     tasks = [
@@ -516,7 +492,7 @@ def greedy_minimize(
         )
         for i, piece in enumerate(_split_contiguous(options.restarts, parts))
     ]
-    results, metadata = _run_islands(tasks, max_workers, resilience, rng_token)
+    results, metadata = _run_islands(tasks, max_workers, resilience)
     converged = all(island.stop_reason == "local-minima" for island in results)
     return _merge_result(
         "greedy", compiled, include_loading, results, converged, metadata
@@ -538,18 +514,13 @@ def genetic_minimize(
     Each island runs an independent GA of ``options.population``
     individuals driven entirely by its own spawned stream; the final
     answer is the best across islands.  Serial execution, the supervised
-    pool, and a crash-retried or checkpoint-resumed run all see identical
-    streams in identical order, so the result is bitwise identical either
-    way (asserted by the regression and resilience tests).
+    pool, and a crash-retried run all see identical streams in identical
+    order, so the result is bitwise identical either way (asserted by the
+    regression and resilience tests).
     """
     options = options or GeneticOptions()
     if islands < 1:
         raise ValueError("islands must be at least 1")
-    rng_token = (
-        rng_state_token(rng)
-        if resilience is not None and resilience.checkpoint_path is not None
-        else "absent"
-    )
     streams = spawn_streams(rng, islands)
     tasks = [
         _IslandTask(
@@ -563,7 +534,7 @@ def genetic_minimize(
         )
         for i in range(islands)
     ]
-    results, metadata = _run_islands(tasks, max_workers, resilience, rng_token)
+    results, metadata = _run_islands(tasks, max_workers, resilience)
     converged = all(island.stop_reason == "stalled" for island in results)
     return _merge_result(
         "genetic", compiled, include_loading, results, converged, metadata

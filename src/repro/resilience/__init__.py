@@ -1,54 +1,35 @@
-"""Resilience layer: supervised pools, checkpoints, deadlines, fault injection.
+"""Resilience layer: supervised pools, deadlines, fault injection.
 
 One package holds everything the long-running drivers need to survive the
 failures a real campaign meets — worker death, hung chunks, transient
-errors, process crashes, torn checkpoint writes — while preserving the
-repo's standing bitwise-reproducibility contract: a run that crashed,
-retried, resumed or degraded finishes with exactly the bytes a clean
-serial run produces.
+errors — while preserving the repo's standing bitwise-reproducibility
+contract: a run that crashed, retried or degraded finishes with exactly
+the bytes a clean serial run produces.
 
 * :class:`ResilientExecutor` — supervised process-pool map with retries,
   backoff, deadlines and a :class:`RetryLedger` (``executor``);
-* :class:`Checkpoint` — fingerprinted atomic checkpoint/resume
-  (``checkpoint``);
 * :class:`FaultInjector` — deterministic seed-driven fault injection
   (``faults``);
 * the shared exception vocabulary (``errors``).
 
-Drivers take one :class:`ResilienceOptions` bundle instead of five loose
+Drivers take one :class:`ResilienceOptions` bundle instead of loose
 keyword arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.resilience.checkpoint import (
-    CHECKPOINT_FORMAT_VERSION,
-    Checkpoint,
-    checkpoint_fingerprint,
-)
 from repro.resilience.errors import (
-    CheckpointCorruptWarning,
     ChunkRetryError,
     DeadlineExceeded,
     InjectedFault,
     ServiceOverloaded,
-    StaleCheckpointError,
 )
-from repro.resilience.executor import (
-    ResilientExecutor,
-    RetryLedger,
-    RetryPolicy,
-    interruptible_pool,
-)
-from repro.resilience.faults import FAULT_KINDS, FaultInjector, FaultSpec, corrupt_file
+from repro.resilience.executor import ResilientExecutor, RetryLedger, RetryPolicy
+from repro.resilience.faults import FAULT_KINDS, FaultInjector, FaultSpec
 
 __all__ = [
-    "CHECKPOINT_FORMAT_VERSION",
-    "Checkpoint",
-    "CheckpointCorruptWarning",
     "ChunkRetryError",
     "DeadlineExceeded",
     "FAULT_KINDS",
@@ -60,10 +41,6 @@ __all__ = [
     "RetryLedger",
     "RetryPolicy",
     "ServiceOverloaded",
-    "StaleCheckpointError",
-    "checkpoint_fingerprint",
-    "corrupt_file",
-    "interruptible_pool",
 ]
 
 
@@ -78,43 +55,13 @@ class ResilienceOptions:
     injector:
         Optional deterministic fault injector (tests and the resilience
         benchmark; production runs leave it ``None``).
-    checkpoint_path:
-        Where to persist completed chunks; ``None`` disables
-        checkpointing.
-    checkpoint_interval:
-        Publish the checkpoint every this many completed chunks.
-    resume:
-        Load ``checkpoint_path`` before running and skip its completed
-        chunks.  A fingerprint mismatch raises
-        :class:`StaleCheckpointError`; requires ``checkpoint_path``.
-    keep_checkpoint:
-        Leave the checkpoint file in place after a successful run
-        (default: remove it, since the run it guarded has finished).
     """
 
     policy: RetryPolicy | None = None
     injector: FaultInjector | None = None
-    checkpoint_path: str | Path | None = None
-    checkpoint_interval: int = 1
-    resume: bool = False
-    keep_checkpoint: bool = False
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be at least 1")
-        if self.resume and self.checkpoint_path is None:
-            raise ValueError("resume=True requires a checkpoint_path")
 
     def executor(self, max_workers: int) -> ResilientExecutor:
         """Return the supervised executor this bundle configures."""
         return ResilientExecutor(
             max_workers, policy=self.policy, injector=self.injector
-        )
-
-    def checkpoint(self, fingerprint: str) -> Checkpoint | None:
-        """Return the checkpoint for ``fingerprint``, or ``None``."""
-        if self.checkpoint_path is None:
-            return None
-        return Checkpoint(
-            self.checkpoint_path, fingerprint, interval=self.checkpoint_interval
         )

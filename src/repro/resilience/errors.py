@@ -1,9 +1,9 @@
-"""Exception and warning types of the resilience layer.
+"""Exception types of the resilience layer.
 
-Centralised so every layer — the supervised pool executor, the checkpoint
-store and the hardened service front-end — raises the same vocabulary and
-callers can catch one module's types instead of fishing exceptions out of
-``concurrent.futures`` internals.
+Centralised so every layer — the supervised pool executor and the hardened
+service front-end — raises the same vocabulary and callers can catch one
+module's types instead of fishing exceptions out of ``concurrent.futures``
+internals.
 """
 
 from __future__ import annotations
@@ -43,25 +43,6 @@ class ChunkRetryError(RuntimeError):
             f"chunk {chunk_index} failed on all {attempts} attempts; "
             f"last error: {type(last_error).__name__}: {last_error}"
         )
-
-
-class StaleCheckpointError(ValueError):
-    """A checkpoint's fingerprint does not match the current run.
-
-    The fingerprint covers everything that can change the results — the
-    work definition (circuit/task/options), the RNG state and the chunking
-    — so a stale checkpoint is *refused* loudly instead of silently
-    resumed into a run it cannot bitwise-complete.
-    """
-
-
-class CheckpointCorruptWarning(UserWarning):
-    """A checkpoint file was unreadable (torn write, corruption).
-
-    The run falls back to starting from scratch — the final result is
-    unchanged, only the saved progress is lost — and this warning names
-    the file so operators can investigate the storage.
-    """
 
 
 class InjectedFault(RuntimeError):

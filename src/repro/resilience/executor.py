@@ -34,11 +34,9 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.errors import ChunkRetryError
 from repro.resilience.faults import FaultInjector
 from repro.utils.rng import spawn_streams
@@ -111,7 +109,6 @@ class RetryLedger:
     deadline_expirations: int = 0
     pool_restarts: int = 0
     gave_up: int = 0
-    resumed_chunks: int = 0
 
     def note_retry(self, chunk_index: int) -> None:
         self.retries += 1
@@ -128,7 +125,6 @@ class RetryLedger:
             "deadline_expirations": self.deadline_expirations,
             "pool_restarts": self.pool_restarts,
             "gave_up": self.gave_up,
-            "resumed_chunks": self.resumed_chunks,
         }
 
 
@@ -143,28 +139,6 @@ def _supervised_chunk(
     if injector is not None:
         injector.apply_chunk_faults(chunk_index, attempt)
     return fn(item)
-
-
-@contextmanager
-def interruptible_pool(
-    max_workers: int, factory: Callable[..., Any] = ProcessPoolExecutor
-) -> Iterator[Any]:
-    """A process pool whose teardown never leaks doomed work.
-
-    ``with ProcessPoolExecutor() as pool`` calls ``shutdown(wait=True)``
-    on *every* exit — including ``KeyboardInterrupt`` — so queued chunks
-    keep computing while the user waits for a traceback.  This wrapper
-    cancels queued futures and skips the blocking join on the error path,
-    and joins normally on success.
-    """
-    pool = factory(max_workers=max_workers)
-    try:
-        yield pool
-    except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    else:
-        pool.shutdown()
 
 
 class ResilientExecutor:
@@ -196,35 +170,15 @@ class ResilientExecutor:
 
     # ------------------------------------------------------------------ #
     def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        checkpoint: Checkpoint | None = None,
-        completed: Mapping[int, Any] | None = None,
+        self, fn: Callable[[Any], Any], items: Sequence[Any]
     ) -> tuple[list[Any], RetryLedger]:
-        """Run ``fn`` over every item; return (results in order, ledger).
-
-        ``completed`` maps already-finished chunk indexes to their results
-        (a checkpoint resume); those chunks are not re-run.  Each newly
-        completed chunk is recorded to ``checkpoint`` (which publishes on
-        its own interval).
-        """
+        """Run ``fn`` over every item; return (results in order, ledger)."""
         items = list(items)
         n = len(items)
         ledger = RetryLedger(chunks=n)
         results: list[Any] = [None] * n
-        done = [False] * n
         attempts = [0] * n
-        last_error: list[BaseException | None] = [None] * n
-
-        queue: deque[int] = deque()
-        for index in range(n):
-            if completed is not None and index in completed:
-                results[index] = completed[index]
-                done[index] = True
-                ledger.resumed_chunks += 1
-            else:
-                queue.append(index)
+        queue: deque[int] = deque(range(n))
         if not queue:
             return results, ledger
 
@@ -252,7 +206,6 @@ class ResilientExecutor:
 
         def handle_failure(index: int, error: BaseException) -> None:
             """Schedule a retry with backoff, or give up loudly."""
-            last_error[index] = error
             if attempts[index] >= self.policy.max_attempts:
                 ledger.gave_up += 1
                 raise ChunkRetryError(index, attempts[index], error) from error
@@ -302,9 +255,6 @@ class ResilientExecutor:
                     error = future.exception()
                     if error is None:
                         results[index] = future.result()
-                        done[index] = True
-                        if checkpoint is not None:
-                            checkpoint.record(index, results[index])
                     elif isinstance(error, BrokenProcessPool):
                         # A worker died; every sibling future of this pool
                         # incarnation fails the same way — all are retried.
@@ -355,9 +305,6 @@ class ResilientExecutor:
                             error = future.exception()
                             if error is None:
                                 results[index] = future.result()
-                                done[index] = True
-                                if checkpoint is not None:
-                                    checkpoint.record(index, results[index])
                             else:
                                 handle_failure(index, error)
                     inflight.clear()
@@ -367,9 +314,6 @@ class ResilientExecutor:
             raise
         else:
             pool.shutdown()
-
-        if checkpoint is not None:
-            checkpoint.flush()
         return results, ledger
 
 

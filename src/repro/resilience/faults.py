@@ -11,10 +11,7 @@ resilience layer defends against — on purpose, reproducibly:
   from inside its evaluation (a poisoned input, a transient numerical
   failure);
 * ``stall``: the chunk sleeps past its deadline before completing, so the
-  watchdog must fire (a hung solve, a livelocked worker);
-* ``corrupt-checkpoint``: a checkpoint file is truncated/garbled on disk
-  (a torn write, bit rot) — applied by :func:`corrupt_file`, consumed by
-  the checkpoint loader's graceful fallback.
+  watchdog must fire (a hung solve, a livelocked worker).
 
 Decisions are **deterministic**: explicit per-chunk injection via
 :attr:`FaultSpec.chunks`, or rate-based injection whose coin flips come
@@ -31,13 +28,12 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.resilience.errors import InjectedFault
 from repro.utils.rng import keyed_rng
 
 #: Fault kinds understood by the injector (and the executor's chunk shim).
-FAULT_KINDS = ("kill-worker", "raise", "stall", "corrupt-checkpoint")
+FAULT_KINDS = ("kill-worker", "raise", "stall")
 
 
 @dataclass(frozen=True)
@@ -136,24 +132,3 @@ class FaultInjector:
             raise InjectedFault(
                 f"injected failure in chunk {chunk_index} (attempt {attempt})"
             )
-
-
-def corrupt_file(path: str | Path, mode: str = "truncate") -> None:
-    """Corrupt an on-disk file in place (checkpoint fault injection).
-
-    ``mode="truncate"`` keeps only the first half of the payload (a torn
-    write); ``mode="garble"`` flips bytes in the middle (bit rot).  Both
-    leave a file that *exists* but cannot be loaded, which is the case the
-    checkpoint loader's graceful fallback must survive.
-    """
-    path = Path(path)
-    payload = path.read_bytes()
-    if mode == "truncate":
-        path.write_bytes(payload[: len(payload) // 2])
-    elif mode == "garble":
-        garbled = bytearray(payload)
-        for offset in range(len(garbled) // 3, min(len(garbled), len(garbled) // 3 + 16)):
-            garbled[offset] ^= 0xFF
-        path.write_bytes(bytes(garbled))
-    else:
-        raise ValueError(f"unknown corruption mode {mode!r}")

@@ -55,9 +55,12 @@ from repro.engine.compile import (
     CompiledCircuit,
     default_compile_cache,
 )
-from repro.gates.cache import LibraryStore, characterization_fingerprint
+from repro.gates.cache import (
+    LibraryStore,
+    characterization_fingerprint,
+    settings_fingerprint,
+)
 from repro.gates.characterize import CharacterizationOptions, GateLibrary
-from repro.resilience.checkpoint import checkpoint_fingerprint
 from repro.resilience.errors import DeadlineExceeded, ServiceOverloaded
 from repro.service.coalesce import (
     DEFAULT_BATCH_WINDOW_S,
@@ -65,7 +68,7 @@ from repro.service.coalesce import (
     DEFAULT_MAX_IN_FLIGHT,
     RequestCoalescer,
 )
-from repro.utils.rng import RngLike, rng_state_token, spawn_streams
+from repro.utils.rng import RngLike, spawn_streams
 from repro.variation.montecarlo import run_loaded_inverter_monte_carlo
 from repro.variation.spec import VariationSpec
 from repro.variation.statistics import (
@@ -479,13 +482,16 @@ class EstimationSession:
           of the percentile statistic against a bootstrap proxy of the
           plain-MC error at the same total budget.
 
-        The pooled population is cached under the SHA-256 fingerprint of
-        every setting that shapes it (technology tree, spec, budget,
-        sampler, convergence policy, rng state token), so follow-up
+        With an integer seed the pooled population is cached under the
+        SHA-256 fingerprint of every setting that shapes it (technology,
+        spec, budget, sampler, convergence policy, seed), so follow-up
         queries — a different percentile, a different component, a yield
-        limit — reuse it without a single new circuit solve.  Dropped
-        non-converged samples (default policy ``"drop"``: a stalled corner
-        must not bias a yield estimate) simply shrink the population.
+        limit — reuse it without a single new circuit solve.  A
+        ``Generator`` or ``None`` query solves its population and stores
+        nothing: spawning advances a generator without changing its state,
+        and ``None`` draws fresh entropy, so neither names one population.
+        Dropped non-converged samples (default policy ``"drop"``: a stalled
+        corner must not bias a yield estimate) simply shrink the population.
         """
         if replicates < 2:
             raise ValueError(
@@ -493,23 +499,25 @@ class EstimationSession:
                 "replicate scatter)"
             )
         spec = spec or VariationSpec()
-        key = checkpoint_fingerprint(
-            {
-                "kind": "statistical-leakage-population",
-                "technology": technology,
-                "spec": spec,
-                "samples": samples,
-                "replicates": replicates,
-                "input_value": input_value,
-                "input_loads": input_loads,
-                "output_loads": output_loads,
-                "sampler": sampler,
-                "on_nonconverged": on_nonconverged,
-                "rng": rng_state_token(rng),
-            }
-        )
+        key: str | None = None
+        if isinstance(rng, (int, np.integer)):
+            key = settings_fingerprint(
+                {
+                    "kind": "statistical-leakage-population",
+                    "technology": technology,
+                    "spec": spec,
+                    "samples": samples,
+                    "replicates": replicates,
+                    "input_value": input_value,
+                    "input_loads": input_loads,
+                    "output_loads": output_loads,
+                    "sampler": sampler,
+                    "on_nonconverged": on_nonconverged,
+                    "rng": int(rng),
+                }
+            )
         with self._lock:
-            populations = self._populations.get(key)
+            populations = None if key is None else self._populations.get(key)
             cached = populations is not None
             if cached:
                 self._population_hits += 1
@@ -537,8 +545,9 @@ class EstimationSession:
                 for name in _STATISTICAL_COMPONENTS
                 for flag in (True, False)
             }
-            with self._lock:
-                self._populations[key] = populations
+            if key is not None:
+                with self._lock:
+                    self._populations[key] = populations
         if (component, loaded) not in populations:
             raise KeyError(f"unknown leakage component {component!r}")
         replicate_values = populations[(component, loaded)]

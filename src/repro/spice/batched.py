@@ -67,7 +67,7 @@ from repro.spice.analysis import (
     owner_slot_ids,
 )
 from repro.spice.netlist import NodeKind, TransistorNetlist
-from repro.spice.solver import NEWTON_METHODS, OperatingPoint, SolverOptions
+from repro.spice.solver import NEWTON_METHODS, SolverOptions
 from repro.utils.rootfind import chandrupatla
 
 #: Terminal evaluation order shared with :meth:`TransistorInstance.terminals`.
@@ -131,19 +131,6 @@ class BatchedOperatingPoint:
     def voltage(self, node: str) -> np.ndarray:
         """Return the solved voltages of ``node`` across the batch, ``(B,)``."""
         return self.voltages[self.node_index[node]]
-
-    def operating_point(self, index: int) -> OperatingPoint:
-        """Materialize instance ``index`` as a scalar :class:`OperatingPoint`."""
-        return OperatingPoint(
-            voltages={
-                name: float(self.voltages[row, index])
-                for name, row in self.node_index.items()
-            },
-            temperature_k=self.temperature_k,
-            converged=bool(self.converged[index]),
-            sweeps=int(self.sweeps[index]),
-            max_update=float(self.max_update[index]),
-        )
 
 
 class _NodeProblem:

@@ -74,37 +74,6 @@ def keyed_rng(seed: int, *key: int | str) -> np.random.Generator:
     return np.random.default_rng(entropy)
 
 
-def rng_state_token(rng: RngLike) -> object:
-    """Return a canonical, JSON-able token of ``rng``'s current state.
-
-    Used by checkpoint fingerprints: a checkpoint taken under one RNG state
-    must be refused by a resume attempt under another, or the resumed run
-    could not be bitwise identical to a clean one.  ``None`` (fresh
-    unreproducible generator) returns ``None`` — such runs cannot be
-    checkpoint-resumed bitwise and the checkpoint layer rejects them.
-    An integer seed is its own token; a generator's token is its bit
-    generator's full state tree (plain ints/strings, JSON-stable).
-    """
-    if rng is None:
-        return None
-    if isinstance(rng, (int, np.integer)):
-        return int(rng)
-    if isinstance(rng, np.random.Generator):
-        return _canonical_state(rng.bit_generator.state)
-    raise TypeError(f"cannot token-ize RNG state of {type(rng).__name__}")
-
-
-def _canonical_state(state: object) -> object:
-    """Recursively convert a bit-generator state tree to JSON-able types."""
-    if isinstance(state, dict):
-        return {str(k): _canonical_state(v) for k, v in sorted(state.items())}
-    if isinstance(state, (list, tuple, np.ndarray)):
-        return [_canonical_state(v) for v in state]
-    if isinstance(state, (np.integer,)):
-        return int(state)
-    return state
-
-
 def spawn_child(rng: np.random.Generator) -> np.random.Generator:
     """Return an independent child generator derived from ``rng``.
 

@@ -134,10 +134,6 @@ SCHEMAS: dict[str, dict[str, type | tuple]] = {
         "faulted.retries": int,
         "faulted.pool_restarts": int,
         "faulted.gave_up": int,
-        "resume.bitwise_identical": bool,
-        "resume.resumed_chunks": int,
-        "resume.reexecuted_attempts": int,
-        "resume.checkpoint_publishes": int,
     },
     "statistical_leakage.json": {
         "seed": int,

@@ -5,7 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.gates.cache import load_library, record_from_dict, record_to_dict, save_library
+from repro.gates.cache import (
+    load_library,
+    record_from_dict,
+    record_to_dict,
+    save_library,
+    settings_fingerprint,
+)
 from repro.gates.characterize import (
     CharacterizationOptions,
     GateCharacterizer,
@@ -186,6 +192,13 @@ class TestResponseCurve:
 
 
 class TestPersistence:
+    def test_fingerprint_is_order_invariant_and_content_sensitive(self):
+        a = settings_fingerprint({"x": 1, "y": 2})
+        b = settings_fingerprint({"y": 2, "x": 1})
+        c = settings_fingerprint({"x": 1, "y": 3})
+        assert a == b
+        assert a != c
+
     def test_record_roundtrip(self, library25):
         record = library25.characterization(GateType.INV, (0,))
         clone = record_from_dict(record_to_dict(record))

@@ -1,12 +1,12 @@
-"""Tests for the resilience layer: supervised pools, checkpoints, faults.
+"""Tests for the resilience layer: supervised pools, deadlines, faults.
 
 The central claim under test is **bitwise recovery**: a run that loses a
-worker, retries a failing chunk, times out a stalled chunk, or resumes
-from a checkpoint must finish with exactly the bytes of a run that never
-saw a fault — because retried/resumed chunks re-run from their original
-``SeedSequence.spawn`` streams and the engines are batch-composition
-invariant.  Every fault here is injected deterministically
-(:mod:`repro.resilience.faults`), so a failing test replays exactly.
+worker, retries a failing chunk or times out a stalled chunk must finish
+with exactly the bytes of a run that never saw a fault — because retried
+chunks re-run from their original ``SeedSequence.spawn`` streams and the
+engines are batch-composition invariant.  Every fault here is injected
+deterministically (:mod:`repro.resilience.faults`), so a failing test
+replays exactly.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from repro.core.reference import run_reference_campaign
 from repro.engine.parallel import ParallelMonteCarlo, ParallelReferenceCampaign
 from repro.optimize.search import GeneticOptions, genetic_minimize
 from repro.resilience import (
-    Checkpoint,
-    CheckpointCorruptWarning,
     ChunkRetryError,
     FaultInjector,
     FaultSpec,
@@ -29,9 +27,6 @@ from repro.resilience import (
     ResilienceOptions,
     ResilientExecutor,
     RetryPolicy,
-    StaleCheckpointError,
-    checkpoint_fingerprint,
-    corrupt_file,
 )
 from repro.variation.montecarlo import run_loaded_inverter_monte_carlo
 
@@ -127,19 +122,6 @@ class TestFaultInjector:
         with pytest.raises(ValueError, match="kind"):
             FaultInjector().decide("explode", 0, 0)
 
-    def test_corrupt_file_modes(self, tmp_path):
-        target = tmp_path / "payload.bin"
-        payload = bytes(range(64))
-        target.write_bytes(payload)
-        corrupt_file(target, "truncate")
-        assert target.read_bytes() == payload[:32]
-        target.write_bytes(payload)
-        corrupt_file(target, "garble")
-        garbled = target.read_bytes()
-        assert len(garbled) == len(payload) and garbled != payload
-        with pytest.raises(ValueError, match="corruption mode"):
-            corrupt_file(target, "shred")
-
 
 class TestResilientExecutor:
     def test_clean_map_preserves_order(self):
@@ -153,7 +135,6 @@ class TestResilientExecutor:
             "deadline_expirations": 0,
             "pool_restarts": 0,
             "gave_up": 0,
-            "resumed_chunks": 0,
         }
 
     def test_injected_raise_is_retried_and_ledgered(self):
@@ -209,100 +190,16 @@ class TestResilientExecutor:
         assert excinfo.value.attempts == 2
         assert isinstance(excinfo.value.__cause__, InjectedFault)
 
-    def test_completed_chunks_are_skipped(self):
-        results, ledger = ResilientExecutor(2).map(
-            abs, [-1, -2, -3], completed={0: 1, 2: 3}
-        )
-        assert results == [1, 2, 3]
-        assert ledger.resumed_chunks == 2
-        assert ledger.attempts == 1
-
     def test_validation(self):
         with pytest.raises(ValueError, match="max_workers"):
             ResilientExecutor(0)
 
 
-class TestCheckpoint:
-    def test_roundtrip_is_bitwise(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        fingerprint = checkpoint_fingerprint({"task": "demo"})
-        checkpoint = Checkpoint(path, fingerprint)
-        payload = np.array([1.234567890123456e-9, 5.5e-12])
-        checkpoint.record(0, payload)
-        loaded = Checkpoint(path, fingerprint).load()
-        assert loaded.keys() == {0}
-        assert loaded[0].tobytes() == payload.tobytes()
-
-    def test_interval_batches_publishes(self, tmp_path):
-        checkpoint = Checkpoint(tmp_path / "run.ckpt", "fp", interval=3)
-        checkpoint.record(0, "a")
-        checkpoint.record(1, "b")
-        assert checkpoint.publishes == 0
-        checkpoint.record(2, "c")
-        assert checkpoint.publishes == 1
-        checkpoint.flush()  # nothing new → no extra write
-        assert checkpoint.publishes == 1
-        checkpoint.record(3, "d")
-        checkpoint.flush()
-        assert checkpoint.publishes == 2
-
-    def test_stale_fingerprint_is_refused(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        Checkpoint(path, checkpoint_fingerprint({"samples": 8})).record(0, "a")
-        stale = Checkpoint(path, checkpoint_fingerprint({"samples": 16}))
-        with pytest.raises(StaleCheckpointError, match="different work"):
-            stale.load()
-
-    @pytest.mark.parametrize("mode", ["truncate", "garble"])
-    def test_corrupt_file_degrades_to_fresh_start(self, tmp_path, mode):
-        path = tmp_path / "run.ckpt"
-        checkpoint = Checkpoint(path, "fp")
-        checkpoint.record(0, "a")
-        corrupt_file(path, mode)
-        fresh = Checkpoint(path, "fp")
-        with pytest.warns(CheckpointCorruptWarning, match="unreadable"):
-            assert fresh.load() == {}
-        assert fresh.corrupt_loads == 1
-
-    def test_missing_file_is_a_fresh_start(self, tmp_path):
-        assert Checkpoint(tmp_path / "nope.ckpt", "fp").load() == {}
-
-    def test_complete_removes_the_file(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        checkpoint = Checkpoint(path, "fp")
-        checkpoint.record(0, "a")
-        assert path.exists()
-        checkpoint.complete()
-        assert not path.exists()
-
-    def test_fingerprint_is_order_invariant_and_content_sensitive(self):
-        a = checkpoint_fingerprint({"x": 1, "y": 2})
-        b = checkpoint_fingerprint({"y": 2, "x": 1})
-        c = checkpoint_fingerprint({"x": 1, "y": 3})
-        assert a == b
-        assert a != c
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="interval"):
-            Checkpoint(tmp_path / "x", "fp", interval=0)
-
-
 class TestResilienceOptions:
-    def test_resume_requires_checkpoint_path(self):
-        with pytest.raises(ValueError, match="checkpoint_path"):
-            ResilienceOptions(resume=True)
-        with pytest.raises(ValueError, match="checkpoint_interval"):
-            ResilienceOptions(checkpoint_interval=0)
-
-    def test_factories(self, tmp_path):
-        options = ResilienceOptions(
-            policy=FAST_RETRY, checkpoint_path=tmp_path / "c.ckpt"
-        )
+    def test_factories(self):
+        options = ResilienceOptions(policy=FAST_RETRY)
         executor = options.executor(2)
         assert executor.policy is FAST_RETRY
-        checkpoint = options.checkpoint("fp")
-        assert checkpoint is not None and checkpoint.fingerprint == "fp"
-        assert ResilienceOptions().checkpoint("fp") is None
 
 
 class TestMonteCarloBitwiseRecovery:
@@ -353,51 +250,6 @@ class TestMonteCarloBitwiseRecovery:
         assert ledger["deadline_expirations"] >= 1
         assert ledger["gave_up"] == 0
 
-    def test_checkpoint_resume_is_bitwise_and_skips_completed(
-        self, bulk25, serial_mc, tmp_path
-    ):
-        path = tmp_path / "mc.ckpt"
-        options = ResilienceOptions(
-            policy=FAST_RETRY, checkpoint_path=path, keep_checkpoint=True
-        )
-        first = ParallelMonteCarlo(bulk25, max_workers=2, resilience=options).run(
-            self.SAMPLES, rng=self.SEED
-        )
-        assert _mc_samples_bitwise_equal(first, serial_mc)
-        assert path.exists()
-        assert first.metadata["resilience"]["checkpoint_publishes"] >= 1
-
-        resumed_options = ResilienceOptions(
-            policy=FAST_RETRY, checkpoint_path=path, resume=True
-        )
-        resumed = ParallelMonteCarlo(
-            bulk25, max_workers=2, resilience=resumed_options
-        ).run(self.SAMPLES, rng=self.SEED)
-        assert _mc_samples_bitwise_equal(resumed, serial_mc)
-        ledger = resumed.metadata["resilience"]
-        assert ledger["resumed_chunks"] == ledger["chunks"]
-        assert ledger["attempts"] == 0  # nothing re-ran
-        assert not path.exists()  # completed runs clean their checkpoint up
-
-    def test_stale_checkpoint_is_refused_not_resumed(self, bulk25, tmp_path):
-        path = tmp_path / "mc.ckpt"
-        options = ResilienceOptions(checkpoint_path=path, keep_checkpoint=True)
-        ParallelMonteCarlo(bulk25, max_workers=2, resilience=options).run(
-            self.SAMPLES, rng=self.SEED
-        )
-        resumed_options = ResilienceOptions(checkpoint_path=path, resume=True)
-        with pytest.raises(StaleCheckpointError):
-            # Different sample count → different work definition.
-            ParallelMonteCarlo(
-                bulk25, max_workers=2, resilience=resumed_options
-            ).run(self.SAMPLES + 2, rng=self.SEED)
-
-    def test_checkpoint_requires_reproducible_rng(self, bulk25, tmp_path):
-        options = ResilienceOptions(checkpoint_path=tmp_path / "mc.ckpt")
-        driver = ParallelMonteCarlo(bulk25, max_workers=2, resilience=options)
-        with pytest.raises(ValueError, match="reproducible rng"):
-            driver.run(self.SAMPLES, rng=None)
-
 
 class TestReferenceCampaignBitwiseRecovery:
     @pytest.fixture(scope="class")
@@ -427,26 +279,6 @@ class TestReferenceCampaignBitwiseRecovery:
         ledger = result.metadata["resilience"]
         assert 1 in ledger["retried_chunks"]
         assert ledger["gave_up"] == 0
-
-    def test_corrupt_checkpoint_degrades_and_still_matches(
-        self, d25s, campaign_inputs, tmp_path
-    ):
-        circuit, vectors, serial = campaign_inputs
-        path = tmp_path / "campaign.ckpt"
-
-        def run(options):
-            return ParallelReferenceCampaign(
-                d25s, max_workers=2, chunk_size=2, resilience=options
-            ).run(circuit, vectors)
-
-        run(ResilienceOptions(checkpoint_path=path, keep_checkpoint=True))
-        corrupt_file(path, "garble")
-        with pytest.warns(CheckpointCorruptWarning):
-            result = run(ResilienceOptions(checkpoint_path=path, resume=True))
-        # Progress was lost, correctness was not: full fresh run, bitwise.
-        assert result.metadata["resilience"]["resumed_chunks"] == 0
-        for a, b in zip(result.reports, serial.reports):
-            assert _reports_bitwise_equal(a, b)
 
 
 class TestSearchBitwiseRecovery:

@@ -576,6 +576,36 @@ class TestSessionStatisticalLeakage:
         assert stats["misses"] == 1
         assert stats["hits"] == 2
 
+    def test_generator_and_unseeded_queries_are_not_cached(self, d25s):
+        kwargs = dict(
+            percentile=99.0,
+            samples=8,
+            replicates=2,
+            input_loads=2,
+            output_loads=2,
+            bootstrap=50,
+        )
+        session = EstimationSession()
+        generator = np.random.default_rng(11)
+        session.percentile_leakage(d25s, rng=generator, **kwargs)
+        # The first query spawned its replicate streams from the generator,
+        # which advances it without changing its bit-generator state.
+        second = session.percentile_leakage(d25s, rng=generator, **kwargs)
+        assert not second.population_cached
+        advanced = np.random.default_rng(11)
+        advanced.spawn(kwargs["replicates"])
+        fresh = EstimationSession().percentile_leakage(d25s, rng=advanced, **kwargs)
+        assert second.percentile == fresh.percentile
+
+        unseeded = [
+            session.percentile_leakage(d25s, rng=None, **kwargs) for _ in range(2)
+        ]
+        assert not any(estimate.population_cached for estimate in unseeded)
+        stats = session.stats()["statistical_leakage"]
+        assert stats["entries"] == 0
+        assert stats["hits"] == 0
+        assert stats["misses"] == 4
+
     def test_yield_estimate_present_with_limit(self, d25s):
         session = EstimationSession()
         estimate = session.percentile_leakage(
