@@ -9,9 +9,7 @@ many-vector validation campaigns interactive:
 * ``run_reference_campaign`` is the reference twin of
   ``run_vector_campaign``;
 * chunking only bounds memory — results are bitwise independent of how the
-  vector set is split into batches;
-* ``ParallelReferenceCampaign`` fans chunks across worker processes and
-  returns identical reports.
+  vector set is split into batches.
 
 Run with ``python examples/reference_validation.py``.
 """

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import networkx as nx
-
 from repro.circuit.netlist import Circuit
 
 
@@ -94,24 +92,6 @@ def fanout_histogram(circuit: Circuit) -> dict[int, int]:
         fanout = len(circuit.fanout_of(net))
         histogram[fanout] = histogram.get(fanout, 0) + 1
     return dict(sorted(histogram.items()))
-
-
-def to_networkx(circuit: Circuit) -> "nx.DiGraph":
-    """Return the gate-connectivity graph as a :class:`networkx.DiGraph`.
-
-    Vertices are gate names (with ``gate_type`` attributes); an edge u -> v
-    means a net driven by u feeds an input of v (with the net name as the
-    ``net`` attribute).  Useful for ad-hoc analysis and plotting.
-    """
-    graph = nx.DiGraph(name=circuit.name)
-    for gate in circuit.gates.values():
-        graph.add_node(gate.name, gate_type=gate.gate_type.value)
-    for gate in circuit.gates.values():
-        for net in gate.inputs:
-            driver = circuit.driver_of(net)
-            if driver is not None:
-                graph.add_edge(driver, gate.name, net=net)
-    return graph
 
 
 def reachable_from_inputs(circuit: Circuit) -> set[str]:

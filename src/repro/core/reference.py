@@ -272,18 +272,13 @@ def run_reference_campaign(
     lint:
         Netlist pre-flight policy (``"raise"`` | ``"warn"`` | ``"off"``),
         forwarded to :class:`ReferenceSimulator`.
-
-    For process-level parallelism over chunks see
-    :class:`repro.engine.parallel.ParallelReferenceCampaign`, which returns
-    identical reports for the same inputs.
     """
     if vectors is None:
         vectors = list(random_vectors(circuit, count, rng))
     else:
         vectors = list(vectors)
     if not vectors:
-        # Same loud failure as ParallelReferenceCampaign.run: an empty
-        # campaign would only surface later as NaN means.
+        # An empty campaign would only surface later as NaN means.
         raise ValueError("no vectors to evaluate")
     simulator = ReferenceSimulator(technology, temperature_k, solver_options, lint=lint)
     return VectorCampaignResult(

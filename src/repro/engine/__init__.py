@@ -10,11 +10,9 @@ idea one level up, to *campaign* workloads (many vectors, many samples):
 * :mod:`repro.engine.campaign` — evaluates an entire vector set in a few
   array passes: bit-matrix logic propagation, one-shot per-net loading
   accumulation and batched LUT interpolation;
-* :mod:`repro.engine.parallel` — fans Monte-Carlo variation samples and
-  transistor-level reference campaigns across a process pool
-  (``SeedSequence.spawn``-derived per-sample streams, memory-bounded
-  same-topology vector chunks), bitwise-reproducible against the serial
-  drivers.
+* :mod:`repro.engine.parallel` — fans Monte-Carlo variation samples across
+  a process pool (contiguous slices of one pre-drawn parameter block),
+  bitwise-reproducible against the serial driver.
 
 The scalar :class:`~repro.core.estimator.LoadingAwareEstimator` stays the
 reference oracle; regression tests pin the engine against it component by
@@ -36,7 +34,7 @@ from repro.engine.compile import (
     compile_circuit,
     default_compile_cache,
 )
-from repro.engine.parallel import ParallelMonteCarlo, ParallelReferenceCampaign
+from repro.engine.parallel import ParallelMonteCarlo
 
 __all__ = [
     "BatchedCampaignRun",
@@ -46,7 +44,6 @@ __all__ = [
     "GateTypeTable",
     "LazyReports",
     "ParallelMonteCarlo",
-    "ParallelReferenceCampaign",
     "clear_compile_cache",
     "compile_circuit",
     "default_compile_cache",

@@ -1,15 +1,9 @@
-"""Process-pool drivers for the transistor-level batch workloads.
+"""Process-pool driver for the Fig. 10/11 Monte-Carlo variation study.
 
-Two campaign types distribute here:
-
-* :class:`ParallelMonteCarlo` — the Fig. 10/11 Monte-Carlo variation study;
-* :class:`ParallelReferenceCampaign` — transistor-level reference solves of
-  whole vector sets (the Fig. 12a "SPICE" column), chunked into
-  memory-bounded same-topology batches.
-
-Every unit of work is an independent set of transistor-level DC solves —
-embarrassingly parallel and CPU-bound, i.e. exactly the workload a process
-pool (not threads: the solves are pure Python/NumPy) speeds up.
+:class:`ParallelMonteCarlo` fans the study's samples across worker
+processes.  Every unit of work is an independent set of transistor-level DC
+solves — embarrassingly parallel and CPU-bound, i.e. exactly the workload a
+process pool (not threads: the solves are pure Python/NumPy) speeds up.
 
 The unit of distribution is a *contiguous batch* of samples, not a single
 sample: each worker binds its chunk's parameters to the two study
@@ -29,12 +23,8 @@ parallel samples against the serial driver's.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.circuit.netlist import Circuit
-from repro.core.reference import DEFAULT_REFERENCE_CHUNK_SIZE, ReferenceSimulator
-from repro.core.vectors import VectorCampaignResult
 from repro.device.params import TechnologyParams
 from repro.resilience import ResilienceOptions
 from repro.spice.solver import SolverOptions
@@ -53,7 +43,7 @@ from repro.variation.spec import VariationSpec
 
 
 def default_workers(max_workers: int | None) -> int:
-    """Resolve the worker count shared by both drivers (CPU count, capped)."""
+    """Resolve a pool's worker count (CPU count, capped at 8)."""
     if max_workers is None:
         max_workers = min(os.cpu_count() or 1, 8)
     if max_workers < 1:
@@ -69,8 +59,8 @@ def supervised_map(
 ) -> tuple[list[Any], dict[str, object]]:
     """Run a chunked pool map under resilience supervision.
 
-    The shared pooled path of every chunked driver (both campaign classes
-    here and the island fan-out of :mod:`repro.optimize.search`): builds
+    The shared pooled path of every chunked driver (:class:`ParallelMonteCarlo`
+    and the island fan-out of :mod:`repro.optimize.search`): builds
     the supervised executor from ``resilience`` (defaults apply when the
     caller passed ``None``) and returns ``(results, metadata)`` with the
     retry ledger under ``metadata["resilience"]``.
@@ -193,113 +183,5 @@ class ParallelMonteCarlo:
             input_loads=task.input_loads,
             output_loads=task.output_loads,
             samples=results,
-            metadata=metadata,
-        )
-
-
-@dataclass(frozen=True)
-class _ReferenceChunkTask:
-    """Everything a reference-campaign chunk needs, minus its vectors.
-
-    Picklable (circuit, technology and solver options are plain
-    dataclasses) so a process pool can ship one copy per worker.
-    """
-
-    circuit: Circuit
-    technology: TechnologyParams
-    temperature_k: float | None
-    solver_options: SolverOptions | None
-
-
-def _reference_chunk_star(args: tuple[_ReferenceChunkTask, list[dict[str, int]]]):
-    """Process-pool adapter: solve one chunk of reference vectors."""
-    task, chunk = args
-    simulator = ReferenceSimulator(
-        task.technology, task.temperature_k, task.solver_options
-    )
-    # The chunk already is the memory bound; solve it as one batch.
-    return simulator.estimate_batch(task.circuit, chunk, chunk_size=len(chunk))
-
-
-class ParallelReferenceCampaign:
-    """Fans transistor-level reference solves across worker processes.
-
-    The reference twin of :class:`ParallelMonteCarlo`: a vector set splits
-    into contiguous ``chunk_size`` batches, each worker flattens the circuit
-    once and solves its chunk as one
-    :class:`~repro.spice.batched.BatchedDcSolver` batch, and the reports are
-    reassembled in vector order.  Because every per-column update of the
-    batched solver is independent of its batch neighbours, the result is
-    bitwise identical to the serial
-    :func:`repro.core.reference.run_reference_campaign` whatever the chunk
-    boundaries or worker count — chunking bounds peak memory, nothing else.
-
-    Parameters
-    ----------
-    technology / temperature_k / solver_options:
-        Reference-solve configuration, identical in meaning to
-        :class:`~repro.core.reference.ReferenceSimulator`.
-    max_workers:
-        Worker-process count; ``None`` uses the CPU count (capped at 8) and
-        ``1`` runs in-process with no pool at all.
-    chunk_size:
-        Vectors per batch (the per-worker memory bound).
-    resilience:
-        Optional :class:`~repro.resilience.ResilienceOptions` — retry
-        policy, per-chunk deadline, fault injection.
-        Providing it forces the supervised pool path even at one worker;
-        pooled runs without it still get the default supervision.
-    """
-
-    def __init__(
-        self,
-        technology: TechnologyParams,
-        temperature_k: float | None = None,
-        solver_options: SolverOptions | None = None,
-        max_workers: int | None = None,
-        chunk_size: int = DEFAULT_REFERENCE_CHUNK_SIZE,
-        resilience: ResilienceOptions | None = None,
-    ) -> None:
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        self.technology = technology
-        self.temperature_k = temperature_k
-        self.solver_options = solver_options
-        self.max_workers = default_workers(max_workers)
-        self.chunk_size = chunk_size
-        self.resilience = resilience
-
-    def run(
-        self, circuit: Circuit, vectors: Iterable[dict[str, int]]
-    ) -> VectorCampaignResult:
-        """Solve every vector and return the campaign result in input order."""
-        vectors = list(vectors)
-        if not vectors:
-            raise ValueError("no vectors to evaluate")
-        task = _ReferenceChunkTask(
-            circuit=circuit,
-            technology=self.technology,
-            temperature_k=self.temperature_k,
-            solver_options=self.solver_options,
-        )
-        chunks = [
-            vectors[start : start + self.chunk_size]
-            for start in range(0, len(vectors), self.chunk_size)
-        ]
-        workers = min(self.max_workers, len(chunks))
-        metadata: dict[str, object] = {}
-        if workers == 1 and self.resilience is None:
-            chunk_reports = [_reference_chunk_star((task, chunk)) for chunk in chunks]
-        else:
-            chunk_reports, metadata = supervised_map(
-                _reference_chunk_star,
-                [(task, chunk) for chunk in chunks],
-                workers,
-                self.resilience,
-            )
-        return VectorCampaignResult(
-            circuit_name=circuit.name,
-            method=ReferenceSimulator.method_name,
-            reports=[report for chunk in chunk_reports for report in chunk],
             metadata=metadata,
         )

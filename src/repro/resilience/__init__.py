@@ -53,8 +53,8 @@ class ResilienceOptions:
     policy:
         Retry/backoff/deadline policy of the supervised pool.
     injector:
-        Optional deterministic fault injector (tests and the resilience
-        benchmark; production runs leave it ``None``).
+        Optional deterministic fault injector (tests; production runs
+        leave it ``None``).
     """
 
     policy: RetryPolicy | None = None

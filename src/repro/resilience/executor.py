@@ -152,8 +152,7 @@ class ResilientExecutor:
         Retry/backoff/deadline policy (default :class:`RetryPolicy`).
     injector:
         Optional deterministic :class:`FaultInjector`, shipped into the
-        workers (tests and the resilience benchmark use it; production
-        runs leave it ``None``).
+        workers (tests use it; production runs leave it ``None``).
     """
 
     def __init__(

@@ -25,70 +25,6 @@ NUMBER = (int, float)
 #: the special segment ``*`` applies the remaining path to every value of a
 #: (non-empty) dict at that point.
 SCHEMAS: dict[str, dict[str, type | tuple]] = {
-    "engine_batched.json": {
-        "circuit": str,
-        "gates": int,
-        "vectors": int,
-        "seed": int,
-        "scalar_seconds": NUMBER,
-        "batched_seconds": NUMBER,
-        "speedup": NUMBER,
-        "max_relative_error": NUMBER,
-        "relative_error_per_component.total": NUMBER,
-    },
-    "batched_solver.json": {
-        "seed": int,
-        "solver_options.voltage_tol": NUMBER,
-        "solver_options.xtol": NUMBER,
-        "solver_options.method": str,
-        "characterization.speedup": NUMBER,
-        "characterization.max_relative_error": NUMBER,
-        "monte_carlo.speedup": NUMBER,
-        "monte_carlo.max_relative_error": NUMBER,
-        "monte_carlo.solver_method": str,
-    },
-    "batched_reference.json": {
-        "seed": int,
-        "solver_options.method": str,
-        "min_speedup": NUMBER,
-        "max_relative_error_bar": NUMBER,
-        "circuits.*.speedup": NUMBER,
-        "circuits.*.max_relative_error": NUMBER,
-        "circuits.*.batched_solver.method": str,
-    },
-    "newton_solver.json": {
-        "seed": int,
-        "solver_options.newton_max_iterations": int,
-        "min_speedup": NUMBER,
-        "max_relative_error_bar": NUMBER,
-        "characterization.speedup_vs_gauss_seidel": NUMBER,
-        "characterization.speedup_vs_scalar": NUMBER,
-        "characterization.max_relative_error_vs_scalar": NUMBER,
-        "reference.speedup_vs_gauss_seidel": NUMBER,
-        "reference.max_relative_error_vs_scalar": NUMBER,
-        "reference.chunk_invariant": bool,
-    },
-    "sparse_newton.json": {
-        "seed": int,
-        "solver_options.newton_sparse_threshold": int,
-        "solver_options.newton_dense_memory_limit": NUMBER,
-        "min_speedup": NUMBER,
-        "max_relative_error_bar": NUMBER,
-        "dense_parity_bar": NUMBER,
-        "medium.free_nodes": int,
-        "medium.speedup_vs_dense": NUMBER,
-        "medium.max_relative_error_vs_oracle": NUMBER,
-        "medium.max_relative_error_vs_dense": NUMBER,
-        "medium.chunk_invariant": bool,
-        "large.free_nodes": int,
-        "large.speedup_vs_dense": NUMBER,
-        "large.max_relative_error_vs_oracle": NUMBER,
-        "large.max_relative_error_vs_dense": NUMBER,
-        "large.chunk_invariant": bool,
-        "large.auto_resolves_sparse": bool,
-        "large.dense_infeasible_batch": int,
-        "large.sparse_solver_stats.fallbacks": int,
-    },
     "sparse_crossover.json": {
         "seed": int,
         "permc_spec": str,
@@ -101,39 +37,6 @@ SCHEMAS: dict[str, dict[str, type | tuple]] = {
         "fill.*.pinned_lu_nnz": int,
         "sweep.*.crossover_free_nodes": (int, type(None)),
         "sweep.*.points": list,
-    },
-    "session.json": {
-        "circuit": str,
-        "gates": int,
-        "seed": int,
-        "vectors_per_query": int,
-        "speedup": NUMBER,
-        "warm.threads": int,
-        "warm.queries": int,
-        "warm.queries_per_second": NUMBER,
-        "warm.bitwise_identical": bool,
-        "cold.queries": int,
-        "cold.queries_per_second": NUMBER,
-        "cold.bitwise_identical": bool,
-        "coalescing.requests": int,
-        "coalescing.batches": int,
-        "coalescing.coalesced_requests": int,
-        "compile_cache.hits": int,
-        "compile_cache.misses": int,
-    },
-    "resilience.json": {
-        "seed": int,
-        "samples": int,
-        "workers": int,
-        "max_overhead_bar": NUMBER,
-        "fault_free.seconds": NUMBER,
-        "fault_free.bitwise_identical": bool,
-        "faulted.seconds": NUMBER,
-        "faulted.bitwise_identical": bool,
-        "faulted.overhead_vs_fault_free": NUMBER,
-        "faulted.retries": int,
-        "faulted.pool_restarts": int,
-        "faulted.gave_up": int,
     },
     "statistical_leakage.json": {
         "seed": int,

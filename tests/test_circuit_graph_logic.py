@@ -9,7 +9,6 @@ from repro.circuit.graph import (
     levelize,
     logic_depth,
     reachable_from_inputs,
-    to_networkx,
     topological_order,
 )
 from repro.circuit.logic import (
@@ -68,12 +67,6 @@ class TestLevelsAndStats:
         histogram = fanout_histogram(circuit)
         assert histogram[1] == 3  # in, n1, n2 each drive one inverter
         assert histogram[0] == 1  # final output
-
-    def test_networkx_export(self):
-        circuit = inverter_chain(3)
-        graph = to_networkx(circuit)
-        assert graph.number_of_nodes() == 3
-        assert graph.number_of_edges() == 2
 
     def test_reachable_from_inputs(self):
         circuit = inverter_chain(3)

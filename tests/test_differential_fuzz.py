@@ -8,10 +8,12 @@ asserts the recorded agreement bars hold for every sampled topology:
 
 * batched campaign engine vs. scalar ``LoadingAwareEstimator``: per-component
   circuit totals within 1e-12 relative (the bar
-  ``benchmarks/engine_batched.json`` records);
+  ``test_engine.py::TestBatchedCampaignMatchesScalar`` holds on fixed
+  circuits);
 * batched Newton DC solver vs. batched Gauss–Seidel oracle on the flattened
   transistor netlists: per-vector, per-component reference totals within
-  1e-9 relative (the bar ``benchmarks/newton_solver.json`` records).
+  1e-9 relative (the bar ``test_reference_batch.py`` holds per gate
+  against the scalar oracle).
 
 Seeds are fixed (deterministic wall-clock, reproducible failures); every
 seed generates a different gate mix, depth profile and fanout pattern, which
@@ -31,10 +33,10 @@ from repro.oracle import per_vector_campaign
 from repro.spice.solver import SolverOptions
 from repro.utils.rng import spawn_streams
 
-#: Engine-vs-scalar agreement bar (matches benchmarks/engine_batched.json).
+#: Engine-vs-scalar agreement bar.
 ENGINE_BAR = 1e-12
 
-#: Newton-vs-Gauss-Seidel agreement bar (matches benchmarks/newton_solver.json).
+#: Newton-vs-Gauss-Seidel agreement bar.
 NEWTON_BAR = 1e-9
 
 #: Tight tolerances put both solver methods at the root, far below the bar.

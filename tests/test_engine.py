@@ -554,11 +554,28 @@ class TestBatchedCampaignMatchesScalar:
                     entry_s.output_loading, rel=1e-9, abs=1e-24
                 )
 
-    def test_campaign_result_api_over_batched_run(self, library_d25s):
+    def test_campaign_result_api_over_batched_run(self, library_d25s, monkeypatch):
         circuit = nand_tree(2)
+        chunks, walks = [], []
+        real_chunk = campaign_module._run_chunk
+        real_estimate = LoadingAwareEstimator.estimate
+
+        def counting_chunk(compiled, bits, *args, **kwargs):
+            chunks.append(bits.shape[1])
+            return real_chunk(compiled, bits, *args, **kwargs)
+
+        def counting_estimate(self, *args, **kwargs):
+            walks.append(1)
+            return real_estimate(self, *args, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "_run_chunk", counting_chunk)
+        monkeypatch.setattr(LoadingAwareEstimator, "estimate", counting_estimate)
         campaign = run_vector_campaign(
             LoadingAwareEstimator(library_d25s), circuit, count=5, rng=1
         )
+        # One engine pass answers the chunk; no vector walks the estimator,
+        # not even when its report is materialized below.
+        assert chunks == [5]
         # Engine-backed by default: totals precomputed, runtime from the batch.
         assert campaign.precomputed_totals is not None
         assert campaign.vector_count == 5
@@ -567,6 +584,7 @@ class TestBatchedCampaignMatchesScalar:
         assert campaign.runtime_s() > 0.0
         assert len(campaign.reports) == 5
         assert campaign.reports[0].metadata["engine"] == "batched"
+        assert walks == []
 
     def test_minimum_leakage_vector_matches_scalar(self, library_d25s):
         circuit = random_logic("minv_engine", 5, 18, rng=3)

@@ -5,7 +5,7 @@ The contract mirrors the batched campaign engine's: the per-vector
 :meth:`ReferenceSimulator.estimate_batch` must reproduce its per-gate
 breakdowns and totals to solver-tolerance error while being *bitwise*
 independent of how a vector set is grouped into batches (chunk sizes,
-batch neighbours, parallel workers).
+batch neighbours).
 """
 
 import numpy as np
@@ -17,17 +17,22 @@ from repro.circuit.generators import (
     inverter_chain,
     iscas_like,
     nand_tree,
+    random_logic,
 )
 from repro.circuit.logic import random_vectors
 from repro.core.reference import ReferenceSimulator, run_reference_campaign
 from repro.core.report import REPORT_COMPONENTS
-from repro.engine import ParallelReferenceCampaign
 from repro.oracle import per_vector_campaign
 from repro.spice.solver import SolverOptions
 
 #: Solver-tolerance-level agreement between the scalar and batched engines
-#: (default tolerances; the benchmark pins 1e-11 at tightened ones).
+#: at default tolerances.
 ENGINE_RTOL = 1e-6
+
+#: Agreement bar of the production solve against the scalar oracle once
+#: both sit at the root (tight tolerances), per gate and component.
+TIGHT_RTOL = 1e-9
+TIGHT = dict(voltage_tol=1e-11, xtol=1e-14, max_sweeps=250)
 
 
 def _assert_reports_match(batched, scalar, rtol=ENGINE_RTOL):
@@ -117,6 +122,39 @@ class TestBatchedMatchesScalar:
         for report, vector in zip(batched, vectors):
             _assert_reports_match(report, simulator.estimate(circuit, vector))
 
+    def test_tight_solve_matches_scalar_oracle_per_gate(self, d25s):
+        """The production solve (``auto``: batched Newton) against the scalar
+        Gauss–Seidel oracle: every vector converged without fallback, every
+        gate's components within 1e-9 relative, the whole vector set solved
+        as one batch."""
+        circuit = random_logic("ref_tight", 6, 10, rng=2)
+        vectors = list(random_vectors(circuit, 3, rng=3))
+        batched = run_reference_campaign(
+            circuit, d25s, vectors=vectors,
+            solver_options=SolverOptions(method="auto", **TIGHT),
+        )
+        scalar = per_vector_campaign(
+            ReferenceSimulator(
+                d25s, solver_options=SolverOptions(method="gauss-seidel", **TIGHT)
+            ),
+            circuit,
+            vectors,
+        )
+        for report_b, report_s in zip(batched.reports, scalar.reports):
+            meta_b, meta_s = report_b.metadata, report_s.metadata
+            assert meta_b["solver_converged"] and meta_s["solver_converged"]
+            assert meta_b["solver_method"] == "newton"
+            assert not meta_b["solver_fallback"]
+            assert meta_b["batch"] == len(vectors)
+            assert set(report_b.per_gate) == set(report_s.per_gate)
+            for name, entry_s in report_s.per_gate.items():
+                for component in ("subthreshold", "gate", "btbt"):
+                    assert report_b.per_gate[name].breakdown.component(
+                        component
+                    ) == pytest.approx(
+                        entry_s.breakdown.component(component), rel=TIGHT_RTOL, abs=0.0
+                    )
+
 
 class TestBatchCompositionInvariance:
     def test_chunk_size_is_bitwise_neutral(self, d25s):
@@ -178,27 +216,6 @@ class TestReferenceCampaign:
             nand_tree(1), d25s, count=2, rng=5
         )
         assert campaign.vector_count == 2
-
-    def test_parallel_driver_is_bitwise_identical(self, d25s):
-        circuit = nand_tree(2)
-        vectors = list(random_vectors(circuit, 4, rng=13))
-        serial = run_reference_campaign(
-            circuit, d25s, vectors=vectors, chunk_size=2
-        )
-        parallel = ParallelReferenceCampaign(
-            d25s, max_workers=2, chunk_size=2
-        ).run(circuit, vectors)
-        assert parallel.method == "reference"
-        for a, b in zip(serial.reports, parallel.reports):
-            assert _bitwise_equal(a, b)
-
-    def test_parallel_driver_validation(self, d25s):
-        with pytest.raises(ValueError, match="chunk_size"):
-            ParallelReferenceCampaign(d25s, chunk_size=0)
-        with pytest.raises(ValueError, match="max_workers"):
-            ParallelReferenceCampaign(d25s, max_workers=0)
-        with pytest.raises(ValueError, match="no vectors"):
-            ParallelReferenceCampaign(d25s, max_workers=1).run(nand_tree(1), [])
 
 
 class TestMissingOwnerDiagnostic:

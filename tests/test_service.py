@@ -168,7 +168,9 @@ def test_iter_campaign_streams_bitwise_chunks(session, circuit, library_d25s):
 
 
 def test_stats_account_for_every_request(session, circuit, library_d25s):
-    """The vector ledger balances: nothing dropped, nothing double-counted."""
+    """The vector ledger balances: nothing dropped, nothing double-counted.
+    Concurrent requests to a cold session compile once; a warm round
+    compiles nothing and solves no cell."""
     bits = _random_bits(circuit, 40)
     slices = [slice(0, 10), slice(10, 25), slice(25, 40)]
     barrier = threading.Barrier(len(slices))
@@ -177,11 +179,14 @@ def test_stats_account_for_every_request(session, circuit, library_d25s):
         barrier.wait()
         session.totals(circuit, library_d25s, bits[:, sl])
 
-    threads = [threading.Thread(target=worker, args=(sl,)) for sl in slices]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    def concurrent_round() -> None:
+        threads = [threading.Thread(target=worker, args=(sl,)) for sl in slices]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+    concurrent_round()
     # One more through the serial path: counted as a session request but
     # never enters the coalescer.
     session.totals(circuit, library_d25s, bits[:, :5], coalesce=False)
@@ -197,6 +202,31 @@ def test_stats_account_for_every_request(session, circuit, library_d25s):
     assert co["coalesced_requests"] == co["requests"] - co["batches"]
     assert stats["compile_cache"]["misses"] == 1
     assert stats["compile_cache"]["hits"] >= len(slices)
+
+    solves = library_d25s.characterizer.solve_stats["solves"]
+    concurrent_round()
+    assert session.stats()["compile_cache"]["misses"] == 1
+    assert library_d25s.characterizer.solve_stats["solves"] == solves
+
+
+def test_cold_session_from_store_matches_warm_bitwise(tmp_path, circuit, library_d25s):
+    """The stateless per-call path — a fresh session that loads the library
+    from the store and compiles anew — answers bitwise like the warm
+    session, without solving a cell."""
+    warm = EstimationSession(store=tmp_path)
+    warm.register_library(library_d25s)
+    warm.warm_up([circuit], library_d25s)
+    bits = _random_bits(circuit, 12, seed=4)
+    expected = run_totals(warm.compiled(circuit, library_d25s), bits)
+
+    cold = EstimationSession(store=tmp_path)
+    library = cold.library(
+        library_d25s.technology, options=library_d25s.characterizer.options
+    )
+    assert library is not library_d25s
+    assert np.array_equal(cold.totals(circuit, library, bits, coalesce=False), expected)
+    assert library.characterizer.solve_stats["solves"] == 0
+    assert cold.stats()["compile_cache"]["misses"] == 1
 
 
 def test_full_batch_flushes_early_without_waiting_window():

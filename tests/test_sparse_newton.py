@@ -400,12 +400,13 @@ class TestLayeredGenerator:
         """End-to-end: a generated circuit flattens to 145 free nodes, just
         past the default ``auto`` threshold, so ``auto`` sends it to the
         sparse backend by its node count alone (its dense stack is far
-        below the memory limit); the result matches dense and
-        Gauss–Seidel."""
+        below the memory limit).  Every column converges without a
+        Gauss–Seidel fallback; per-gate leakage matches dense to 1e-12 and
+        Gauss–Seidel to 1e-9 relative; each column solved alone is
+        bitwise the batch's."""
         circuit = iscas_like(64, rng=7)
-        flattened = flatten_batch(
-            circuit, bulk25, list(random_vectors(circuit, 2, rng=1))
-        )
+        vectors = list(random_vectors(circuit, 2, rng=1))
+        flattened = flatten_batch(circuit, bulk25, vectors)
         views = flattened.netlist_views()
         free = sum(
             1
@@ -415,14 +416,33 @@ class TestLayeredGenerator:
         auto = SolverOptions(method="auto", **TIGHT)
         assert free >= auto.newton_sparse_threshold
         assert dense_jacobian_bytes(len(views), free) < auto.newton_dense_memory_limit
-        op = BatchedDcSolver(views, 300.0, auto).solve(flattened.initial_voltages())
-        dense = BatchedDcSolver(views, 300.0, TIGHT_DENSE).solve(
-            flattened.initial_voltages()
-        )
-        relaxed = BatchedDcSolver(views, 300.0, TIGHT_GS).solve(
-            flattened.initial_voltages()
+
+        def solve(options):
+            solver = BatchedDcSolver(views, 300.0, options)
+            op = solver.solve(flattened.initial_voltages())
+            assert op.all_converged
+            return op, solver.leakage_by_owner(op)
+
+        (op, leakage), (dense, dense_leakage), (relaxed, relaxed_leakage) = (
+            solve(auto), solve(TIGHT_DENSE), solve(TIGHT_GS)
         )
         assert op.method == "newton-sparse"
-        assert op.all_converged and dense.all_converged
+        assert not op.fallback.any()
         assert np.max(np.abs(op.voltages - dense.voltages)) <= 1e-12
         assert np.max(np.abs(op.voltages - relaxed.voltages)) <= 1e-9
+        assert set(leakage) == set(circuit.gates)
+        for owner, breakdown in leakage.items():
+            for component in ("subthreshold", "gate", "btbt"):
+                got = getattr(breakdown, component)
+                np.testing.assert_allclose(
+                    got, getattr(dense_leakage[owner], component), rtol=1e-12, atol=0
+                )
+                np.testing.assert_allclose(
+                    got, getattr(relaxed_leakage[owner], component), rtol=1e-9, atol=0
+                )
+        for column, vector in enumerate(vectors):
+            alone = flatten_batch(circuit, bulk25, [vector])
+            alone_op = BatchedDcSolver(alone.netlist_views(), 300.0, auto).solve(
+                alone.initial_voltages()
+            )
+            assert np.array_equal(alone_op.voltages[:, 0], op.voltages[:, column])
