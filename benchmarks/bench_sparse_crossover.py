@@ -1,4 +1,4 @@
-"""Sparse-Newton ordering and the dense/sparse crossover behind ``auto``.
+"""Sparse-Newton ordering and the dense/sparse backend crossover.
 
 Two constants of the transistor-level reference path are read off this
 benchmark:
@@ -14,7 +14,7 @@ benchmark:
   ``FACTOR_REPEATS`` factorization time of each matrix under COLAMD (the
   unsymmetric ordering) and under the pinned ordering.  The pinned
   ordering must never fill more than COLAMD.
-* **Crossover: the ``auto`` threshold**
+* **Crossover: the sparse threshold**
   (``SolverOptions.newton_sparse_threshold``).  ``iscas_like(n, rng=3)``
   for every ``n`` in ``SWEEP_GATES`` is flattened at each column count in
   ``SWEEP_COLUMNS`` and solved by the dense and by the sparse backend at
@@ -62,8 +62,11 @@ SWEEP_REPEATS = 5
 FACTOR_REPEATS = 3
 DENSE_PARITY_BOUND = 1.0e-12
 
-DENSE = SolverOptions(method="newton")
-SPARSE = SolverOptions(method="newton-sparse")
+#: Each backend is forced through the free-node threshold: 1 sends every
+#: system to the sparse backend, a threshold above every swept size keeps
+#: the dense one.
+DENSE = SolverOptions(newton_sparse_threshold=10**9)
+SPARSE = SolverOptions(newton_sparse_threshold=1)
 
 
 def _json_path() -> Path:
@@ -124,19 +127,19 @@ def _sweep_point(technology, n_gates, columns):
     views = flattened.netlist_views()
     initial = flattened.initial_voltages()
     # Dense and sparse solves alternate, so a drift in machine speed
-    # reaches both backends' best times alike.
-    best = {DENSE.method: math.inf, SPARSE.method: math.inf}
+    # reaches both backends' best times alike.  Results are keyed by the
+    # backend each solve reports it ran.
+    best = {"newton": math.inf, "newton-sparse": math.inf}
     solved = {}
     for _ in range(SWEEP_REPEATS):
         for options in (DENSE, SPARSE):
             start = time.perf_counter()
             solver = BatchedDcSolver(views, technology.temperature_k, options)
-            solved[options.method] = solver.solve(initial)
-            best[options.method] = min(
-                best[options.method], time.perf_counter() - start
-            )
-    dense, sparse_op = solved[DENSE.method], solved[SPARSE.method]
-    dense_s, sparse_s = best[DENSE.method], best[SPARSE.method]
+            op = solver.solve(initial)
+            solved[op.method] = op
+            best[op.method] = min(best[op.method], time.perf_counter() - start)
+    dense, sparse_op = solved["newton"], solved["newton-sparse"]
+    dense_s, sparse_s = best["newton"], best["newton-sparse"]
     assert dense.all_converged and sparse_op.all_converged
     return {
         "gates": n_gates,

@@ -10,8 +10,8 @@ into flat LUT arrays once, then answers whole vector sets as array passes:
   engine;
 * the compile cache makes repeated campaigns on the same circuit reuse the
   flattened arrays, so only the first campaign pays the compile;
-* the same LUT totals feed ``minimum_leakage_vector``, so exhaustive
-  searches over small circuits are a single batched evaluation.
+* a best-of-N vector search is the ``argmin`` of one campaign's totals,
+  answered from the same cached compile.
 
 Run with ``python examples/batched_campaign.py``.  The layer *below* this —
 characterizing the library and the Monte-Carlo variation study through the
@@ -21,10 +21,12 @@ batched DC solver — is walked end-to-end by
 
 import time
 
+import numpy as np
+
 from repro import make_technology
 from repro.circuit.generators import iscas_like
 from repro.circuit.logic import random_vectors
-from repro.core import LoadingAwareEstimator, minimum_leakage_vector, run_vector_campaign
+from repro.core import LoadingAwareEstimator, run_vector_campaign
 from repro.gates.characterize import GateLibrary
 from repro.service import EstimationSession
 from repro.utils.tables import format_table
@@ -64,11 +66,15 @@ def main() -> None:
         )
     )
 
-    # Run-many: the minimum-leakage-vector search reuses the cached compile.
+    # Run-many: a best-of-256 minimum-leakage-vector search is the argmin
+    # of one more campaign, which reuses the cached compile.
     start = time.perf_counter()
-    best_vector, best_total = minimum_leakage_vector(
-        estimator, circuit, count=256, rng=7, session=session
-    )
+    candidates = list(random_vectors(circuit, 256, rng=7))
+    totals = run_vector_campaign(
+        estimator, circuit, vectors=candidates, session=session
+    ).totals()
+    best = int(np.argmin(totals))
+    best_vector, best_total = candidates[best], float(totals[best])
     search_s = time.perf_counter() - start
     ones = sum(best_vector.values())
     print(

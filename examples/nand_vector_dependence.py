@@ -11,9 +11,10 @@ Run with ``python examples/nand_vector_dependence.py``.
 
 from repro import make_technology
 from repro.circuit.generators import nand_tree
-from repro.core import LoadingAwareEstimator, NoLoadingEstimator, minimum_leakage_vector
+from repro.core import LoadingAwareEstimator, NoLoadingEstimator
 from repro.experiments.fig07 import run_fig7_nand_vectors
 from repro.gates import GateLibrary
+from repro.optimize import minimize_leakage
 
 
 def main() -> None:
@@ -26,12 +27,14 @@ def main() -> None:
     # Minimum-leakage vector search with and without loading on a NAND tree.
     library = GateLibrary(technology)
     circuit = nand_tree(3)
-    loaded_vector, loaded_total = minimum_leakage_vector(
-        LoadingAwareEstimator(library), circuit, exhaustive=True
+    loaded = minimize_leakage(
+        LoadingAwareEstimator(library), circuit, strategy="exhaustive"
     )
-    unloaded_vector, unloaded_total = minimum_leakage_vector(
-        NoLoadingEstimator(library), circuit, exhaustive=True
+    unloaded = minimize_leakage(
+        NoLoadingEstimator(library), circuit, strategy="exhaustive"
     )
+    loaded_vector, loaded_total = loaded.best_assignment, loaded.best_total
+    unloaded_vector, unloaded_total = unloaded.best_assignment, unloaded.best_total
     print(f"circuit: {circuit.name} ({circuit.gate_count} NAND2 gates)")
     print(f"min-leakage vector without loading: {unloaded_vector}  "
           f"({unloaded_total * 1e9:.1f} nA)")

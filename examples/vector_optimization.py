@@ -25,7 +25,7 @@ import numpy as np
 
 from repro import make_technology
 from repro.circuit.generators import iscas_like, nand_tree
-from repro.core import LoadingAwareEstimator, minimum_leakage_vector
+from repro.core import LoadingAwareEstimator
 from repro.engine import compile_circuit
 from repro.gates.characterize import GateLibrary
 from repro.optimize import (
@@ -99,13 +99,12 @@ def main() -> None:
     )
     print(f"islands=4 reproduces the serial search bitwise: {identical}")
 
-    # The one-liner most callers want: the dispatch on minimum_leakage_vector.
-    vector, total = minimum_leakage_vector(
-        estimator, circuit, strategy="greedy", rng=2005
-    )
+    # The one call most callers want: compile, search and report.
+    result = minimize_leakage(estimator, circuit, strategy="greedy", rng=2005)
+    vector, total = result.best_assignment, result.best_total
     ones = sum(vector.values())
     print(
-        f"minimum_leakage_vector(strategy='greedy'): {total * 1e9:.4f} nA "
+        f"minimize_leakage(strategy='greedy'): {total * 1e9:.4f} nA "
         f"({ones}/{len(vector)} inputs high)"
     )
 

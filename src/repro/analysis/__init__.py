@@ -32,7 +32,6 @@ from repro.analysis.netlist_lint import (
     lint_flattened,
     lint_vectors,
     preflight_circuit,
-    preflight_vectors,
 )
 from repro.analysis.rules import CIRCUIT_RULES, RULES, RULES_BY_CODE, Rule
 
@@ -55,5 +54,4 @@ __all__ = [
     "lint_vectors",
     "merge_reports",
     "preflight_circuit",
-    "preflight_vectors",
 ]

@@ -163,25 +163,3 @@ def preflight_circuit(
             warnings.warn(str(diagnostic), NetlistLintWarning, stacklevel=3)
     return report
 
-
-def preflight_vectors(
-    circuit: Circuit,
-    vectors: Sequence[Mapping[str, object]],
-    lint: str = "raise",
-) -> LintReport | None:
-    """Apply the lint policy to a vector set alone (NL007 only).
-
-    For call sites that already pre-flighted the circuit and materialize an
-    explicit vector set later.
-    """
-    if lint not in LINT_POLICIES:
-        raise ValueError(f"lint must be one of {LINT_POLICIES}, got {lint!r}")
-    if lint == "off":
-        return None
-    report = lint_vectors(circuit, vectors)
-    if lint == "raise" and not report.ok:
-        raise NetlistLintError(report)
-    for diagnostic in report.diagnostics:
-        if lint == "warn" or diagnostic.severity is not Severity.ERROR:
-            warnings.warn(str(diagnostic), NetlistLintWarning, stacklevel=3)
-    return report

@@ -20,7 +20,6 @@ representing a net".  This package provides that substrate:
 
 from repro.circuit.netlist import Circuit, Gate
 from repro.circuit.graph import (
-    fanout_histogram,
     levelize,
     logic_depth,
     topological_order,
@@ -37,7 +36,6 @@ from repro.circuit.bench_io import parse_bench, read_bench, write_bench
 __all__ = [
     "Circuit",
     "Gate",
-    "fanout_histogram",
     "levelize",
     "logic_depth",
     "topological_order",

@@ -78,39 +78,3 @@ def logic_depth(circuit: Circuit) -> int:
     """Return the number of logic levels of the circuit (0 for an empty one)."""
     levels = levelize(circuit)
     return (max(levels.values()) + 1) if levels else 0
-
-
-def fanout_histogram(circuit: Circuit) -> dict[int, int]:
-    """Return a histogram mapping fanout count to the number of nets with it.
-
-    Only driven nets (primary inputs and gate outputs) are counted; the
-    loading effect scales with exactly this distribution, which is why the
-    synthetic ISCAS-like generators target a realistic fanout profile.
-    """
-    histogram: dict[int, int] = {}
-    for net in circuit.nets():
-        fanout = len(circuit.fanout_of(net))
-        histogram[fanout] = histogram.get(fanout, 0) + 1
-    return dict(sorted(histogram.items()))
-
-
-def reachable_from_inputs(circuit: Circuit) -> set[str]:
-    """Return the set of gates reachable from the primary inputs.
-
-    Gates outside this set have at least one input chain not rooted at a PI
-    (which :meth:`Circuit.validate` flags); the function exists mainly for
-    diagnostics on hand-written or imported netlists.
-    """
-    reachable_nets = set(circuit.primary_inputs)
-    reachable_gates: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for gate in circuit.gates.values():
-            if gate.name in reachable_gates:
-                continue
-            if all(net in reachable_nets for net in gate.inputs):
-                reachable_gates.add(gate.name)
-                reachable_nets.add(gate.output)
-                changed = True
-    return reachable_gates

@@ -11,8 +11,8 @@
 * :mod:`repro.core.reference` — the full transistor-level reference solve
   (the "SPICE" column of Fig. 12a), scalar oracle and batched campaign path;
 * :mod:`repro.core.report` — result containers;
-* :mod:`repro.core.vectors` — random-vector campaigns, loading-impact
-  statistics (Fig. 12b/c) and minimum-leakage-vector search.
+* :mod:`repro.core.vectors` — random-vector campaigns and loading-impact
+  statistics (Fig. 12b/c).
 """
 
 from repro.core.loading import LoadingAnalyzer, LoadingEffect
@@ -23,7 +23,6 @@ from repro.core.reference import ReferenceSimulator, run_reference_campaign
 from repro.core.vectors import (
     VectorCampaignResult,
     loading_impact_statistics,
-    minimum_leakage_vector,
     run_vector_campaign,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "ReferenceSimulator",
     "VectorCampaignResult",
     "loading_impact_statistics",
-    "minimum_leakage_vector",
     "run_reference_campaign",
     "run_vector_campaign",
 ]

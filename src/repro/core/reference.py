@@ -85,13 +85,12 @@ class ReferenceSimulator:
         self.temperature_k = (
             technology.temperature_k if temperature_k is None else float(temperature_k)
         )
-        # "auto" resolves per flattened system: batched-LAPACK dense Newton
-        # on characterization-sized cells (bitwise identical to
-        # method="newton" there), the sparse SuperLU backend once the
+        # The batched solve picks its Newton backend per flattened system:
+        # batched-LAPACK dense on small circuits, sparse SuperLU once the
         # free-node count or the dense-Jacobian memory estimate says the
-        # dense stack is a bad idea (large suite circuits).  The resolved
-        # backend is recorded per report as metadata["solver_method"].
-        self.solver_options = solver_options or SolverOptions(method="auto")
+        # dense stack is a bad idea (large suite circuits).  The backend is
+        # recorded per report as metadata["solver_method"].
+        self.solver_options = solver_options or SolverOptions()
         #: Netlist pre-flight policy ("raise" | "warn" | "off"); applied
         #: before every flatten so a malformed circuit is rejected with the
         #: full finding list instead of 30 s into a DC solve.

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.spice.analysis import ComponentBreakdown
-from repro.utils.tables import format_table
 
 #: Component keys reported throughout the circuit-level experiments.
 REPORT_COMPONENTS = ("subthreshold", "gate", "btbt", "total")
@@ -115,26 +114,3 @@ class CircuitLeakageReport:
             else:
                 result[name] = 100.0 * (mine.component(name) - ref_value) / ref_value
         return result
-
-    def summary_table(self, precision: int = 4) -> str:
-        """Return a small plain-text summary of the circuit totals."""
-        components = self.components
-        rows = [
-            [name, components.component(name) * 1e9]
-            for name in REPORT_COMPONENTS
-        ]
-        return format_table(
-            ["component", "leakage [nA]"],
-            rows,
-            precision=precision,
-            title=f"{self.circuit_name} ({self.method})",
-        )
-
-    def top_gates(self, count: int = 10, component: str = "total") -> list[GateLeakage]:
-        """Return the ``count`` leakiest gates by the chosen component."""
-        entries = sorted(
-            self.per_gate.values(),
-            key=lambda entry: entry.breakdown.component(component),
-            reverse=True,
-        )
-        return entries[:count]

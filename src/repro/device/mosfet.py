@@ -234,23 +234,6 @@ class Mosfet:
             off,
         )
 
-    def gate_pin_current(
-        self,
-        vg: float,
-        vd: float,
-        vs: float,
-        vb: float,
-        temperature_k: float,
-    ) -> float:
-        """Return the signed current the driving net must supply to the gate.
-
-        Positive means current flows from the net into this gate terminal
-        (the net is "loaded down"); negative means the transistor injects
-        current back into the net (the net is "pulled up").  This is the
-        quantity summed into the paper's loading currents I_L-IN / I_L-OUT.
-        """
-        return self.terminal_currents(vg, vd, vs, vb, temperature_k).ig
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"Mosfet(name={self.name!r}, device={self.device.name!r}, "

@@ -294,21 +294,3 @@ def channel_current_grad_v(
         )
 
     return current, partial(u_vgs, 0.0), partial(u_vds, 1.0), partial(u_vbs, 0.0)
-
-
-def is_off(
-    device: DeviceParams,
-    vgs: float,
-    vds: float,
-    vbs: float,
-    temperature_k: float,
-    vth_shift: float = 0.0,
-    margin: float = 0.0,
-) -> bool:
-    """Return True when the device operates below threshold.
-
-    Used by leakage reports to attribute channel current to the
-    "subthreshold" component only for transistors that are actually off.
-    """
-    vth = effective_threshold(device, max(vds, 0.0), vbs, temperature_k) + vth_shift
-    return vgs < vth - margin

@@ -22,9 +22,9 @@ the regression tests pin the two paths against each other.
 
 Vectors are processed in bounded chunks so peak *temporary* memory stays
 flat; the per-gate output arrays still scale with the vector count, which is
-why :func:`repro.core.vectors.minimum_leakage_vector` feeds exhaustive
-sweeps through :func:`run_compiled` one chunk at a time and keeps only the
-running minimum.
+why the exhaustive search of :mod:`repro.optimize` scores its ``2**n``
+candidates through the totals-only :func:`run_totals` one chunk at a time
+and keeps only the running minimum.
 """
 
 from __future__ import annotations

@@ -21,9 +21,11 @@ Module            Paper artefact
                   loading-induced variation statistics
 ``runtime``       Fig. 13 / Sec. 6 runtime claim: estimator vs. reference
                   speed-up
-``ivc``           Sec. 6 input-vector control: searched minimum-leakage
-                  vectors vs. best-of-random-N at equal evaluation budget
 ================  ==========================================================
+
+The Sec. 6 input-vector-control comparison (searched minimum-leakage vectors
+against best-of-random-N at an equal evaluation budget) is
+``benchmarks/bench_vector_search.py``, over :mod:`repro.optimize`.
 """
 
 from repro.experiments.fig04 import run_fig4_device_trends
@@ -35,7 +37,6 @@ from repro.experiments.fig09 import run_fig9_temperature
 from repro.experiments.fig10 import run_fig10_variation_histograms
 from repro.experiments.fig11 import run_fig11_variation_statistics
 from repro.experiments.fig12 import run_fig12_circuit_estimation
-from repro.experiments.ivc import run_ivc_study
 from repro.experiments.runtime import run_runtime_comparison
 
 __all__ = [
@@ -48,6 +49,5 @@ __all__ = [
     "run_fig10_variation_histograms",
     "run_fig11_variation_statistics",
     "run_fig12_circuit_estimation",
-    "run_ivc_study",
     "run_runtime_comparison",
 ]

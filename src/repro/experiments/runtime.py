@@ -45,9 +45,9 @@ def _ratio(numerator: float, denominator: float) -> float:
 def _format_backends(methods: object) -> str:
     """Render a ``solve_stats["methods"]`` count dict as ``name:count`` pairs.
 
-    The per-backend counts say what the solver *actually ran* — e.g. an
-    ``"auto"`` request shows up as its resolved dense/sparse backend, and
-    Newton columns that fell back appear under ``gauss-seidel``.
+    The per-backend counts say what the solver *actually ran*: the dense
+    or sparse Newton backend, and ``gauss-seidel`` for scalar cell solves
+    and Newton columns that fell back.
     """
     if not isinstance(methods, dict) or not methods:
         return ""
@@ -67,7 +67,6 @@ class RuntimeComparison:
     batched_seconds: float = float("nan")
     compile_seconds: float = float("nan")
     characterization_seconds: float = float("nan")
-    solver_method: str = ""
     solver_backends: str = ""
     reference_solver_method: str = ""
     reference_sweeps_mean: float = float("nan")
@@ -103,7 +102,6 @@ class RuntimeComparison:
             ["batched engine time [s]", self.batched_seconds],
             ["engine compile time [s]", self.compile_seconds],
             ["library warm-up time [s]", self.characterization_seconds],
-            ["cell solver method", self.solver_method or "n/a"],
             ["cell solver backends used", self.solver_backends or "n/a"],
             ["reference solver method", self.reference_solver_method or "n/a"],
             ["reference sweeps per solve (mean)", self.reference_sweeps_mean],
@@ -198,7 +196,6 @@ def run_runtime_comparison(
         batched_seconds=batched_seconds,
         compile_seconds=compile_seconds,
         characterization_seconds=characterization_seconds,
-        solver_method=str(library.characterizer.solve_stats["method"]),
         solver_backends=_format_backends(
             library.characterizer.solve_stats["methods"]
         ),

@@ -23,7 +23,6 @@ from repro.gates.library import (
     GateType,
     all_gate_types,
     gate_spec,
-    inverting_gate_types,
 )
 from repro.gates.templates import build_gate_transistors, transistor_count
 from repro.gates.lut import (
@@ -49,7 +48,6 @@ __all__ = [
     "GateType",
     "all_gate_types",
     "gate_spec",
-    "inverting_gate_types",
     "build_gate_transistors",
     "transistor_count",
     "GateVectorCharacterization",

@@ -82,11 +82,12 @@ def characterization_settings(
     characterization temperature and the sparse backend's SuperLU column
     ordering.  The options are canonicalized by walking their dataclass
     fields recursively, so the nested
-    :class:`~repro.spice.solver.SolverOptions` — including ``method`` and
-    the Newton knobs — always enters the fingerprint: caches characterized
-    by different solver methods are never conflated.  The ordering is a
-    module constant rather than an option, but it changes the last bits of
-    every sparse solve just as the dense/sparse choice does.
+    :class:`~repro.spice.solver.SolverOptions` — including the Newton
+    knobs and the dense/sparse backend threshold — always enters the
+    fingerprint: caches characterized by different solver backends are
+    never conflated.  The ordering is a module constant rather than an
+    option, but it changes the last bits of every sparse solve just as the
+    dense/sparse choice does.
     """
     canonical_options = _canonical(options)
     # The non-convergence *reporting* policy (warn vs raise) can never

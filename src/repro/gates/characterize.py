@@ -154,12 +154,10 @@ class GateCharacterizer:
         #: counts Gauss–Seidel sweeps or Newton iterations, whichever
         #: method solved the cell; ``fallbacks`` counts Newton columns that
         #: were handed to the Gauss–Seidel fallback.  ``methods`` counts the
-        #: solved cells per *resolved* backend — dense ``"newton"``,
-        #: ``"newton-sparse"`` and ``"gauss-seidel"`` (requested relaxation
-        #: plus Newton fallback columns); an ``"auto"`` request never
-        #: appears here, only what it resolved to.
+        #: solved cells per backend — dense ``"newton"``, ``"newton-sparse"``
+        #: and ``"gauss-seidel"`` (scalar cell solves plus Newton fallback
+        #: columns).
         self.solve_stats: dict[str, object] = {
-            "method": self.options.solver.method,
             "solves": 0,
             "iterations": 0,
             "max_iterations": 0,
@@ -421,8 +419,8 @@ class GateCharacterizer:
         )
         fallbacks = 0 if op.fallback is None else int(op.fallback.sum())
         stats["fallbacks"] += fallbacks
-        # Fallback columns were solved by the relaxation path, whatever the
-        # requested method; ``op.method`` is already the resolved backend.
+        # Fallback columns were solved by the relaxation path, whatever
+        # Newton backend ``op.method`` names.
         self._count_method("gauss-seidel", fallbacks)
         self._count_method(op.method, int(op.batch) - fallbacks)
 

@@ -168,21 +168,3 @@ def gate_spec(gate_type: GateType | str) -> GateSpec:
 def all_gate_types() -> list[GateType]:
     """Return every gate type in the library, in declaration order."""
     return list(_SPECS)
-
-
-def inverting_gate_types() -> list[GateType]:
-    """Return the single-stage inverting gate types.
-
-    These are the gates whose output is produced by one pull-up/pull-down
-    stage; the non-inverting and XOR-family cells are internally multi-stage.
-    """
-    return [
-        GateType.INV,
-        GateType.NAND2,
-        GateType.NAND3,
-        GateType.NAND4,
-        GateType.NOR2,
-        GateType.NOR3,
-        GateType.AOI21,
-        GateType.OAI21,
-    ]

@@ -311,15 +311,3 @@ class GateVectorCharacterization:
         return ComponentBreakdown(
             subthreshold=max(sub, 0.0), gate=max(gate, 0.0), btbt=max(btbt, 0.0)
         )
-
-    def loading_effect_percent(
-        self, pin_injections: dict[str, float], component: str = "total"
-    ) -> float:
-        """Return the paper's LD metric (Eqs. 3-5) in percent for a component."""
-        nominal = self.nominal.component(component)
-        if nominal == 0.0:
-            raise ZeroDivisionError(
-                f"nominal {component} leakage of {self.gate_type_name} is zero"
-            )
-        loaded = self.leakage_with_loading(pin_injections).component(component)
-        return 100.0 * (loaded - nominal) / nominal

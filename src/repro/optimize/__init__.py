@@ -12,10 +12,11 @@ vector, which can change once loading is considered):
   exhaustive oracle, all bitwise-reproducible from a seed whether islands
   run serially or across a process pool.
 
-``repro.core.vectors.minimum_leakage_vector(strategy=...)`` dispatches
-library-backed estimators here; :mod:`repro.experiments.ivc` and
-``benchmarks/bench_vector_search.py`` compare the strategies against
-best-of-random-N at equal evaluation budget.
+:func:`minimize_leakage` is the one search entry point, for library-backed
+estimators; ``benchmarks/bench_vector_search.py`` compares its strategies
+against best-of-random-N at equal evaluation budget.  A best-of-N over a
+given vector set is the ``argmin`` of
+:func:`repro.core.vectors.run_vector_campaign`'s totals.
 """
 
 from repro.optimize.objective import LeakageObjective

@@ -55,8 +55,7 @@ from repro.resilience import ResilienceOptions
 from repro.utils.rng import RngLike, spawn_streams
 from repro.utils.tables import format_table
 
-#: Strategies accepted by :func:`minimize_leakage` (and the
-#: ``strategy=`` dispatch of :func:`repro.core.vectors.minimum_leakage_vector`).
+#: Strategies accepted by :func:`minimize_leakage`.
 SEARCH_STRATEGIES = ("exhaustive", "greedy", "genetic")
 
 #: Widest input count :func:`exhaustive_minimize` accepts before refusing
@@ -614,8 +613,7 @@ def minimize_leakage(
 ) -> OptimizationResult:
     """Search the minimum-leakage vector for a library-backed estimator.
 
-    The front door of the subsystem (and the target of
-    ``minimum_leakage_vector(strategy=...)``): compiles ``circuit`` against
+    The front door of the subsystem: compiles ``circuit`` against
     ``estimator.library`` through an estimation session (cached — repeated
     searches reuse the arrays), scores candidates with or without loading
     to match the estimator, and dispatches on ``strategy``.

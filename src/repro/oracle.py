@@ -15,7 +15,11 @@ benchmarks can hold the production paths to them:
   :class:`~repro.spice.solver.DcSolver`;
 * :func:`per_vector_campaign` — one ``estimator.estimate`` call per vector;
   with a :class:`~repro.core.reference.ReferenceSimulator` it is the
-  Gauss–Seidel reference oracle.
+  Gauss–Seidel reference oracle;
+* :func:`solve_gauss_seidel` — a :class:`~repro.spice.batched.BatchedDcSolver`
+  batch relaxed by Gauss–Seidel sweeps alone, the batched twin of the
+  scalar :class:`~repro.spice.solver.DcSolver` that the damped-Newton
+  production solve is checked against.
 
 No module under ``repro`` imports this one (contract RC107), so an oracle
 can never turn back into a production path.
@@ -23,17 +27,19 @@ can never turn back into a production path.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from repro.circuit.flatten import flatten
 from repro.circuit.netlist import Circuit
-from repro.core.vectors import LeakageEstimator, VectorCampaignResult, _estimate_each
+from repro.core.report import CircuitLeakageReport
+from repro.core.vectors import VectorCampaignResult
 from repro.gates.characterize import GateCharacterizer
 from repro.gates.library import GateType, gate_spec
 from repro.gates.lut import GateVectorCharacterization, ResponseCurve
 from repro.spice.analysis import gate_injection_at_node, leakage_by_owner
+from repro.spice.batched import BatchedDcSolver, BatchedOperatingPoint
 from repro.spice.solver import DcSolver
 from repro.variation.montecarlo import (
     _TARGET_GATE,
@@ -46,6 +52,15 @@ from repro.variation.montecarlo import (
 )
 from repro.variation.qmc import ParameterDraws
 from repro.variation.spec import apply_inter_die
+
+
+class LeakageEstimator(Protocol):
+    """Anything that can produce a :class:`CircuitLeakageReport` for a vector."""
+
+    def estimate(
+        self, circuit: Circuit, input_assignment: dict[str, int]
+    ) -> CircuitLeakageReport:  # pragma: no cover - protocol definition
+        ...
 
 
 def characterize_per_cell(
@@ -152,4 +167,33 @@ def per_vector_campaign(
     :class:`~repro.core.reference.ReferenceSimulator`, of
     :func:`repro.core.reference.run_reference_campaign`.
     """
-    return _estimate_each(estimator, circuit, list(vectors))
+    reports = [estimator.estimate(circuit, vector) for vector in vectors]
+    method = reports[0].method if reports else getattr(estimator, "method_name", "?")
+    return VectorCampaignResult(
+        circuit_name=circuit.name, method=method, reports=reports
+    )
+
+
+def solve_gauss_seidel(
+    solver: BatchedDcSolver,
+    initial_voltages: Mapping[str, float | np.ndarray]
+    | Sequence[Mapping[str, float]]
+    | None = None,
+) -> BatchedOperatingPoint:
+    """Relax every column of ``solver``'s batch by Gauss–Seidel sweeps alone.
+
+    The oracle of :meth:`BatchedDcSolver.solve`: the same sweeps the
+    Newton solve hands its fallback columns to, run on every column, so a
+    fallback column is bitwise this solve's column.  ``initial_voltages``
+    takes the same forms as in :meth:`BatchedDcSolver.solve`.
+    """
+    voltages = solver._initial_matrix(initial_voltages)
+    converged, sweeps, max_update = solver._solve_gauss_seidel(voltages)
+    return BatchedOperatingPoint(
+        node_index=solver.node_index,
+        voltages=voltages,
+        temperature_k=solver.temperature_k,
+        converged=converged,
+        sweeps=sweeps,
+        max_update=max_update,
+    )

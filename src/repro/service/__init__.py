@@ -13,7 +13,7 @@ results are bitwise identical to cold per-call evaluation.
 Public entry points:
 
 * :class:`EstimationSession` — the session object (``library`` /
-  ``compiled`` / ``totals`` / ``campaign`` / ``iter_campaign`` /
+  ``compiled`` / ``totals`` / ``campaign`` / ``percentile_leakage`` /
   ``stats``);
 * :func:`default_session` — the lazily created process-default session
   the classic entry points route through when no session is passed;
@@ -22,7 +22,7 @@ Public entry points:
 * :class:`RequestCoalescer` — the generic dynamic-batching queue, reusable
   for other batchable evaluations.
 
-Hardening (PR 9): per-request deadlines
+Hardening: per-request deadlines
 (:class:`~repro.resilience.errors.DeadlineExceeded`), bounded admission
 with load shedding (:class:`~repro.resilience.errors.ServiceOverloaded`),
 leader-death release, and graceful degradation to direct serial

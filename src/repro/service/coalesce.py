@@ -49,9 +49,10 @@ The coalescer itself is generic: a submission is an opaque payload plus a
 vector count, and the leader evaluates the whole batch through a caller
 supplied ``run_batch(payloads) -> results`` callable.  All submitters of
 one key must pass equivalent ``run_batch`` callables (the leader's is the
-one that runs); :class:`repro.service.EstimationSession` guarantees this by
-deriving the key and the callable from the same (compiled circuit,
-include_loading) pair.
+one that runs).  Its one submitter in this package,
+:meth:`repro.service.EstimationSession.totals`, guarantees this by deriving
+the key and the callable from the same (compiled circuit, include_loading)
+pair; full per-gate campaigns run directly, uncoalesced.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ that boundary into one long-lived object — the shape a serving layer needs:
   on-disk :class:`repro.gates.cache.LibraryStore` so a fleet of worker
   processes shares one warm characterization cache;
 * a **coalescing request front-end** (:mod:`repro.service.coalesce`):
-  concurrent ``totals``/``campaign`` calls from many threads merge into
-  single batched :func:`~repro.engine.campaign.run_totals` /
-  :func:`~repro.engine.campaign.run_compiled` engine passes inside a small
-  batch window, plus streaming iteration for campaign-sized results.
+  concurrent ``totals`` calls from many threads merge into single batched
+  :func:`~repro.engine.campaign.run_totals` engine passes inside a small
+  batch window; ``campaign`` answers full per-gate runs directly through
+  :func:`~repro.engine.campaign.run_compiled`.
 
 **Invariance contract.**  Coalescing and session routing never change
 numbers: every engine pass computes vector columns independently
@@ -26,7 +26,6 @@ exact object a cold compile would rebuild.  ``tests/test_service.py``
 asserts both under real thread concurrency.
 
 The classic entry points (:func:`repro.core.vectors.run_vector_campaign`,
-:func:`repro.core.vectors.minimum_leakage_vector`,
 :func:`repro.optimize.minimize_leakage`, the experiment drivers) are thin
 adapters over a session: they accept ``session=`` and otherwise route
 through the process-default session of :func:`default_session`, whose
@@ -39,7 +38,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -78,29 +77,6 @@ from repro.variation.statistics import (
     percentile_leakage,
     yield_fraction,
 )
-
-
-def _slice_run(run: BatchedCampaignRun, lo: int, hi: int) -> BatchedCampaignRun:
-    """Return vectors ``[lo, hi)`` of a batched run as a standalone run.
-
-    Every array of a :class:`BatchedCampaignRun` is keyed by vector column
-    and every column is computed independently, so slicing is exact: the
-    returned run is bitwise identical to evaluating those vectors alone.
-    ``runtime_s`` (metadata, not numerics) carries the batch's wall clock
-    pro-rated by vector share, so per-request runtimes still sum to the
-    batch total.
-    """
-    count = max(run.vector_count, 1)
-    return BatchedCampaignRun(
-        compiled=run.compiled,
-        method=run.method,
-        assignments=run.assignments[lo:hi],
-        per_gate=run.per_gate[:, lo:hi].copy(),
-        vec_index=run.vec_index[:, lo:hi].copy(),
-        input_loading=run.input_loading[:, lo:hi].copy(),
-        output_loading=run.output_loading[:, lo:hi].copy(),
-        runtime_s=run.runtime_s * (hi - lo) / count,
-    )
 
 
 #: Leakage components a statistical-leakage population records.
@@ -155,7 +131,7 @@ class EstimationSession:
         count that flushes a batch early.
     max_in_flight:
         Admission bound of the coalescer: requests admitted but not yet
-        complete.  Beyond it ``totals``/``campaign`` raise
+        complete.  Beyond it ``totals`` raises
         :class:`~repro.resilience.errors.ServiceOverloaded` (load
         shedding); ``None`` disables the bound.
     lint:
@@ -166,9 +142,9 @@ class EstimationSession:
     called from any number of threads; compiles and library registration
     are serialized, engine passes run outside the session lock.
 
-    Graceful degradation: when a *coalesced* evaluation fails for any
-    reason other than the caller's own deadline or load shedding, the
-    request falls back to a direct serial evaluation of its own payload
+    Graceful degradation: when a *coalesced* ``totals`` evaluation fails
+    for any reason other than the caller's own deadline or load shedding,
+    the request falls back to a direct serial evaluation of its own payload
     (counted in ``stats()["session"]["degraded_requests"]``) — a poisoned
     batch-mate can fail its own request, never an innocent one.
     """
@@ -360,90 +336,20 @@ class EstimationSession:
         library: GateLibrary,
         vectors: Iterable[Mapping[str, int]],
         include_loading: bool = True,
-        coalesce: bool = True,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        deadline_s: float | None = None,
     ) -> BatchedCampaignRun:
         """Run a full campaign (per-gate arrays, lazy reports) over ``vectors``.
 
-        Like :meth:`totals` but answering with the complete
-        :class:`~repro.engine.campaign.BatchedCampaignRun`.  Coalesced
-        campaign requests merge into one :func:`run_compiled` pass and are
-        split back by vector columns — bitwise identical to running alone.
-        ``deadline_s`` bounds this caller's wait exactly as in
-        :meth:`totals`.
+        Answers with the complete
+        :class:`~repro.engine.campaign.BatchedCampaignRun` of one direct
+        :func:`run_compiled` pass; only :meth:`totals` coalesces.
         """
-        assignments = [dict(v) for v in vectors]
         compiled = self.compiled(circuit, library)
         self._count_request()
-
-        def run_direct() -> BatchedCampaignRun:
-            return run_compiled(
-                compiled, assignments, include_loading=include_loading,
-                chunk_size=chunk_size,
-            )
-
-        if not coalesce or not assignments:
-            return run_direct()
-
-        def run_batch(
-            payloads: list[list[dict[str, int]]],
-        ) -> list[BatchedCampaignRun]:
-            merged = [vector for payload in payloads for vector in payload]
-            run = run_compiled(
-                compiled, merged, include_loading=include_loading,
-                chunk_size=chunk_size,
-            )
-            results: list[BatchedCampaignRun] = []
-            lo = 0
-            for payload in payloads:
-                hi = lo + len(payload)
-                results.append(_slice_run(run, lo, hi))
-                lo = hi
-            return results
-
-        key = (id(compiled), bool(include_loading), "campaign")
-        result = self._submit_degradable(
-            key, assignments, len(assignments), run_batch, deadline_s, run_direct
+        return run_compiled(
+            compiled, [dict(v) for v in vectors],
+            include_loading=include_loading, chunk_size=chunk_size,
         )
-        assert isinstance(result, BatchedCampaignRun)
-        return result
-
-    def iter_campaign(
-        self,
-        circuit: Circuit,
-        library: GateLibrary,
-        vectors: Iterable[Mapping[str, int]],
-        include_loading: bool = True,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> Iterator[BatchedCampaignRun]:
-        """Stream a campaign as per-chunk runs instead of one result.
-
-        Consumes ``vectors`` lazily in ``chunk_size`` slices and yields one
-        :class:`BatchedCampaignRun` per slice as soon as its engine pass
-        completes — the streaming shape campaign and Monte-Carlo consumers
-        need for result sets too large (or too slow) to hold whole.
-        Chunking never changes numbers (batch-composition invariance), so
-        concatenating the streamed totals is bitwise identical to one
-        :meth:`campaign` call.
-        """
-        compiled = self.compiled(circuit, library)
-        chunk: list[dict[str, int]] = []
-        for vector in vectors:
-            chunk.append(dict(vector))
-            if len(chunk) >= chunk_size:
-                self._count_request()
-                yield run_compiled(
-                    compiled, chunk, include_loading=include_loading,
-                    chunk_size=chunk_size,
-                )
-                chunk = []
-        if chunk:
-            self._count_request()
-            yield run_compiled(
-                compiled, chunk, include_loading=include_loading,
-                chunk_size=chunk_size,
-            )
 
     # ------------------------------------------------------------------ #
     # statistical leakage
@@ -638,9 +544,9 @@ class EstimationSession:
         ``libraries`` (registry hits/misses/entries) and — when a store is
         configured — ``store`` (loads/publishes/record counts).
         ``requests`` under ``session`` counts every front-end call
-        (totals/campaign/streamed chunk/percentile query), coalesced or
-        not; ``degraded_requests`` counts coalesced requests that fell back
-        to direct serial evaluation after a batch failure.
+        (totals/campaign/percentile query), coalesced or not;
+        ``degraded_requests`` counts coalesced requests that fell back to
+        direct serial evaluation after a batch failure.
         ``statistical_leakage`` tracks the pooled-population cache behind
         :meth:`percentile_leakage` (hits answer without circuit solves).
         """

@@ -11,9 +11,10 @@ netlists built from the compact models of :mod:`repro.device`.
 * :mod:`repro.spice.batched` — the batched solver over same-topology
   netlists (characterization grids, Monte-Carlo samples), with the scalar
   solver retained as the cross-check oracle;
-* :mod:`repro.spice.newton` — the batched damped-Newton method behind the
-  default ``SolverOptions(method="newton")``: analytic device Jacobians,
-  dense per-column linear solves, per-column Gauss–Seidel fallback;
+* :mod:`repro.spice.newton` — the batched damped-Newton solve: analytic
+  device Jacobians, dense per-column linear solves (sparse SuperLU ones,
+  :mod:`repro.spice.sparse`, on large systems), per-column Gauss–Seidel
+  fallback;
 * :mod:`repro.spice.analysis` — per-device and per-gate leakage component
   extraction at a solved operating point.
 

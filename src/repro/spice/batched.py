@@ -16,25 +16,21 @@ both batched workloads of this library:
 
 Solution scheme
 ---------------
-Two methods are available, selected by
-:attr:`~repro.spice.solver.SolverOptions.method`:
+:meth:`BatchedDcSolver.solve` runs a damped Newton–Raphson iteration on the
+full free-node Kirchhoff system with analytic device Jacobians, per-column
+line search and a per-column fallback to Gauss–Seidel sweeps; see
+:mod:`repro.spice.newton`.  This converges in ~5–15 iterations where the
+relaxation needs tens to hundreds of sweeps.  The Newton steps come from a
+dense batched factorization on small systems and from sparse CSC assembly
+with SuperLU (:mod:`repro.spice.sparse`, O(nnz) memory instead of O(B·N²))
+on large ones; the free-node count
+(:attr:`~repro.spice.solver.SolverOptions.newton_sparse_threshold`) and the
+dense memory estimate pick the backend.
 
-* ``"newton"`` (default) — a damped Newton–Raphson iteration on the full
-  free-node Kirchhoff system with analytic device Jacobians, per-column
-  line search and a per-column fallback to the Gauss–Seidel sweeps; see
-  :mod:`repro.spice.newton`.  This converges in ~5–15 iterations where the
-  relaxation needs tens to hundreds of sweeps.
-* ``"newton-sparse"`` — the same damped-Newton iteration with sparse CSC
-  Jacobian assembly and SuperLU factorization (:mod:`repro.spice.sparse`);
-  O(nnz) memory instead of O(B·N²), the backend for ISCAS-scale netlists.
-* ``"auto"`` — picks between the two Newton backends by free-node count
-  and the dense memory estimate (see
-  :attr:`~repro.spice.solver.SolverOptions.newton_sparse_threshold`).
-* ``"gauss-seidel"`` — the relaxation described below, kept as the batched
-  oracle (and as the fallback engine of every Newton backend).
-
-The sweep structure mirrors :class:`~repro.spice.solver.DcSolver` exactly —
-Gauss–Seidel relaxation with a periodic conducting-cluster supernode pass (a
+The Gauss–Seidel relaxation described below is the fallback of the Newton
+solve; run on every column it is the test oracle
+:func:`repro.oracle.solve_gauss_seidel`.  The sweep structure mirrors
+:class:`~repro.spice.solver.DcSolver` exactly — Gauss–Seidel relaxation with a periodic conducting-cluster supernode pass (a
 rigid common shift of each cluster) — but every per-node scalar solve becomes *one*
 vectorized bracketed root find across the whole batch
 (:func:`repro.utils.rootfind.chandrupatla`): the bracket window is expanded
@@ -67,7 +63,7 @@ from repro.spice.analysis import (
     owner_slot_ids,
 )
 from repro.spice.netlist import NodeKind, TransistorNetlist
-from repro.spice.solver import NEWTON_METHODS, SolverOptions
+from repro.spice.solver import SolverOptions
 from repro.utils.rootfind import chandrupatla
 
 #: Terminal evaluation order shared with :meth:`TransistorInstance.terminals`.
@@ -96,9 +92,9 @@ class BatchedOperatingPoint:
     max_update:
         Per-instance largest node update of the final active sweep (V).
     method:
-        ``"newton"``, ``"newton-sparse"`` or ``"gauss-seidel"`` — the
-        *resolved* solver method this batch rode (``method="auto"`` records
-        the backend it actually picked, never the literal ``"auto"``).
+        ``"newton"`` (dense) or ``"newton-sparse"`` — the Newton backend
+        this batch rode — or ``"gauss-seidel"`` for a pure relaxation
+        solve (:func:`repro.oracle.solve_gauss_seidel`).
     newton_iterations:
         Per-instance Newton iteration counts, or None for a pure
         Gauss–Seidel solve.  Fallback columns record the iterations spent
@@ -230,8 +226,8 @@ class _ClusterComponent:
 class BatchedDcSolver:
     """DC solver for a batch of same-topology netlists.
 
-    Damped Newton by default, Gauss–Seidel relaxation as the oracle and the
-    per-column fallback (see :attr:`~repro.spice.solver.SolverOptions.method`).
+    Damped Newton, with Gauss–Seidel relaxation as the per-column fallback
+    (see :class:`~repro.spice.solver.SolverOptions`).
 
     Parameters
     ----------
@@ -450,21 +446,9 @@ class BatchedDcSolver:
             or a sequence of ``B`` per-instance mappings.  Unlisted free
             nodes start from their stored netlist voltage.
         """
-        voltages = self._initial_matrix(initial_voltages)
-        if self.options.method in NEWTON_METHODS:
-            from repro.spice.newton import solve_newton
+        from repro.spice.newton import solve_newton
 
-            return solve_newton(self, voltages)
-        converged, sweeps, max_update = self._solve_gauss_seidel(voltages)
-        return BatchedOperatingPoint(
-            node_index=self.node_index,
-            voltages=voltages,
-            temperature_k=self.temperature_k,
-            converged=converged,
-            sweeps=sweeps,
-            max_update=max_update,
-            method="gauss-seidel",
-        )
+        return solve_newton(self, self._initial_matrix(initial_voltages))
 
     def _solve_gauss_seidel(
         self, voltages: np.ndarray, columns: np.ndarray | None = None

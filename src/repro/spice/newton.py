@@ -1,12 +1,11 @@
 """Batched damped-Newton DC operating-point solver.
 
-This module is the fast path behind
-:meth:`repro.spice.batched.BatchedDcSolver.solve` for every method of the
-Newton family (``"newton"`` — the default — ``"newton-sparse"`` and
-``"auto"``).  Where the Gauss–Seidel sweeps of :mod:`repro.spice.batched`
-relax one node at a time — tens to hundreds of sweeps, each performing one
-bracketed 1-D root find per free node — the Newton solver treats the whole
-free-node Kirchhoff system per batch column at once:
+This module is the solve behind
+:meth:`repro.spice.batched.BatchedDcSolver.solve`.  Where the Gauss–Seidel
+sweeps of :mod:`repro.spice.batched` relax one node at a time — tens to
+hundreds of sweeps, each performing one bracketed 1-D root find per free
+node — the Newton solver treats the whole free-node Kirchhoff system per
+batch column at once:
 
 1. evaluate every device of the packed ``(T, B)`` grid *once* to get the
    full residual vector ``F`` and, through the analytic model derivatives
@@ -30,22 +29,18 @@ object (one ``steps(packed, voltages, injection)`` call per iteration);
 the globalization loop — damping, line search, convergence masking and the
 Gauss–Seidel fallback — is shared verbatim by every backend:
 
-* :class:`_DenseNewtonBackend` (``method="newton"``) scatters the device
+* :class:`_DenseNewtonBackend` (``"newton"``) scatters the device
   Jacobians into dense ``(B, N, N)`` matrices and factorizes them with one
   batched ``np.linalg.solve`` — O(B·N²) memory and O(B·N³) time, unbeatable
-  on the small cells of the characterizer, a hard wall at ISCAS scale.  A
-  *pre-flight* estimate of the stack (:func:`dense_jacobian_bytes`) is
-  checked against ``SolverOptions.newton_dense_memory_limit`` before the
-  first allocation and raises :class:`DenseJacobianMemoryError` naming the
-  system size and the sparse escape hatch, instead of dying in a bare
-  NumPy ``MemoryError`` mid-assembly.
-* :class:`repro.spice.sparse.SparseNewtonBackend`
-  (``method="newton-sparse"``) assembles the same scatter indices into one
-  shared CSC sparsity pattern and factorizes per column with SuperLU —
-  O(nnz) memory, near-linear time on circuit matrices.
-* ``method="auto"`` resolves to one of the two by free-node count and the
-  dense memory estimate (:func:`resolve_newton_method`); the resolved name
-  is what :attr:`BatchedOperatingPoint.method` records.
+  on the small cells of the characterizer, a hard wall at ISCAS scale.
+* :class:`repro.spice.sparse.SparseNewtonBackend` (``"newton-sparse"``)
+  assembles the same scatter indices into one shared CSC sparsity pattern
+  and factorizes per column with SuperLU — O(nnz) memory, near-linear time
+  on circuit matrices.
+
+:func:`resolve_newton_method` picks one of the two per solve by free-node
+count and the dense stack's size (:func:`dense_jacobian_bytes`); the
+chosen name is what :attr:`BatchedOperatingPoint.method` records.
 
 Robustness — the Gauss–Seidel fallback
 --------------------------------------
@@ -58,7 +53,8 @@ an exhausted iteration budget all mark the column for fallback.  Fallback
 columns restart from their *initial* voltages and run the unmodified
 Gauss–Seidel sweeps (:meth:`BatchedDcSolver._solve_gauss_seidel` on the
 failed column subset), so their results are bitwise identical to a pure
-``method="gauss-seidel"`` solve of the same columns.
+relaxation solve of the same columns (the test oracle
+:func:`repro.oracle.solve_gauss_seidel`).
 
 Batch-composition invariance
 ----------------------------
@@ -87,60 +83,24 @@ _ARMIJO = 1.0e-4
 def dense_jacobian_bytes(batch: int, n_free: int) -> int:
     """Bytes of the dense ``(batch, N, N)`` float64 Jacobian stack.
 
-    This is the single allocation that makes ``method="newton"`` quadratic
+    This is the single allocation that makes the dense backend quadratic
     in the free-node count; everything else in the solver is O(T·B).
     """
     return int(batch) * int(n_free) * int(n_free) * 8
 
 
-class DenseJacobianMemoryError(MemoryError):
-    """Pre-flight refusal to allocate the dense Newton Jacobian stack.
-
-    Raised *before* the first Newton iteration when
-    :func:`dense_jacobian_bytes` exceeds
-    :attr:`~repro.spice.solver.SolverOptions.newton_dense_memory_limit`,
-    so an over-sized ``method="newton"`` solve fails fast with the system
-    dimensions and the sparse escape hatch in the message instead of
-    thrashing swap or dying in a bare NumPy ``MemoryError`` mid-assembly.
-    ``method="auto"`` never raises this: it resolves such systems to
-    ``"newton-sparse"`` instead.
-    """
-
-
-def check_dense_jacobian_memory(
-    batch: int, n_free: int, options: SolverOptions
-) -> None:
-    """Raise :class:`DenseJacobianMemoryError` if the dense stack is too big."""
-    needed = dense_jacobian_bytes(batch, n_free)
-    limit = options.newton_dense_memory_limit
-    if needed > limit:
-        raise DenseJacobianMemoryError(
-            f"dense Newton Jacobian stack needs {needed / 1e9:.3g} GB "
-            f"({batch} batch columns x {n_free} x {n_free} free nodes x "
-            f"8 bytes), over the newton_dense_memory_limit of "
-            f"{limit / 1e9:.3g} GB; use SolverOptions(method=\"newton-sparse\") "
-            f"(or method=\"auto\", which selects it automatically), raise "
-            f"newton_dense_memory_limit, or solve fewer columns per batch"
-        )
-
-
 def resolve_newton_method(
     options: SolverOptions, n_free: int, batch: int
 ) -> str:
-    """Resolve a Newton-family ``options.method`` to a concrete backend name.
+    """Return the Newton backend, ``"newton"`` or ``"newton-sparse"``.
 
-    ``"newton"`` and ``"newton-sparse"`` resolve to themselves.  ``"auto"``
-    picks ``"newton-sparse"`` when the system is large — the free-node
-    count reaches
+    Sparse when the system is large — the free-node count reaches
     :attr:`~repro.spice.solver.SolverOptions.newton_sparse_threshold` or
     the dense stack would exceed
     :attr:`~repro.spice.solver.SolverOptions.newton_dense_memory_limit` —
-    and the dense backend otherwise, so small cells keep the batched-LAPACK
-    fast path bitwise unchanged.
+    and dense otherwise, so small cells keep the batched-LAPACK fast path.
     """
-    if options.method == "newton-sparse":
-        return "newton-sparse"
-    if options.method == "auto" and (
+    if (
         n_free >= options.newton_sparse_threshold
         or dense_jacobian_bytes(batch, n_free)
         > options.newton_dense_memory_limit
@@ -271,21 +231,15 @@ def _solve_steps(matrices: np.ndarray, residual: np.ndarray):
 
 
 class _DenseNewtonBackend:
-    """Dense linear-algebra backend behind ``method="newton"``.
+    """Dense linear-algebra backend (``"newton"``).
 
     Scatters the device Jacobians into a dense ``(columns, N, N)`` stack
     and factorizes every column in one batched ``np.linalg.solve`` call.
-    Construction runs the pre-flight memory check against the *full*
-    batch size (the first iteration's allocation), so an over-budget
-    system fails before any device evaluation.
     """
 
     name = "newton"
 
-    def __init__(
-        self, assembler: _NewtonAssembler, options: SolverOptions, batch: int
-    ) -> None:
-        check_dense_jacobian_memory(batch, assembler.n_free, options)
+    def __init__(self, assembler: _NewtonAssembler) -> None:
         self.assembler = assembler
 
     def steps(
@@ -310,9 +264,8 @@ def solve_newton(
 ) -> BatchedOperatingPoint:
     """Damped-Newton solve of ``solver``'s batch, in place on ``voltages``.
 
-    Called by :meth:`BatchedDcSolver.solve` for every Newton-family
-    ``options.method`` (``"newton"``, ``"newton-sparse"``, ``"auto"``);
-    see the module docstring for the scheme and the backend split.
+    Called by :meth:`BatchedDcSolver.solve`; see the module docstring for
+    the scheme and the backend split.
     ``voltages`` is the full ``(nodes, B)`` initial matrix and is updated
     in place.
     """
@@ -339,7 +292,7 @@ def solve_newton(
                 SparseNewtonBackend(assembler)
             )
         else:
-            backend = _DenseNewtonBackend(assembler, options, batch)
+            backend = _DenseNewtonBackend(assembler)
 
         initial = voltages.copy()  # fallback columns restart from here
         lo_limit = solver._lo_limit

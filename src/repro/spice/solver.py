@@ -24,38 +24,24 @@ from scipy.optimize import brentq
 from repro.spice.netlist import NodeKind, TransistorNetlist
 
 
-#: Solver algorithms accepted by :attr:`SolverOptions.method`.
-SOLVER_METHODS = ("newton", "newton-sparse", "auto", "gauss-seidel")
-
-#: The Newton family: methods that ride the damped-Newton globalization loop
-#: of :mod:`repro.spice.newton` (they differ only in the linear-algebra
-#: backend that produces the Newton steps).
-NEWTON_METHODS = ("newton", "newton-sparse", "auto")
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     """Tunable parameters of the DC solver.
 
+    The batched solver (:class:`repro.spice.batched.BatchedDcSolver`)
+    always takes damped Newton–Raphson steps with analytic device
+    Jacobians, falling back per batch column to Gauss–Seidel sweeps when a
+    step cannot reduce the KCL residual.  It factorizes the steps densely,
+    or as sparse CSC matrices with SuperLU (:mod:`repro.spice.sparse`) —
+    O(nnz) memory instead of O(B·N²), the only feasible backend for
+    ISCAS-scale netlists — once the free-node count reaches
+    :attr:`newton_sparse_threshold` or the dense Jacobian stack would
+    exceed :attr:`newton_dense_memory_limit`.  The scalar
+    :class:`DcSolver` always uses Gauss–Seidel relaxation — it is the
+    cross-check oracle the batched solver is validated against.
+
     Attributes
     ----------
-    method:
-        Algorithm of the *batched* solver
-        (:class:`repro.spice.batched.BatchedDcSolver`): ``"newton"``
-        (default) takes damped Newton–Raphson steps with analytic device
-        Jacobians and falls back per batch column to Gauss–Seidel sweeps
-        when a step cannot reduce the KCL residual; ``"newton-sparse"``
-        runs the identical damped-Newton iteration but assembles the
-        free-node Jacobians as sparse CSC matrices and factorizes them with
-        SuperLU (:mod:`repro.spice.sparse`) — O(nnz) memory instead of
-        O(B·N²), the only feasible backend for ISCAS-scale netlists;
-        ``"auto"`` picks ``"newton-sparse"`` when the free-node count
-        reaches :attr:`newton_sparse_threshold` (or the dense Jacobian
-        stack would exceed :attr:`newton_dense_memory_limit`) and
-        ``"newton"`` otherwise; ``"gauss-seidel"`` runs the relaxation
-        sweeps for every column (the batched oracle).  The scalar
-        :class:`DcSolver` always uses Gauss–Seidel relaxation — it is the
-        cross-check oracle every batched method is validated against.
     max_sweeps:
         Maximum number of Gauss–Seidel sweeps over all free nodes.
     voltage_tol:
@@ -99,25 +85,22 @@ class SolverOptions:
         optimistic; limiting the step keeps the first iterations inside
         the region where the line search is meaningful.
     newton_sparse_threshold:
-        Free-node count at (and above) which ``method="auto"`` selects the
-        sparse Newton backend.  The dense backend amortizes its O(N³)
-        batched factorization well on the small cells of the
-        characterizer; on circuit-sized systems the sparse factorization
-        wins long before memory becomes the binding constraint.  The
-        default sits in the crossover band of the committed sweep
-        ``benchmarks/bench_sparse_crossover.py``
+        Free-node count at (and above) which the batched solver selects
+        the sparse Newton backend; 1 sends every system to it.  The dense
+        backend amortizes its O(N³) batched factorization well on the
+        small cells of the characterizer; on circuit-sized systems the
+        sparse factorization wins long before memory becomes the binding
+        constraint.  The default sits in the crossover band of the
+        committed sweep ``benchmarks/bench_sparse_crossover.py``
         (``benchmarks/sparse_crossover.json``) over
         ``iscas_like(n, rng=3)``: at 16 and 64 columns dense was ahead up
         to 107 and 88 free nodes, and sparse at every size from 179 on;
         at one column the two stayed within 0.8–1.3x of each other from
         63 to 299 free nodes.
     newton_dense_memory_limit:
-        Byte budget of the dense backend's ``(B, N, N)`` Jacobian stack.
-        ``method="newton"`` *pre-flight checks* the allocation against this
-        limit and raises a :class:`~repro.spice.newton.DenseJacobianMemoryError`
-        naming the system size and the ``method="newton-sparse"`` escape
-        hatch instead of dying in a bare NumPy ``MemoryError`` mid-assembly;
-        ``method="auto"`` switches to the sparse backend instead of raising.
+        Byte budget of the dense backend's ``(B, N, N)`` Jacobian stack: a
+        system whose stack would exceed it is solved by the sparse backend
+        whatever its free-node count.
     """
 
     max_sweeps: int = 80
@@ -126,7 +109,6 @@ class SolverOptions:
     initial_window: float = 0.05
     xtol: float = 1.0e-8
     cluster_interval: int = 10
-    method: str = "newton"
     newton_max_iterations: int = 60
     newton_backtracks: int = 12
     newton_step_limit: float = 0.5
@@ -140,10 +122,6 @@ class SolverOptions:
             raise ValueError("tolerances must be positive")
         if self.cluster_interval < 1:
             raise ValueError("cluster_interval must be at least 1")
-        if self.method not in SOLVER_METHODS:
-            raise ValueError(
-                f"method must be one of {SOLVER_METHODS}, got {self.method!r}"
-            )
         if self.newton_max_iterations < 1:
             raise ValueError("newton_max_iterations must be at least 1")
         if self.newton_backtracks < 0:

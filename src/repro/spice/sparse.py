@@ -1,7 +1,9 @@
 """Sparse linear-algebra backend for the batched damped-Newton solver.
 
-This module implements the ``method="newton-sparse"`` backend of
-:func:`repro.spice.newton.solve_newton`.  The dense backend materializes a
+This module implements the ``"newton-sparse"`` backend of
+:func:`repro.spice.newton.solve_newton`, which it picks for systems at or
+above :attr:`~repro.spice.solver.SolverOptions.newton_sparse_threshold`
+free nodes.  The dense backend materializes a
 ``(columns, N, N)`` Jacobian stack — 200 MB per column at N = 5,000 free
 nodes, before LAPACK's O(N³) factorization even starts — which makes it a
 hard wall at ISCAS scale.  Circuit Jacobians are, however, extremely
@@ -54,7 +56,7 @@ Memory is O(nnz · columns) for the values plus SuperLU's fill-in — on
 layered logic netlists a few dozen bytes per transistor per column — so
 systems far beyond the dense wall stay cheap.  The trade-off is the
 per-column Python-loop factorization, which loses to one batched LAPACK
-call on small systems; the ``"auto"`` policy in
+call on small systems; the backend rule in
 :func:`repro.spice.newton.resolve_newton_method` keeps the characterizer's
 cells, and any system below the measured crossover of
 :attr:`~repro.spice.solver.SolverOptions.newton_sparse_threshold` free
@@ -79,7 +81,7 @@ _PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
 class SparseNewtonBackend:
-    """CSC/SuperLU backend behind ``method="newton-sparse"``.
+    """CSC/SuperLU backend (``"newton-sparse"``).
 
     Mirrors the ``steps`` interface of
     :class:`repro.spice.newton._DenseNewtonBackend`; see the module

@@ -35,7 +35,6 @@ from repro.utils.units import (
     watts_to_microwatts,
 )
 from repro.utils.mathtools import (
-    clamp,
     log1p_exp,
     relative_difference,
     safe_exp,
@@ -63,7 +62,6 @@ __all__ = [
     "nm_to_cm",
     "nm_to_m",
     "watts_to_microwatts",
-    "clamp",
     "log1p_exp",
     "relative_difference",
     "safe_exp",

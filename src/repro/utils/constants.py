@@ -7,8 +7,6 @@ Devices* (the paper's reference [3]).
 
 from __future__ import annotations
 
-import math
-
 #: Boltzmann constant in joules per kelvin.
 BOLTZMANN_J = 1.380649e-23
 
@@ -62,21 +60,3 @@ def thermal_voltage(temperature_k: float) -> float:
     if temperature_k <= 0:
         raise ValueError(f"temperature must be positive, got {temperature_k}")
     return BOLTZMANN_J * temperature_k / ELECTRON_CHARGE
-
-
-def intrinsic_carrier_concentration(temperature_k: float) -> float:
-    """Return silicon intrinsic carrier concentration (cm^-3) at a temperature.
-
-    Uses the standard ``T^1.5 * exp(-Eg / 2kT)`` scaling referenced to the
-    300 K value.  Only the *relative* temperature behaviour matters for the
-    models in this library.
-    """
-    if temperature_k <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature_k}")
-    eg = silicon_bandgap(temperature_k)
-    eg_300 = silicon_bandgap(ROOM_TEMPERATURE_K)
-    kt = BOLTZMANN_EV * temperature_k
-    kt_300 = BOLTZMANN_EV * ROOM_TEMPERATURE_K
-    ratio = (temperature_k / ROOM_TEMPERATURE_K) ** 1.5
-    ratio *= math.exp(-eg / (2.0 * kt) + eg_300 / (2.0 * kt_300))
-    return SILICON_INTRINSIC_300K * ratio

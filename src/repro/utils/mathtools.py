@@ -9,7 +9,6 @@ DC solver never sees an overflow or a kink.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -106,17 +105,6 @@ def smooth_step_grad_np(x: np.ndarray, width: float = 1.0) -> np.ndarray:
     return step * (1.0 - step) / width
 
 
-def clamp(value: float, lower: float, upper: float) -> float:
-    """Clamp ``value`` into the closed interval ``[lower, upper]``."""
-    if lower > upper:
-        raise ValueError(f"invalid clamp interval [{lower}, {upper}]")
-    if value < lower:
-        return lower
-    if value > upper:
-        return upper
-    return value
-
-
 def smooth_step(x: float, width: float = 1.0) -> float:
     """Return a smooth 0-to-1 transition of ``x`` over the given width.
 
@@ -143,37 +131,3 @@ def relative_difference(value: float, reference: float) -> float:
 def percent_difference(value: float, reference: float) -> float:
     """Return the relative difference expressed in percent."""
     return 100.0 * relative_difference(value, reference)
-
-
-def interp_linear(x: float, xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Piecewise-linear interpolation with flat extrapolation at the ends.
-
-    ``xs`` must be strictly increasing.  Flat (clamped) extrapolation is the
-    safe choice for characterized leakage responses: loading currents outside
-    the characterized range saturate at the last characterized value instead
-    of extrapolating an unphysical trend.
-    """
-    n = len(xs)
-    if n != len(ys):
-        raise ValueError("xs and ys must have the same length")
-    if n == 0:
-        raise ValueError("cannot interpolate empty tables")
-    if n == 1:
-        return float(ys[0])
-    if x <= xs[0]:
-        return float(ys[0])
-    if x >= xs[-1]:
-        return float(ys[-1])
-    lo, hi = 0, n - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if xs[mid] <= x:
-            lo = mid
-        else:
-            hi = mid
-    x0, x1 = xs[lo], xs[hi]
-    y0, y1 = ys[lo], ys[hi]
-    if x1 == x0:
-        return float(y0)
-    frac = (x - x0) / (x1 - x0)
-    return float(y0 + frac * (y1 - y0))

@@ -51,12 +51,3 @@ def format_table(
     lines.append(render_line(["-" * w for w in widths]))
     lines.extend(render_line(row) for row in rendered_rows)
     return "\n".join(lines)
-
-
-def format_key_values(items: dict[str, object], precision: int = 3) -> str:
-    """Render a flat mapping as ``key: value`` lines (stable key order)."""
-    width = max((len(k) for k in items), default=0)
-    lines = []
-    for key in items:
-        lines.append(f"{key.ljust(width)} : {_render_cell(items[key], precision)}")
-    return "\n".join(lines)

@@ -29,7 +29,6 @@ from repro.analysis import (
     lint_vectors,
     merge_reports,
     preflight_circuit,
-    preflight_vectors,
 )
 from repro.analysis.__main__ import main as lint_main
 from repro.circuit.bench_io import write_bench
@@ -393,10 +392,10 @@ class TestPreflightPolicy:
         with pytest.raises(ValueError):
             preflight_circuit(_bad_circuit())
 
-    def test_preflight_vectors_raises_on_mismatch(self):
+    def test_preflight_circuit_raises_on_vector_mismatch(self):
         chain = inverter_chain(3)
         with pytest.raises(NetlistLintError, match="NL007"):
-            preflight_vectors(chain, [{"wrong_net": 0}])
+            preflight_circuit(chain, vectors=[{"wrong_net": 0}])
 
     def test_rule_subset_selection(self):
         report = lint_circuit(_bad_circuit(), rules=["NL004"])
@@ -436,13 +435,13 @@ class TestEntryPointWiring:
                 estimator, inverter_chain(3), vectors=[{"bogus": 1}]
             )
 
-    def test_minimum_leakage_vector_rejects_malformed_circuit(self, library25):
+    def test_minimize_leakage_rejects_malformed_circuit(self, library25):
         from repro.core import LoadingAwareEstimator
-        from repro.core.vectors import minimum_leakage_vector
+        from repro.optimize import minimize_leakage
 
         estimator = LoadingAwareEstimator(library25)
         with pytest.raises(NetlistLintError, match="NL001"):
-            minimum_leakage_vector(estimator, _bad_circuit())
+            minimize_leakage(estimator, _bad_circuit())
 
 
 # --------------------------------------------------------------------- #

@@ -200,10 +200,10 @@ class TestBatchedSolverEquivalence:
             scalar_leakage = leakage_by_owner(netlist, scalar_op)["g"]
             got = owner_leakage.at(index)
             assert got.subthreshold == pytest.approx(
-                scalar_leakage.subthreshold, rel=1e-9
+                scalar_leakage.subthreshold, rel=1e-9, abs=0
             )
-            assert got.gate == pytest.approx(scalar_leakage.gate, rel=1e-9)
-            assert got.btbt == pytest.approx(scalar_leakage.btbt, rel=1e-9)
+            assert got.gate == pytest.approx(scalar_leakage.gate, rel=1e-9, abs=0)
+            assert got.btbt == pytest.approx(scalar_leakage.btbt, rel=1e-9, abs=0)
 
     def test_default_tolerances_agree_to_voltage_tol(self, bulk25):
         netlists = [_nand2_cell(bulk25, (0, 0)), _nand2_cell(bulk25, (1, 1))]
@@ -388,7 +388,7 @@ class TestBatchedCharacterizationEquivalence:
         single = characterizer.characterize(GateType.NAND2, (0, 1))
         record = whole[(0, 1)]
         assert record.nominal.total == pytest.approx(
-            single.nominal.total, rel=1e-9
+            single.nominal.total, rel=1e-9, abs=0
         )
 
     def test_duplicate_vectors_rejected(self, bulk25):

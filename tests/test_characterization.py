@@ -20,6 +20,7 @@ from repro.gates.characterize import (
 from repro.gates.library import GateType
 from repro.gates.lut import GateVectorCharacterization, ResponseCurve
 from repro.spice.analysis import ComponentBreakdown
+from repro.utils.mathtools import percent_difference
 
 
 class TestCharacterizationOptions:
@@ -99,8 +100,8 @@ class TestCharacterizationRecords:
 
     def test_loading_effect_percent(self, library25):
         record = library25.characterization(GateType.INV, (0,))
-        value = record.loading_effect_percent({"a": 2.0e-6}, "subthreshold")
-        assert value > 0
+        loaded = record.leakage_with_loading({"a": 2.0e-6}).subthreshold
+        assert percent_difference(loaded, record.nominal.subthreshold) > 0
 
     def test_library_caches_records(self, library25):
         first = library25.characterization(GateType.INV, (1,))

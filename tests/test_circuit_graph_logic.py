@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit.generators import inverter_chain, nand_tree, random_logic
-from repro.circuit.graph import (
-    fanout_histogram,
-    levelize,
-    logic_depth,
-    reachable_from_inputs,
-    topological_order,
-)
+from repro.circuit.graph import levelize, logic_depth, topological_order
 from repro.circuit.logic import (
     exhaustive_vectors,
     gate_input_bits,
@@ -61,16 +55,6 @@ class TestLevelsAndStats:
     def test_tree_depth(self):
         circuit = nand_tree(3)
         assert logic_depth(circuit) == 3
-
-    def test_fanout_histogram(self):
-        circuit = inverter_chain(3)
-        histogram = fanout_histogram(circuit)
-        assert histogram[1] == 3  # in, n1, n2 each drive one inverter
-        assert histogram[0] == 1  # final output
-
-    def test_reachable_from_inputs(self):
-        circuit = inverter_chain(3)
-        assert reachable_from_inputs(circuit) == set(circuit.gates)
 
     def test_empty_circuit_depth(self):
         assert logic_depth(Circuit(name="empty")) == 0

@@ -2,19 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.circuit.generators import loaded_inverter_cluster, nand_tree, random_logic
 from repro.circuit.logic import random_vectors
 from repro.core.baseline import NoLoadingEstimator
 from repro.core.estimator import LoadingAwareEstimator
+from repro.core.reference import ReferenceSimulator
 from repro.core.report import CircuitLeakageReport, GateLeakage
 from repro.core.vectors import (
     VectorCampaignResult,
     loading_impact_statistics,
-    minimum_leakage_vector,
     run_vector_campaign,
 )
+from repro.optimize import minimize_leakage
 from repro.spice.analysis import ComponentBreakdown
 
 
@@ -66,6 +68,18 @@ class TestVectorCampaign:
         for a, b in zip(loaded.reports, baseline.reports):
             assert a.input_assignment == b.input_assignment
 
+    def test_only_library_backed_estimators(self, library_d25s, d25s):
+        circuit = nand_tree(1)
+        with pytest.raises(TypeError) as excinfo:
+            run_vector_campaign(ReferenceSimulator(d25s), circuit, count=2, rng=0)
+        assert "run_reference_campaign" in str(excinfo.value)
+        assert "per_vector_campaign" in str(excinfo.value)
+        empty = run_vector_campaign(
+            LoadingAwareEstimator(library_d25s), circuit, vectors=[]
+        )
+        assert empty.vector_count == 0
+        assert empty.totals().shape == (0,)
+
 
 class TestLoadingImpactStatistics:
     def test_statistics_structure_and_signs(self, library_d25s):
@@ -110,7 +124,8 @@ class TestMinimumLeakageVector:
     def test_exhaustive_search_on_small_circuit(self, library_d25s):
         circuit = nand_tree(1)  # two inputs, one NAND2
         estimator = LoadingAwareEstimator(library_d25s)
-        vector, total = minimum_leakage_vector(circuit=circuit, estimator=estimator, exhaustive=True)
+        result = minimize_leakage(estimator, circuit, strategy="exhaustive")
+        vector, total = result.best_assignment, result.best_total
         assert set(vector) == set(circuit.primary_inputs)
         assert total > 0
         # The winner must actually achieve the minimum over all four vectors.
@@ -125,42 +140,25 @@ class TestMinimumLeakageVector:
     def test_random_search_is_reproducible(self, library_d25s):
         circuit = random_logic("minv", 5, 20, rng=2)
         estimator = LoadingAwareEstimator(library_d25s)
-        first = minimum_leakage_vector(estimator, circuit, count=8, rng=5)
-        second = minimum_leakage_vector(estimator, circuit, count=8, rng=5)
-        assert first == second
-
-    def test_empty_vector_set_rejected(self, library_d25s):
-        circuit = nand_tree(1)
-        estimator = LoadingAwareEstimator(library_d25s)
-        with pytest.raises(ValueError, match="empty"):
-            minimum_leakage_vector(estimator, circuit, vectors=[])
-
-    def test_conflicting_vectors_and_exhaustive_rejected(self, library_d25s):
-        circuit = nand_tree(1)
-        estimator = LoadingAwareEstimator(library_d25s)
-        with pytest.raises(ValueError, match="not both"):
-            minimum_leakage_vector(
-                estimator,
-                circuit,
-                vectors=[{"in0": 0, "in1": 0}],
-                exhaustive=True,
-            )
-
-    def test_consumed_iterator_reported_clearly(self, library_d25s):
-        circuit = nand_tree(1)
-        estimator = LoadingAwareEstimator(library_d25s)
-        one_shot = iter([{"in0": 0, "in1": 0}])
-        list(one_shot)  # drain it, simulating accidental reuse
-        with pytest.raises(ValueError, match="already consumed"):
-            minimum_leakage_vector(estimator, circuit, vectors=one_shot)
+        first, second = (
+            run_vector_campaign(estimator, circuit, count=8, rng=5)
+            for _ in range(2)
+        )
+        best = int(np.argmin(first.totals()))
+        assert best == int(np.argmin(second.totals()))
+        assert (
+            first.reports[best].input_assignment
+            == second.reports[best].input_assignment
+        )
+        assert first.totals()[best] == second.totals()[best]
 
     def test_generator_input_is_materialized(self, library_d25s):
         circuit = nand_tree(1)
         estimator = LoadingAwareEstimator(library_d25s)
         vectors = ({"in0": a, "in1": b} for a in (0, 1) for b in (0, 1))
-        vector, total = minimum_leakage_vector(estimator, circuit, vectors=vectors)
-        assert set(vector) == {"in0", "in1"}
-        assert total > 0
+        campaign = run_vector_campaign(estimator, circuit, vectors=vectors)
+        assert campaign.vector_count == 4
+        assert campaign.totals().min() > 0
 
 
 class TestCampaignRuntimeMetadata:

@@ -15,7 +15,6 @@ from repro.device.gate_tunneling import (
 from repro.device.subthreshold import (
     channel_current,
     effective_threshold,
-    is_off,
     oxide_capacitance_per_area,
     specific_current,
 )
@@ -84,10 +83,6 @@ class TestSubthreshold:
         on_with = channel_current(device, bulk25.vdd, 0.05, 0.0, 300.0)
         on_without = channel_current(no_theta, bulk25.vdd, 0.05, 0.0, 300.0)
         assert on_with < on_without
-
-    def test_is_off_classification(self, bulk25):
-        assert is_off(bulk25.nmos, 0.0, bulk25.vdd, 0.0, 300.0)
-        assert not is_off(bulk25.nmos, bulk25.vdd, 0.05, 0.0, 300.0)
 
     def test_negative_vds_rejected(self, bulk25):
         with pytest.raises(ValueError):

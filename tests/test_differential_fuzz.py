@@ -1,7 +1,6 @@
 """Differential fuzzing: independent implementations must agree on random inputs.
 
-Every fast path has a per-item oracle (:mod:`repro.oracle`) or a second
-solver method to be held to.  The regression suites pin them against each other
+Every fast path has an oracle (:mod:`repro.oracle`) to be held to.  The regression suites pin them against each other
 on fixed circuits; this module fuzzes the *structure* too — random small
 circuits from :mod:`repro.circuit.generators` under random vectors — and
 asserts the recorded agreement bars hold for every sampled topology:
@@ -10,10 +9,10 @@ asserts the recorded agreement bars hold for every sampled topology:
   circuit totals within 1e-12 relative (the bar
   ``test_engine.py::TestBatchedCampaignMatchesScalar`` holds on fixed
   circuits);
-* batched Newton DC solver vs. batched Gauss–Seidel oracle on the flattened
-  transistor netlists: per-vector, per-component reference totals within
-  1e-9 relative (the bar ``test_reference_batch.py`` holds per gate
-  against the scalar oracle).
+* batched Newton DC solver vs. the scalar Gauss–Seidel reference oracle on
+  the flattened transistor netlists: per-vector, per-component reference
+  totals within 1e-9 relative (the bar ``test_reference_batch.py`` holds
+  per gate).
 
 Seeds are fixed (deterministic wall-clock, reproducible failures); every
 seed generates a different gate mix, depth profile and fanout pattern, which
@@ -39,7 +38,7 @@ ENGINE_BAR = 1e-12
 #: Newton-vs-Gauss-Seidel agreement bar.
 NEWTON_BAR = 1e-9
 
-#: Tight tolerances put both solver methods at the root, far below the bar.
+#: Tight tolerances put both solvers at the root, far below the bar.
 TIGHT = dict(voltage_tol=1e-11, xtol=1e-14, max_sweeps=250)
 
 
@@ -83,13 +82,10 @@ def test_newton_matches_gauss_seidel_on_random_circuits(seed, bulk25):
         rng=topology_rng,
     )
     vectors = list(random_vectors(circuit, 4, rng=vector_rng))
-    reports = {}
-    for method in ("newton", "gauss-seidel"):
-        simulator = ReferenceSimulator(
-            bulk25, solver_options=SolverOptions(method=method, **TIGHT)
-        )
-        reports[method] = simulator.estimate_batch(circuit, vectors)
-    for newton, oracle in zip(reports["newton"], reports["gauss-seidel"]):
+    simulator = ReferenceSimulator(bulk25, solver_options=SolverOptions(**TIGHT))
+    batched = simulator.estimate_batch(circuit, vectors)
+    relaxed = per_vector_campaign(simulator, circuit, vectors).reports
+    for newton, oracle in zip(batched, relaxed):
         for component in REPORT_COMPONENTS:
             observed = np.array([newton.component(component)])
             expected = np.array([oracle.component(component)])

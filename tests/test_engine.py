@@ -28,7 +28,7 @@ from repro.circuit.netlist import Circuit
 from repro.core.baseline import NoLoadingEstimator
 from repro.core.estimator import LoadingAwareEstimator
 from repro.core.report import REPORT_COMPONENTS
-from repro.core.vectors import minimum_leakage_vector, run_vector_campaign
+from repro.core.vectors import run_vector_campaign
 from repro.engine import (
     ParallelMonteCarlo,
     clear_compile_cache,
@@ -545,7 +545,7 @@ class TestBatchedCampaignMatchesScalar:
                 assert entry_b.gate_type_name == entry_s.gate_type_name
                 for component in ("subthreshold", "gate", "btbt"):
                     assert entry_b.breakdown.component(component) == pytest.approx(
-                        entry_s.breakdown.component(component), rel=1e-12
+                        entry_s.breakdown.component(component), rel=1e-12, abs=0
                     )
                 assert entry_b.input_loading == pytest.approx(
                     entry_s.input_loading, rel=1e-9, abs=1e-24
@@ -586,15 +586,16 @@ class TestBatchedCampaignMatchesScalar:
         assert campaign.reports[0].metadata["engine"] == "batched"
         assert walks == []
 
-    def test_minimum_leakage_vector_matches_scalar(self, library_d25s):
+    def test_campaign_argmin_matches_scalar(self, library_d25s):
+        """A best-of-N over a vector set: argmin of the campaign totals."""
         circuit = random_logic("minv_engine", 5, 18, rng=3)
         estimator = LoadingAwareEstimator(library_d25s)
         vectors = list(random_vectors(circuit, 10, rng=7))
-        vec_b, total_b = minimum_leakage_vector(estimator, circuit, vectors=vectors)
+        totals = run_vector_campaign(estimator, circuit, vectors=vectors).totals()
         oracle = per_vector_campaign(estimator, circuit, vectors).totals()
         best = int(np.argmin(oracle))
-        assert vec_b == vectors[best]
-        assert total_b == pytest.approx(oracle[best], rel=1e-12)
+        assert int(np.argmin(totals)) == best
+        assert totals[best] == pytest.approx(oracle[best], rel=1e-12, abs=0)
 
     def test_bad_assignment_rejected_like_propagate(self, library_d25s):
         circuit = nand_tree(1)

@@ -16,10 +16,8 @@ from repro.experiments import (
     run_fig8_device_variants,
     run_fig9_temperature,
     run_fig12_circuit_estimation,
-    run_ivc_study,
     run_runtime_comparison,
 )
-from repro.optimize import GeneticOptions, GreedyOptions
 from repro.device.presets import DeviceVariant
 from repro.gates.characterize import GateLibrary
 
@@ -135,45 +133,3 @@ class TestFig12AndRuntime:
         assert result.speedup > 10.0
         assert result.gate_count == 30
         assert "speed-up" in result.to_table()
-
-
-class TestIvcStudy:
-    def test_searched_vectors_never_lose_to_random(self, library_d25s):
-        circuits = [
-            random_logic("ivc_a", 6, 20, rng=2),
-            random_logic("ivc_b", 8, 24, rng=3),
-        ]
-        study = run_ivc_study(
-            circuits,
-            library_d25s,
-            seed=7,
-            greedy_options=GreedyOptions(restarts=6),
-            genetic_options=GeneticOptions(population=16, generations=10),
-        )
-        assert [entry.circuit_name for entry in study.results] == ["ivc_a", "ivc_b"]
-        for entry in study.results:
-            # The baseline budget never undercuts either optimizer's ledger.
-            assert entry.random_evaluations >= entry.greedy.evaluations
-            assert entry.random_evaluations >= entry.genetic.evaluations
-            assert entry.greedy.best_total <= entry.random_best
-            assert entry.genetic.best_total <= entry.random_best
-            # Small circuits also record the oracle; searches must reach it.
-            assert entry.exhaustive_best is not None
-            assert entry.greedy.best_total == entry.exhaustive_best
-            assert entry.improvement_percent("greedy") >= 0.0
-        table = study.to_table()
-        assert "best-of-random-N" in table and "ivc_b" in table
-
-    def test_same_seed_reproduces_the_study(self, library_d25s):
-        circuits = [random_logic("ivc_c", 6, 16, rng=5)]
-        options = dict(
-            greedy_options=GreedyOptions(restarts=4),
-            genetic_options=GeneticOptions(population=12, generations=6),
-        )
-        first = run_ivc_study(circuits, library_d25s, seed=11, **options)
-        second = run_ivc_study(circuits, library_d25s, seed=11, **options)
-        assert first.results[0].random_best == second.results[0].random_best
-        assert (
-            first.results[0].greedy.best_total
-            == second.results[0].greedy.best_total
-        )

@@ -4,12 +4,7 @@ import itertools
 
 import pytest
 
-from repro.gates.library import (
-    GateType,
-    all_gate_types,
-    gate_spec,
-    inverting_gate_types,
-)
+from repro.gates.library import GateType, all_gate_types, gate_spec
 
 
 def _reference_function(gate_type, bits):
@@ -65,12 +60,6 @@ class TestGateSpecs:
         assert GateType.from_name("XOR2") is GateType.XOR2
         with pytest.raises(KeyError):
             gate_spec("nand17")
-
-    def test_inverting_subset(self):
-        inverting = set(inverting_gate_types())
-        assert GateType.NAND2 in inverting
-        assert GateType.AND2 not in inverting
-        assert GateType.XOR2 not in inverting
 
     def test_output_pin_name(self):
         assert gate_spec(GateType.INV).output == "y"

@@ -93,15 +93,15 @@ class TestGatePinCurrentSigns:
 
     def test_receiver_injects_into_a_low_net(self):
         """With the input net at '0' the receiver pushes current into it."""
-        nmos = Mosfet(_TECH.nmos).gate_pin_current(0.0, _VDD, 0.0, 0.0, 300.0)
-        pmos = Mosfet(_TECH.pmos).gate_pin_current(0.0, _VDD, _VDD, _VDD, 300.0)
+        nmos = Mosfet(_TECH.nmos).terminal_currents(0.0, _VDD, 0.0, 0.0, 300.0).ig
+        pmos = Mosfet(_TECH.pmos).terminal_currents(0.0, _VDD, _VDD, _VDD, 300.0).ig
         # Negative pin current = current flows out of the device into the net.
         assert nmos < 0
         assert pmos < 0
 
     def test_receiver_draws_from_a_high_net(self):
         """With the input net at '1' the receiver pulls current out of it."""
-        nmos = Mosfet(_TECH.nmos).gate_pin_current(_VDD, 0.0, 0.0, 0.0, 300.0)
-        pmos = Mosfet(_TECH.pmos).gate_pin_current(_VDD, 0.0, _VDD, _VDD, 300.0)
+        nmos = Mosfet(_TECH.nmos).terminal_currents(_VDD, 0.0, 0.0, 0.0, 300.0).ig
+        pmos = Mosfet(_TECH.pmos).terminal_currents(_VDD, 0.0, _VDD, _VDD, 300.0).ig
         assert nmos > 0
         assert pmos > 0

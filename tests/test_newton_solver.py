@@ -13,7 +13,8 @@ Three layers are covered:
 * solver layer — Newton-vs-Gauss-Seidel equivalence at tight tolerances,
   bitwise batch-composition invariance, the Gauss–Seidel fallback
   (bitwise identical to a pure relaxation solve), the characterization
-  convergence policy, and the solver-method cache fingerprint.
+  convergence policy, and the cache fingerprint's reporting-policy
+  exemption.
 """
 
 import numpy as np
@@ -35,19 +36,15 @@ from repro.device.subthreshold import (
     effective_threshold_grad_v,
     effective_threshold_v,
 )
-from repro.gates.cache import (
-    characterization_fingerprint,
-    load_library,
-    save_library,
-)
+from repro.gates.cache import characterization_fingerprint
 from repro.gates.characterize import (
     CharacterizationConvergenceWarning,
     CharacterizationOptions,
     GateCharacterizer,
-    GateLibrary,
 )
 from repro.gates.library import GateType
 from repro.gates.templates import build_gate_transistors
+from repro.oracle import solve_gauss_seidel
 from repro.spice.analysis import leakage_by_owner
 from repro.spice.batched import BatchedDcSolver
 from repro.spice.netlist import TransistorNetlist
@@ -55,13 +52,10 @@ from repro.spice.newton import _NewtonAssembler
 from repro.spice.solver import DcSolver, SolverOptions
 
 #: Tight tolerances put both engines at the root, far below the 1e-9
-#: leakage-agreement bar the Newton path is held to.
-TIGHT_NEWTON = SolverOptions(
-    voltage_tol=1e-11, xtol=1e-14, max_sweeps=250, method="newton"
-)
-TIGHT_GS = SolverOptions(
-    voltage_tol=1e-11, xtol=1e-14, max_sweeps=250, method="gauss-seidel"
-)
+#: leakage-agreement bar the Newton path is held to.  The batched solver
+#: runs Newton; the scalar ``DcSolver`` and
+#: :func:`repro.oracle.solve_gauss_seidel` relax by Gauss–Seidel sweeps.
+TIGHT = SolverOptions(voltage_tol=1e-11, xtol=1e-14, max_sweeps=250)
 
 
 def assert_grad_close(analytic, fd, rtol=1e-3, floor=1e-18):
@@ -354,7 +348,7 @@ class TestCircuitJacobian:
             _nand2_cell(bulk25, (0, 0), injection=5e-7),
             _nand2_cell(bulk25, (1, 1), injection=-2e-7, vth_shift=0.004),
         ]
-        solver = BatchedDcSolver(netlists, 300.0, TIGHT_NEWTON)
+        solver = BatchedDcSolver(netlists, 300.0, TIGHT)
         assembler = _NewtonAssembler(solver)
         voltages = solver._initial_matrix(None)
         # Move off the all-rails start so every device sees generic biases.
@@ -392,14 +386,14 @@ class TestNewtonEquivalence:
     def test_voltages_and_leakage_match_scalar_oracle(self, bulk25):
         injections = [None, 5e-7, -5e-7, 2e-6, -2e-6]
         netlists = [_nand2_cell(bulk25, (1, 0), inj) for inj in injections]
-        op = BatchedDcSolver(netlists, 300.0, TIGHT_NEWTON).solve()
+        op = BatchedDcSolver(netlists, 300.0, TIGHT).solve()
         assert op.all_converged
         assert op.method == "newton"
         assert not op.fallback.any()
-        solver = BatchedDcSolver(netlists, 300.0, TIGHT_NEWTON)
+        solver = BatchedDcSolver(netlists, 300.0, TIGHT)
         owner_leakage = solver.leakage_by_owner(op)["g"]
         for index, netlist in enumerate(netlists):
-            scalar_op = DcSolver(netlist, 300.0, TIGHT_GS).solve()
+            scalar_op = DcSolver(netlist, 300.0, TIGHT).solve()
             assert scalar_op.converged
             for name, voltage in scalar_op.voltages.items():
                 batched_v = op.voltages[op.node_index[name], index]
@@ -416,8 +410,8 @@ class TestNewtonEquivalence:
             _nand2_cell(bulk25, (0, 1)),
             _nand2_cell(bulk25, (1, 1), injection=1e-6),
         ]
-        newton = BatchedDcSolver(netlists, 300.0, TIGHT_NEWTON).solve()
-        relaxed = BatchedDcSolver(netlists, 300.0, TIGHT_GS).solve()
+        newton = BatchedDcSolver(netlists, 300.0, TIGHT).solve()
+        relaxed = solve_gauss_seidel(BatchedDcSolver(netlists, 300.0, TIGHT))
         assert newton.all_converged and relaxed.all_converged
         assert np.abs(newton.voltages - relaxed.voltages).max() < 1e-9
 
@@ -432,10 +426,10 @@ class TestNewtonEquivalence:
             return netlist
 
         netlists = [cell(1.0), cell(0.9), cell(1.1)]
-        op = BatchedDcSolver(netlists, 300.0, TIGHT_NEWTON).solve()
+        op = BatchedDcSolver(netlists, 300.0, TIGHT).solve()
         assert op.all_converged
         for index, netlist in enumerate(netlists):
-            scalar_op = DcSolver(netlist, 300.0, TIGHT_GS).solve()
+            scalar_op = DcSolver(netlist, 300.0, TIGHT).solve()
             assert op.voltage("out")[index] == pytest.approx(
                 scalar_op.voltage("out"), abs=1e-9
             )
@@ -459,22 +453,22 @@ class TestNewtonBatchInvariance:
             {"out": 0.5 * bulk25.vdd},
             {"out": bulk25.vdd},
         ]
-        whole = BatchedDcSolver(netlists, 300.0, TIGHT_NEWTON).solve(
+        whole = BatchedDcSolver(netlists, 300.0, TIGHT).solve(
             initial_voltages=guesses
         )
         assert whole.all_converged
         assert len(set(whole.newton_iterations.tolist())) > 1
         for index, netlist in enumerate(netlists):
-            alone = BatchedDcSolver([netlist], 300.0, TIGHT_NEWTON).solve(
+            alone = BatchedDcSolver([netlist], 300.0, TIGHT).solve(
                 initial_voltages=[guesses[index]]
             )
             assert np.array_equal(alone.voltages[:, 0], whole.voltages[:, index])
             assert alone.newton_iterations[0] == whole.newton_iterations[index]
         halves = [
-            BatchedDcSolver(netlists[:2], 300.0, TIGHT_NEWTON).solve(
+            BatchedDcSolver(netlists[:2], 300.0, TIGHT).solve(
                 initial_voltages=guesses[:2]
             ),
-            BatchedDcSolver(netlists[2:], 300.0, TIGHT_NEWTON).solve(
+            BatchedDcSolver(netlists[2:], 300.0, TIGHT).solve(
                 initial_voltages=guesses[2:]
             ),
         ]
@@ -506,15 +500,15 @@ class TestNewtonFallback:
         line search stalls at the band edge and the column must fall back,
         reproducing the relaxation result exactly."""
         newton = BatchedDcSolver(
-            [self._pinned_cell(bulk25, 1e-3)], 300.0, TIGHT_NEWTON
+            [self._pinned_cell(bulk25, 1e-3)], 300.0, TIGHT
         ).solve()
-        relaxed = BatchedDcSolver(
-            [self._pinned_cell(bulk25, 1e-3)], 300.0, TIGHT_GS
-        ).solve()
+        relaxed = solve_gauss_seidel(
+            BatchedDcSolver([self._pinned_cell(bulk25, 1e-3)], 300.0, TIGHT)
+        )
         assert newton.fallback[0]
         assert np.array_equal(newton.voltages, relaxed.voltages)
         assert newton.voltage("float_gate")[0] == pytest.approx(
-            bulk25.vdd + TIGHT_NEWTON.bracket_margin
+            bulk25.vdd + TIGHT.bracket_margin
         )
 
     def test_mixed_fallback_batch_stays_column_independent(self, bulk25):
@@ -524,18 +518,19 @@ class TestNewtonFallback:
             self._pinned_cell(bulk25, 1e-3),
             self._pinned_cell(bulk25, 1e-12),
         ]
-        whole = BatchedDcSolver(netlists, 300.0, TIGHT_NEWTON).solve()
+        whole = BatchedDcSolver(netlists, 300.0, TIGHT).solve()
         assert whole.all_converged
         assert whole.fallback[0] and not whole.fallback[1]
         for index, netlist in enumerate(netlists):
-            alone = BatchedDcSolver([netlist], 300.0, TIGHT_NEWTON).solve()
+            alone = BatchedDcSolver([netlist], 300.0, TIGHT).solve()
             assert np.array_equal(alone.voltages[:, 0], whole.voltages[:, index])
 
 
 class TestConvergencePolicy:
-    #: One sweep at an unreachable tolerance: guaranteed non-convergence.
+    #: One Newton iteration, then one fallback sweep, at an unreachable
+    #: tolerance: guaranteed non-convergence.
     STARVED = SolverOptions(
-        max_sweeps=1, voltage_tol=1e-15, method="gauss-seidel"
+        max_sweeps=1, voltage_tol=1e-15, newton_max_iterations=1
     )
     GRID = (-1e-6, 1e-6)
 
@@ -593,10 +588,6 @@ class TestConvergencePolicy:
 
 
 class TestSolverOptionsValidation:
-    def test_method_validated(self):
-        with pytest.raises(ValueError, match="method"):
-            SolverOptions(method="bisection")
-
     def test_newton_knobs_validated(self):
         with pytest.raises(ValueError, match="newton_max_iterations"):
             SolverOptions(newton_max_iterations=0)
@@ -607,26 +598,6 @@ class TestSolverOptionsValidation:
 
 
 class TestMethodCacheFingerprint:
-    def _library(self, technology, method):
-        return GateLibrary(
-            technology,
-            options=CharacterizationOptions(
-                injection_grid=(-1e-6, 1e-6),
-                solver=SolverOptions(method=method),
-            ),
-        )
-
-    def test_method_changes_fingerprint(self, bulk25):
-        newton = self._library(bulk25, "newton")
-        relaxed = self._library(bulk25, "gauss-seidel")
-        fingerprints = {
-            characterization_fingerprint(
-                bulk25, library.characterizer.options, library.temperature_k
-            )
-            for library in (newton, relaxed)
-        }
-        assert len(fingerprints) == 2
-
     def test_reporting_policy_does_not_change_fingerprint(self, bulk25):
         """on_nonconverged is warn-vs-raise reporting: it can never change
         a record that was produced, so it must not fork caches."""
@@ -641,17 +612,3 @@ class TestMethodCacheFingerprint:
             for policy in ("warn", "raise")
         }
         assert len(fingerprints) == 1
-
-    def test_strict_load_refuses_method_mismatch(self, bulk25, tmp_path):
-        path = tmp_path / "library.json"
-        newton = self._library(bulk25, "newton")
-        newton.precharacterize([GateType.INV])
-        save_library(newton, path)
-
-        relaxed = self._library(bulk25, "gauss-seidel")
-        with pytest.raises(ValueError, match="options"):
-            load_library(relaxed, path)
-        # Non-strict loads (exploratory work) still go through ...
-        assert load_library(relaxed, path, strict=False) == 2
-        # ... and a matching library loads strictly.
-        assert load_library(self._library(bulk25, "newton"), path) == 2

@@ -77,3 +77,18 @@ class TestDeclaredDependencies:
             if module.lower() not in declared
         }
         assert not missing, f"imported but not declared in pyproject.toml: {missing}"
+
+    def test_every_file_the_project_names_exists(self):
+        """``[project]`` names its readme as a file (a ``license`` table may
+        name one too); a missing one builds metadata with no long
+        description, or fails a strict build backend."""
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+        named = [project["readme"]] if isinstance(project.get("readme"), str) else []
+        for key in ("readme", "license"):
+            table = project.get(key)
+            if isinstance(table, dict) and "file" in table:
+                named.append(table["file"])
+        assert named, "pyproject.toml names no readme"
+        missing = [name for name in named if not (ROOT / name).is_file()]
+        assert not missing, f"named in pyproject.toml but absent: {missing}"

@@ -48,7 +48,7 @@ def _assert_reports_match(batched, scalar, rtol=ENGINE_RTOL):
             )
     for component in REPORT_COMPONENTS:
         assert batched.component(component) == pytest.approx(
-            scalar.component(component), rel=rtol
+            scalar.component(component), rel=rtol, abs=0
         )
 
 
@@ -93,20 +93,20 @@ class TestFlattenBatch:
 
 
 class TestBatchedMatchesScalar:
-    # The ENGINE_RTOL parity bar encodes "same relaxation, vectorized": the
-    # batched Gauss-Seidel sweeps mirror the scalar solver's trajectory, so
-    # these tests pin method="gauss-seidel".  The Newton default is compared
-    # against the scalar oracle in tests/test_newton_solver.py, at tight
-    # solver tolerances where both engines are at the root.
-    GS = SolverOptions(method="gauss-seidel")
+    # The batched (Newton) and scalar (Gauss-Seidel) solves follow different
+    # trajectories, so both run at tight tolerances, where each sits at the
+    # root, and are held to the TIGHT_RTOL bar per gate and component.
+    TIGHT_OPTIONS = SolverOptions(**TIGHT)
 
     def test_synthetic_circuit(self, d25s):
         circuit = iscas_like("s838", scale=0.05)
         vectors = list(random_vectors(circuit, 4, rng=3))
-        simulator = ReferenceSimulator(d25s, solver_options=self.GS)
+        simulator = ReferenceSimulator(d25s, solver_options=self.TIGHT_OPTIONS)
         batched = simulator.estimate_batch(circuit, vectors)
         for report, vector in zip(batched, vectors):
-            _assert_reports_match(report, simulator.estimate(circuit, vector))
+            _assert_reports_match(
+                report, simulator.estimate(circuit, vector), rtol=TIGHT_RTOL
+            )
             assert report.metadata["engine"] == "batched"
             assert report.metadata["solver_converged"]
 
@@ -117,28 +117,26 @@ class TestBatchedMatchesScalar:
             {net: (i >> j) & 1 for j, net in enumerate(inputs)}
             for i in (0, 21, 63)
         ]
-        simulator = ReferenceSimulator(d25s, solver_options=self.GS)
+        simulator = ReferenceSimulator(d25s, solver_options=self.TIGHT_OPTIONS)
         batched = simulator.estimate_batch(circuit, vectors)
         for report, vector in zip(batched, vectors):
-            _assert_reports_match(report, simulator.estimate(circuit, vector))
+            _assert_reports_match(
+                report, simulator.estimate(circuit, vector), rtol=TIGHT_RTOL
+            )
 
     def test_tight_solve_matches_scalar_oracle_per_gate(self, d25s):
-        """The production solve (``auto``: batched Newton) against the scalar
+        """The production solve (batched Newton) against the scalar
         Gauss–Seidel oracle: every vector converged without fallback, every
         gate's components within 1e-9 relative, the whole vector set solved
         as one batch."""
         circuit = random_logic("ref_tight", 6, 10, rng=2)
         vectors = list(random_vectors(circuit, 3, rng=3))
+        options = SolverOptions(**TIGHT)
         batched = run_reference_campaign(
-            circuit, d25s, vectors=vectors,
-            solver_options=SolverOptions(method="auto", **TIGHT),
+            circuit, d25s, vectors=vectors, solver_options=options
         )
         scalar = per_vector_campaign(
-            ReferenceSimulator(
-                d25s, solver_options=SolverOptions(method="gauss-seidel", **TIGHT)
-            ),
-            circuit,
-            vectors,
+            ReferenceSimulator(d25s, solver_options=options), circuit, vectors
         )
         for report_b, report_s in zip(batched.reports, scalar.reports):
             meta_b, meta_s = report_b.metadata, report_s.metadata

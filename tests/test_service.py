@@ -27,12 +27,13 @@ import pytest
 from repro.circuit.generators import nand_tree, random_logic
 from repro.circuit.logic import random_vectors
 from repro.core.estimator import LoadingAwareEstimator
-from repro.core.vectors import minimum_leakage_vector, run_vector_campaign
+from repro.core.vectors import run_vector_campaign
 from repro.engine.campaign import run_compiled, run_totals
 from repro.engine.compile import CompileCache, compile_circuit
 from repro.gates.cache import LibraryStore
 from repro.gates.characterize import CharacterizationOptions, GateLibrary
 from repro.gates.library import GateType
+from repro.optimize import minimize_leakage
 from repro.service import (
     DeadlineExceeded,
     EstimationSession,
@@ -106,7 +107,7 @@ def test_concurrent_totals_bitwise_identical_to_serial(
 def test_concurrent_campaigns_bitwise_identical_to_serial(
     session, circuit, library_d25s
 ):
-    """Coalesced campaign slices match standalone run_compiled bitwise."""
+    """Concurrent campaign() calls match standalone run_compiled bitwise."""
     vectors = list(random_vectors(circuit, 24, rng=2005))
     compiled = session.compiled(circuit, library_d25s)
 
@@ -134,7 +135,6 @@ def test_concurrent_campaigns_bitwise_identical_to_serial(
         assert np.array_equal(run.vec_index, alone.vec_index)
         assert np.array_equal(run.input_loading, alone.input_loading)
         assert np.array_equal(run.output_loading, alone.output_loading)
-        # Sliced runs still materialize full scalar-compatible reports.
         assert run.report(0).input_assignment == chunk[0]
 
 
@@ -148,18 +148,6 @@ def test_serial_totals_accept_assignments_and_bits(session, circuit, library_d25
     from_bits = session.totals(circuit, library_d25s, bits, coalesce=False)
     from_dicts = session.totals(circuit, library_d25s, vectors, coalesce=False)
     assert np.array_equal(from_bits, from_dicts)
-
-
-def test_iter_campaign_streams_bitwise_chunks(session, circuit, library_d25s):
-    """Streamed chunks concatenate to the one-shot campaign, bitwise."""
-    vectors = list(random_vectors(circuit, 11, rng=7))
-    whole = session.campaign(circuit, library_d25s, vectors, coalesce=False)
-    chunks = list(
-        session.iter_campaign(circuit, library_d25s, iter(vectors), chunk_size=4)
-    )
-    assert [c.vector_count for c in chunks] == [4, 4, 3]
-    streamed = np.concatenate([c.component_totals()["total"] for c in chunks])
-    assert np.array_equal(streamed, whole.component_totals()["total"])
 
 
 # --------------------------------------------------------------------------- #
@@ -521,15 +509,6 @@ def test_session_does_not_degrade_deadline_or_overload(circuit, library_d25s):
     assert session.stats()["session"]["degraded_requests"] == 0
 
 
-def test_session_campaign_honors_deadline(circuit, library_d25s):
-    """campaign() forwards deadlines exactly like totals()."""
-    session = EstimationSession()
-    vectors = list(random_vectors(circuit, 4, rng=9))
-    expected = session.campaign(circuit, library_d25s, vectors, coalesce=False)
-    run = session.campaign(circuit, library_d25s, vectors, deadline_s=30.0)
-    assert np.array_equal(run.per_gate, expected.per_gate)
-
-
 # --------------------------------------------------------------------------- #
 # compile cache: bounded LRU with truthful counters
 # --------------------------------------------------------------------------- #
@@ -721,19 +700,16 @@ def test_run_vector_campaign_accepts_session(circuit, library_d25s):
     assert session.stats()["compile_cache"]["misses"] == 1
 
 
-def test_minimum_leakage_vector_accepts_session(circuit, library_d25s):
+def test_minimize_leakage_accepts_session(circuit, library_d25s):
     session = EstimationSession()
     estimator = LoadingAwareEstimator(library_d25s)
-    best, total = minimum_leakage_vector(
-        estimator, circuit, exhaustive=True, session=session
+    through_session = minimize_leakage(
+        estimator, circuit, strategy="exhaustive", session=session
     )
-    best_default, total_default = minimum_leakage_vector(
-        estimator, circuit, exhaustive=True
-    )
-    assert best == best_default
-    assert total == total_default
+    default_path = minimize_leakage(estimator, circuit, strategy="exhaustive")
+    assert through_session.best_assignment == default_path.best_assignment
+    assert through_session.best_total == default_path.best_total
     assert session.stats()["compile_cache"]["misses"] == 1
-    assert session.stats()["session"]["requests"] >= 1
 
 
 def test_random_logic_session_campaign_matches_direct_engine(library_d25s):

@@ -11,9 +11,8 @@ Covers the backend abstraction introduced around
 * the solver-level invariants the dense path already guarantees, now for
   the sparse path: bitwise batch-composition invariance and the bitwise
   Gauss–Seidel fallback;
-* the ``"auto"`` dispatch policy (free-node threshold and dense-memory
-  escape) and the resolved-method reporting;
-* the pre-flight dense-Jacobian memory guard and its actionable message;
+* the backend rule (free-node threshold and dense-memory escape) and the
+  backend reporting;
 * the characterization-cache fingerprint: the solver options and the
   SuperLU ordering fork caches, strict loads refuse a backend mismatch;
 * the scalable layered-DAG generator the large-system benchmark builds on
@@ -42,10 +41,10 @@ from repro.gates.characterize import (
 )
 from repro.gates.library import GateType
 from repro.gates.templates import build_gate_transistors
+from repro.oracle import solve_gauss_seidel
 from repro.spice.batched import BatchedDcSolver
 from repro.spice.netlist import NodeKind, TransistorNetlist
 from repro.spice.newton import (
-    DenseJacobianMemoryError,
     _NewtonAssembler,
     dense_jacobian_bytes,
     resolve_newton_method,
@@ -54,9 +53,11 @@ from repro.spice.solver import SolverOptions
 from repro.spice.sparse import SparseNewtonBackend
 
 TIGHT = dict(voltage_tol=1e-11, xtol=1e-14, max_sweeps=250)
-TIGHT_DENSE = SolverOptions(method="newton", **TIGHT)
-TIGHT_SPARSE = SolverOptions(method="newton-sparse", **TIGHT)
-TIGHT_GS = SolverOptions(method="gauss-seidel", **TIGHT)
+#: The free-node threshold forces a backend: 1 sends every system with a
+#: free node to the sparse one, a threshold above every system here keeps
+#: the dense one (its stacks stay far below the memory limit).
+TIGHT_DENSE = SolverOptions(newton_sparse_threshold=10**9, **TIGHT)
+TIGHT_SPARSE = SolverOptions(newton_sparse_threshold=1, **TIGHT)
 
 
 def _nand2_cell(technology, vector, injection=None, vth_shift=0.0):
@@ -121,7 +122,7 @@ class TestSparseDenseParity:
     def test_sparse_matches_gauss_seidel_oracle(self, bulk25):
         netlists = _mixed_batch(bulk25)
         sparse = BatchedDcSolver(netlists, 300.0, TIGHT_SPARSE).solve()
-        relaxed = BatchedDcSolver(netlists, 300.0, TIGHT_GS).solve()
+        relaxed = solve_gauss_seidel(BatchedDcSolver(netlists, 300.0, TIGHT_SPARSE))
         assert sparse.all_converged and relaxed.all_converged
         assert np.max(np.abs(sparse.voltages - relaxed.voltages)) <= 1e-9
 
@@ -188,9 +189,9 @@ class TestSparseFallback:
         sparse = BatchedDcSolver(
             [self._pinned_cell(bulk25, 1e-3)], 300.0, TIGHT_SPARSE
         ).solve()
-        relaxed = BatchedDcSolver(
-            [self._pinned_cell(bulk25, 1e-3)], 300.0, TIGHT_GS
-        ).solve()
+        relaxed = solve_gauss_seidel(
+            BatchedDcSolver([self._pinned_cell(bulk25, 1e-3)], 300.0, TIGHT_SPARSE)
+        )
         assert sparse.fallback[0]
         assert sparse.method == "newton-sparse"
         assert np.array_equal(sparse.voltages, relaxed.voltages)
@@ -210,18 +211,15 @@ class TestSparseFallback:
 
 class TestAutoDispatch:
     def test_resolution_policy(self):
-        auto = SolverOptions(method="auto")
-        assert resolve_newton_method(auto, 8, 4) == "newton"
-        assert resolve_newton_method(auto, 127, 64) == "newton"
-        assert resolve_newton_method(auto, 128, 1) == "newton-sparse"
-        assert resolve_newton_method(SolverOptions(method="newton"), 5000, 64) == (
-            "newton"
-        )
-        assert resolve_newton_method(SolverOptions(method="newton-sparse"), 2, 1) == (
-            "newton-sparse"
-        )
+        default = SolverOptions()
+        assert resolve_newton_method(default, 8, 4) == "newton"
+        assert resolve_newton_method(default, 127, 64) == "newton"
+        assert resolve_newton_method(default, 128, 1) == "newton-sparse"
+        assert resolve_newton_method(TIGHT_DENSE, 5000, 1) == "newton"
+        assert resolve_newton_method(TIGHT_SPARSE, 2, 1) == "newton-sparse"
         # The dense-memory escape triggers sparse below the node threshold.
-        tight_memory = SolverOptions(method="auto", newton_dense_memory_limit=100.0)
+        assert resolve_newton_method(TIGHT_DENSE, 5000, 64) == "newton-sparse"
+        tight_memory = SolverOptions(newton_dense_memory_limit=100.0)
         assert resolve_newton_method(tight_memory, 8, 4) == "newton-sparse"
 
     def test_estimate(self):
@@ -230,7 +228,7 @@ class TestAutoDispatch:
     @pytest.mark.slow
     def test_auto_below_threshold_is_bitwise_dense(self, bulk25):
         netlists = _mixed_batch(bulk25)
-        auto = SolverOptions(method="auto", **TIGHT)
+        auto = SolverOptions(**TIGHT)
         resolved = BatchedDcSolver(netlists, 300.0, auto).solve()
         dense = BatchedDcSolver(netlists, 300.0, TIGHT_DENSE).solve()
         assert resolved.method == "newton"
@@ -238,8 +236,8 @@ class TestAutoDispatch:
 
     @pytest.mark.slow
     def test_auto_at_threshold_is_bitwise_sparse(self, bulk25):
-        netlists = _mixed_batch(bulk25)
-        auto = SolverOptions(method="auto", newton_sparse_threshold=1, **TIGHT)
+        netlists = _mixed_batch(bulk25)  # two free nodes
+        auto = SolverOptions(newton_sparse_threshold=2, **TIGHT)
         resolved = BatchedDcSolver(netlists, 300.0, auto).solve()
         sparse = BatchedDcSolver(netlists, 300.0, TIGHT_SPARSE).solve()
         assert resolved.method == "newton-sparse"
@@ -248,30 +246,13 @@ class TestAutoDispatch:
     @pytest.mark.slow
     def test_auto_over_memory_limit_switches_instead_of_raising(self, bulk25):
         netlists = _mixed_batch(bulk25)
-        auto = SolverOptions(
-            method="auto", newton_dense_memory_limit=10.0, **TIGHT
-        )
+        auto = SolverOptions(newton_dense_memory_limit=10.0, **TIGHT)
         resolved = BatchedDcSolver(netlists, 300.0, auto).solve()
         assert resolved.method == "newton-sparse"
         assert resolved.all_converged
 
 
 class TestDenseMemoryGuard:
-    def test_over_limit_raises_actionable_error(self, bulk25):
-        netlists = _mixed_batch(bulk25)
-        starved = SolverOptions(method="newton", newton_dense_memory_limit=10.0)
-        solver = BatchedDcSolver(netlists, 300.0, starved)
-        with pytest.raises(DenseJacobianMemoryError) as excinfo:
-            solver.solve()
-        message = str(excinfo.value)
-        assert "4 batch columns" in message  # B
-        assert "2 x 2 free nodes" in message  # N
-        assert "newton-sparse" in message  # the escape hatch
-        assert "newton_dense_memory_limit" in message
-
-    def test_guard_is_a_memory_error(self):
-        assert issubclass(DenseJacobianMemoryError, MemoryError)
-
     def test_options_validated(self):
         with pytest.raises(ValueError, match="newton_sparse_threshold"):
             SolverOptions(newton_sparse_threshold=0)
@@ -291,11 +272,10 @@ class TestSparseCacheFingerprint:
         agree only to ~1e-15, not bitwise, so records must not be shared.
         The same holds for two SuperLU column orderings."""
         kwargs_set = (
-            dict(method="newton"),
-            dict(method="newton-sparse"),
-            dict(method="auto"),
-            dict(method="auto", newton_sparse_threshold=64),
-            dict(method="auto", newton_dense_memory_limit=1e8),
+            dict(),
+            dict(newton_sparse_threshold=1),
+            dict(newton_sparse_threshold=64),
+            dict(newton_dense_memory_limit=1e8),
         )
 
         def fingerprints():
@@ -307,25 +287,23 @@ class TestSparseCacheFingerprint:
             }
 
         pinned = fingerprints()
-        assert len(pinned) == 5
+        assert len(pinned) == len(kwargs_set)
         monkeypatch.setattr("repro.spice.sparse._PERMC_SPEC", "COLAMD")
         other_ordering = fingerprints()
-        assert len(other_ordering) == 5
+        assert len(other_ordering) == len(kwargs_set)
         assert not pinned & other_ordering
 
     def test_strict_load_refuses_backend_mismatch(self, bulk25, tmp_path):
         path = tmp_path / "library.json"
-        dense = GateLibrary(bulk25, options=self._options(method="newton"))
+        dense = GateLibrary(bulk25, options=self._options())
         dense.precharacterize([GateType.INV])
         save_library(dense, path)
 
-        sparse = GateLibrary(bulk25, options=self._options(method="newton-sparse"))
+        sparse = GateLibrary(bulk25, options=self._options(newton_sparse_threshold=1))
         with pytest.raises(ValueError, match="options"):
             load_library(sparse, path)
         assert load_library(sparse, path, strict=False) == 2
-        assert load_library(
-            GateLibrary(bulk25, options=self._options(method="newton")), path
-        ) == 2
+        assert load_library(GateLibrary(bulk25, options=self._options()), path) == 2
 
 
 class TestBackendReporting:
@@ -334,13 +312,13 @@ class TestBackendReporting:
             bulk25,
             options=CharacterizationOptions(
                 injection_grid=(-1e-6, 1e-6),
-                solver=SolverOptions(method="newton-sparse", **TIGHT),
+                solver=TIGHT_SPARSE,
             ),
         )
         characterizer.characterize(GateType.INV, (0,))
         methods = characterizer.solve_stats["methods"]
         assert methods.get("newton-sparse", 0) > 0
-        assert "auto" not in methods
+        assert "newton" not in methods
         solves = characterizer.solve_stats["solves"]
         assert sum(methods.values()) == solves
 
@@ -349,12 +327,12 @@ class TestBackendReporting:
             bulk25,
             options=CharacterizationOptions(
                 injection_grid=(-1e-6, 1e-6),
-                solver=SolverOptions(method="auto", **TIGHT),
+                solver=SolverOptions(**TIGHT),
             ),
         )
         characterizer.characterize(GateType.INV, (1,))
         methods = characterizer.solve_stats["methods"]
-        assert "auto" not in methods
+        assert "newton-sparse" not in methods
         assert methods.get("newton", 0) > 0  # tiny cells resolve dense
 
 
@@ -397,14 +375,15 @@ class TestLayeredGenerator:
 
     @pytest.mark.slow
     def test_flattened_circuit_solves_with_auto_sparse(self, bulk25):
-        """End-to-end: a generated circuit flattens to 145 free nodes, just
-        past the default ``auto`` threshold, so ``auto`` sends it to the
-        sparse backend by its node count alone (its dense stack is far
-        below the memory limit).  Every column converges without a
+        """End-to-end: a generated circuit flattens to 30 free nodes, past a
+        threshold lowered to 24, so the solver sends it to the sparse
+        backend by its node count alone (its dense stack is far below the
+        memory limit; ``TestAutoDispatch::test_resolution_policy`` covers
+        the default threshold).  Every column converges without a
         Gauss–Seidel fallback; per-gate leakage matches dense to 1e-12 and
         Gauss–Seidel to 1e-9 relative; each column solved alone is
         bitwise the batch's."""
-        circuit = iscas_like(64, rng=7)
+        circuit = iscas_like(12, rng=7)
         vectors = list(random_vectors(circuit, 2, rng=1))
         flattened = flatten_batch(circuit, bulk25, vectors)
         views = flattened.netlist_views()
@@ -413,18 +392,18 @@ class TestLayeredGenerator:
             for node in flattened.netlist.nodes.values()
             if node.kind is NodeKind.FREE
         )
-        auto = SolverOptions(method="auto", **TIGHT)
+        auto = SolverOptions(newton_sparse_threshold=24, **TIGHT)
         assert free >= auto.newton_sparse_threshold
         assert dense_jacobian_bytes(len(views), free) < auto.newton_dense_memory_limit
 
-        def solve(options):
+        def solve(options, run=BatchedDcSolver.solve):
             solver = BatchedDcSolver(views, 300.0, options)
-            op = solver.solve(flattened.initial_voltages())
+            op = run(solver, flattened.initial_voltages())
             assert op.all_converged
             return op, solver.leakage_by_owner(op)
 
         (op, leakage), (dense, dense_leakage), (relaxed, relaxed_leakage) = (
-            solve(auto), solve(TIGHT_DENSE), solve(TIGHT_GS)
+            solve(auto), solve(TIGHT_DENSE), solve(auto, solve_gauss_seidel)
         )
         assert op.method == "newton-sparse"
         assert not op.fallback.any()

@@ -5,8 +5,6 @@ import math
 import pytest
 
 from repro.utils.constants import (
-    ROOM_TEMPERATURE_K,
-    intrinsic_carrier_concentration,
     silicon_bandgap,
     thermal_voltage,
 )
@@ -37,21 +35,6 @@ class TestSiliconBandgap:
     def test_rejects_negative_temperature(self):
         with pytest.raises(ValueError):
             silicon_bandgap(-1.0)
-
-
-class TestIntrinsicCarrierConcentration:
-    def test_reference_value_at_300k(self):
-        assert intrinsic_carrier_concentration(ROOM_TEMPERATURE_K) == pytest.approx(
-            1.0e10, rel=1e-6
-        )
-
-    def test_increases_steeply_with_temperature(self):
-        ratio = intrinsic_carrier_concentration(400.0) / intrinsic_carrier_concentration(300.0)
-        assert ratio > 100.0
-
-    def test_rejects_non_positive_temperature(self):
-        with pytest.raises(ValueError):
-            intrinsic_carrier_concentration(0.0)
 
 
 class TestUnitConversions:

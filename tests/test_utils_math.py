@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.utils.mathtools import (
-    clamp,
-    interp_linear,
     log1p_exp,
     percent_difference,
     relative_difference,
@@ -16,7 +14,7 @@ from repro.utils.mathtools import (
     smooth_step,
 )
 from repro.utils.rng import ensure_rng, spawn_child
-from repro.utils.tables import format_key_values, format_table
+from repro.utils.tables import format_table
 
 
 class TestSafeExp:
@@ -47,15 +45,6 @@ class TestLog1pExp:
 
 
 class TestClampAndSmoothStep:
-    def test_clamp_bounds(self):
-        assert clamp(5.0, 0.0, 1.0) == 1.0
-        assert clamp(-5.0, 0.0, 1.0) == 0.0
-        assert clamp(0.5, 0.0, 1.0) == 0.5
-
-    def test_clamp_rejects_inverted_interval(self):
-        with pytest.raises(ValueError):
-            clamp(0.0, 1.0, -1.0)
-
     def test_smooth_step_limits(self):
         assert smooth_step(-100.0) == pytest.approx(0.0, abs=1e-12)
         assert smooth_step(100.0) == pytest.approx(1.0, abs=1e-12)
@@ -74,33 +63,6 @@ class TestRelativeDifference:
     def test_zero_reference_raises(self):
         with pytest.raises(ZeroDivisionError):
             relative_difference(1.0, 0.0)
-
-
-class TestInterpLinear:
-    def test_interior_interpolation(self):
-        assert interp_linear(1.5, [0.0, 1.0, 2.0], [0.0, 10.0, 20.0]) == pytest.approx(15.0)
-
-    def test_flat_extrapolation(self):
-        xs, ys = [0.0, 1.0], [3.0, 5.0]
-        assert interp_linear(-10.0, xs, ys) == 3.0
-        assert interp_linear(+10.0, xs, ys) == 5.0
-
-    def test_single_point_table(self):
-        assert interp_linear(42.0, [1.0], [7.0]) == 7.0
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            interp_linear(0.5, [0.0, 1.0], [1.0])
-
-    @given(
-        st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=8, unique=True),
-        st.floats(min_value=-200, max_value=200),
-    )
-    def test_result_within_value_bounds(self, xs, x):
-        xs = sorted(xs)
-        ys = [2.0 * v for v in xs]
-        value = interp_linear(x, xs, ys)
-        assert min(ys) - 1e-9 <= value <= max(ys) + 1e-9
 
 
 class TestRng:
@@ -139,7 +101,3 @@ class TestTables:
     def test_scientific_rendering_for_extreme_values(self):
         text = format_table(["v"], [[1.23e-9]])
         assert "e-09" in text
-
-    def test_format_key_values(self):
-        text = format_key_values({"alpha": 1, "b": 2.0})
-        assert "alpha" in text and ":" in text

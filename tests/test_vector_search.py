@@ -10,9 +10,8 @@ Four layers are covered:
   small-input circuit shape (the acceptance bar: <= 12 primary inputs must
   return the true minimum), bitwise island/worker-count reproducibility,
   budget caps and convergence diagnostics;
-* dispatch layer — ``minimum_leakage_vector(strategy=...)`` routing and its
-  argument validation, plus the scalar fallback of the exhaustive oracle
-  for non-library estimators.
+* dispatch layer — :func:`minimize_leakage`'s strategy routing and its
+  argument validation, including the refusal of non-library estimators.
 """
 
 import numpy as np
@@ -27,7 +26,7 @@ from repro.circuit.generators import (
 from repro.circuit.logic import exhaustive_vectors
 from repro.core.baseline import NoLoadingEstimator
 from repro.core.estimator import LoadingAwareEstimator
-from repro.core.vectors import minimum_leakage_vector
+from repro.core.vectors import run_vector_campaign
 from repro.engine import compile_circuit, run_compiled, run_totals
 from repro.optimize import (
     GeneticOptions,
@@ -153,14 +152,17 @@ class TestOracleParity:
     def test_exhaustive_matches_legacy_streaming_search(
         self, estimator, small_circuit
     ):
-        vector, total = minimum_leakage_vector(
-            estimator, small_circuit, exhaustive=True
-        )
+        """The streamed oracle equals the argmin of one whole campaign."""
+        vectors = list(exhaustive_vectors(small_circuit))
+        totals = run_vector_campaign(
+            estimator, small_circuit, vectors=vectors
+        ).totals()
+        best = int(np.argmin(totals))
         oracle = exhaustive_minimize(
             compile_circuit(small_circuit, estimator.library)
         )
-        assert total == oracle.best_total
-        assert vector == oracle.best_assignment
+        assert totals[best] == oracle.best_total
+        assert vectors[best] == oracle.best_assignment
 
     def test_no_loading_scoring_follows_the_estimator(
         self, library25, small_circuit
@@ -263,109 +265,41 @@ class TestBudgetsAndDiagnostics:
 
 
 # --------------------------------------------------------------------------- #
-# dispatch layer: minimum_leakage_vector(strategy=...)
+# dispatch layer: minimize_leakage(strategy=...)
 # --------------------------------------------------------------------------- #
 
 
 class _ScalarOnlyEstimator:
-    """A non-library estimator: only the streaming paths can serve it."""
-
-    def __init__(self, inner):
-        self._inner = inner
+    """A non-library estimator: the search refuses it."""
 
     def estimate(self, circuit, assignment):
-        return self._inner.estimate(circuit, assignment)
+        raise AssertionError("a refused estimator evaluated a vector")
 
 
 class TestStrategyDispatch:
-    def test_greedy_strategy_matches_subsystem(self, estimator, small_circuit):
-        vector, total = minimum_leakage_vector(
-            estimator, small_circuit, strategy="greedy", rng=11
-        )
-        direct = minimize_leakage(
-            estimator, small_circuit, strategy="greedy", rng=11
-        )
-        assert total == direct.best_total
-        assert vector == direct.best_assignment
-
-    def test_exhaustive_strategy_equals_exhaustive_flag(
-        self, estimator, small_circuit
-    ):
-        by_strategy = minimum_leakage_vector(
-            estimator, small_circuit, strategy="exhaustive"
-        )
-        by_flag = minimum_leakage_vector(estimator, small_circuit, exhaustive=True)
-        assert by_strategy == by_flag
-
-    def test_exhaustive_strategy_scalar_fallback(self, estimator):
+    def test_strategy_engine_validation(self, estimator):
         circuit = nand_tree(2)
-        stub = _ScalarOnlyEstimator(estimator)
-        vector, total = minimum_leakage_vector(
-            stub, circuit, strategy="exhaustive"
-        )
-        expected = minimum_leakage_vector(estimator, circuit, exhaustive=True)
-        assert (vector, total) == expected
-
-    def test_exhaustive_flag_refuses_wide_circuits_before_evaluating(
-        self, estimator
-    ):
-        """exhaustive=True applies the same input caps as strategy='exhaustive'."""
-
-        class Untouchable:
-            def __getattr__(self, name):
-                raise AssertionError(f"a refused sweep used session.{name}")
-
-        class Unevaluated:
-            def estimate(self, circuit, assignment):
-                raise AssertionError("a refused sweep evaluated a vector")
-
-        wide = MAX_EXHAUSTIVE_INPUTS + 1
-        circuit = random_logic("exhaustive_wide", wide, 40, rng=4)
-        with pytest.raises(ValueError, match=f"2\\*\\*{wide} vectors"):
-            minimum_leakage_vector(
-                estimator, circuit, exhaustive=True, session=Untouchable()
-            )
-        circuit = random_logic("exhaustive_scalar_wide", 17, 24, rng=4)
-        with pytest.raises(ValueError, match="2\\*\\*17"):
-            minimum_leakage_vector(Unevaluated(), circuit, exhaustive=True)
-
-    def test_strategy_engine_validation(self, estimator, library25):
-        circuit = nand_tree(2)
-        # The scalar exhaustive fallback carries its own (tighter) width
-        # guard: per-vector estimator walks cap out far below the batched
-        # oracle's limit.
-        stub = _ScalarOnlyEstimator(estimator)
-        wide = random_logic("dispatch_wide", 17, 24, rng=4)
-        with pytest.raises(ValueError, match="2\\*\\*17"):
-            minimum_leakage_vector(stub, wide, strategy="exhaustive")
-        # Search knobs are rejected uniformly on both exhaustive branches.
-        with pytest.raises(TypeError, match="strategy_options"):
-            minimum_leakage_vector(
-                stub, circuit, strategy="exhaustive",
-                strategy_options=GreedyOptions(),
+        # The exhaustive oracle is a serial deterministic stream: search
+        # knobs are rejected, not silently dropped.
+        with pytest.raises(TypeError, match="takes no options"):
+            minimize_leakage(
+                estimator, circuit, strategy="exhaustive",
+                options=GreedyOptions(),
             )
         with pytest.raises(ValueError, match="islands"):
-            minimum_leakage_vector(
-                estimator, circuit, strategy="exhaustive", islands=2
+            minimize_leakage(estimator, circuit, strategy="exhaustive", islands=2)
+        with pytest.raises(ValueError, match="islands"):
+            minimize_leakage(
+                estimator, circuit, strategy="exhaustive", max_workers=2
             )
 
     def test_strategy_argument_validation(self, estimator, small_circuit):
         with pytest.raises(ValueError, match="strategy must be one of"):
-            minimum_leakage_vector(estimator, small_circuit, strategy="anneal")
-        with pytest.raises(ValueError, match="candidate set"):
-            minimum_leakage_vector(
-                estimator, small_circuit, strategy="greedy", exhaustive=True
-            )
-        with pytest.raises(ValueError, match="candidate set"):
-            minimum_leakage_vector(
-                estimator,
-                small_circuit,
-                strategy="genetic",
-                vectors=[{}],
-            )
-        stub = _ScalarOnlyEstimator(estimator)
-        with pytest.raises(ValueError, match="library-backed"):
-            minimum_leakage_vector(stub, small_circuit, strategy="greedy")
+            minimize_leakage(estimator, small_circuit, strategy="anneal")
+        stub = _ScalarOnlyEstimator()
+        for strategy in ("exhaustive", "greedy"):
+            with pytest.raises(ValueError, match="library-backed"):
+                minimize_leakage(stub, small_circuit, strategy=strategy)
         with pytest.raises(TypeError, match="GreedyOptions"):
             minimize_leakage(
                 estimator,
