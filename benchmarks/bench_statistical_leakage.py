@@ -22,15 +22,12 @@ sigma_Vt(inter) = 50 mV):
   path must agree with a large QMC oracle within recorded tolerance bars
   (mean <= 10 %, std <= 25 % — never relaxed) at a fraction of the solves.
 
-Also asserts (never relaxed) that the scrambled-Sobol sampler is bitwise
-identical between the serial path and the worker pool.  Records
-``benchmarks/statistical_leakage.json`` (override with
+Records ``benchmarks/statistical_leakage.json`` (override with
 ``STATLEAK_BENCH_JSON``).  Environment knobs for smoke runs:
 ``STATLEAK_BENCH_SAMPLES``, ``STATLEAK_BENCH_REPLICATES``,
 ``STATLEAK_BENCH_REFERENCE``, ``STATLEAK_BENCH_ORACLE`` and
 ``STATLEAK_BENCH_MIN_EFFICIENCY`` (tiny budgets make the efficiency
-measurement itself noisy; the agreement and bitwise bars are never
-relaxed).
+measurement itself noisy; the agreement bars are never relaxed).
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.engine.parallel import ParallelMonteCarlo
 from repro.utils.rng import spawn_streams
 from repro.variation.moments import propagate_loaded_inverter_moments
 from repro.variation.montecarlo import run_loaded_inverter_monte_carlo
@@ -67,7 +63,7 @@ ORACLE_SAMPLES = int(os.environ.get("STATLEAK_BENCH_ORACLE", "4096"))
 #: Acceptance floor on the variance-reduced path (QMC + lognormal plug-in
 #: vs MC + empirical, RMSE at equal budget).  Smoke runs may relax it —
 #: at tiny replicate counts the efficiency *measurement* is noisy — but
-#: the moments-agreement and bitwise bars below are never relaxed.
+#: the moments-agreement bars below are never relaxed.
 MIN_EFFICIENCY = float(os.environ.get("STATLEAK_BENCH_MIN_EFFICIENCY", "10.0"))
 
 #: Moments-vs-oracle agreement bars, never relaxed.
@@ -89,17 +85,6 @@ def _totals(run):
 def _rmse(estimates, truth: float) -> float:
     estimates = np.asarray(estimates, dtype=float)
     return float(np.sqrt(np.mean((estimates - truth) ** 2)))
-
-
-def _samples_bitwise_equal(result_a, result_b) -> bool:
-    if result_a.sample_count != result_b.sample_count:
-        return False
-    for a, b in zip(result_a.samples, result_b.samples):
-        if a.with_loading.as_dict() != b.with_loading.as_dict():
-            return False
-        if a.without_loading.as_dict() != b.without_loading.as_dict():
-            return False
-    return True
 
 
 def _log_std(block: np.ndarray, axis: int) -> np.ndarray:
@@ -172,21 +157,10 @@ def test_statistical_leakage_variance_reduction(benchmark, d25s):
         moments = propagate_loaded_inverter_moments(d25s)
         timings["moments"] = time.perf_counter() - start
 
-        # -- scrambled-Sobol serial vs pool, bitwise.
-        start = time.perf_counter()
-        serial = run_loaded_inverter_monte_carlo(
-            d25s, spec=spec, samples=32, rng=SEED, sampler="qmc"
-        )
-        pooled = ParallelMonteCarlo(
-            d25s, spec=spec, max_workers=2, sampler="qmc"
-        ).run(32, rng=SEED)
-        timings["bitwise"] = time.perf_counter() - start
-        bitwise = _samples_bitwise_equal(serial, pooled)
+        return truth, plugin_truth, shifts, equivalent, oracle, moments, timings
 
-        return truth, plugin_truth, shifts, equivalent, oracle, moments, bitwise, timings
-
-    truth, plugin_truth, shifts, equivalent, oracle, moments, bitwise, timings = (
-        run_once(benchmark, measure)
+    truth, plugin_truth, shifts, equivalent, oracle, moments, timings = run_once(
+        benchmark, measure
     )
 
     rmse = {
@@ -245,7 +219,6 @@ def test_statistical_leakage_variance_reduction(benchmark, d25s):
             "std_error_bar": STD_ERROR_BAR,
             **moment_errors,
         },
-        "reproducibility": {"qmc_pool_bitwise": bitwise},
     }
     path = _json_path()
     path.write_text(json.dumps(record, indent=2) + "\n")
@@ -263,8 +236,7 @@ def test_statistical_leakage_variance_reduction(benchmark, d25s):
         f"({path})"
     )
 
-    # Bitwise and agreement bars — never relaxed.
-    assert bitwise, "scrambled-Sobol pool run differs from the serial path"
+    # Agreement bars — never relaxed.
     for key, error in moment_errors.items():
         bar = MEAN_ERROR_BAR if "mean" in key else STD_ERROR_BAR
         assert error <= bar, (

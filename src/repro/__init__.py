@@ -15,8 +15,7 @@ of Nano-Scaled Bulk-CMOS Logic Circuits" (Mukhopadhyay, Bhunia, Roy — DATE
 * the paper's contribution: loading-aware circuit leakage estimation
   (:mod:`repro.core`);
 * a batched campaign engine that compiles a circuit + library into flat LUT
-  arrays and answers whole vector sets / Monte-Carlo fleets at once
-  (:mod:`repro.engine`);
+  arrays and answers whole vector sets at once (:mod:`repro.engine`);
 * process-variation Monte-Carlo analysis (:mod:`repro.variation`);
 * per-figure experiment drivers (:mod:`repro.experiments`);
 * a compile-once / query-many service layer — long-lived estimation
@@ -58,7 +57,6 @@ __all__ = [
     "EstimationSession",
     "GateLibrary",
     "LoadingAwareEstimator",
-    "ParallelMonteCarlo",
     "compile_circuit",
     "default_session",
     "lint_circuit",
@@ -89,10 +87,6 @@ def __getattr__(name: str):
         from repro.core import LoadingAwareEstimator
 
         return LoadingAwareEstimator
-    if name == "ParallelMonteCarlo":
-        from repro.engine import ParallelMonteCarlo
-
-        return ParallelMonteCarlo
     if name == "compile_circuit":
         from repro.engine import compile_circuit
 

@@ -55,11 +55,6 @@ class Gate:
             raise KeyError(f"{spec.name} has no input pin {pin!r}") from exc
         return self.inputs[index]
 
-    def pin_of_net(self, net: str) -> list[str]:
-        """Return the input pin names connected to ``net`` (possibly several)."""
-        spec = self.spec
-        return [pin for pin, n in zip(spec.inputs, self.inputs) if n == net]
-
 
 @dataclass
 class Circuit:

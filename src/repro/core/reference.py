@@ -223,10 +223,9 @@ class ReferenceSimulator:
                 "solver_method": op.method,
                 "engine": "batched",
                 "batch": batch,
+                "newton_iterations": int(op.newton_iterations[index]),
+                "solver_fallback": bool(op.fallback[index]),
             }
-            if op.newton_iterations is not None:
-                metadata["newton_iterations"] = int(op.newton_iterations[index])
-                metadata["solver_fallback"] = bool(op.fallback[index])
             reports.append(
                 CircuitLeakageReport(
                     circuit_name=circuit.name,

@@ -84,11 +84,6 @@ class CircuitLeakageReport:
         """Return the total circuit leakage current in amperes."""
         return self.components.total
 
-    @property
-    def power_w(self) -> float:
-        """Return the static power in watts (total leakage times VDD)."""
-        return self.total * self.vdd
-
     def component(self, name: str) -> float:
         """Return one circuit-level component (or the total) in amperes."""
         return self.components.component(name)

@@ -358,10 +358,6 @@ class TechnologyParams:
         """Return a copy of the technology with fields replaced."""
         return dataclasses.replace(self, **changes)
 
-    def at_temperature(self, temperature_k: float) -> "TechnologyParams":
-        """Return a copy of the technology at a different temperature."""
-        return self.replace(temperature_k=temperature_k)
-
     def device(self, polarity: Polarity) -> DeviceParams:
         """Return the device flavour for ``polarity``."""
         return self.nmos if polarity is Polarity.NMOS else self.pmos

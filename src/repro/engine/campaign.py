@@ -100,7 +100,6 @@ class BatchedCampaignRun:
         per_gate: dict[str, GateLeakage] = {}
         for g, name in enumerate(compiled.gate_names):
             table = compiled.table_of_gate(g)
-            gate = compiled.circuit.gates[name]
             per_gate[name] = GateLeakage(
                 gate_name=name,
                 gate_type_name=table.name,

@@ -563,23 +563,17 @@ def default_compile_cache() -> CompileCache:
 
 
 def compile_circuit(
-    circuit: Circuit,
-    library: GateLibrary,
-    cache: bool = True,
-    lint: str = "raise",
-    store: CompileCache | None = None,
+    circuit: Circuit, library: GateLibrary, lint: str = "raise"
 ) -> CompiledCircuit:
-    """Return the (cached) :class:`CompiledCircuit` for ``(circuit, library)``.
+    """Return the process-default cache's compile of ``(circuit, library)``.
 
     The cache key is the circuit *structure* (name, primary inputs, gate
     list), so structural copies reuse the same compiled arrays.  Compiling
     characterizes every input vector of every gate type present in the
     circuit — the one-time "characterize once, answer campaigns as lookups"
-    cost.  Pass ``cache=False`` to force a fresh compile (e.g. after
-    mutating a library's records in place); ``store`` selects which
-    :class:`CompileCache` answers the lookup (default: the shared
-    process-default cache — long-lived :class:`repro.service.EstimationSession`
-    objects pass their own).
+    cost.  A fresh compile (e.g. after mutating a library's records in
+    place) is ``CompiledCircuit(circuit, library)``; another cache answers
+    through its own :meth:`CompileCache.get_or_compile`.
 
     ``lint`` is the netlist pre-flight policy
     (:func:`repro.analysis.preflight_circuit`): ``"raise"`` (default)
@@ -589,9 +583,7 @@ def compile_circuit(
     The pre-flight runs when a circuit is actually compiled; a cache hit
     returns the previously linted instance as-is.
     """
-    if not cache:
-        return CompiledCircuit(circuit, library, lint=lint)
-    return (store or _DEFAULT_CACHE).get_or_compile(circuit, library, lint=lint)
+    return _DEFAULT_CACHE.get_or_compile(circuit, library, lint=lint)
 
 
 def clear_compile_cache() -> None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
 
 from repro.core.loading import LoadingAnalyzer, LoadingEffect
 from repro.device.params import TechnologyParams

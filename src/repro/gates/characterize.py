@@ -417,7 +417,7 @@ class GateCharacterizer:
         stats["max_iterations"] = max(
             stats["max_iterations"], int(op.sweeps.max())
         )
-        fallbacks = 0 if op.fallback is None else int(op.fallback.sum())
+        fallbacks = int(op.fallback.sum())
         stats["fallbacks"] += fallbacks
         # Fallback columns were solved by the relaxation path, whatever
         # Newton backend ``op.method`` names.

@@ -213,11 +213,6 @@ class ResponseCurve:
             btbt=loaded.btbt - nominal.btbt,
         )
 
-    @property
-    def max_injection(self) -> float:
-        """Return the largest characterized injection magnitude (A)."""
-        return float(max(abs(self.injections[0]), abs(self.injections[-1])))
-
     def component_matrix(self) -> np.ndarray:
         """Return the curve as a ``(grid, component)`` matrix.
 

@@ -27,9 +27,9 @@ from stream ``i`` — never from how many other units exist or where they
 run.  Together with the engine's column-independent totals (batch
 composition and chunking never change a candidate's score bitwise), this
 makes every search bitwise identical whether its islands run serially
-in-process or fan out over the :mod:`repro.engine.parallel`-style process
-pool — worker count is purely a throughput knob, which the regression
-tests and the vector-search benchmark assert.
+in-process or fan out over a supervised process pool — worker count is
+purely a throughput knob, which the regression and resilience tests and
+the vector-search benchmark assert.
 
 Budget accounting
 -----------------
@@ -42,6 +42,7 @@ apples-to-apples claim.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -49,7 +50,6 @@ import numpy as np
 
 from repro.engine.campaign import DEFAULT_CHUNK_SIZE
 from repro.engine.compile import CompiledCircuit
-from repro.engine.parallel import default_workers, supervised_map
 from repro.optimize.objective import LeakageObjective
 from repro.resilience import ResilienceOptions
 from repro.utils.rng import RngLike, spawn_streams
@@ -400,15 +400,24 @@ def _run_islands(
 ) -> tuple[list[IslandDiagnostics], dict[str, object]]:
     """Run islands serially or over a supervised pool — identical results.
 
-    The pool path mirrors :class:`~repro.engine.parallel.ParallelMonteCarlo`:
-    an order-preserving supervised map over self-contained tasks whose
-    randomness was spawned up front, so completion order, worker count and
-    crash-and-retry recovery can never leak into the outcome.
+    ``max_workers=None`` uses the CPU count, capped at 8.  The pool path is
+    an order-preserving :class:`~repro.resilience.ResilientExecutor` map
+    over self-contained tasks whose randomness was spawned up front, so
+    completion order, worker count and crash-and-retry recovery can never
+    leak into the outcome; its retry ledger is returned under
+    ``metadata["resilience"]``.  Passing ``resilience`` forces the pool
+    even at one worker.
     """
-    workers = min(default_workers(max_workers), len(tasks))
+    if max_workers is None:
+        max_workers = min(os.cpu_count() or 1, 8)
+    if max_workers < 1:
+        raise ValueError("max_workers must be at least 1")
+    workers = min(max_workers, len(tasks))
     if workers == 1 and resilience is None:
         return [_run_island(task) for task in tasks], {}
-    return supervised_map(_run_island, tasks, workers, resilience)
+    executor = (resilience or ResilienceOptions()).executor(workers)
+    results, ledger = executor.map(_run_island, tasks)
+    return results, {"resilience": ledger.as_dict()}
 
 
 def _merge_result(

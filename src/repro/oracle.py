@@ -196,4 +196,7 @@ def solve_gauss_seidel(
         converged=converged,
         sweeps=sweeps,
         max_update=max_update,
+        method="gauss-seidel",
+        newton_iterations=np.zeros(solver.batch, dtype=int),
+        fallback=np.ones(solver.batch, dtype=bool),
     )

@@ -61,12 +61,7 @@ from repro.gates.cache import (
 )
 from repro.gates.characterize import CharacterizationOptions, GateLibrary
 from repro.resilience.errors import DeadlineExceeded, ServiceOverloaded
-from repro.service.coalesce import (
-    DEFAULT_BATCH_WINDOW_S,
-    DEFAULT_MAX_BATCH_VECTORS,
-    DEFAULT_MAX_IN_FLIGHT,
-    RequestCoalescer,
-)
+from repro.service.coalesce import RequestCoalescer
 from repro.utils.rng import RngLike, spawn_streams
 from repro.variation.montecarlo import run_loaded_inverter_monte_carlo
 from repro.variation.spec import VariationSpec
@@ -125,18 +120,13 @@ class EstimationSession:
         private :class:`~repro.engine.compile.CompileCache` (isolated
         statistics); :func:`default_session` instead shares the
         process-default cache with direct ``compile_circuit`` callers.
-    batch_window_s / max_batch_vectors:
-        Coalescing knobs (see :class:`~repro.service.coalesce.RequestCoalescer`):
-        how long a request waits for concurrent company, and the vector
-        count that flushes a batch early.
-    max_in_flight:
-        Admission bound of the coalescer: requests admitted but not yet
-        complete.  Beyond it ``totals`` raises
-        :class:`~repro.resilience.errors.ServiceOverloaded` (load
-        shedding); ``None`` disables the bound.
-    lint:
-        Netlist pre-flight policy applied when a circuit is first compiled
-        (cache hits return the already-linted instance).
+
+    ``totals`` coalesces through a
+    :class:`~repro.service.coalesce.RequestCoalescer` at its default batch
+    window, batch size and admission bound (beyond it ``totals`` raises
+    :class:`~repro.resilience.errors.ServiceOverloaded`).  A circuit is
+    linted under the ``"raise"`` policy when it is first compiled; cache
+    hits return the already-linted instance.
 
     Thread safety: ``totals``/``campaign``/``compiled``/``library`` may be
     called from any number of threads; compiles and library registration
@@ -153,21 +143,12 @@ class EstimationSession:
         self,
         store: LibraryStore | str | Path | None = None,
         compile_cache: CompileCache | None = None,
-        batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
-        max_batch_vectors: int = DEFAULT_MAX_BATCH_VECTORS,
-        max_in_flight: int | None = DEFAULT_MAX_IN_FLIGHT,
-        lint: str = "raise",
     ) -> None:
         if store is not None and not isinstance(store, LibraryStore):
             store = LibraryStore(store)
         self.store: LibraryStore | None = store
         self.compile_cache = compile_cache or CompileCache()
-        self.lint = lint
-        self._coalescer = RequestCoalescer(
-            window_s=batch_window_s,
-            max_batch_vectors=max_batch_vectors,
-            max_in_flight=max_in_flight,
-        )
+        self._coalescer = RequestCoalescer()
         self._lock = threading.Lock()
         self._libraries: dict[str, GateLibrary] = {}
         self._library_hits = 0
@@ -195,21 +176,7 @@ class EstimationSession:
         settings share one characterized library — and, with a backing
         :class:`LibraryStore`, one warm on-disk cache across processes.
         """
-        options = options or CharacterizationOptions()
-        library = GateLibrary(technology, temperature_k, options)
-        fingerprint = characterization_fingerprint(
-            technology, options, library.temperature_k
-        )
-        with self._lock:
-            cached = self._libraries.get(fingerprint)
-            if cached is not None:
-                self._library_hits += 1
-                return cached
-            self._library_misses += 1
-            if self.store is not None:
-                self.store.load(library)
-            self._libraries[fingerprint] = library
-            return library
+        return self.register_library(GateLibrary(technology, temperature_k, options))
 
     def register_library(self, library: GateLibrary) -> GateLibrary:
         """Adopt a pre-built library; return the session's canonical instance.
@@ -253,7 +220,7 @@ class EstimationSession:
     # ------------------------------------------------------------------ #
     def compiled(self, circuit: Circuit, library: GateLibrary) -> CompiledCircuit:
         """Return the (cached) compile of ``circuit`` against ``library``."""
-        return self.compile_cache.get_or_compile(circuit, library, lint=self.lint)
+        return self.compile_cache.get_or_compile(circuit, library)
 
     def warm_up(
         self, circuits: Iterable[Circuit], library: GateLibrary
@@ -368,7 +335,6 @@ class EstimationSession:
         input_loads: int = 6,
         output_loads: int = 6,
         sampler: str = "qmc",
-        on_nonconverged: str = "drop",
         limit: float | None = None,
         confidence: float = 0.95,
         bootstrap: int = 500,
@@ -390,14 +356,14 @@ class EstimationSession:
 
         With an integer seed the pooled population is cached under the
         SHA-256 fingerprint of every setting that shapes it (technology,
-        spec, budget, sampler, convergence policy, seed), so follow-up
-        queries — a different percentile, a different component, a yield
-        limit — reuse it without a single new circuit solve.  A
+        spec, budget, sampler, seed), so follow-up queries — a different
+        percentile, a different component, a yield limit — reuse it without
+        a single new circuit solve.  A
         ``Generator`` or ``None`` query solves its population and stores
         nothing: spawning advances a generator without changing its state,
         and ``None`` draws fresh entropy, so neither names one population.
-        Dropped non-converged samples (default policy ``"drop"``: a stalled
-        corner must not bias a yield estimate) simply shrink the population.
+        Non-converged samples are dropped (a stalled corner must not bias a
+        yield estimate), which simply shrinks the population.
         """
         if replicates < 2:
             raise ValueError(
@@ -418,7 +384,6 @@ class EstimationSession:
                     "input_loads": input_loads,
                     "output_loads": output_loads,
                     "sampler": sampler,
-                    "on_nonconverged": on_nonconverged,
                     "rng": int(rng),
                 }
             )
@@ -442,7 +407,7 @@ class EstimationSession:
                     input_loads=input_loads,
                     output_loads=output_loads,
                     sampler=sampler,
-                    on_nonconverged=on_nonconverged,
+                    on_nonconverged="drop",
                 )
                 for stream in streams
             ]

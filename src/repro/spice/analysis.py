@@ -80,10 +80,6 @@ class ComponentBreakdown:
             "total": self.total,
         }
 
-    def power(self, vdd: float) -> float:
-        """Return the static power (W) at supply voltage ``vdd``."""
-        return self.total * vdd
-
 
 @dataclass(frozen=True)
 class BatchedComponentBreakdown:

@@ -96,12 +96,13 @@ class BatchedOperatingPoint:
         this batch rode — or ``"gauss-seidel"`` for a pure relaxation
         solve (:func:`repro.oracle.solve_gauss_seidel`).
     newton_iterations:
-        Per-instance Newton iteration counts, or None for a pure
-        Gauss–Seidel solve.  Fallback columns record the iterations spent
-        before the fallback.
+        Per-instance Newton iteration counts (zero for a pure relaxation
+        solve).  Fallback columns record the iterations spent before the
+        fallback.
     fallback:
-        Per-instance flags marking columns the Newton solver handed to the
-        Gauss–Seidel fallback, or None for a pure Gauss–Seidel solve.
+        Per-instance flags marking columns solved by the Gauss–Seidel
+        sweeps: the Newton solver's fallback columns, or every column of
+        a pure relaxation solve.
     """
 
     node_index: dict[str, int]
@@ -110,9 +111,9 @@ class BatchedOperatingPoint:
     converged: np.ndarray
     sweeps: np.ndarray
     max_update: np.ndarray
-    method: str = "gauss-seidel"
-    newton_iterations: np.ndarray | None = None
-    fallback: np.ndarray | None = None
+    method: str
+    newton_iterations: np.ndarray
+    fallback: np.ndarray
 
     @property
     def batch(self) -> int:

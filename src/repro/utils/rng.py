@@ -72,14 +72,3 @@ def keyed_rng(seed: int, *key: int | str) -> np.random.Generator:
                 f"keyed_rng key parts must be int or str, got {type(part).__name__}"
             )
     return np.random.default_rng(entropy)
-
-
-def spawn_child(rng: np.random.Generator) -> np.random.Generator:
-    """Return an independent child generator derived from ``rng``.
-
-    Used when one experiment needs several independent random streams (for
-    example inter-die versus intra-die variation samples) that must not
-    perturb each other's sequences when sample counts change.
-    """
-    seed = int(rng.integers(0, 2**63 - 1))
-    return np.random.default_rng(seed)

@@ -23,11 +23,6 @@ def watts_to_microwatts(value_w: float) -> float:
     return value_w * 1.0e6
 
 
-def microwatts_to_watts(value_uw: float) -> float:
-    """Convert power from microwatts to watts."""
-    return value_uw * 1.0e-6
-
-
 def celsius_to_kelvin(value_c: float) -> float:
     """Convert a temperature from degrees Celsius to kelvin."""
     return value_c + 273.15
@@ -46,13 +41,3 @@ def nm_to_m(value_nm: float) -> float:
 def nm_to_cm(value_nm: float) -> float:
     """Convert a length from nanometres to centimetres."""
     return value_nm * 1.0e-7
-
-
-def angstrom_to_nm(value_a: float) -> float:
-    """Convert a length from angstroms to nanometres."""
-    return value_a * 0.1
-
-
-def millivolts_to_volts(value_mv: float) -> float:
-    """Convert a voltage from millivolts to volts."""
-    return value_mv * 1.0e-3

@@ -12,7 +12,7 @@ the standard deviation of the total leakage.
   the loaded and unloaded inverter structures of Fig. 10 for every sample
   (``sampler="mc"|"qmc"``, ``on_nonconverged="warn"|"raise"|"drop"``);
 * :mod:`repro.variation.qmc` — the scrambled-Sobol parameter sampler behind
-  ``sampler="qmc"`` (variance-reduced, bitwise serial-vs-pool reproducible);
+  ``sampler="qmc"`` (variance-reduced, bitwise reproducible per seed);
 * :mod:`repro.variation.moments` — analytic moment propagation through a
   characterized log-leakage response surface (the sampling-free fast path);
 * :mod:`repro.variation.statistics` — distribution summaries, the

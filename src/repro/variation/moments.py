@@ -9,12 +9,13 @@ parameter distributions through it:
 1. **Characterize** — for every variation axis (the four inter-die shifts
    plus one intra-die Vth shift per transistor of the structure), solve the
    loaded and unloaded structures on a small stencil of parameter points
-   (``0, +/-sigma, +/-2 sigma`` by default).  All stencil columns of a
-   structure solve as ONE :class:`~repro.spice.batched.BatchedDcSolver`
-   batch — the same batching the MC path uses, just pointed at a
-   deterministic grid instead of random samples.  The per-axis stencil
-   values are exactly small response curves: leakage versus one parameter,
-   the parameter-domain analogue of the library's loading-current LUTs.
+   (``0, +/-sigma, +/-2 sigma``: :data:`STENCIL_SIGMA`).  All stencil
+   columns of a structure solve as ONE
+   :class:`~repro.spice.batched.BatchedDcSolver` batch — the same batching
+   the MC path uses, just pointed at a deterministic grid instead of random
+   samples.  The per-axis stencil values are exactly small response
+   curves: leakage versus one parameter, the parameter-domain analogue of
+   the library's loading-current LUTs.
 
 2. **Fit** — per axis, *per leakage component* and per structure, fit a
    quadratic to the log leakage over the stencil (the leakage mechanisms
@@ -24,11 +25,11 @@ parameter distributions through it:
    because each is individually close to log-linear (subthreshold in Vth,
    gate tunneling in Tox) while their *sum* is not — the mixture is what
    makes ``log(total)`` curved, and the total is therefore assembled from
-   the component surrogates rather than fitted directly.  With
-   ``interaction_axes > 0`` (default 6) the strongest axes additionally
-   get pairwise cross terms ``c_ij t_i t_j`` from four-point 2-D probes —
-   the loading feedback (a leakier cluster droops the shared input net,
-   compressing joint extremes) shows up exactly there.
+   the component surrogates rather than fitted directly.  The
+   :data:`INTERACTION_AXES` strongest axes additionally get pairwise cross
+   terms ``c_ij t_i t_j`` from four-point 2-D probes — the loading
+   feedback (a leakier cluster droops the shared input net, compressing
+   joint extremes) shows up exactly there.
 
 3. **Propagate** — every axis draw is a *clipped* standard Gaussian
    (clipped at the spec's truncation — exactly the distribution
@@ -38,12 +39,11 @@ parameter distributions through it:
    cross-moments (for the variance of the total) stay in the same family
    because products of log-additive surrogates are log-additive.  With
    cross terms the surrogate is integrated by deterministic unscrambled
-   Sobol quadrature — a pure numpy evaluation of the fitted polynomial,
-   no further circuit solves and no randomness.
-
-``order=2`` (default) uses the quadratic fits as-is; ``order=1`` keeps
-only the linear terms, which reduces to the classic lognormal
-linearization ``E[I] = exp(l0 + var/2)``.
+   Sobol quadrature (:data:`QUADRATURE_POINTS` nodes) — a pure numpy
+   evaluation of the fitted polynomial, no further circuit solves and no
+   randomness.  Cross terms need two varying axes, so a spec with fewer
+   (including a zero-variation spec, which has no Sobol dimension at all)
+   propagates in closed form, exactly.
 
 Validity envelope (documented, asserted where checkable):
 
@@ -52,7 +52,7 @@ Validity envelope (documented, asserted where checkable):
   curvature must satisfy ``1 - 2 c2 > 0`` per doubled coefficient
   (violations raise a ``ValueError`` naming the axis);
 * cross-axis terms are truncated at pairwise interactions among the
-  ``interaction_axes`` strongest axes — higher-order feedback is the
+  :data:`INTERACTION_AXES` strongest axes — higher-order feedback is the
   dominant residual (the benchmark records std agreement near ~15 % at
   the paper's sigmas, while means land within a few percent);
 * clipped-Gaussian inputs are handled exactly (boundary point masses
@@ -90,14 +90,15 @@ from repro.variation.statistics import _percent_change
 MOMENT_COMPONENTS = ("subthreshold", "gate", "btbt", "total")
 _MECHANISMS = ("subthreshold", "gate", "btbt")
 
-#: Default stencil extent in sigma units (points at +/-1, +/-2 sigma).
-DEFAULT_STENCIL_SIGMA = 2.0
+#: Stencil extent in sigma units (points at +/-1, +/-2 sigma), capped at
+#: the spec's truncation.
+STENCIL_SIGMA = 2.0
 
-#: Default number of strongest axes given pairwise cross terms.
-DEFAULT_INTERACTION_AXES = 6
+#: Number of strongest axes given pairwise cross terms.
+INTERACTION_AXES = 6
 
-#: Default node count of the deterministic Sobol quadrature.
-DEFAULT_QUADRATURE_POINTS = 2**14
+#: Node count of the deterministic Sobol quadrature.
+QUADRATURE_POINTS = 2**14
 
 #: :class:`~repro.variation.qmc.ParameterDraws` fields of the inter-die axes.
 _INTER_FIELDS = ("delta_length_nm", "delta_tox_nm", "delta_vth_v", "delta_vdd_v")
@@ -146,7 +147,6 @@ class MomentsResult:
     input_value: int
     input_loads: int
     output_loads: int
-    order: int
     stencil_sigma: float
     loaded: dict[str, MomentEstimate] = field(default_factory=dict)
     unloaded: dict[str, MomentEstimate] = field(default_factory=dict)
@@ -204,7 +204,7 @@ class MomentsResult:
             ],
             rows,
             title=(
-                f"Moment propagation (order {self.order}, {self.method}, "
+                f"Moment propagation ({self.method}, "
                 f"{self.axis_count} axes, {self.solve_count} solves)"
             ),
         )
@@ -424,33 +424,19 @@ def propagate_loaded_inverter_moments(
     output_loads: int = 6,
     temperature_k: float | None = None,
     solver_options: SolverOptions | None = None,
-    order: int = 2,
-    stencil_sigma: float = DEFAULT_STENCIL_SIGMA,
-    interaction_axes: int = DEFAULT_INTERACTION_AXES,
-    quadrature_points: int = DEFAULT_QUADRATURE_POINTS,
 ) -> MomentsResult:
     """Propagate Fig. 10 population moments from a characterized response.
 
     Parameters mirror
-    :func:`repro.variation.montecarlo.run_loaded_inverter_monte_carlo`;
-    ``order`` selects first- (linearized lognormal) or second-order
-    (quadratic-in-log, default) propagation, ``stencil_sigma`` the
-    characterization stencil extent in sigma units (capped at the spec's
-    truncation), ``interaction_axes`` how many of the strongest axes get
-    pairwise cross terms (0 disables them and keeps the propagation in
-    closed form), and ``quadrature_points`` the deterministic Sobol node
-    count used when cross terms are present.  Every characterization solve
-    must converge — a stalled point would poison the fit, so the solves run
-    under ``on_nonconverged="raise"``.
+    :func:`repro.variation.montecarlo.run_loaded_inverter_monte_carlo`.
+    The quadratic-in-log surrogates are fitted on a stencil of
+    :data:`STENCIL_SIGMA` sigma (capped at the spec's truncation); with
+    two or more varying axes the :data:`INTERACTION_AXES` strongest get
+    pairwise cross terms and the moments come from
+    :data:`QUADRATURE_POINTS` Sobol nodes, otherwise from the closed form.
+    Every characterization solve must converge — a stalled point would
+    poison the fit, so the solves run under ``on_nonconverged="raise"``.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if stencil_sigma <= 0.0:
-        raise ValueError("stencil_sigma must be positive")
-    if interaction_axes < 0:
-        raise ValueError("interaction_axes must be non-negative")
-    if quadrature_points < 2:
-        raise ValueError("quadrature_points must be at least 2")
     task = build_sample_task(
         technology,
         spec=spec,
@@ -463,7 +449,7 @@ def propagate_loaded_inverter_moments(
     )
     transistor_names = _study_circuits(task)[3]
     axes = _axes(task, transistor_names)
-    t_max = min(float(stencil_sigma), task.spec.truncation)
+    t_max = min(STENCIL_SIGMA, task.spec.truncation)
     ts = np.array([-t_max, -t_max / 2.0, t_max / 2.0, t_max])
 
     # Column 0 is the shared center; then one column per (axis, offset).
@@ -479,23 +465,20 @@ def propagate_loaded_inverter_moments(
         stencils = values[:, 1:].reshape(len(_MECHANISMS), len(axes), ts.size)
         surrogates[loaded] = {}
         for index, component in enumerate(_MECHANISMS):
-            surrogate = _fit_surrogate(
+            surrogates[loaded][component] = _fit_surrogate(
                 float(values[index, 0]),
                 stencils[index],
                 ts,
                 f"{component} ({'loaded' if loaded else 'unloaded'} structure)",
             )
-            if order == 1:
-                surrogate.quadratic = np.zeros_like(surrogate.quadratic)
-            surrogates[loaded][component] = surrogate
 
-    # Pairwise cross terms among the strongest axes (order 2 only): a
-    # four-point 2-D probe per pair isolates the mixed second derivative
+    # Pairwise cross terms among the strongest axes: a four-point 2-D probe
+    # per pair isolates the mixed second derivative
     # c_ij = (f++ - f+- - f-+ + f--) / (4 s^2) of each component's log
     # leakage.  Both structures reuse the same probe solves.
     pairs: list[tuple[int, int]] = []
     solve_columns = len(columns)
-    if order == 2 and interaction_axes >= 2 and len(axes) >= 2:
+    if len(axes) >= 2:
         strength = np.max(
             [
                 np.abs(table[component].linear)
@@ -505,7 +488,7 @@ def propagate_loaded_inverter_moments(
             ],
             axis=0,
         )
-        top = np.argsort(-strength)[: min(interaction_axes, len(axes))]
+        top = np.argsort(-strength)[:INTERACTION_AXES]
         pairs = [(int(i), int(j)) for n, i in enumerate(top) for j in top[n + 1 :]]
         probes = [
             [(axes[i], si), (axes[j], sj)]
@@ -543,7 +526,6 @@ def propagate_loaded_inverter_moments(
         input_value=input_value,
         input_loads=input_loads,
         output_loads=output_loads,
-        order=order,
         stencil_sigma=t_max,
         solve_count=2 * solve_columns,
         axis_count=len(axes),
@@ -551,7 +533,7 @@ def propagate_loaded_inverter_moments(
         method="sobol-quadrature" if pairs else "closed-form",
     )
     nodes = (
-        _quadrature_nodes(len(axes), quadrature_points, task.spec.truncation)
+        _quadrature_nodes(len(axes), QUADRATURE_POINTS, task.spec.truncation)
         if pairs
         else None
     )

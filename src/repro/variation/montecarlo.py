@@ -36,8 +36,7 @@ Fig. 10/11 accuracy at a fraction of the sample budget.
 Sample convergence is governed by ``on_nonconverged``: ``"warn"`` (default)
 records the sample with ``converged=False`` and the run emits one
 :class:`MonteCarloConvergenceWarning` naming the non-converged count,
-pointed at the caller's line (a pooled run warns in the parent, from the
-merged flags); ``"raise"`` turns a stalled solve into a hard
+pointed at the caller's line; ``"raise"`` turns a stalled solve into a hard
 ``RuntimeError``; and ``"drop"`` excludes the sample from the recorded
 populations (the dropped count is reported in ``MonteCarloResult.metadata``)
 — so a non-converged operating point can never silently bias the
@@ -116,9 +115,9 @@ class MonteCarloResult:
     input_loads: int
     output_loads: int
     samples: list[MonteCarloSample] = field(default_factory=list)
-    #: Execution provenance (e.g. the sampler used, the count of samples
-    #: dropped as non-converged, the supervised pool's retry ledger under
-    #: ``"resilience"``); never feeds back into the sample values.
+    #: Execution provenance (the sampler used and, under ``"drop"``, the
+    #: count of samples dropped as non-converged); never feeds back into
+    #: the sample values.
     metadata: dict[str, object] = field(default_factory=dict)
 
     @property
@@ -167,8 +166,9 @@ def _check_policy(on_nonconverged: str) -> str:
 def _raise_nonconverged(policy: str, message: str) -> None:
     """Apply the ``"raise"`` policy to a solve (or batch) that did not converge.
 
-    ``"warn"`` is applied once per run by the drivers
-    (:func:`_warn_nonconverged`) and ``"drop"`` by :func:`_keep_converged`.
+    ``"warn"`` is applied once per run by
+    :func:`run_loaded_inverter_monte_carlo` and ``"drop"`` by
+    :func:`_keep_converged`.
     """
     if policy == "raise":
         raise RuntimeError(message)
@@ -176,12 +176,7 @@ def _raise_nonconverged(policy: str, message: str) -> None:
 
 @dataclass(frozen=True)
 class SampleTask:
-    """Everything one Monte-Carlo sample needs, minus its random stream.
-
-    The task is picklable (technology, spec and solver options are plain
-    dataclasses), which is what lets :class:`repro.engine.parallel.ParallelMonteCarlo`
-    ship it to process-pool workers unchanged.
-    """
+    """Everything one Monte-Carlo sample needs, minus its random stream."""
 
     technology: TechnologyParams
     spec: VariationSpec
@@ -260,10 +255,9 @@ def draw_parameters(
 
     ``"mc"`` consumes one ``SeedSequence.spawn`` stream per sample (sample
     ``i`` uses stream ``i``); ``"qmc"`` draws a scrambled Sobol block seeded
-    through ``rng``.  The serial driver solves the whole block and the pool
-    driver solves :meth:`~repro.variation.qmc.ParameterDraws.slice` chunks
-    of it, so chunk boundaries choose *who* solves a sample, never *which*
-    parameters it gets — pooled runs are bitwise serial-identical.
+    through ``rng``.  The block is drawn before anything is solved, so how
+    its columns are later batched never changes which parameters a sample
+    gets.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
@@ -283,9 +277,9 @@ def _solve_parameter_sets(
     """Solve a block of parameter columns as two batched DC solves.
 
     The one batched solve behind :func:`simulate_batch_from_draws` (drawn
-    columns, serial or pooled) and :mod:`repro.variation.moments` (stencil
-    columns).  Variation changes numbers, never topology, so each structure
-    is flattened once with the nominal technology and column ``b``'s
+    columns) and :mod:`repro.variation.moments` (stencil columns).
+    Variation changes numbers, never topology, so each structure is
+    flattened once with the nominal technology and column ``b``'s
     parameters are bound as arrays:
 
     * supply — rails and seeds at :func:`~repro.variation.spec.shifted_vdd`,
@@ -304,7 +298,7 @@ def _solve_parameter_sets(
     ``apply_inter_die(technology, draws.inter_die(b))`` would solve, and
     every per-column update of the batched solver is independent of the
     other columns, so the result is bitwise-identical however the columns
-    are chunked across workers.
+    are chunked.
     """
     loaded_circuit, unloaded_circuit, assignment, names = _study_circuits(task)
     flats = [
@@ -366,49 +360,18 @@ def _keep_converged(
     return [sample for sample in samples if sample.converged]
 
 
-def _warn_nonconverged(
-    task: SampleTask, samples: list[MonteCarloSample], requested: int
-) -> None:
-    """Apply the ``"warn"`` policy once for a finished run.
-
-    Called from the run drivers (serial and pooled alike, after the merge),
-    so ``stacklevel=3`` names the line that started the run.
-    """
-    if task.on_nonconverged != "warn":
-        return
-    failed = sum(not sample.converged for sample in samples)
-    if failed:
-        warnings.warn(
-            f"{failed} of {requested} Monte-Carlo samples did not converge "
-            f"(input {task.input_value}, {task.input_loads}+"
-            f"{task.output_loads} loads); they are recorded with "
-            "converged=False",
-            MonteCarloConvergenceWarning,
-            stacklevel=3,
-        )
-
-
 def simulate_batch_from_draws(
     task: SampleTask, draws: ParameterDraws
 ) -> list[MonteCarloSample]:
     """Run one sample per pre-drawn parameter row, solving them as two batches.
 
-    The parameters were drawn up front (:func:`draw_parameters`), so workers
-    receive :meth:`~repro.variation.qmc.ParameterDraws.slice` blocks and
-    chunking can never change which parameters a sample gets.  Because
-    every per-column update of the batched solver is independent of the
-    other columns, the result is also bitwise-identical however the rows
-    are chunked.
+    The parameters were drawn up front (:func:`draw_parameters`), and every
+    per-column update of the batched solver is independent of the other
+    columns, so solving :meth:`~repro.variation.qmc.ParameterDraws.slice`
+    blocks of the rows gives bitwise the same samples as one block.
     """
     _check_draws(task, draws)
     return _keep_converged(task, _solve_parameter_sets(task, draws))
-
-
-def _simulate_draws_batch_star(
-    args: tuple[SampleTask, ParameterDraws]
-) -> list[MonteCarloSample]:
-    """Process-pool adapter: solve one pre-drawn parameter block as a batch."""
-    return simulate_batch_from_draws(*args)
 
 
 def build_sample_task(
@@ -438,16 +401,6 @@ def build_sample_task(
         solver_options=solver_options or SolverOptions(),
         on_nonconverged=_check_policy(on_nonconverged),
     )
-
-
-def _result_metadata(
-    sampler: str, task: SampleTask, requested: int, recorded: int
-) -> dict[str, object]:
-    """Return the provenance metadata of one run (sampler, dropped count)."""
-    metadata: dict[str, object] = {"sampler": sampler}
-    if task.on_nonconverged == "drop":
-        metadata["dropped_nonconverged"] = requested - recorded
-    return metadata
 
 
 def run_loaded_inverter_monte_carlo(
@@ -494,11 +447,9 @@ def run_loaded_inverter_monte_carlo(
 
     With ``sampler="mc"`` each sample draws from its own
     ``SeedSequence.spawn``-derived stream (sample ``i`` uses stream ``i``);
-    with ``sampler="qmc"`` the whole parameter block is drawn up front and
-    sliced.  Either way all samples solve as two batched DC solves and the
-    result is bitwise-identical to
-    :class:`repro.engine.parallel.ParallelMonteCarlo` for the same seed and
-    sampler.
+    with ``sampler="qmc"`` the block comes from one Sobol sequence.  Either
+    way the whole parameter block is drawn before any solve, and all
+    samples solve as two batched DC solves.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -515,12 +466,24 @@ def run_loaded_inverter_monte_carlo(
     collected = simulate_batch_from_draws(
         task, draw_parameters(task, sampler, samples, rng)
     )
-    _warn_nonconverged(task, collected, samples)
+    if task.on_nonconverged == "warn":
+        failed = sum(not sample.converged for sample in collected)
+        if failed:
+            warnings.warn(
+                f"{failed} of {samples} Monte-Carlo samples did not converge "
+                f"(input {input_value}, {input_loads}+{output_loads} loads); "
+                "they are recorded with converged=False",
+                MonteCarloConvergenceWarning,
+                stacklevel=2,
+            )
+    metadata: dict[str, object] = {"sampler": sampler}
+    if task.on_nonconverged == "drop":
+        metadata["dropped_nonconverged"] = samples - len(collected)
     return MonteCarloResult(
         spec=task.spec,
         input_value=input_value,
         input_loads=input_loads,
         output_loads=output_loads,
         samples=collected,
-        metadata=_result_metadata(sampler, task, samples, len(collected)),
+        metadata=metadata,
     )

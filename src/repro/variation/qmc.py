@@ -24,11 +24,10 @@ not depend on which sigmas are active.
 Reproducibility contract: the scramble seed is stream 0 of
 :func:`repro.utils.rng.spawn_streams` on the caller's root rng — an
 explicit seeded stream, never global state (RC102-clean) — and the whole
-``(samples, dimension)`` block is drawn once up front.  Work distribution
-then *slices* the pre-drawn block (:meth:`ParameterDraws.slice`), so
-serial and process-pool runs consume byte-identical parameters and, with
-the batched solver's batch-composition invariance, produce bitwise
-identical results.
+``(samples, dimension)`` block is drawn once up front, so however the
+block is split into solve batches (:meth:`ParameterDraws.slice`) every
+sample consumes byte-identical parameters and, with the batched solver's
+batch-composition invariance, produces bitwise identical results.
 """
 
 from __future__ import annotations
@@ -112,8 +111,7 @@ class ParameterDraws:
     """Pre-drawn variation parameters for a block of samples.
 
     One row per sample: the four inter-die shifts plus one intra-die Vth
-    shift per transistor of the loaded structure.  Picklable plain arrays,
-    so a process pool ships slices to workers unchanged.
+    shift per transistor of the loaded structure.
     """
 
     spec: VariationSpec
@@ -159,9 +157,9 @@ class ParameterDraws:
     def slice(self, lo: int, hi: int) -> "ParameterDraws":
         """Return samples ``[lo, hi)`` as a standalone block.
 
-        Slicing pre-drawn parameters is what keeps pool distribution
-        bitwise identical to the serial run: chunk boundaries only choose
-        *who* solves a sample, never *which* parameters it gets.
+        Slicing pre-drawn parameters keeps any split into solve batches
+        bitwise identical to one batch: chunk boundaries only choose
+        *which batch* solves a sample, never *which* parameters it gets.
         """
         return ParameterDraws(
             spec=self.spec,

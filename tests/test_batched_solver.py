@@ -492,6 +492,17 @@ BINDING_SPECS = {
     "default": VariationSpec(),
     "clamp": VariationSpec(sigma_vdd_v=0.3, truncation=2.0),
     "no-intra": VariationSpec(sigma_vth_intra_v=0.0),
+    # Fewer than two varying axes: moments propagate in closed form.
+    "one-axis": VariationSpec(
+        sigma_length_nm=0.0, sigma_tox_nm=0.0, sigma_vth_intra_v=0.0, sigma_vdd_v=0.0
+    ),
+    "zero": VariationSpec(
+        sigma_length_nm=0.0,
+        sigma_tox_nm=0.0,
+        sigma_vth_inter_v=0.0,
+        sigma_vth_intra_v=0.0,
+        sigma_vdd_v=0.0,
+    ),
 }
 
 #: (spec, input value, input loads, output loads) of the binding cases.
@@ -551,18 +562,22 @@ class TestMonteCarloBinding:
         assert _as_dicts(got) == _as_dicts(_per_sample_flatten_oracle(task, draws))
 
     @pytest.mark.parametrize(
-        "interaction_axes, method", [(0, "closed-form"), (4, "sobol-quadrature")]
+        "case",
+        [
+            ("default", 0, 2, 0, "sobol-quadrature"),
+            ("clamp", 1, 6, 6, "sobol-quadrature"),
+            ("one-axis", 0, 2, 0, "closed-form"),
+            ("zero", 1, 6, 6, "closed-form"),
+        ],
+        ids=lambda c: f"{c[0]}-{c[4]}",
     )
-    @pytest.mark.parametrize("case", [("default", 0, 2, 0), ("clamp", 1, 6, 6)])
-    def test_moments_match_oracle(self, d25s, monkeypatch, case, interaction_axes, method):
-        spec, input_value, input_loads, output_loads = case
+    def test_moments_match_oracle(self, d25s, monkeypatch, case):
+        spec, input_value, input_loads, output_loads, method = case
         kwargs = dict(
             spec=BINDING_SPECS[spec],
             input_value=input_value,
             input_loads=input_loads,
             output_loads=output_loads,
-            interaction_axes=interaction_axes,
-            quadrature_points=2**10,
         )
         got = moments.propagate_loaded_inverter_moments(d25s, **kwargs)
         monkeypatch.setattr(moments, "_solve_parameter_sets", _per_sample_flatten_oracle)

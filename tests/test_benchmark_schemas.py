@@ -63,7 +63,6 @@ SCHEMAS: dict[str, dict[str, type | tuple]] = {
         "moments.loaded_std_error": NUMBER,
         "moments.unloaded_mean_error": NUMBER,
         "moments.unloaded_std_error": NUMBER,
-        "reproducibility.qmc_pool_bitwise": bool,
     },
     "vector_search.json": {
         "seed": int,

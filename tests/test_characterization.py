@@ -18,7 +18,7 @@ from repro.gates.characterize import (
     GateLibrary,
 )
 from repro.gates.library import GateType
-from repro.gates.lut import GateVectorCharacterization, ResponseCurve
+from repro.gates.lut import ResponseCurve
 from repro.spice.analysis import ComponentBreakdown
 from repro.utils.mathtools import percent_difference
 
@@ -136,7 +136,6 @@ class TestResponseCurve:
         assert clamped.subthreshold == pytest.approx(4.0e-9)
         delta = curve.delta_at(1.0e-6, ComponentBreakdown(2.0e-9, 3.0e-9, 1.0e-9))
         assert delta.subthreshold == pytest.approx(2.0e-9)
-        assert curve.max_injection == pytest.approx(1.0e-6)
 
     def test_out_of_range_warns_once_and_still_clamps(self):
         from repro.gates.lut import (

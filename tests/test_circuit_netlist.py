@@ -68,7 +68,6 @@ class TestQueries:
     def test_gate_accessors(self, small_circuit):
         gate = small_circuit.gates["g1"]
         assert gate.input_net("b") == "b"
-        assert gate.pin_of_net("a") == ["a"]
         with pytest.raises(KeyError):
             gate.input_net("z")
 

@@ -93,11 +93,6 @@ class TestTechnologyParams:
                 pmos=bulk25.pmos,
             )
 
-    def test_at_temperature(self, bulk25):
-        hot = bulk25.at_temperature(400.0)
-        assert hot.temperature_k == 400.0
-        assert bulk25.temperature_k == 300.0
-
     def test_device_lookup(self, bulk25):
         assert bulk25.device(Polarity.NMOS) is bulk25.nmos
         assert bulk25.device(Polarity.PMOS) is bulk25.pmos

@@ -3,9 +3,7 @@
 The contract of :mod:`repro.engine` is equivalence: the per-vector
 :class:`LoadingAwareEstimator` walk (:func:`repro.oracle.per_vector_campaign`)
 is the oracle, and the batched engine must reproduce its totals (and
-per-gate breakdowns) to rounding error while the
-parallel Monte-Carlo driver must reproduce the serial sample stream
-bitwise.  A second oracle, the engine's earlier full-grid gather kept
+per-gate breakdowns) to rounding error.  A second oracle, the engine's earlier full-grid gather kept
 below, pins every engine output array bitwise.
 """
 
@@ -30,7 +28,7 @@ from repro.core.estimator import LoadingAwareEstimator
 from repro.core.report import REPORT_COMPONENTS
 from repro.core.vectors import run_vector_campaign
 from repro.engine import (
-    ParallelMonteCarlo,
+    CompiledCircuit,
     clear_compile_cache,
     compile_circuit,
     run_compiled,
@@ -43,7 +41,6 @@ from repro.gates import lut
 from repro.gates.characterize import GateLibrary
 from repro.gates.library import GateType
 from repro.oracle import per_vector_campaign
-from repro.variation.montecarlo import run_loaded_inverter_monte_carlo
 
 
 def _assert_campaigns_match(batched, scalar, rtol=1e-12):
@@ -393,7 +390,7 @@ class TestLookupEdges:
         shifted = GateLibrary(d25s)
         shifted.load_records(records)
         with pytest.raises(ValueError, match="brackets zero"):
-            compile_circuit(inverter_chain(2), shifted, cache=False)
+            CompiledCircuit(inverter_chain(2), shifted)
 
     @pytest.mark.parametrize("excursion", ["far", "next_float"])
     @pytest.mark.parametrize("policy", ["warn", "raise", "clamp"])
@@ -623,44 +620,9 @@ class TestCompileCache:
         assert compile_circuit(circuit, library_d25s) is first
         # A structural copy (different object, same netlist) reuses the compile.
         assert compile_circuit(circuit.copy(), library_d25s) is first
-        assert compile_circuit(circuit, library_d25s, cache=False) is not first
 
     def test_different_structure_recompiles(self, library_d25s):
         clear_compile_cache()
         first = compile_circuit(nand_tree(2), library_d25s)
         second = compile_circuit(nand_tree(3), library_d25s)
         assert first is not second
-
-
-@pytest.mark.slow
-class TestParallelMonteCarlo:
-    def test_parallel_samples_pin_to_serial_bitwise(self, d25s):
-        serial = run_loaded_inverter_monte_carlo(
-            d25s, samples=4, rng=17, input_loads=2, output_loads=2
-        )
-        driver = ParallelMonteCarlo(
-            d25s, input_loads=2, output_loads=2, max_workers=2
-        )
-        parallel = driver.run(4, rng=17)
-        assert parallel.sample_count == serial.sample_count
-        for component in REPORT_COMPONENTS:
-            for loaded in (True, False):
-                assert (
-                    parallel.values(component, loaded=loaded).tolist()
-                    == serial.values(component, loaded=loaded).tolist()
-                )
-
-    def test_worker_count_does_not_change_samples(self, d25s):
-        one = ParallelMonteCarlo(
-            d25s, input_loads=1, output_loads=1, max_workers=1
-        ).run(3, rng=23)
-        three = ParallelMonteCarlo(
-            d25s, input_loads=1, output_loads=1, max_workers=3
-        ).run(3, rng=23)
-        assert one.values("total").tolist() == three.values("total").tolist()
-
-    def test_parameter_validation(self, d25s):
-        with pytest.raises(ValueError):
-            ParallelMonteCarlo(d25s, max_workers=0)
-        with pytest.raises(ValueError):
-            ParallelMonteCarlo(d25s).run(0)

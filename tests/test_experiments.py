@@ -19,7 +19,6 @@ from repro.experiments import (
     run_runtime_comparison,
 )
 from repro.device.presets import DeviceVariant
-from repro.gates.characterize import GateLibrary
 
 
 class TestFig4:

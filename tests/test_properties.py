@@ -26,7 +26,6 @@ counterexample hunt; shrinking still reports minimal failing cases locally.
 """
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 

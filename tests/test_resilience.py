@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.circuit.generators import nand_tree
-from repro.engine.parallel import ParallelMonteCarlo
+from repro.engine import compile_circuit
 from repro.optimize.search import GeneticOptions, genetic_minimize
 from repro.resilience import (
     ChunkRetryError,
@@ -26,21 +26,18 @@ from repro.resilience import (
     ResilientExecutor,
     RetryPolicy,
 )
-from repro.variation.montecarlo import run_loaded_inverter_monte_carlo
 
 #: Fast retry policy for tests: real backoff shape, negligible wall clock.
 FAST_RETRY = RetryPolicy(backoff_base_s=0.01, backoff_max_s=0.05)
 
 
-def _mc_samples_bitwise_equal(result_a, result_b) -> bool:
-    if result_a.sample_count != result_b.sample_count:
-        return False
-    for a, b in zip(result_a.samples, result_b.samples):
-        if a.with_loading.as_dict() != b.with_loading.as_dict():
-            return False
-        if a.without_loading.as_dict() != b.without_loading.as_dict():
-            return False
-    return True
+def _assert_search_bitwise_equal(result, serial) -> None:
+    assert result.best_total == serial.best_total
+    assert np.array_equal(result.best_bits, serial.best_bits)
+    assert result.evaluations == serial.evaluations
+    assert len(result.islands) == len(serial.islands)
+    for island, expected in zip(result.islands, serial.islands):
+        assert island.trajectory.tolist() == expected.trajectory.tolist()
 
 
 class TestRetryPolicy:
@@ -190,103 +187,83 @@ class TestResilienceOptions:
         assert executor.policy is FAST_RETRY
 
 
-class TestMonteCarloBitwiseRecovery:
-    SAMPLES = 6
-    SEED = 42
+class TestSearchBitwiseRecovery:
+    """Faults on the genetic island pool recover to the serial islands' bytes.
+
+    Two islands are two pool chunks (0 and 1); each faulted run must return
+    what the in-process islands return, down to every island's trajectory.
+    """
+
+    OPTIONS = GeneticOptions(population=8, generations=4, elite=1)
+    SEED = 17
 
     @pytest.fixture(scope="class")
-    def serial_mc(self, bulk25):
-        return run_loaded_inverter_monte_carlo(
-            bulk25, samples=self.SAMPLES, rng=self.SEED
+    def compiled(self, library_d25s):
+        return compile_circuit(nand_tree(2), library_d25s)
+
+    @pytest.fixture(scope="class")
+    def serial(self, compiled):
+        return genetic_minimize(
+            compiled, options=self.OPTIONS, rng=self.SEED, islands=2, max_workers=1
         )
 
-    def _faulted_run(self, bulk25, specs, policy=FAST_RETRY):
-        driver = ParallelMonteCarlo(
-            bulk25,
+    def _faulted_run(self, compiled, specs, policy=FAST_RETRY):
+        return genetic_minimize(
+            compiled,
+            options=self.OPTIONS,
+            rng=self.SEED,
+            islands=2,
             max_workers=2,
             resilience=ResilienceOptions(
                 policy=policy, injector=FaultInjector(seed=5, specs=specs)
             ),
         )
-        return driver.run(self.SAMPLES, rng=self.SEED)
 
-    def test_kill_worker_mid_monte_carlo_recovers_bitwise(self, bulk25, serial_mc):
+    def test_kill_worker_recovers_bitwise(self, compiled, serial):
         result = self._faulted_run(
-            bulk25, (FaultSpec(kind="kill-worker", chunks=frozenset({0})),)
+            compiled, (FaultSpec(kind="kill-worker", chunks=frozenset({0})),)
         )
-        assert _mc_samples_bitwise_equal(result, serial_mc)
+        _assert_search_bitwise_equal(result, serial)
         ledger = result.metadata["resilience"]
         assert 0 in ledger["retried_chunks"]
         assert ledger["pool_restarts"] >= 1
         assert ledger["gave_up"] == 0
 
-    def test_injected_error_recovers_bitwise(self, bulk25, serial_mc):
-        """Recovery re-runs the faulted chunk once and nothing else."""
+    def test_genetic_islands_recover_bitwise_under_faults(self, compiled, serial):
+        """An injected raise re-runs the faulted island once and nothing else."""
         result = self._faulted_run(
-            bulk25, (FaultSpec(kind="raise", chunks=frozenset({1})),)
+            compiled, (FaultSpec(kind="raise", chunks=frozenset({1})),)
         )
-        assert _mc_samples_bitwise_equal(result, serial_mc)
+        _assert_search_bitwise_equal(result, serial)
         ledger = result.metadata["resilience"]
         assert ledger["retried_chunks"] == [1]
         assert ledger["retries"] == 1
         assert ledger["attempts"] == ledger["chunks"] + 1
+        assert ledger["gave_up"] == 0
 
-    def test_kill_worker_and_raise_together_recover_bitwise(self, bulk25, serial_mc):
-        """A dead worker and a poisoned chunk in one run: the pool restarts,
-        both chunks re-run, and the samples are the serial run's bytes."""
+    def test_kill_worker_and_raise_together_recover_bitwise(self, compiled, serial):
+        """A dead worker and a poisoned island in one run: the pool restarts,
+        both islands re-run, and the search is the serial run's bytes."""
         result = self._faulted_run(
-            bulk25,
+            compiled,
             (
                 FaultSpec(kind="kill-worker", chunks=frozenset({0})),
                 FaultSpec(kind="raise", chunks=frozenset({1})),
             ),
         )
-        assert _mc_samples_bitwise_equal(result, serial_mc)
+        _assert_search_bitwise_equal(result, serial)
         ledger = result.metadata["resilience"]
         assert ledger["retried_chunks"] == [0, 1]
         assert ledger["pool_restarts"] >= 1
         assert ledger["gave_up"] == 0
 
-    def test_stall_past_deadline_recovers_bitwise(self, bulk25, serial_mc):
+    def test_stall_past_deadline_recovers_bitwise(self, compiled, serial):
         result = self._faulted_run(
-            bulk25,
+            compiled,
             (FaultSpec(kind="stall", chunks=frozenset({0}), stall_s=10.0),),
             policy=RetryPolicy(backoff_base_s=0.01, chunk_deadline_s=0.5),
         )
-        assert _mc_samples_bitwise_equal(result, serial_mc)
+        _assert_search_bitwise_equal(result, serial)
         ledger = result.metadata["resilience"]
         assert ledger["deadline_expirations"] >= 1
-        assert ledger["gave_up"] == 0
-
-
-class TestSearchBitwiseRecovery:
-    def test_genetic_islands_recover_bitwise_under_faults(
-        self, d25s, library_d25s
-    ):
-        from repro.service import default_session
-
-        circuit = nand_tree(2)
-        compiled = default_session().compiled(circuit, library_d25s)
-        options = GeneticOptions(population=8, generations=4, elite=1)
-        serial = genetic_minimize(
-            compiled, options=options, rng=17, islands=2, max_workers=1
-        )
-        faulted = genetic_minimize(
-            compiled,
-            options=options,
-            rng=17,
-            islands=2,
-            max_workers=2,
-            resilience=ResilienceOptions(
-                policy=FAST_RETRY,
-                injector=FaultInjector(
-                    seed=4, specs=(FaultSpec(kind="raise", chunks=frozenset({0})),)
-                ),
-            ),
-        )
-        assert faulted.best_total == serial.best_total
-        assert np.array_equal(faulted.best_bits, serial.best_bits)
-        assert faulted.evaluations == serial.evaluations
-        ledger = faulted.metadata["resilience"]
-        assert ledger["retried_chunks"] == [0]
         assert ledger["gave_up"] == 0

@@ -29,7 +29,7 @@ from repro.circuit.logic import random_vectors
 from repro.core.estimator import LoadingAwareEstimator
 from repro.core.vectors import run_vector_campaign
 from repro.engine.campaign import run_compiled, run_totals
-from repro.engine.compile import CompileCache, compile_circuit
+from repro.engine.compile import CompileCache, CompiledCircuit
 from repro.gates.cache import LibraryStore
 from repro.gates.characterize import CharacterizationOptions, GateLibrary
 from repro.gates.library import GateType
@@ -562,18 +562,6 @@ def test_compile_cache_purges_dead_library_entries(d25s):
     assert info.evictions == 1
 
 
-def test_compile_circuit_uses_explicit_store(circuit, library_d25s):
-    """compile_circuit(store=...) bypasses the process-default cache."""
-    private = CompileCache(maxsize=4)
-    compiled = compile_circuit(circuit, library_d25s, store=private)
-    assert compile_circuit(circuit, library_d25s, store=private) is compiled
-    assert private.cache_info().hits == 1
-    # cache=False always returns a fresh instance and records nothing.
-    fresh = compile_circuit(circuit, library_d25s, cache=False, store=private)
-    assert fresh is not compiled
-    assert private.cache_info().misses == 1
-
-
 # --------------------------------------------------------------------------- #
 # library store
 # --------------------------------------------------------------------------- #
@@ -718,7 +706,7 @@ def test_random_logic_session_campaign_matches_direct_engine(library_d25s):
     session = EstimationSession()
     bits = _random_bits(circuit, 32, seed=5)
     totals = session.totals(circuit, library_d25s, bits, coalesce=False)
-    direct = run_totals(compile_circuit(circuit, library_d25s, cache=False), bits)
+    direct = run_totals(CompiledCircuit(circuit, library_d25s), bits)
     assert np.array_equal(totals, direct)
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.device.mosfet import Mosfet
 from repro.gates.library import GateType
 from repro.gates.templates import build_gate_transistors
 from repro.spice.analysis import (
@@ -12,7 +11,7 @@ from repro.spice.analysis import (
     total_leakage,
     transistor_currents,
 )
-from repro.spice.netlist import GROUND, SUPPLY, TransistorNetlist
+from repro.spice.netlist import TransistorNetlist
 from repro.spice.solver import DcSolver, SolverOptions
 
 
@@ -118,7 +117,6 @@ class TestAnalysis:
         assert a.scaled(2.0).gate == 4.0
         assert a.component("total") == 6.0
         assert a.as_dict()["btbt"] == 3.0
-        assert a.power(0.9) == pytest.approx(5.4)
         with pytest.raises(KeyError):
             a.component("bogus")
 

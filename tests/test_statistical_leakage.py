@@ -1,12 +1,12 @@
 """Tests for the variance-reduced statistical-leakage subsystem.
 
-Covers the scrambled-Sobol QMC sampler (reproducibility, truncation,
-serial-vs-pool bitwise identity), the moment-propagation fast path against
-the Monte-Carlo oracle, the percentile/yield estimators with bootstrap
-confidence intervals, the session-level ``percentile_leakage`` query and
-its population cache, and the statistics-layer bugfix pass: guarded
-percent-shift division, per-sample convergence policies, and the
-empty-population guards of the Fig. 10 / Fig. 11 drivers.
+Covers the scrambled-Sobol QMC sampler (reproducibility, truncation), the
+moment-propagation fast path against the Monte-Carlo oracle, the
+percentile/yield estimators with bootstrap confidence intervals, the
+session-level ``percentile_leakage`` query and its population cache, and
+the statistics-layer bugfix pass: guarded percent-shift division,
+per-sample convergence policies, and the empty-population guards of the
+Fig. 10 / Fig. 11 drivers.
 """
 
 import math
@@ -15,7 +15,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.engine.parallel import ParallelMonteCarlo
 from repro.experiments.fig10 import run_fig10_variation_histograms
 from repro.experiments.fig11 import run_fig11_variation_statistics
 from repro.service import EstimationSession
@@ -54,6 +53,11 @@ from repro.variation.statistics import (
 #: 5 uV tolerance from the DC seed; every sample of a study run with these
 #: options comes back non-converged.
 NONCONVERGING = SolverOptions(max_sweeps=1, newton_max_iterations=1)
+
+#: Only the inter-die Vth varies: one moment axis, no cross terms.
+ONE_AXIS = VariationSpec(
+    sigma_length_nm=0.0, sigma_tox_nm=0.0, sigma_vth_intra_v=0.0, sigma_vdd_v=0.0
+)
 
 
 def _samples_bitwise_equal(result_a, result_b) -> bool:
@@ -329,16 +333,6 @@ class TestQmcMonteCarlo:
             # within the MC standard error at this budget.
             assert qmc_mean == pytest.approx(mc_mean, abs=0.35)
 
-    def test_qmc_serial_vs_pool_bitwise_batched(self, d25s):
-        serial = run_loaded_inverter_monte_carlo(
-            d25s, samples=16, rng=5, input_loads=2, output_loads=2, sampler="qmc"
-        )
-        pooled = ParallelMonteCarlo(
-            d25s, input_loads=2, output_loads=2, max_workers=3, sampler="qmc"
-        ).run(16, rng=5)
-        assert pooled.metadata["sampler"] == "qmc"
-        assert _samples_bitwise_equal(serial, pooled)
-
 
 @pytest.mark.slow
 class TestNonconvergedPolicies:
@@ -356,25 +350,13 @@ class TestNonconvergedPolicies:
         assert not result.converged_mask.any()
         assert result.metadata.get("dropped_nonconverged", 0) == 0
 
-    @pytest.mark.parametrize("run", ["pooled", "serial-batched"])
-    def test_warning_reaches_the_caller(self, d25s, run):
-        """One warning per run, in this process, at this file's line.
-
-        A pooled run's workers used to warn in their own processes, so the
-        caller saw nothing; the parent now warns from the merged flags.
-        """
-        options = SolverOptions(max_sweeps=1, newton_max_iterations=1)
-        runs = {
-            "pooled": lambda: ParallelMonteCarlo(
-                d25s, solver_options=options, max_workers=2
-            ).run(4, rng=1),
-            "serial-batched": lambda: run_loaded_inverter_monte_carlo(
-                d25s, samples=4, rng=1, solver_options=options
-            ),
-        }
+    def test_warning_reaches_the_caller(self, d25s):
+        """One warning per run, at this file's line."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = runs[run]()
+            result = run_loaded_inverter_monte_carlo(
+                d25s, samples=4, rng=1, solver_options=NONCONVERGING
+            )
         ours = [w for w in caught if w.category is MonteCarloConvergenceWarning]
         assert not result.converged_mask.any()
         assert len(ours) == 1
@@ -393,19 +375,16 @@ class TestNonconvergedPolicies:
                 on_nonconverged="raise",
             )
 
-    @pytest.mark.parametrize("run", ["batched", "pooled"])
-    def test_drop_policy_counts_dropped(self, d25s, run):
-        """The serial one-block run and the pooled slices both report drops."""
-        kwargs = dict(
+    def test_drop_policy_counts_dropped(self, d25s):
+        result = run_loaded_inverter_monte_carlo(
+            d25s,
+            samples=2,
+            rng=0,
             input_loads=2,
             output_loads=2,
             solver_options=NONCONVERGING,
             on_nonconverged="drop",
         )
-        if run == "pooled":
-            result = ParallelMonteCarlo(d25s, max_workers=2, **kwargs).run(2, rng=0)
-        else:
-            result = run_loaded_inverter_monte_carlo(d25s, samples=2, rng=0, **kwargs)
         assert result.sample_count == 0
         assert result.metadata["dropped_nonconverged"] == 2
 
@@ -467,10 +446,12 @@ class TestNonconvergedPolicies:
 @pytest.mark.slow
 class TestMomentPropagation:
     def test_closed_form_path(self, d25s):
+        """One varying axis has no pair to cross: the closed form answers."""
         result = propagate_loaded_inverter_moments(
-            d25s, input_loads=2, output_loads=2, interaction_axes=0
+            d25s, spec=ONE_AXIS, input_loads=2, output_loads=2
         )
         assert result.method == "closed-form"
+        assert result.axis_count == 1
         assert result.interaction_pairs == 0
         for component in ("subthreshold", "gate", "btbt", "total"):
             for loaded in (True, False):
@@ -490,11 +471,7 @@ class TestMomentPropagation:
 
         monkeypatch.setattr(moments, "_solve_parameter_sets", counting)
         result = propagate_loaded_inverter_moments(
-            d25s,
-            input_loads=2,
-            output_loads=2,
-            interaction_axes=4,
-            quadrature_points=2**10,
+            d25s, input_loads=2, output_loads=2
         )
         assert result.method == "sobol-quadrature"
         assert result.interaction_pairs > 0
@@ -503,20 +480,9 @@ class TestMomentPropagation:
         # the interaction probes are solved once for both tables.
         assert 2 * sum(columns) == result.solve_count
 
-    def test_order_validation(self, d25s):
-        with pytest.raises(ValueError, match="order"):
-            propagate_loaded_inverter_moments(d25s, order=3)
-
-    def test_order_one_linearizes(self, d25s):
-        result = propagate_loaded_inverter_moments(
-            d25s, input_loads=2, output_loads=2, order=1, interaction_axes=0
-        )
-        assert result.order == 1
-        assert result.estimate("total").mean > 0.0
-
     def test_moments_match_monte_carlo_oracle(self, d25s):
         moments = propagate_loaded_inverter_moments(
-            d25s, input_loads=2, output_loads=2, quadrature_points=2**12
+            d25s, input_loads=2, output_loads=2
         )
         oracle = run_loaded_inverter_monte_carlo(
             d25s,
@@ -538,7 +504,7 @@ class TestMomentPropagation:
 
     def test_to_table_renders(self, d25s):
         result = propagate_loaded_inverter_moments(
-            d25s, input_loads=2, output_loads=2, interaction_axes=0
+            d25s, spec=ONE_AXIS, input_loads=2, output_loads=2
         )
         table = result.to_table()
         assert "total" in table and "subthreshold" in table

@@ -1,7 +1,5 @@
 """Tests for physical constants and unit conversions."""
 
-import math
-
 import pytest
 
 from repro.utils.constants import (
@@ -43,7 +41,6 @@ class TestUnitConversions:
 
     def test_power_conversions(self):
         assert units.watts_to_microwatts(1.5e-6) == pytest.approx(1.5)
-        assert units.microwatts_to_watts(2.0) == pytest.approx(2.0e-6)
 
     def test_temperature_roundtrip(self):
         assert units.kelvin_to_celsius(units.celsius_to_kelvin(27.0)) == pytest.approx(27.0)
@@ -52,7 +49,3 @@ class TestUnitConversions:
     def test_length_conversions(self):
         assert units.nm_to_m(50.0) == pytest.approx(5.0e-8)
         assert units.nm_to_cm(50.0) == pytest.approx(5.0e-6)
-        assert units.angstrom_to_nm(6.7) == pytest.approx(0.67)
-
-    def test_voltage_conversion(self):
-        assert units.millivolts_to_volts(333.0) == pytest.approx(0.333)

@@ -13,7 +13,7 @@ from repro.utils.mathtools import (
     safe_exp,
     smooth_step,
 )
-from repro.utils.rng import ensure_rng, spawn_child
+from repro.utils.rng import ensure_rng
 from repro.utils.tables import format_table
 
 
@@ -78,12 +78,6 @@ class TestRng:
     def test_rejects_bad_type(self):
         with pytest.raises(TypeError):
             ensure_rng("not-a-seed")
-
-    def test_spawn_child_independent(self):
-        parent = ensure_rng(5)
-        child = spawn_child(parent)
-        assert child is not parent
-        assert list(child.integers(0, 10, 3)) != [None]
 
 
 class TestTables:

@@ -249,7 +249,9 @@ class TestBudgetsAndDiagnostics:
         assert curve[-1] == result.best_total
         assert "Minimum-leakage" in result.to_table()
 
-    def test_option_validation(self):
+    def test_option_validation(self, compiled_small):
+        with pytest.raises(ValueError, match="max_workers"):
+            genetic_minimize(compiled_small, max_workers=0)
         with pytest.raises(ValueError):
             GreedyOptions(restarts=0)
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ in every environment the tests run in):
 ``RC101 rng-construction-outside-rng-module``
     ``numpy.random`` generators are constructed in exactly one place,
     :mod:`repro.utils.rng` (``ensure_rng`` / ``spawn_streams`` /
-    ``spawn_child`` are the entry points).  Constructing a generator
+    ``keyed_rng`` are the entry points).  Constructing a generator
     anywhere else forks the seeding discipline that makes campaigns and
     Monte-Carlo runs bitwise reproducible.
 
