@@ -230,7 +230,16 @@ class TestSearchBitwiseRecovery:
         assert ledger["gave_up"] == 0
 
     def test_genetic_islands_recover_bitwise_under_faults(self, compiled, serial):
-        """An injected raise re-runs the faulted island once and nothing else."""
+        result = self._faulted_run(
+            compiled, (FaultSpec(kind="raise", chunks=frozenset({0})),)
+        )
+        _assert_search_bitwise_equal(result, serial)
+        ledger = result.metadata["resilience"]
+        assert ledger["retried_chunks"] == [0]
+        assert ledger["gave_up"] == 0
+
+    def test_injected_error_recovers_bitwise(self, compiled, serial):
+        """Recovery re-runs the faulted island once and nothing else."""
         result = self._faulted_run(
             compiled, (FaultSpec(kind="raise", chunks=frozenset({1})),)
         )
