@@ -10,8 +10,9 @@ the harness interactive:
   uses 100),
 * the transistor-level reference validation runs on ``REFERENCE_VECTORS``
   vectors of the circuits below ``REFERENCE_MAX_GATES`` gates, through the
-  batched reference path (the per-vector oracle is
-  :func:`repro.oracle.per_vector_campaign` over a ``ReferenceSimulator``).
+  batched reference path (the per-vector Gauss–Seidel oracle is
+  :func:`repro.oracle.per_vector_campaign` over a
+  :class:`repro.oracle.ScalarReference`).
 
 EXPERIMENTS.md records the exact configuration behind every quoted number and
 how to run the full-size campaign.

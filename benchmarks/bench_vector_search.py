@@ -16,8 +16,9 @@ benchmark asserts and records all three parts in
 3. **reproducibility** — re-running the s838 searches split over islands
    (and a worker pool) reproduces the serial results bitwise.
 
-It also records the feasibility speedup: the scalar per-vector estimator
-cost (probed on ``VECTOR_SEARCH_PROBE`` vectors) times the total number of
+It also records the feasibility speedup: the cost of the per-vector,
+gate-by-gate estimator walk (the oracle :class:`repro.oracle.PerGateEstimator`,
+probed on ``VECTOR_SEARCH_PROBE`` vectors) times the total number of
 candidates searched, over the actual batched search wall-clock — how much
 longer the identical search would have taken vector by vector.
 
@@ -44,7 +45,6 @@ from repro.circuit.generators import (
     nand_tree,
     random_logic,
 )
-from repro.core.estimator import LoadingAwareEstimator
 from repro.engine import compile_circuit
 from repro.optimize import (
     GeneticOptions,
@@ -54,6 +54,7 @@ from repro.optimize import (
     genetic_minimize,
     greedy_minimize,
 )
+from repro.oracle import PerGateEstimator
 from repro.utils.rng import spawn_streams
 
 CIRCUITS = [
@@ -138,7 +139,7 @@ def _search_one(compiled, greedy_rng, genetic_rng, random_rng):
 
 
 def test_vector_search(benchmark, d25s, library_d25s):
-    estimator = LoadingAwareEstimator(library_d25s)
+    estimator = PerGateEstimator(library_d25s)
 
     # 1. oracle parity on small circuits ----------------------------------- #
     # The parity bar always runs at the full default restart/population
@@ -199,7 +200,7 @@ def test_vector_search(benchmark, d25s, library_d25s):
         )
 
         # Scalar feasibility probe: what the same candidate count would
-        # have cost through the per-vector estimator.
+        # have cost through the per-vector gate-by-gate walk.
         probe_bits = probe_rng.integers(
             0, 2, size=(PROBE_VECTORS, len(circuit.primary_inputs)), dtype=np.uint8
         )

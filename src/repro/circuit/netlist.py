@@ -46,15 +46,6 @@ class Gate:
         """Return the library spec of this gate's type."""
         return gate_spec(self.gate_type)
 
-    def input_net(self, pin: str) -> str:
-        """Return the net connected to input pin ``pin``."""
-        spec = self.spec
-        try:
-            index = spec.inputs.index(pin)
-        except ValueError as exc:
-            raise KeyError(f"{spec.name} has no input pin {pin!r}") from exc
-        return self.inputs[index]
-
 
 @dataclass
 class Circuit:

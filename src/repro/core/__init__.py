@@ -5,11 +5,12 @@
   figures 5-9);
 * :mod:`repro.core.estimator` — the paper's Fig. 13 algorithm: topological
   traversal of the gate-level netlist, logic-value propagation, per-net
-  loading-current accumulation and characterized-LUT lookup;
+  loading-current accumulation and characterized-LUT lookup, answered by
+  the compiled engine of :mod:`repro.engine`;
 * :mod:`repro.core.baseline` — the traditional no-loading accumulation the
   paper compares against;
 * :mod:`repro.core.reference` — the full transistor-level reference solve
-  (the "SPICE" column of Fig. 12a), scalar oracle and batched campaign path;
+  (the "SPICE" column of Fig. 12a), solved in batches;
 * :mod:`repro.core.report` — result containers;
 * :mod:`repro.core.vectors` — random-vector campaigns and loading-impact
   statistics (Fig. 12b/c).

@@ -7,7 +7,7 @@ Given a gate-level circuit, a primary-input assignment and a characterized
 2. computes, for every net, the summed signed gate-tunneling current its
    receiver pins inject (from the characterized per-pin injection values);
 3. for every gate, turns those per-net sums into per-pin loading currents
-   (input loading excludes the gate's own pin; primary-input nets are ideal
+   (input loading excludes the gate's own pins; primary-input nets are ideal
    and carry no loading) and looks up the characterized leakage response;
 4. accumulates per-gate and per-component totals.
 
@@ -16,16 +16,17 @@ the ~1000x advantage over the transistor-level reference solve comes from.
 The one-level-propagation assumption of the paper (loading does not
 meaningfully propagate across more than one logic level) is what makes step 2
 possible with nominal (unloaded) pin-injection values.
+
+The compiled campaign engine (:mod:`repro.engine`) runs these steps as
+array passes over a whole vector set; :meth:`LoadingAwareEstimator.estimate`
+answers one vector as a one-vector engine pass.  The gate-by-gate walk is
+the test oracle :class:`repro.oracle.PerGateEstimator`.
 """
 
 from __future__ import annotations
 
-import time
-
-from repro.circuit.graph import topological_order
-from repro.circuit.logic import propagate
 from repro.circuit.netlist import Circuit
-from repro.core.report import CircuitLeakageReport, GateLeakage
+from repro.core.report import CircuitLeakageReport
 from repro.gates.characterize import GateLibrary
 
 
@@ -48,111 +49,15 @@ class LoadingAwareEstimator:
         self.library = library
         self.include_loading = include_loading
 
-    # ------------------------------------------------------------------ #
-    # public API
-    # ------------------------------------------------------------------ #
     def estimate(
         self, circuit: Circuit, input_assignment: dict[str, int]
     ) -> CircuitLeakageReport:
-        """Return the leakage report of ``circuit`` under ``input_assignment``."""
-        circuit.validate()
-        start = time.perf_counter()
-        order = topological_order(circuit)
-        net_values = propagate(circuit, input_assignment)
+        """Return the leakage report of ``circuit`` under ``input_assignment``.
 
-        vectors: dict[str, tuple[int, ...]] = {}
-        for name in order:
-            gate = circuit.gates[name]
-            vectors[name] = tuple(net_values[net] for net in gate.inputs)
-
-        pin_injections = self._pin_injections(circuit, vectors)
-        net_injection = self._net_injections(circuit, pin_injections)
-        own_injection = self._own_net_injections(circuit, pin_injections)
-
-        per_gate: dict[str, GateLeakage] = {}
-        for name in order:
-            gate = circuit.gates[name]
-            vector = vectors[name]
-            loading: dict[str, float] = {}
-            input_total = 0.0
-            output_total = 0.0
-            if self.include_loading:
-                for pin, net in zip(gate.spec.inputs, gate.inputs):
-                    if circuit.is_primary_input(net):
-                        continue
-                    # "Everyone else's" injection on this pin's net: subtract
-                    # *all* of this gate's own receiver pins on the net, not
-                    # just the current pin — with two pins tied to one net,
-                    # subtracting only the current pin fed the gate's other
-                    # pin back onto itself as phantom loading.
-                    others = net_injection.get(net, 0.0) - own_injection[(name, net)]
-                    if others != 0.0:
-                        loading[pin] = others
-                        input_total += others
-                output_total = net_injection.get(gate.output, 0.0)
-                if output_total != 0.0:
-                    loading[gate.spec.output] = output_total
-            breakdown = self.library.leakage_with_loading(
-                gate.gate_type, vector, loading
-            )
-            per_gate[name] = GateLeakage(
-                gate_name=name,
-                gate_type_name=gate.gate_type.value,
-                vector=vector,
-                breakdown=breakdown,
-                input_loading=input_total,
-                output_loading=output_total,
-            )
-
-        elapsed = time.perf_counter() - start
-        return CircuitLeakageReport(
-            circuit_name=circuit.name,
-            method=self.method_name if self.include_loading else "no-loading",
-            input_assignment=dict(input_assignment),
-            per_gate=per_gate,
-            temperature_k=self.library.temperature_k,
-            vdd=self.library.vdd,
-            metadata={"runtime_s": elapsed, "gate_count": len(per_gate)},
-        )
-
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    def _pin_injections(
-        self, circuit: Circuit, vectors: dict[str, tuple[int, ...]]
-    ) -> dict[tuple[str, str], float]:
-        """Return the signed injection of every (gate, input pin) into its net."""
-        injections: dict[tuple[str, str], float] = {}
-        for name, gate in circuit.gates.items():
-            vector = vectors[name]
-            for pin in gate.spec.inputs:
-                injections[(name, pin)] = self.library.pin_injection(
-                    gate.gate_type, vector, pin
-                )
-        return injections
-
-    def _net_injections(
-        self, circuit: Circuit, pin_injections: dict[tuple[str, str], float]
-    ) -> dict[str, float]:
-        """Return, per net, the summed signed injection of its receiver pins."""
-        totals: dict[str, float] = {}
-        for (name, pin), value in pin_injections.items():
-            net = circuit.gates[name].input_net(pin)
-            totals[net] = totals.get(net, 0.0) + value
-        return totals
-
-    def _own_net_injections(
-        self, circuit: Circuit, pin_injections: dict[tuple[str, str], float]
-    ) -> dict[tuple[str, str], float]:
-        """Return, per (gate, net), the summed injection of that gate's pins.
-
-        For untied inputs this equals the single pin's injection; for a gate
-        with several pins on one net it is their sum, which is what the
-        loading computation must subtract so a gate never loads itself.
+        One engine pass over a one-vector campaign
+        (:func:`repro.core.vectors.run_vector_campaign`).
         """
-        totals: dict[tuple[str, str], float] = {}
-        for (name, pin), value in pin_injections.items():
-            net = circuit.gates[name].input_net(pin)
-            key = (name, net)
-            totals[key] = totals.get(key, 0.0) + value
-        return totals
+        # core.vectors imports this module, so the import waits for the call.
+        from repro.core.vectors import run_vector_campaign
+
+        return run_vector_campaign(self, circuit, [input_assignment]).reports[0]

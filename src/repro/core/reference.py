@@ -3,25 +3,24 @@
 The paper validates its estimator against HSPICE operating-point analyses of
 the full circuit.  :class:`ReferenceSimulator` plays that role here: it
 flattens the gate-level circuit into transistors
-(:mod:`repro.circuit.flatten`), solves the coupled DC operating point with the
-relaxation solver (:mod:`repro.spice.solver`), and aggregates per-gate leakage
-components.  Because every net — including the nets *between* gates — is
-solved against all attached transistors, the result contains the full loading
-effect with no one-level approximation; the estimator's accuracy is measured
-against it (Fig. 12a).
+(:mod:`repro.circuit.flatten`), solves the coupled DC operating point with
+the batched solver (:mod:`repro.spice.batched`), and aggregates per-gate
+leakage components.  Because every net — including the nets *between*
+gates — is solved against all attached transistors, the result contains the
+full loading effect with no one-level approximation; the estimator's
+accuracy is measured against it (Fig. 12a).
 
-:meth:`ReferenceSimulator.estimate` answers a single vector with one
-:class:`~repro.spice.solver.DcSolver` relaxation (the runtime comparison
-times it; run per vector through :func:`repro.oracle.per_vector_campaign`
-it is the Gauss–Seidel oracle).  :meth:`ReferenceSimulator.estimate_batch`
-rides the batched SPICE layer: the circuit flattens *once*
-(:func:`repro.circuit.flatten.flatten_batch`) and all vectors of a chunk
-solve together as one :class:`~repro.spice.batched.BatchedDcSolver` batch,
-which is what makes full-suite, many-vector reference validation campaigns
-(:func:`run_reference_campaign`) feasible.  Chunks are memory-bounded and —
+:meth:`ReferenceSimulator.estimate_batch` is the one solve path: the
+circuit flattens *once* per chunk (:func:`repro.circuit.flatten.flatten_batch`)
+and all vectors of the chunk solve together as one
+:class:`~repro.spice.batched.BatchedDcSolver` batch, which is what makes
+full-suite, many-vector reference validation campaigns
+(:func:`run_reference_campaign`) feasible.  :meth:`ReferenceSimulator.estimate`
+answers one vector as a batch of one.  Chunks are memory-bounded and —
 because every per-column update of the batched solver is independent of its
 batch neighbours — the results are bitwise independent of how the vector set
-is chunked.
+is chunked.  The per-vector Gauss–Seidel relaxation is the test oracle
+:class:`repro.oracle.ScalarReference`.
 """
 
 from __future__ import annotations
@@ -29,15 +28,14 @@ from __future__ import annotations
 import time
 from typing import Iterable
 
-from repro.circuit.flatten import flatten, flatten_batch
-from repro.circuit.logic import propagate, random_vectors
+from repro.circuit.flatten import flatten_batch
+from repro.circuit.logic import random_vectors
 from repro.circuit.netlist import Circuit, Gate
 from repro.core.report import CircuitLeakageReport, GateLeakage
 from repro.core.vectors import VectorCampaignResult
 from repro.device.params import TechnologyParams
-from repro.spice.analysis import leakage_by_owner
 from repro.spice.batched import BatchedDcSolver
-from repro.spice.solver import DcSolver, SolverOptions
+from repro.spice.solver import SolverOptions
 from repro.utils.rng import RngLike
 
 #: Default vector-chunk size of the batched reference path.  Peak memory per
@@ -101,56 +99,17 @@ class ReferenceSimulator:
 
         preflight_circuit(circuit, lint=self.lint)
 
-    # ------------------------------------------------------------------ #
-    # single-vector path
-    # ------------------------------------------------------------------ #
     def estimate(
         self, circuit: Circuit, input_assignment: dict[str, int]
     ) -> CircuitLeakageReport:
-        """Return the reference leakage report for one input assignment."""
-        self._preflight(circuit)
-        start = time.perf_counter()
-        flattened = flatten(circuit, self.technology, input_assignment)
-        solver = DcSolver(flattened.netlist, self.temperature_k, self.solver_options)
-        op = solver.solve(initial_voltages=flattened.initial_voltages())
-        per_owner = leakage_by_owner(flattened.netlist, op)
+        """Return the reference leakage report for one input assignment.
 
-        net_values = propagate(circuit, input_assignment)
-        per_gate: dict[str, GateLeakage] = {}
-        for name, gate in circuit.gates.items():
-            breakdown = per_owner.get(name)
-            if breakdown is None:
-                raise _missing_owner_error(gate, per_owner)
-            per_gate[name] = GateLeakage(
-                gate_name=name,
-                gate_type_name=gate.gate_type.value,
-                vector=tuple(net_values[net] for net in gate.inputs),
-                breakdown=breakdown,
-            )
+        A batch of one: its leakage values are bitwise those of the
+        matching report of any :meth:`estimate_batch` call that contains
+        ``input_assignment``.
+        """
+        return self.estimate_batch(circuit, [input_assignment])[0]
 
-        elapsed = time.perf_counter() - start
-        return CircuitLeakageReport(
-            circuit_name=circuit.name,
-            method=self.method_name,
-            input_assignment=dict(input_assignment),
-            per_gate=per_gate,
-            temperature_k=self.temperature_k,
-            vdd=self.technology.vdd,
-            metadata={
-                "runtime_s": elapsed,
-                "gate_count": len(per_gate),
-                "transistors": flattened.transistor_count,
-                "solver_sweeps": op.sweeps,
-                "solver_converged": op.converged,
-                # The scalar DcSolver is always the relaxation oracle.
-                "solver_method": "gauss-seidel",
-                "engine": "scalar",
-            },
-        )
-
-    # ------------------------------------------------------------------ #
-    # batched path
-    # ------------------------------------------------------------------ #
     def estimate_batch(
         self,
         circuit: Circuit,

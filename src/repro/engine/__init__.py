@@ -11,9 +11,10 @@ idea one level up, to *campaign* workloads (many vectors at once):
   array passes: bit-matrix logic propagation, one-shot per-net loading
   accumulation and batched LUT interpolation.
 
-The scalar :class:`~repro.core.estimator.LoadingAwareEstimator` stays the
-reference oracle; regression tests pin the engine against it component by
-component.
+:meth:`~repro.core.estimator.LoadingAwareEstimator.estimate` answers one
+vector as a one-vector pass.  The gate-by-gate walk
+:class:`repro.oracle.PerGateEstimator` is the reference oracle; regression
+tests pin the engine against it component by component.
 """
 
 from repro.engine.campaign import (

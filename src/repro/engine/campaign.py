@@ -14,11 +14,11 @@ One call of :func:`run_compiled` answers an entire vector set:
    the two grid points bracketing each lookup;
 4. per-gate components are clamped at zero and summed into circuit totals.
 
-The arithmetic matches the scalar estimator's lookup path step for step
+The arithmetic matches the per-gate walk's lookup path step for step
 (zero loading contributes an exactly-zero delta, per-gate clamping happens
-before circuit accumulation), so batched totals agree with
-:class:`~repro.core.estimator.LoadingAwareEstimator` to rounding error —
-the regression tests pin the two paths against each other.
+before circuit accumulation), so batched totals agree with the oracle
+:class:`repro.oracle.PerGateEstimator` to rounding error — the regression
+tests pin the two paths against each other.
 
 Vectors are processed in bounded chunks so peak *temporary* memory stays
 flat; the per-gate output arrays still scale with the vector count, which is
@@ -303,7 +303,7 @@ def _run_chunk(
     # "Everyone else" excludes every pin of the pin's own gate on that net,
     # not just the pin itself: with tied inputs the (gate, net) group sum
     # keeps a gate from loading itself through its other pin (mirrors the
-    # scalar estimator's own-injection subtraction).  Without tied inputs
+    # per-gate walk's own-injection subtraction).  Without tied inputs
     # every group holds one pin and the group sum IS the pin injection, so
     # the common case skips the second accumulation.
     if compiled.has_tied_inputs:

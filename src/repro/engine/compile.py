@@ -1,8 +1,8 @@
 """Circuit + library compilation for the batched campaign engine.
 
-The scalar :class:`~repro.core.estimator.LoadingAwareEstimator` re-walks the
-gate-level netlist and re-queries the characterized library for every single
-input vector.  For campaign workloads (Fig. 12 runs 100 vectors per circuit,
+The gate-by-gate Fig. 13 walk (the oracle
+:class:`repro.oracle.PerGateEstimator`) re-walks the gate-level netlist and
+re-queries the characterized library for every single input vector.  For campaign workloads (Fig. 12 runs 100 vectors per circuit,
 minimum-leakage-vector search evaluates hundreds to thousands) nearly all of
 that work is vector-independent: the topological order, the pin wiring, and
 the characterized LUT grids never change.  Compilation hoists it out:

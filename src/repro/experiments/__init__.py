@@ -19,8 +19,8 @@ Module            Paper artefact
 ``fig11``         Fig. 11: loading-induced shift of mean/std vs. sigma-Vt
 ``fig12``         Fig. 12(a-c): circuit-level estimation vs. reference and
                   loading-induced variation statistics
-``runtime``       Fig. 13 / Sec. 6 runtime claim: estimator vs. reference
-                  speed-up
+``runtime``       Fig. 13 / Sec. 6 runtime claim: compiled engine vs.
+                  batched reference speed-up
 ================  ==========================================================
 
 The Sec. 6 input-vector-control comparison (searched minimum-leakage vectors

@@ -16,9 +16,11 @@ The cell is solved once without loading (the nominal record) and once per
 (gate type, vector), or of a whole gate type, are one
 :class:`~repro.spice.batched.BatchedDcSolver` call: the nominal cells solve
 first, then every (pin, injection) cell solves in a single batch
-warm-started from its vector's nominal operating point.  Single cells (the
-Figs. 5-9 sweeps) solve through :meth:`GateCharacterizer.solve_cell`; the
-one-cell-at-a-time characterization it supports is the test oracle
+warm-started from its vector's nominal operating point.  A single cell with
+arbitrary pin injections (the Figs. 5-9 sweeps) solves through
+:meth:`GateCharacterizer.solve_cell` as a one-column batch.  The scalar
+Gauss–Seidel cell solve and the one-cell-at-a-time characterization are the
+test oracles :func:`repro.oracle.scalar_cell_solve` and
 :func:`repro.oracle.characterize_per_cell`.
 
 :class:`GateLibrary` wraps the characterizer with caching so a circuit-level
@@ -37,10 +39,10 @@ from repro.device.params import TechnologyParams
 from repro.gates.library import GateSpec, GateType, gate_spec
 from repro.gates.lut import GateVectorCharacterization, ResponseCurve
 from repro.gates.templates import build_gate_transistors
-from repro.spice.analysis import ComponentBreakdown, leakage_by_owner
+from repro.spice.analysis import ComponentBreakdown
 from repro.spice.batched import BatchedDcSolver, BatchedOperatingPoint
 from repro.spice.netlist import TransistorNetlist
-from repro.spice.solver import DcSolver, OperatingPoint, SolverOptions
+from repro.spice.solver import SolverOptions
 
 #: Owner tag used for the device under test inside characterization cells.
 _DUT = "dut"
@@ -77,9 +79,9 @@ class CharacterizationOptions:
         (default) emits a :class:`CharacterizationConvergenceWarning` naming
         the gate type, the offending vectors and the worst final voltage
         update; ``"raise"`` turns the condition into a ``RuntimeError``.
-        Applies to batched and single-cell solves alike — a record built
-        from a non-converged operating point would otherwise silently carry
-        wrong leakage.
+        Applies to every cell solve, :meth:`GateCharacterizer.solve_cell`
+        included — a record built from a non-converged operating point
+        would otherwise silently carry wrong leakage.
     """
 
     injection_grid: tuple[float, ...] = DEFAULT_INJECTION_GRID
@@ -115,18 +117,16 @@ class CharacterizationOptions:
 
 @dataclass
 class CellSolution:
-    """Raw result of solving one characterization cell."""
+    """Result of solving one characterization cell."""
 
-    netlist: TransistorNetlist
-    op: OperatingPoint
     dut_breakdown: ComponentBreakdown
-    input_nets: dict[str, str]
-    output_net: str
+    output_voltage: float
+    converged: bool
 
 
 @dataclass
 class _CellBuild:
-    """An unsolved characterization cell (batched and single-cell solves)."""
+    """An unsolved characterization cell."""
 
     netlist: TransistorNetlist
     initial: dict[str, float]
@@ -151,12 +151,11 @@ class GateCharacterizer:
         #: Aggregate DC-solve statistics, updated by every cell solve and
         #: read by the benchmarks: the BENCH trajectory tracks convergence
         #: cost (iterations per solve), not just wall clock.  ``iterations``
-        #: counts Gauss–Seidel sweeps or Newton iterations, whichever
-        #: method solved the cell; ``fallbacks`` counts Newton columns that
-        #: were handed to the Gauss–Seidel fallback.  ``methods`` counts the
+        #: counts each cell's Newton iterations, or its Gauss–Seidel sweeps
+        #: when it fell back; ``fallbacks`` counts Newton columns that were
+        #: handed to the Gauss–Seidel fallback.  ``methods`` counts the
         #: solved cells per backend — dense ``"newton"``, ``"newton-sparse"``
-        #: and ``"gauss-seidel"`` (scalar cell solves plus Newton fallback
-        #: columns).
+        #: and ``"gauss-seidel"`` (the fallback columns).
         self.solve_stats: dict[str, object] = {
             "solves": 0,
             "iterations": 0,
@@ -174,7 +173,7 @@ class GateCharacterizer:
         vector: tuple[int, ...],
         injections: dict[str, float] | None = None,
     ) -> CellSolution:
-        """Build and solve one characterization cell.
+        """Build and solve one characterization cell as a one-column batch.
 
         Parameters
         ----------
@@ -192,24 +191,17 @@ class GateCharacterizer:
             raise ValueError(f"unknown pins for {spec.name}: {sorted(unknown)}")
 
         cell = self._build_cell(spec, vector, injections)
-        solver = DcSolver(cell.netlist, self.temperature_k, self.options.solver)
-        op = solver.solve(initial_voltages=cell.initial)
-        self._record_scalar_solve(op)
-        if not op.converged:
-            detail = f" with injections {injections}" if injections else ""
-            self._report_nonconverged(
-                f"characterization cell for {spec.name} vector {vector}"
-                f"{detail} did not converge within "
-                f"{self.options.solver.max_sweeps} sweeps; largest final "
-                f"voltage update {op.max_update:.3e} V"
-            )
-        breakdown = leakage_by_owner(cell.netlist, op).get(_DUT, ComponentBreakdown())
+        solver = BatchedDcSolver([cell.netlist], self.temperature_k, self.options.solver)
+        op = solver.solve(initial_voltages=[cell.initial])
+        self._record_batched_solve(op)
+        detail = f" with injections {injections}" if injections else ""
+        self._check_batched_convergence(
+            spec, op, lambda column: f"vector {vector}{detail}"
+        )
         return CellSolution(
-            netlist=cell.netlist,
-            op=op,
-            dut_breakdown=breakdown,
-            input_nets=cell.input_nets,
-            output_net=cell.output_net,
+            dut_breakdown=solver.leakage_by_owner(op)[_DUT].at(0),
+            output_voltage=float(op.voltage(cell.output_net)[0]),
+            converged=bool(op.converged[0]),
         )
 
     def _build_cell(
@@ -403,13 +395,6 @@ class GateCharacterizer:
             )
         return records
 
-    def _record_scalar_solve(self, op: OperatingPoint) -> None:
-        stats = self.solve_stats
-        stats["solves"] += 1
-        stats["iterations"] += int(op.sweeps)
-        stats["max_iterations"] = max(stats["max_iterations"], int(op.sweeps))
-        self._count_method("gauss-seidel", 1)
-
     def _record_batched_solve(self, op: BatchedOperatingPoint) -> None:
         stats = self.solve_stats
         stats["solves"] += int(op.batch)
@@ -544,35 +529,6 @@ class GateLibrary:
             record = self.characterizer.characterize(spec.gate_type, key[1])
             self._cache[key] = record
         return record
-
-    def nominal_leakage(
-        self, gate_type: GateType | str, vector: tuple[int, ...]
-    ) -> ComponentBreakdown:
-        """Return the no-loading leakage breakdown for (type, vector)."""
-        return self.characterization(gate_type, vector).nominal
-
-    def pin_injection(
-        self, gate_type: GateType | str, vector: tuple[int, ...], pin: str
-    ) -> float:
-        """Return the signed current pin ``pin`` injects into its driving net (A)."""
-        record = self.characterization(gate_type, vector)
-        try:
-            return record.pin_injection[pin]
-        except KeyError as exc:
-            raise KeyError(
-                f"{record.gate_type_name} has no input pin {pin!r}"
-            ) from exc
-
-    def leakage_with_loading(
-        self,
-        gate_type: GateType | str,
-        vector: tuple[int, ...],
-        pin_injections: dict[str, float] | None = None,
-    ) -> ComponentBreakdown:
-        """Return the loading-aware leakage estimate for (type, vector)."""
-        return self.characterization(gate_type, vector).leakage_with_loading(
-            pin_injections
-        )
 
     def precharacterize(self, gate_types: list[GateType | str]) -> int:
         """Characterize every vector of the given gate types; return the count.

@@ -90,15 +90,20 @@ def enforce_injection_range(
     policy = _resolve_policy(policy)
     if policy == "clamp" or low <= injection <= high:
         return
-    message = _range_message(source, injection, low, high)
     if policy == "raise":
-        raise ValueError(message)
+        raise ValueError(_range_message(source, injection, low, high))
     key = (dedup_key if dedup_key is not None else source,
            "low" if injection < low else "high")
+    # Check the warn-once memory before formatting: a campaign pass calls
+    # this for every clamped gate type, and all but the first are silent.
     if key in _warned_ranges:
         return
     _warned_ranges.add(key)
-    warnings.warn(message, ResponseCurveRangeWarning, stacklevel=3)
+    warnings.warn(
+        _range_message(source, injection, low, high),
+        ResponseCurveRangeWarning,
+        stacklevel=3,
+    )
 
 
 def set_extrapolation_policy(policy: str) -> str:

@@ -6,17 +6,20 @@ estimation actually needs: a DC operating-point solver over transistor-level
 netlists built from the compact models of :mod:`repro.device`.
 
 * :mod:`repro.spice.netlist` — nodes, transistor instances, current sources;
-* :mod:`repro.spice.solver` — Gauss–Seidel relaxation with bracketed scalar
-  KCL solves per node (robust for weakly coupled leakage networks);
+* :mod:`repro.spice.solver` — the solver options;
 * :mod:`repro.spice.batched` — the batched solver over same-topology
-  netlists (characterization grids, Monte-Carlo samples), with the scalar
-  solver retained as the cross-check oracle;
+  netlists (characterization cells, reference vectors, Monte-Carlo
+  samples); a single netlist solves as a batch of one;
 * :mod:`repro.spice.newton` — the batched damped-Newton solve: analytic
   device Jacobians, dense per-column linear solves (sparse SuperLU ones,
   :mod:`repro.spice.sparse`, on large systems), per-column Gauss–Seidel
   fallback;
-* :mod:`repro.spice.analysis` — per-device and per-gate leakage component
-  extraction at a solved operating point.
+* :mod:`repro.spice.analysis` — per-gate leakage component extraction at a
+  solved operating point.
+
+The scalar Gauss–Seidel solver with bracketed per-node KCL solves, and its
+per-transistor analysis helpers, are the test oracles of this package; they
+live in :mod:`repro.oracle` (:class:`repro.oracle.DcSolver`).
 
 The solver retains every coupling the paper cares about: internal stack nodes
 (the stacking effect) and the inter-gate coupling through gate tunneling
@@ -30,34 +33,23 @@ from repro.spice.netlist import (
     TransistorInstance,
     TransistorNetlist,
 )
-from repro.spice.solver import DcSolver, OperatingPoint, SolverOptions
+from repro.spice.solver import SolverOptions
 from repro.spice.batched import (
     BatchedComponentBreakdown,
     BatchedDcSolver,
     BatchedOperatingPoint,
 )
-from repro.spice.analysis import (
-    ComponentBreakdown,
-    batched_leakage_by_owner,
-    gate_injection_at_node,
-    leakage_by_owner,
-    total_leakage,
-)
+from repro.spice.analysis import ComponentBreakdown, batched_leakage_by_owner
 
 __all__ = [
     "CurrentSource",
     "NodeKind",
     "TransistorInstance",
     "TransistorNetlist",
-    "DcSolver",
-    "OperatingPoint",
     "SolverOptions",
     "BatchedComponentBreakdown",
     "BatchedDcSolver",
     "BatchedOperatingPoint",
     "ComponentBreakdown",
     "batched_leakage_by_owner",
-    "gate_injection_at_node",
-    "leakage_by_owner",
-    "total_leakage",
 ]

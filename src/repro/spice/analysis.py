@@ -1,8 +1,9 @@
-"""Post-solve analysis: leakage components per transistor, per gate, per circuit.
+"""Post-solve analysis: leakage components per owner (logic gate).
 
-Once the DC solver has produced an :class:`~repro.spice.solver.OperatingPoint`
-this module re-evaluates every transistor at the solved voltages and
-aggregates the component magnitudes the paper reports:
+Once the batched DC solver has produced a
+:class:`~repro.spice.batched.BatchedOperatingPoint`, every transistor is
+re-evaluated at the solved voltages and the component magnitudes the paper
+reports are aggregated:
 
 * ``subthreshold`` — channel current of transistors operating below threshold,
 * ``gate`` — total gate direct-tunneling magnitude,
@@ -11,13 +12,10 @@ aggregates the component magnitudes the paper reports:
 Aggregation happens per *owner* (the logic-gate tag recorded on each
 transistor instance), which is what lets the circuit-level experiments compare
 the fast estimator against the reference solve gate by gate.
-
-Two aggregation paths exist: the scalar one re-evaluates each transistor's
-:class:`~repro.device.mosfet.Mosfet` at the solved voltages, while
 :func:`batched_leakage_by_owner` sums pre-evaluated ``(T, B)`` component
-grids into per-owner ``(B,)`` arrays with one scatter-add pass — the twin
-used by :class:`~repro.spice.batched.BatchedDcSolver` for whole-batch
-analysis.
+grids into per-owner ``(B,)`` arrays with one scatter-add pass.  The scalar
+per-transistor aggregation is the test oracle
+:func:`repro.oracle.leakage_by_owner`.
 """
 
 from __future__ import annotations
@@ -26,10 +24,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-
-from repro.device.mosfet import MosfetCurrents
-from repro.spice.netlist import TransistorNetlist
-from repro.spice.solver import OperatingPoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.device.batched import ComponentCurrents
@@ -107,7 +101,8 @@ def owner_slot_ids(owners: Sequence[str]) -> tuple[list[str], np.ndarray]:
     """Return (distinct owners in first-appearance order, per-slot owner ids).
 
     Transistors without an owner tag map to the empty-string owner, exactly
-    like the scalar :func:`leakage_by_owner` — nothing is silently dropped.
+    like the scalar oracle :func:`repro.oracle.leakage_by_owner` — nothing
+    is silently dropped.
     """
     order: list[str] = []
     index: dict[str, int] = {}
@@ -160,92 +155,3 @@ def batched_leakage_by_owner(
         )
         for key, owner in enumerate(owner_order)
     }
-
-
-def transistor_currents(
-    netlist: TransistorNetlist, op: OperatingPoint
-) -> dict[str, MosfetCurrents]:
-    """Return the solved :class:`MosfetCurrents` of every transistor instance."""
-    result: dict[str, MosfetCurrents] = {}
-    voltages = op.voltages
-    for transistor in netlist.transistors:
-        result[transistor.name] = transistor.mosfet.terminal_currents(
-            voltages[transistor.gate],
-            voltages[transistor.drain],
-            voltages[transistor.source],
-            voltages[transistor.bulk],
-            op.temperature_k,
-        )
-    return result
-
-
-def _breakdown_from_currents(currents: MosfetCurrents) -> ComponentBreakdown:
-    return ComponentBreakdown(
-        subthreshold=currents.i_subthreshold,
-        gate=currents.i_gate,
-        btbt=currents.i_btbt,
-    )
-
-
-def leakage_by_owner(
-    netlist: TransistorNetlist, op: OperatingPoint
-) -> dict[str, ComponentBreakdown]:
-    """Return the leakage breakdown aggregated per owner (logic gate).
-
-    Transistors without an owner tag are aggregated under the empty-string
-    key so nothing is silently dropped.
-    """
-    per_owner: dict[str, ComponentBreakdown] = {}
-    for transistor, currents in zip(
-        netlist.transistors, transistor_currents(netlist, op).values()
-    ):
-        breakdown = _breakdown_from_currents(currents)
-        key = transistor.owner
-        if key in per_owner:
-            per_owner[key] = per_owner[key] + breakdown
-        else:
-            per_owner[key] = breakdown
-    return per_owner
-
-
-def total_leakage(netlist: TransistorNetlist, op: OperatingPoint) -> ComponentBreakdown:
-    """Return the leakage breakdown summed over the whole netlist."""
-    total = ComponentBreakdown()
-    for currents in transistor_currents(netlist, op).values():
-        total = total + _breakdown_from_currents(currents)
-    return total
-
-
-def gate_injection_at_node(
-    netlist: TransistorNetlist,
-    op: OperatingPoint,
-    node: str,
-    exclude_owners: set[str] | frozenset[str] = frozenset(),
-) -> float:
-    """Return the signed gate-tunneling current receivers inject into ``node``.
-
-    This is the paper's loading current seen by the net: the sum of the gate
-    terminal currents of every transistor whose *gate* connects to ``node``
-    (optionally excluding the transistors of some owners, e.g. the gate under
-    study itself).  Positive values mean the receivers inject current into
-    the node (which happens when the node sits at logic '0'); negative values
-    mean they draw current from it (node at logic '1').
-    """
-    voltages = op.voltages
-    injection = 0.0
-    for transistor in netlist.transistors:
-        if transistor.gate != node:
-            continue
-        if transistor.owner in exclude_owners:
-            continue
-        currents = transistor.mosfet.terminal_currents(
-            voltages[transistor.gate],
-            voltages[transistor.drain],
-            voltages[transistor.source],
-            voltages[transistor.bulk],
-            op.temperature_k,
-        )
-        # ``ig`` is the current flowing from the node into the gate terminal;
-        # the injection *into* the node is its negation.
-        injection -= currents.ig
-    return injection

@@ -29,9 +29,10 @@ dense memory estimate pick the backend.
 
 The Gauss–Seidel relaxation described below is the fallback of the Newton
 solve; run on every column it is the test oracle
-:func:`repro.oracle.solve_gauss_seidel`.  The sweep structure mirrors
-:class:`~repro.spice.solver.DcSolver` exactly — Gauss–Seidel relaxation with a periodic conducting-cluster supernode pass (a
-rigid common shift of each cluster) — but every per-node scalar solve becomes *one*
+:func:`repro.oracle.solve_gauss_seidel`.  The sweep structure mirrors the
+scalar oracle :class:`repro.oracle.DcSolver` exactly — Gauss–Seidel
+relaxation with a periodic conducting-cluster supernode pass (a rigid common
+shift of each cluster) — but every per-node scalar solve becomes *one*
 vectorized bracketed root find across the whole batch
 (:func:`repro.utils.rootfind.chandrupatla`): the bracket window is expanded
 per column until the Kirchhoff residual changes sign (columns with no sign
@@ -534,9 +535,10 @@ class BatchedDcSolver:
     ) -> dict[str, BatchedComponentBreakdown]:
         """Return per-owner leakage components across the batch.
 
-        The batched twin of :func:`repro.spice.analysis.leakage_by_owner`:
-        every transistor of every instance is re-evaluated at the solved
-        voltages in one array pass, then scatter-added per owner tag
+        The batched twin of the scalar oracle
+        :func:`repro.oracle.leakage_by_owner`: every transistor of every
+        instance is re-evaluated at the solved voltages in one array pass,
+        then scatter-added per owner tag
         (:func:`repro.spice.analysis.batched_leakage_by_owner`, with the
         owner indexing hoisted to construction time).
         """
@@ -555,7 +557,15 @@ class BatchedDcSolver:
         node: str,
         exclude_owners: set[str] | frozenset[str] = frozenset(),
     ) -> np.ndarray:
-        """Batched :func:`repro.spice.analysis.gate_injection_at_node`, ``(B,)``."""
+        """Return the signed gate-tunneling current receivers inject into ``node``.
+
+        This is the paper's loading current seen by the net, per batch
+        instance ``(B,)``: the negated gate terminal currents of every
+        transistor whose gate connects to ``node``, optionally excluding
+        some owners' transistors.  Positive values mean the receivers
+        inject current into the node (node at logic '0'); negative values
+        mean they draw current from it (node at logic '1').
+        """
         g, d, s, b = (op.voltages[rows] for rows in self._transistor_rows)
         components = self.packed.component_currents(g, d, s, b)
         row = self.node_index[node]

@@ -66,6 +66,7 @@ agreement against the MC oracle at a fixed tolerance bar.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -382,16 +383,21 @@ def _closed_form_moments(
     return estimates
 
 
+@functools.lru_cache(maxsize=4)
 def _quadrature_nodes(dimension: int, points: int, truncation: float) -> np.ndarray:
-    """Return clipped-standard-normal Sobol quadrature nodes.
+    """Return clipped-standard-normal Sobol quadrature nodes (read-only).
 
     Unscrambled Sobol points — fully deterministic, no random state — mapped
     through the inverse normal CDF and clipped like every variation draw.
+    The set depends only on its arguments, so it is built once per
+    (dimension, points, truncation) and shared by every propagation.
     """
     sampler = scipy_qmc.Sobol(d=dimension, scramble=False)
     unit = sampler.random(points)
     unit = np.clip(unit, np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg)
-    return np.clip(ndtri(unit), -truncation, truncation)
+    nodes = np.clip(ndtri(unit), -truncation, truncation)
+    nodes.setflags(write=False)
+    return nodes
 
 
 def _quadrature_moments(

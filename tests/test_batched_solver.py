@@ -19,11 +19,16 @@ from repro.device.mosfet import Mosfet
 from repro.gates.characterize import CharacterizationOptions, GateCharacterizer
 from repro.gates.library import GateType, gate_spec
 from repro.gates.templates import build_gate_transistors
-from repro.oracle import characterize_per_cell, monte_carlo_per_sample
-from repro.spice.analysis import leakage_by_owner
+from repro.oracle import (
+    DcSolver,
+    characterize_per_cell,
+    leakage_by_owner,
+    monte_carlo_per_sample,
+    scalar_cell_solve,
+)
 from repro.spice.batched import BatchedDcSolver
 from repro.spice.netlist import TransistorNetlist
-from repro.spice.solver import DcSolver, SolverOptions
+from repro.spice.solver import SolverOptions
 from repro.utils.rng import spawn_streams
 from repro.utils.rootfind import chandrupatla
 from repro.variation import moments
@@ -343,7 +348,7 @@ class TestBatchedCharacterizationEquivalence:
             records = batched.characterize_type(gate_type)
             assert set(records) == set(gate_spec(gate_type).all_vectors())
             for vector, got in records.items():
-                cell = scalar.solve_cell(gate_type, vector)
+                cell = scalar_cell_solve(scalar, gate_type, vector)
                 assert got.output_voltage == pytest.approx(
                     cell.op.voltage(cell.output_net), abs=1e-9
                 )

@@ -20,6 +20,7 @@ from repro.gates.characterize import (
 from repro.gates.library import GateType
 from repro.gates.lut import ResponseCurve
 from repro.spice.analysis import ComponentBreakdown
+from repro.spice.batched import BatchedDcSolver
 from repro.utils.mathtools import percent_difference
 
 
@@ -35,13 +36,38 @@ class TestSolveCell:
     def test_nominal_inverter_components(self, bulk25):
         characterizer = GateCharacterizer(bulk25)
         cell = characterizer.solve_cell(GateType.INV, (0,))
-        assert cell.op.converged
+        assert cell.converged
         breakdown = cell.dut_breakdown
         assert breakdown.subthreshold > 0
         assert breakdown.gate > 0
         assert breakdown.btbt > 0
         # Input '0' -> output '1'.
-        assert cell.op.voltage("net_y") > 0.9 * bulk25.vdd
+        assert cell.output_voltage > 0.9 * bulk25.vdd
+
+    def test_cell_is_one_batched_column(self, bulk25, monkeypatch):
+        """A single cell solves as one one-column ``BatchedDcSolver.solve``
+        call and never constructs the scalar oracle solver."""
+        from repro import oracle
+
+        columns, scalar = [], []
+        real_solve = BatchedDcSolver.solve
+
+        def counting_solve(self, *args, **kwargs):
+            columns.append(self.batch)
+            return real_solve(self, *args, **kwargs)
+
+        def forbidden_scalar(self, *args, **kwargs):
+            scalar.append(args)
+            raise AssertionError("scalar DcSolver on the production path")
+
+        monkeypatch.setattr(BatchedDcSolver, "solve", counting_solve)
+        monkeypatch.setattr(oracle.DcSolver, "__init__", forbidden_scalar)
+        characterizer = GateCharacterizer(bulk25)
+        cell = characterizer.solve_cell(GateType.NAND2, (0, 1), {"a": 1e-6, "y": -1e-6})
+        assert columns == [1]
+        assert scalar == []
+        assert cell.converged
+        assert characterizer.solve_stats["solves"] == 1
 
     def test_unknown_pin_rejected(self, bulk25):
         characterizer = GateCharacterizer(bulk25)
@@ -109,12 +135,10 @@ class TestCharacterizationRecords:
         assert first is second
 
     def test_nominal_and_pin_injection_accessors(self, library25):
-        nominal = library25.nominal_leakage(GateType.INV, (1,))
-        assert nominal.total > 0
-        injection = library25.pin_injection(GateType.INV, (1,), "a")
-        assert injection < 0  # input at '1' draws from the net
-        with pytest.raises(KeyError):
-            library25.pin_injection(GateType.INV, (1,), "b")
+        record = library25.characterization(GateType.INV, (1,))
+        assert record.nominal.total > 0
+        assert record.pin_injection["a"] < 0  # input at '1' draws from the net
+        assert set(record.pin_injection) == {"a"}
 
 
 def _example_curve():
@@ -216,8 +240,8 @@ class TestPersistence:
         fresh = GateLibrary(bulk25, options=library25.characterizer.options)
         loaded = load_library(fresh, path)
         assert loaded == written
-        assert fresh.nominal_leakage(GateType.INV, (0,)).total == pytest.approx(
-            library25.nominal_leakage(GateType.INV, (0,)).total
+        assert fresh.characterization(GateType.INV, (0,)).nominal.total == pytest.approx(
+            library25.characterization(GateType.INV, (0,)).nominal.total
         )
 
     def test_strict_mismatch_rejected(self, library25, d25s, tmp_path):

@@ -65,12 +65,6 @@ class TestQueries:
         assert small_circuit.is_primary_input("a")
         assert not small_circuit.is_primary_input("n1")
 
-    def test_gate_accessors(self, small_circuit):
-        gate = small_circuit.gates["g1"]
-        assert gate.input_net("b") == "b"
-        with pytest.raises(KeyError):
-            gate.input_net("z")
-
     def test_histogram_and_stats(self, small_circuit):
         histogram = small_circuit.gate_type_histogram()
         assert histogram == {"inv": 1, "nand2": 1}

@@ -12,6 +12,9 @@ from repro.core.baseline import NoLoadingEstimator
 from repro.core.estimator import LoadingAwareEstimator
 from repro.core.reference import ReferenceSimulator
 from repro.core.report import CircuitLeakageReport
+from repro.core.vectors import run_vector_campaign
+from repro.engine import campaign as campaign_module
+from repro.gates.lut import GateVectorCharacterization, ResponseCurve
 
 
 class TestEstimatorBasics:
@@ -46,6 +49,41 @@ class TestEstimatorBasics:
         # Each load shares its input net with three siblings.
         assert load_entry.input_loading != 0.0
         assert load_entry.output_loading == 0.0
+
+    @pytest.mark.parametrize("estimator_type", [LoadingAwareEstimator, NoLoadingEstimator])
+    def test_estimate_is_one_engine_pass(self, library_d25s, monkeypatch, estimator_type):
+        """One vector is a one-vector engine pass: exactly one chunk of one
+        vector, no per-record LUT lookup, and the report of a multi-vector
+        campaign bitwise."""
+        circuit = fanout_star(4)
+        estimator = estimator_type(library_d25s)
+        together = run_vector_campaign(estimator, circuit, vectors=[{"in": 1}, {"in": 0}])
+        chunks, lookups = [], []
+        real_chunk = campaign_module._run_chunk
+
+        def counting_chunk(compiled, bits, *args, **kwargs):
+            chunks.append(bits.shape[1])
+            return real_chunk(compiled, bits, *args, **kwargs)
+
+        def forbidden_lookup(*args, **kwargs):
+            lookups.append(args)
+            raise AssertionError("per-record LUT lookup on the production path")
+
+        monkeypatch.setattr(campaign_module, "_run_chunk", counting_chunk)
+        monkeypatch.setattr(
+            GateVectorCharacterization, "leakage_with_loading", forbidden_lookup
+        )
+        monkeypatch.setattr(ResponseCurve, "breakdown_at", forbidden_lookup)
+        report = estimator.estimate(circuit, {"in": 0})
+        assert chunks == [1]
+        assert lookups == []
+        expected = together.reports[1]
+        assert report.method == expected.method
+        for name, entry in expected.per_gate.items():
+            got = report.per_gate[name]
+            assert got.breakdown.as_dict() == entry.breakdown.as_dict()
+            assert got.input_loading == entry.input_loading
+            assert got.output_loading == entry.output_loading
 
     def test_baseline_reports_no_loading(self, library_d25s):
         circuit = fanout_star(4)
@@ -85,7 +123,7 @@ class TestTiedInputSelfLoading:
         circuit = self._tied_nand_circuit()
         report = LoadingAwareEstimator(library_d25s).estimate(circuit, {"in": 1})
         # x is 0, so the tied NAND sees vector (0, 0) and the load sees (0,).
-        load_injection = library_d25s.pin_injection("inv", (0,), "a")
+        load_injection = library_d25s.characterization("inv", (0,)).pin_injection["a"]
         entry = report.per_gate["g"]
         # Each of the two tied pins sees exactly the load inverter's
         # injection — not the gate's own other pin fed back as loading.
@@ -94,11 +132,9 @@ class TestTiedInputSelfLoading:
     def test_driver_output_loading_still_sums_all_receivers(self, library_d25s):
         circuit = self._tied_nand_circuit()
         report = LoadingAwareEstimator(library_d25s).estimate(circuit, {"in": 1})
-        expected = (
-            library_d25s.pin_injection("nand2", (0, 0), "a")
-            + library_d25s.pin_injection("nand2", (0, 0), "b")
-            + library_d25s.pin_injection("inv", (0,), "a")
-        )
+        nand = library_d25s.characterization("nand2", (0, 0)).pin_injection
+        inv = library_d25s.characterization("inv", (0,)).pin_injection
+        expected = nand["a"] + nand["b"] + inv["a"]
         assert report.per_gate["drv"].output_loading == pytest.approx(
             expected, rel=1e-12
         )

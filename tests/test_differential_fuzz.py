@@ -5,8 +5,8 @@ on fixed circuits; this module fuzzes the *structure* too — random small
 circuits from :mod:`repro.circuit.generators` under random vectors — and
 asserts the recorded agreement bars hold for every sampled topology:
 
-* batched campaign engine vs. scalar ``LoadingAwareEstimator``: per-component
-  circuit totals within 1e-12 relative (the bar
+* batched campaign engine vs. the per-gate walk ``PerGateEstimator``:
+  per-component circuit totals within 1e-12 relative (the bar
   ``test_engine.py::TestBatchedCampaignMatchesScalar`` holds on fixed
   circuits);
 * batched Newton DC solver vs. the scalar Gauss–Seidel reference oracle on
@@ -28,7 +28,7 @@ from repro.core.estimator import LoadingAwareEstimator
 from repro.core.reference import ReferenceSimulator
 from repro.core.report import REPORT_COMPONENTS
 from repro.core.vectors import run_vector_campaign
-from repro.oracle import per_vector_campaign
+from repro.oracle import PerGateEstimator, ScalarReference, per_vector_campaign
 from repro.spice.solver import SolverOptions
 from repro.utils.rng import spawn_streams
 
@@ -58,10 +58,11 @@ def test_engine_matches_scalar_estimator_on_random_circuits(seed, library25):
         n_gates=int(topology_rng.integers(10, 26)),
         rng=topology_rng,
     )
-    estimator = LoadingAwareEstimator(library25)
     vectors = list(random_vectors(circuit, 6, rng=vector_rng))
-    batched = run_vector_campaign(estimator, circuit, vectors=vectors)
-    scalar = per_vector_campaign(estimator, circuit, vectors)
+    batched = run_vector_campaign(
+        LoadingAwareEstimator(library25), circuit, vectors=vectors
+    )
+    scalar = per_vector_campaign(PerGateEstimator(library25), circuit, vectors)
     for component in REPORT_COMPONENTS:
         gap = _relative_gap(batched.totals(component), scalar.totals(component))
         assert gap <= ENGINE_BAR, (
@@ -82,9 +83,13 @@ def test_newton_matches_gauss_seidel_on_random_circuits(seed, bulk25):
         rng=topology_rng,
     )
     vectors = list(random_vectors(circuit, 4, rng=vector_rng))
-    simulator = ReferenceSimulator(bulk25, solver_options=SolverOptions(**TIGHT))
-    batched = simulator.estimate_batch(circuit, vectors)
-    relaxed = per_vector_campaign(simulator, circuit, vectors).reports
+    options = SolverOptions(**TIGHT)
+    batched = ReferenceSimulator(bulk25, solver_options=options).estimate_batch(
+        circuit, vectors
+    )
+    relaxed = per_vector_campaign(
+        ScalarReference(bulk25, solver_options=options), circuit, vectors
+    ).reports
     for newton, oracle in zip(batched, relaxed):
         for component in REPORT_COMPONENTS:
             observed = np.array([newton.component(component)])

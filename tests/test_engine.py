@@ -1,8 +1,8 @@
 """Regression tests for the batched campaign engine.
 
 The contract of :mod:`repro.engine` is equivalence: the per-vector
-:class:`LoadingAwareEstimator` walk (:func:`repro.oracle.per_vector_campaign`)
-is the oracle, and the batched engine must reproduce its totals (and
+gate-by-gate walk :class:`repro.oracle.PerGateEstimator` (run through
+:func:`repro.oracle.per_vector_campaign`) is the oracle, and the batched engine must reproduce its totals (and
 per-gate breakdowns) to rounding error.  A second oracle, the engine's earlier full-grid gather kept
 below, pins every engine output array bitwise.
 """
@@ -40,7 +40,7 @@ from repro.engine.compile import bracketing_pairs
 from repro.gates import lut
 from repro.gates.characterize import GateLibrary
 from repro.gates.library import GateType
-from repro.oracle import per_vector_campaign
+from repro.oracle import PerGateEstimator, per_vector_campaign
 
 
 def _assert_campaigns_match(batched, scalar, rtol=1e-12):
@@ -454,6 +454,33 @@ class TestLookupEdges:
 
 
 class TestEngineOutOfRangePolicy:
+    def test_deduplicated_warnings_are_not_formatted(self, library25, monkeypatch):
+        """Repeated passes over clamping lookups format one range message
+        per gate type and direction: the first warning's, and no more."""
+        circuit = loaded_inverter_cluster(0, 14)
+        compiled = compile_circuit(circuit, library25)
+        assignments = [{"in": 0}, {"in": 1}]
+        messages = []
+        real_message = lut._range_message
+
+        def counting_message(source, injection, low, high):
+            messages.append((source, "low" if injection < low else "high"))
+            return real_message(source, injection, low, high)
+
+        monkeypatch.setattr(lut, "_range_message", counting_message)
+        previous = lut.set_extrapolation_policy("warn")
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for _ in range(3):
+                    run_compiled(compiled, assignments)
+        finally:
+            lut.set_extrapolation_policy(previous)
+        assert messages
+        assert len(messages) == len(set(messages))
+        assert len(caught) == len(messages)
+        assert all(w.category is lut.ResponseCurveRangeWarning for w in caught)
+
     def test_engine_applies_extrapolation_policy(self, library25):
         """The batched LUT path must honour the same out-of-range policy as
         ResponseCurve.breakdown_at: a fanout large enough to push a net's
@@ -486,13 +513,13 @@ class TestBatchedCampaignMatchesScalar:
         estimator = LoadingAwareEstimator(library_d25s)
         vectors = list(random_vectors(circuit, 12, rng=9))
         batched = run_vector_campaign(estimator, circuit, vectors=vectors)
-        scalar = per_vector_campaign(estimator, circuit, vectors)
+        scalar = per_vector_campaign(PerGateEstimator(library_d25s), circuit, vectors)
         _assert_campaigns_match(batched, scalar)
 
     def test_tied_inputs_pin_to_scalar(self, library_d25s):
         """Tied-input self-loading regression: a gate with two pins on one
         net must subtract *both* of its own pins from the net total, in the
-        scalar estimator and in the engine's np.add.at accumulation alike."""
+        per-gate walk and in the engine's np.add.at accumulation alike."""
         from repro.circuit.netlist import Circuit
         from repro.gates.library import GateType
 
@@ -508,7 +535,7 @@ class TestBatchedCampaignMatchesScalar:
         estimator = LoadingAwareEstimator(library_d25s)
         vectors = [{"in": 0}, {"in": 1}]
         batched = run_vector_campaign(estimator, circuit, vectors=vectors)
-        scalar = per_vector_campaign(estimator, circuit, vectors)
+        scalar = per_vector_campaign(PerGateEstimator(library_d25s), circuit, vectors)
         _assert_campaigns_match(batched, scalar)
         for v in range(len(vectors)):
             report_b, report_s = batched.reports[v], scalar.reports[v]
@@ -522,7 +549,9 @@ class TestBatchedCampaignMatchesScalar:
         estimator = NoLoadingEstimator(library_d25s)
         vectors = list(random_vectors(circuit, 6, rng=2))
         batched = run_vector_campaign(estimator, circuit, vectors=vectors)
-        scalar = per_vector_campaign(estimator, circuit, vectors)
+        scalar = per_vector_campaign(
+            PerGateEstimator(library_d25s, include_loading=False), circuit, vectors
+        )
         _assert_campaigns_match(batched, scalar)
 
     def test_materialized_reports_match_scalar_per_gate(self, library_d25s):
@@ -530,7 +559,7 @@ class TestBatchedCampaignMatchesScalar:
         estimator = LoadingAwareEstimator(library_d25s)
         vectors = list(random_vectors(circuit, 3, rng=5))
         batched = run_vector_campaign(estimator, circuit, vectors=vectors)
-        scalar = per_vector_campaign(estimator, circuit, vectors)
+        scalar = per_vector_campaign(PerGateEstimator(library_d25s), circuit, vectors)
         for v in range(3):
             report_b = batched.reports[v]
             report_s = scalar.reports[v]
@@ -553,25 +582,19 @@ class TestBatchedCampaignMatchesScalar:
 
     def test_campaign_result_api_over_batched_run(self, library_d25s, monkeypatch):
         circuit = nand_tree(2)
-        chunks, walks = [], []
+        chunks = []
         real_chunk = campaign_module._run_chunk
-        real_estimate = LoadingAwareEstimator.estimate
 
         def counting_chunk(compiled, bits, *args, **kwargs):
             chunks.append(bits.shape[1])
             return real_chunk(compiled, bits, *args, **kwargs)
 
-        def counting_estimate(self, *args, **kwargs):
-            walks.append(1)
-            return real_estimate(self, *args, **kwargs)
-
         monkeypatch.setattr(campaign_module, "_run_chunk", counting_chunk)
-        monkeypatch.setattr(LoadingAwareEstimator, "estimate", counting_estimate)
         campaign = run_vector_campaign(
             LoadingAwareEstimator(library_d25s), circuit, count=5, rng=1
         )
-        # One engine pass answers the chunk; no vector walks the estimator,
-        # not even when its report is materialized below.
+        # One engine pass answers the chunk, and materializing a report
+        # below runs no further pass.
         assert chunks == [5]
         # Engine-backed by default: totals precomputed, runtime from the batch.
         assert campaign.precomputed_totals is not None
@@ -581,7 +604,7 @@ class TestBatchedCampaignMatchesScalar:
         assert campaign.runtime_s() > 0.0
         assert len(campaign.reports) == 5
         assert campaign.reports[0].metadata["engine"] == "batched"
-        assert walks == []
+        assert chunks == [5]
 
     def test_campaign_argmin_matches_scalar(self, library_d25s):
         """A best-of-N over a vector set: argmin of the campaign totals."""
@@ -589,7 +612,9 @@ class TestBatchedCampaignMatchesScalar:
         estimator = LoadingAwareEstimator(library_d25s)
         vectors = list(random_vectors(circuit, 10, rng=7))
         totals = run_vector_campaign(estimator, circuit, vectors=vectors).totals()
-        oracle = per_vector_campaign(estimator, circuit, vectors).totals()
+        oracle = per_vector_campaign(
+            PerGateEstimator(library_d25s), circuit, vectors
+        ).totals()
         best = int(np.argmin(oracle))
         assert int(np.argmin(totals)) == best
         assert totals[best] == pytest.approx(oracle[best], rel=1e-12, abs=0)

@@ -14,8 +14,8 @@ from repro.gates.templates import (
     internal_seed_levels,
     transistor_count,
 )
+from repro.oracle import DcSolver
 from repro.spice.netlist import TransistorNetlist
-from repro.spice.solver import DcSolver
 
 
 def _solve_output(technology, gate_type, bits):

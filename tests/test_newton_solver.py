@@ -44,16 +44,15 @@ from repro.gates.characterize import (
 )
 from repro.gates.library import GateType
 from repro.gates.templates import build_gate_transistors
-from repro.oracle import solve_gauss_seidel
-from repro.spice.analysis import leakage_by_owner
+from repro.oracle import DcSolver, leakage_by_owner, solve_gauss_seidel
 from repro.spice.batched import BatchedDcSolver
 from repro.spice.netlist import TransistorNetlist
 from repro.spice.newton import _NewtonAssembler
-from repro.spice.solver import DcSolver, SolverOptions
+from repro.spice.solver import SolverOptions
 
 #: Tight tolerances put both engines at the root, far below the 1e-9
 #: leakage-agreement bar the Newton path is held to.  The batched solver
-#: runs Newton; the scalar ``DcSolver`` and
+#: runs Newton; the scalar oracle ``DcSolver`` and
 #: :func:`repro.oracle.solve_gauss_seidel` relax by Gauss–Seidel sweeps.
 TIGHT = SolverOptions(voltage_tol=1e-11, xtol=1e-14, max_sweeps=250)
 
@@ -534,7 +533,7 @@ class TestConvergencePolicy:
     )
     GRID = (-1e-6, 1e-6)
 
-    def test_scalar_engine_warns_naming_gate_and_vector(self, bulk25):
+    def test_single_cell_warns_naming_gate_and_vector(self, bulk25):
         characterizer = GateCharacterizer(
             bulk25,
             options=CharacterizationOptions(

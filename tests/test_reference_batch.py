@@ -1,11 +1,12 @@
 """Regression tests for the batched transistor-level reference path.
 
 The contract mirrors the batched campaign engine's: the per-vector
-:meth:`ReferenceSimulator.estimate` relaxation is the oracle, and
-:meth:`ReferenceSimulator.estimate_batch` must reproduce its per-gate
-breakdowns and totals to solver-tolerance error while being *bitwise*
-independent of how a vector set is grouped into batches (chunk sizes,
-batch neighbours).
+Gauss–Seidel relaxation :class:`repro.oracle.ScalarReference` is the
+oracle, and :meth:`ReferenceSimulator.estimate_batch` must reproduce its
+per-gate breakdowns and totals to solver-tolerance error while being
+*bitwise* independent of how a vector set is grouped into batches (chunk
+sizes, batch neighbours).  :meth:`ReferenceSimulator.estimate` is a batch
+of one.
 """
 
 import numpy as np
@@ -22,12 +23,8 @@ from repro.circuit.generators import (
 from repro.circuit.logic import random_vectors
 from repro.core.reference import ReferenceSimulator, run_reference_campaign
 from repro.core.report import REPORT_COMPONENTS
-from repro.oracle import per_vector_campaign
+from repro.oracle import ScalarReference, per_vector_campaign
 from repro.spice.solver import SolverOptions
-
-#: Solver-tolerance-level agreement between the scalar and batched engines
-#: at default tolerances.
-ENGINE_RTOL = 1e-6
 
 #: Agreement bar of the production solve against the scalar oracle once
 #: both sit at the root (tight tolerances), per gate and component.
@@ -35,7 +32,7 @@ TIGHT_RTOL = 1e-9
 TIGHT = dict(voltage_tol=1e-11, xtol=1e-14, max_sweeps=250)
 
 
-def _assert_reports_match(batched, scalar, rtol=ENGINE_RTOL):
+def _assert_reports_match(batched, scalar, rtol=TIGHT_RTOL):
     assert batched.input_assignment == scalar.input_assignment
     assert set(batched.per_gate) == set(scalar.per_gate)
     for name, entry_s in scalar.per_gate.items():
@@ -102,10 +99,11 @@ class TestBatchedMatchesScalar:
         circuit = iscas_like("s838", scale=0.05)
         vectors = list(random_vectors(circuit, 4, rng=3))
         simulator = ReferenceSimulator(d25s, solver_options=self.TIGHT_OPTIONS)
+        oracle = ScalarReference(d25s, solver_options=self.TIGHT_OPTIONS)
         batched = simulator.estimate_batch(circuit, vectors)
         for report, vector in zip(batched, vectors):
             _assert_reports_match(
-                report, simulator.estimate(circuit, vector), rtol=TIGHT_RTOL
+                report, oracle.estimate(circuit, vector), rtol=TIGHT_RTOL
             )
             assert report.metadata["engine"] == "batched"
             assert report.metadata["solver_converged"]
@@ -118,10 +116,11 @@ class TestBatchedMatchesScalar:
             for i in (0, 21, 63)
         ]
         simulator = ReferenceSimulator(d25s, solver_options=self.TIGHT_OPTIONS)
+        oracle = ScalarReference(d25s, solver_options=self.TIGHT_OPTIONS)
         batched = simulator.estimate_batch(circuit, vectors)
         for report, vector in zip(batched, vectors):
             _assert_reports_match(
-                report, simulator.estimate(circuit, vector), rtol=TIGHT_RTOL
+                report, oracle.estimate(circuit, vector), rtol=TIGHT_RTOL
             )
 
     def test_tight_solve_matches_scalar_oracle_per_gate(self, d25s):
@@ -136,7 +135,7 @@ class TestBatchedMatchesScalar:
             circuit, d25s, vectors=vectors, solver_options=options
         )
         scalar = per_vector_campaign(
-            ReferenceSimulator(d25s, solver_options=options), circuit, vectors
+            ScalarReference(d25s, solver_options=options), circuit, vectors
         )
         for report_b, report_s in zip(batched.reports, scalar.reports):
             meta_b, meta_s = report_b.metadata, report_s.metadata
@@ -186,6 +185,29 @@ class TestBatchCompositionInvariance:
         assert together[-1].input_assignment == {net: 1 for net in inputs}
         assert together[0].total != together[-1].total
 
+    def test_single_vector_estimate_is_one_batch_call(self, d25s, monkeypatch):
+        """``estimate`` answers one vector with exactly one ``estimate_batch``
+        call holding that vector, and its leakage is bitwise that of the
+        matching report of a multi-vector batch."""
+        circuit = nand_tree(2)
+        vectors = list(random_vectors(circuit, 3, rng=13))
+        simulator = ReferenceSimulator(d25s)
+        together = simulator.estimate_batch(circuit, vectors)
+        calls = []
+        real = ReferenceSimulator.estimate_batch
+
+        def counting(self, circuit, assignments, *args, **kwargs):
+            assignments = list(assignments)
+            calls.append(assignments)
+            return real(self, circuit, assignments, *args, **kwargs)
+
+        monkeypatch.setattr(ReferenceSimulator, "estimate_batch", counting)
+        report = simulator.estimate(circuit, vectors[1])
+        assert calls == [[vectors[1]]]
+        assert set(report.per_gate) == set(together[1].per_gate)
+        assert _bitwise_equal(report, together[1])
+        assert report.metadata["engine"] == "batched"
+
     def test_chunk_size_validation(self, d25s):
         simulator = ReferenceSimulator(d25s)
         with pytest.raises(ValueError, match="chunk_size"):
@@ -196,12 +218,17 @@ class TestReferenceCampaign:
     def test_batched_campaign_matches_scalar_campaign(self, d25s):
         circuit = inverter_chain(3)
         vectors = [{"in": 0}, {"in": 1}]
-        batched = run_reference_campaign(circuit, d25s, vectors=vectors)
-        scalar = per_vector_campaign(ReferenceSimulator(d25s), circuit, vectors)
+        options = SolverOptions(**TIGHT)
+        batched = run_reference_campaign(
+            circuit, d25s, vectors=vectors, solver_options=options
+        )
+        scalar = per_vector_campaign(
+            ScalarReference(d25s, solver_options=options), circuit, vectors
+        )
         assert batched.method == scalar.method == "reference"
         assert batched.vector_count == scalar.vector_count == 2
         np.testing.assert_allclose(
-            batched.totals(), scalar.totals(), rtol=ENGINE_RTOL
+            batched.totals(), scalar.totals(), rtol=TIGHT_RTOL, atol=0
         )
         assert batched.runtime_s() > 0.0
 
@@ -218,17 +245,17 @@ class TestReferenceCampaign:
 
 class TestMissingOwnerDiagnostic:
     def test_scalar_path_names_gate_template_and_owners(self, d25s, monkeypatch):
-        import repro.core.reference as reference_module
+        import repro.oracle as oracle_module
 
-        real = reference_module.leakage_by_owner
+        real = oracle_module.leakage_by_owner
 
         def dropping(netlist, op):
             result = real(netlist, op)
             result.pop("inv1")
             return result
 
-        monkeypatch.setattr(reference_module, "leakage_by_owner", dropping)
-        simulator = ReferenceSimulator(d25s)
+        monkeypatch.setattr(oracle_module, "leakage_by_owner", dropping)
+        simulator = ScalarReference(d25s)
         with pytest.raises(RuntimeError) as excinfo:
             simulator.estimate(inverter_chain(2), {"in": 0})
         message = str(excinfo.value)

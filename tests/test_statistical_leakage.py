@@ -480,6 +480,24 @@ class TestMomentPropagation:
         # the interaction probes are solved once for both tables.
         assert 2 * sum(columns) == result.solve_count
 
+    def test_quadrature_nodes_are_built_once(self, d25s):
+        """The Sobol node set is cached read-only per (dimension, points,
+        truncation): a repeated request returns the same array, and two
+        propagations that share it agree bitwise."""
+        moments._quadrature_nodes.cache_clear()
+        nodes = moments._quadrature_nodes(8, 64, 3.0)
+        assert moments._quadrature_nodes(8, 64, 3.0) is nodes
+        assert not nodes.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0, 0] = 0.0
+        first = propagate_loaded_inverter_moments(d25s, input_loads=2, output_loads=2)
+        hits = moments._quadrature_nodes.cache_info().hits
+        second = propagate_loaded_inverter_moments(d25s, input_loads=2, output_loads=2)
+        assert first.method == "sobol-quadrature"
+        assert moments._quadrature_nodes.cache_info().hits == hits + 1
+        assert first.loaded == second.loaded
+        assert first.unloaded == second.unloaded
+
     def test_moments_match_monte_carlo_oracle(self, d25s):
         moments = propagate_loaded_inverter_moments(
             d25s, input_loads=2, output_loads=2
