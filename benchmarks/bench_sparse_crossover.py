@@ -124,7 +124,6 @@ def _sweep_point(technology, n_gates, columns):
     flattened = flatten_batch(
         circuit, technology, list(random_vectors(circuit, columns, rng=SEED))
     )
-    views = flattened.netlist_views()
     initial = flattened.initial_voltages()
     # Dense and sparse solves alternate, so a drift in machine speed
     # reaches both backends' best times alike.  Results are keyed by the
@@ -134,7 +133,12 @@ def _sweep_point(technology, n_gates, columns):
     for _ in range(SWEEP_REPEATS):
         for options in (DENSE, SPARSE):
             start = time.perf_counter()
-            solver = BatchedDcSolver(views, technology.temperature_k, options)
+            solver = BatchedDcSolver(
+                flattened.netlist,
+                technology.temperature_k,
+                options,
+                fixed=flattened.fixed_voltages,
+            )
             op = solver.solve(initial)
             solved[op.method] = op
             best[op.method] = min(best[op.method], time.perf_counter() - start)

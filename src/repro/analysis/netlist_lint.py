@@ -116,8 +116,6 @@ def lint_flattened(flattened: "FlattenedCircuit") -> LintReport:
     for transistor in netlist.transistors:
         for _, node in transistor.terminals():
             attachments[node] = attachments.get(node, 0) + 1
-    for source in getattr(netlist, "current_sources", []):
-        attachments[source.node] = attachments.get(source.node, 0) + 1
     for name in netlist.free_nodes():
         count = attachments.get(name, 0)
         if count < 2:

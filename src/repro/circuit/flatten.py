@@ -11,8 +11,8 @@ A circuit flattens to *one* transistor topology: different input vectors only
 change the fixed primary-input rails and the free-node seeds, and different
 supplies only scale them.  :func:`flatten_batch` exploits that — it builds
 the shared netlist once and derives per-vector fixed-voltage and seed
-*arrays*, which is exactly the same-topology contract
-:class:`~repro.spice.batched.BatchedDcSolver` solves in one vectorized pass;
+*arrays*, which :class:`~repro.spice.batched.BatchedDcSolver` binds to that
+one netlist and solves in one vectorized pass;
 :meth:`FlattenedCircuit.at_supplies` does the same for one vector at many
 supplies (the Monte-Carlo dies).
 
@@ -31,7 +31,7 @@ from repro.circuit.logic import propagate
 from repro.circuit.netlist import Circuit
 from repro.device.params import TechnologyParams
 from repro.gates.templates import build_gate_transistors, internal_seed_levels
-from repro.spice.netlist import SUPPLY, Node, TransistorNetlist
+from repro.spice.netlist import SUPPLY, TransistorNetlist
 
 
 @dataclass
@@ -67,43 +67,19 @@ class FlattenedCircuit:
     def initial_voltages(self) -> dict[str, float]:
         """Return rail-based initial guesses for every free node.
 
-        Circuit nets start at the rail implied by their logic value.  Gate
-        internal nodes start at the rail their template actually settles
-        them at (:func:`~repro.gates.templates.internal_seed_levels`): a
-        series-stack node follows whichever end it conducts to, and the
-        internal stage of a two-stage gate (BUF, AND*, OR*) sits at the
-        *complement* of the output.  Seeding every internal node at the
-        output rail — the old behaviour — leaves wrong-rail stage nodes
-        with mA-scale residuals that the damped Newton solver grinds on
-        for dozens of iterations at large circuit sizes.
+        Column 0 of :meth:`BatchedFlattenedCircuit.initial_voltages` at the
+        netlist's own supply, so one seed rule serves both.
         """
-        vdd = self.netlist.vdd
-        guesses = {
-            net: vdd * value
-            for net, value in self.net_values.items()
-            if not self.circuit.is_primary_input(net)
-        }
-        for gate_name, nodes in self.internal_nodes.items():
-            gate = self.circuit.gates[gate_name]
-            levels = internal_seed_levels(
-                gate.gate_type,
-                [self.net_values[net] for net in gate.inputs],
-                self.net_values[gate.output],
-            )
-            prefix = len(gate_name) + 1
-            for node in nodes:
-                # A KeyError here means the template created a node its
-                # seed table does not know — fail loudly, not silently.
-                guesses[node] = vdd * levels[node[prefix:]]
-        return guesses
+        seeds = self.at_supplies(np.array([self.netlist.vdd])).initial_voltages()
+        return {node: float(values[0]) for node, values in seeds.items()}
 
     def at_supplies(self, supply: np.ndarray) -> "BatchedFlattenedCircuit":
         """Instantiate this flattened circuit at ``B`` supply voltages.
 
         Column ``b`` runs at ``supply[b]``: its supply rail, primary-input
         rails and free-node seeds are what :func:`flatten` would give under
-        a technology with that ``vdd``.  The transistor list is shared, so
-        the device parameters of each column are bound separately (see
+        a technology with that ``vdd``.  The netlist is shared, so the
+        device parameters of each column are bound separately (see
         :meth:`~repro.device.batched.PackedMosfets.from_kinds`).
         """
         supply = np.asarray(supply, dtype=float)
@@ -177,7 +153,8 @@ class BatchedFlattenedCircuit:
     vector, so a batch shares one :class:`TransistorNetlist` (one set of
     transistor instances and :class:`~repro.device.mosfet.Mosfet` objects);
     only the fixed primary-input rails and the free-node seeds vary, and they
-    are carried as ``(B,)`` arrays.
+    are carried as ``(B,)`` arrays — the ``fixed`` and ``initial_voltages``
+    bindings of :class:`~repro.spice.batched.BatchedDcSolver`.
 
     Attributes
     ----------
@@ -222,10 +199,16 @@ class BatchedFlattenedCircuit:
     def initial_voltages(self) -> dict[str, np.ndarray]:
         """Return per-vector rail-based initial guesses as ``(B,)`` arrays.
 
-        Column ``b`` equals what :meth:`FlattenedCircuit.initial_voltages`
-        returns for ``assignments[b]`` (at supply ``supply[b]``), so the
-        batched solve starts every instance exactly where the scalar
-        reference solve would.
+        Circuit nets start at the rail implied by their logic value.  Gate
+        internal nodes start at the rail their template actually settles
+        them at (:func:`~repro.gates.templates.internal_seed_levels`): a
+        series-stack node follows whichever end it conducts to, and the
+        internal stage of a two-stage gate (BUF, AND*, OR*) sits at the
+        *complement* of the output.  Seeding every internal node at the
+        output rail leaves wrong-rail stage nodes with mA-scale residuals
+        that the damped Newton solver grinds on for dozens of iterations at
+        large circuit sizes.  Column ``b`` uses ``assignments[b]`` at supply
+        ``supply[b]``.
         """
         vdd: float | np.ndarray = self.netlist.vdd if self.supply is None else self.supply
         guesses: dict[str, np.ndarray] = {}
@@ -249,43 +232,13 @@ class BatchedFlattenedCircuit:
             ]
             prefix = len(gate_name) + 1
             for node in nodes:
+                # A KeyError here means the template created a node its
+                # seed table does not know — fail loudly, not silently.
                 label = node[prefix:]
                 guesses[node] = vdd * np.array(
                     [levels[label] for levels in per_vector], dtype=float
                 )
         return guesses
-
-    def netlist_views(self) -> list[TransistorNetlist]:
-        """Return ``B`` per-vector views of the shared netlist.
-
-        Each view owns fresh :class:`Node` objects (so its primary-input
-        rails, and its supply under ``supply``, can differ) but shares the
-        transistor instance list — and therefore the device models — with
-        every other view, which is what lets
-        :class:`~repro.spice.batched.BatchedDcSolver` pack the device
-        parameters once instead of ``B`` times (or take a pack bound per
-        column, as the Monte-Carlo engine does).
-        """
-        views: list[TransistorNetlist] = []
-        for b in range(self.batch):
-            view = TransistorNetlist(
-                vdd=self.netlist.vdd if self.supply is None else float(self.supply[b])
-            )
-            view.nodes = {
-                name: Node(
-                    name=name,
-                    kind=node.kind,
-                    voltage=(
-                        float(self.fixed_voltages[name][b])
-                        if name in self.fixed_voltages
-                        else node.voltage
-                    ),
-                )
-                for name, node in self.netlist.nodes.items()
-            }
-            view.transistors = self.netlist.transistors
-            views.append(view)
-        return views
 
 
 def flatten_batch(

@@ -120,7 +120,8 @@ class ReferenceSimulator:
 
         The circuit flattens once per chunk into a shared transistor
         topology (:func:`flatten_batch`); all vectors of the chunk solve as
-        one :class:`BatchedDcSolver` batch and the per-owner leakage of the
+        one :class:`BatchedDcSolver` batch over that topology, their
+        primary-input rails bound as arrays, and the per-owner leakage of the
         whole chunk is aggregated in one array pass.  Because every
         per-column solver update is independent of its batch neighbours,
         the reports are bitwise identical whatever ``chunk_size`` splits the
@@ -144,7 +145,10 @@ class ReferenceSimulator:
         start = time.perf_counter()
         flattened = flatten_batch(circuit, self.technology, assignments)
         solver = BatchedDcSolver(
-            flattened.netlist_views(), self.temperature_k, self.solver_options
+            flattened.netlist,
+            self.temperature_k,
+            self.solver_options,
+            fixed=flattened.fixed_voltages,
         )
         op = solver.solve(initial_voltages=flattened.initial_voltages())
         per_owner = solver.leakage_by_owner(op)

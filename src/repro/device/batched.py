@@ -8,10 +8,10 @@ netlist being solved) — extracts every model parameter into NumPy arrays,
 pre-computes all bias-independent quantities at the solve temperature, and
 evaluates terminal / component currents for the whole grid in one array pass.
 
-Parameter arrays that are constant along the batch axis (the common case:
-only Monte-Carlo inter-die variation perturbs device parameters between batch
-instances) are stored with a broadcast axis of length one, so a
-characterization batch pays almost nothing for carrying its parameters.
+Parameter arrays that are constant along the batch axis are stored with a
+broadcast axis of length one.  The solver packs a topology's Mosfets once as
+a ``(T, 1)`` grid shared by every column, so characterization and reference
+batches carry one copy of their parameters whatever their width.
 Monte-Carlo batches pack through :meth:`PackedMosfets.from_kinds`, which
 extracts each device kind once per column instead of one
 :class:`~repro.device.mosfet.Mosfet` per transistor per column.
@@ -181,18 +181,6 @@ class PackedMosfets:
         for t, row in enumerate(grid):
             if len(row) != self.batch:
                 raise ValueError("all transistor slots must have the same batch size")
-            first = row[0]
-            if all(mosfet is first for mosfet in row):
-                # Shared-netlist batches (the reference path) hand the same
-                # Mosfet object to every column of a slot: extract once,
-                # broadcast across the row instead of per-column assignment.
-                constants = memo.get(first.device)
-                if constants is None:
-                    constants = _device_constants(first.device, self.temperature_k)
-                    memo[first.device] = constants
-                raw[:, t, :] = np.asarray(constants)[:, None]
-                raw[1, t, :] += first.vth_shift
-                continue
             for b, mosfet in enumerate(row):
                 constants = memo.get(mosfet.device)
                 if constants is None:

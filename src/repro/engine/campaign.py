@@ -357,7 +357,7 @@ def _lookup_components(
                 f"response but sees a nonzero loading current"
             )
 
-    # The same out-of-range policy as ResponseCurve.breakdown_at: the
+    # The same out-of-range policy as the oracle's per-record lookup: the
     # engine interpolates baked arrays directly, so it reports clamped
     # lookups itself (warn once per gate type and direction).  A zero
     # loading is no lookup, but the grid brackets zero (compile checks it),

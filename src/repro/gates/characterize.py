@@ -12,7 +12,10 @@ For every (gate type, input vector) it builds a small characterization cell:
 
 The cell is solved once without loading (the nominal record) and once per
 (pin, injection) grid point, giving the per-pin response curves of
-:class:`~repro.gates.lut.GateVectorCharacterization`.  All cells of a
+:class:`~repro.gates.lut.GateVectorCharacterization`.  A gate type has one
+cell topology; a vector only sets the rails of the driver inputs, and a
+loading current is an injection into a pin's net, so every cell of a gate
+type is a column of numbers bound to that topology.  All cells of a
 (gate type, vector), or of a whole gate type, are one
 :class:`~repro.spice.batched.BatchedDcSolver` call: the nominal cells solve
 first, then every (pin, injection) cell solves in a single batch
@@ -47,9 +50,17 @@ from repro.spice.solver import SolverOptions
 #: Owner tag used for the device under test inside characterization cells.
 _DUT = "dut"
 
+#: Net of the DUT output inside a characterization cell.
+_OUTPUT_NET = "net_y"
+
 #: Default signed loading-current grid (A): +/- 3.2 uA covers the 0-3000 nA
 #: range of the paper's Fig. 5-8 sweeps with headroom for large fanouts.
 DEFAULT_INJECTION_GRID = tuple(np.linspace(-3.2e-6, 3.2e-6, 9))
+
+
+def _pin_net(spec: GateSpec, pin: str) -> str:
+    """Return the cell net of DUT pin ``pin``."""
+    return _OUTPUT_NET if pin == spec.output else f"net_{pin}"
 
 
 class CharacterizationConvergenceWarning(UserWarning):
@@ -124,16 +135,6 @@ class CellSolution:
     converged: bool
 
 
-@dataclass
-class _CellBuild:
-    """An unsolved characterization cell."""
-
-    netlist: TransistorNetlist
-    initial: dict[str, float]
-    input_nets: dict[str, str]
-    output_net: str
-
-
 class GateCharacterizer:
     """Builds and solves characterization cells for library gates."""
 
@@ -190,9 +191,15 @@ class GateCharacterizer:
         if unknown:
             raise ValueError(f"unknown pins for {spec.name}: {sorted(unknown)}")
 
-        cell = self._build_cell(spec, vector, injections)
-        solver = BatchedDcSolver([cell.netlist], self.temperature_k, self.options.solver)
-        op = solver.solve(initial_voltages=[cell.initial])
+        netlist, fixed, initial = self._cell(spec, [vector])
+        solver = BatchedDcSolver(
+            netlist,
+            self.temperature_k,
+            self.options.solver,
+            fixed=fixed,
+            injection={_pin_net(spec, pin): amps for pin, amps in injections.items()},
+        )
+        op = solver.solve(initial_voltages=initial)
         self._record_batched_solve(op)
         detail = f" with injections {injections}" if injections else ""
         self._check_batched_convergence(
@@ -200,59 +207,45 @@ class GateCharacterizer:
         )
         return CellSolution(
             dut_breakdown=solver.leakage_by_owner(op)[_DUT].at(0),
-            output_voltage=float(op.voltage(cell.output_net)[0]),
+            output_voltage=float(op.voltage(_OUTPUT_NET)[0]),
             converged=bool(op.converged[0]),
         )
 
-    def _build_cell(
-        self,
-        spec: GateSpec,
-        vector: tuple[int, ...],
-        injections: dict[str, float],
-    ) -> _CellBuild:
-        """Build (without solving) one characterization cell."""
+    def _cell(
+        self, spec: GateSpec, vectors: list[tuple[int, ...]]
+    ) -> tuple[TransistorNetlist, dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Build the cell topology of ``spec`` and bind it to ``vectors``.
+
+        One topology serves every vector and injection: an inverter driver
+        per DUT input, the DUT and a floating output net.  Returns it with
+        the ``(B,)`` rails of the driver inputs — fixed nodes at the
+        complement of their DUT input bit — and the free-node seeds: input
+        nets at their bit's rail, the output and the DUT's internal nodes at
+        the output's rail.  Loading currents are the solver's ``injection``
+        into the pin nets.
+        """
         vdd = self.technology.vdd
         netlist = TransistorNetlist(vdd=vdd)
         pins: dict[str, str] = {}
-        input_nets: dict[str, str] = {}
-        initial: dict[str, float] = {}
-
-        for pin, bit in zip(spec.inputs, vector):
-            net = f"net_{pin}"
-            input_nets[pin] = net
-            pins[pin] = net
-            drive_in = f"drv_{pin}_in"
-            # The driver output must equal the DUT input bit, so the driver
-            # input is the complement.
-            netlist.add_node(drive_in, fixed_voltage=vdd * (1 - bit))
-            netlist.add_node(net)
-            self._build_driver(netlist, f"drv_{pin}", drive_in, net)
-            initial[net] = vdd * bit
-
-        output_net = "net_y"
-        pins[spec.output] = output_net
-        netlist.add_node(output_net)
-        output_guess = vdd * spec.evaluate(vector)
-        initial[output_net] = output_guess
-
-        internal_nodes = build_gate_transistors(
+        for pin in spec.inputs:
+            pins[pin] = _pin_net(spec, pin)
+            netlist.add_node(f"drv_{pin}_in", fixed_voltage=0.0)
+            netlist.add_node(pins[pin])
+            self._build_driver(netlist, f"drv_{pin}", f"drv_{pin}_in", pins[pin])
+        pins[spec.output] = _OUTPUT_NET
+        netlist.add_node(_OUTPUT_NET)
+        build_gate_transistors(
             netlist, self.technology, spec.gate_type, _DUT, pins, owner=_DUT
         )
-        for node in internal_nodes:
-            initial[node] = output_guess
 
-        for pin, amps in injections.items():
-            if amps == 0.0:
-                continue
-            net = output_net if pin == spec.output else input_nets[pin]
-            netlist.add_current_source(net, amps)
-
-        return _CellBuild(
-            netlist=netlist,
-            initial=initial,
-            input_nets=input_nets,
-            output_net=output_net,
-        )
+        bits = np.array(vectors, dtype=float)
+        output = vdd * np.array([spec.evaluate(v) for v in vectors], dtype=float)
+        fixed: dict[str, np.ndarray] = {}
+        initial = {name: output for name in netlist.free_nodes()}
+        for k, pin in enumerate(spec.inputs):
+            fixed[f"drv_{pin}_in"] = vdd * (1 - bits[:, k])
+            initial[pins[pin]] = vdd * bits[:, k]
+        return netlist, fixed, initial
 
     def characterize(
         self, gate_type: GateType | str, vector: tuple[int, ...]
@@ -289,37 +282,34 @@ class GateCharacterizer:
     ) -> dict[tuple[int, ...], GateVectorCharacterization]:
         """Characterize ``vectors`` of one gate type with the batched solver.
 
-        Phase one solves the nominal (no-injection) cell of every vector as
-        one batch and reads the nominal breakdowns, node voltages and pin
-        injections from it.  Phase two builds every (vector, pin, injection)
-        cell, warm-starts each from its vector's solved nominal operating
-        point, and solves them all as a second batch.
+        Both phases bind one cell topology.  Phase one solves the nominal
+        (no-injection) cell of every vector as one batch and reads the
+        nominal breakdowns, node voltages and pin injections from it.  Phase
+        two binds every (vector, pin, injection) column — its vector's
+        driver rails and one pin's injection — warm-starts each from its
+        vector's solved nominal operating point, and solves them all as a
+        second batch.
         """
         options = self.options
         grid = options.curve_grid()
         nonzero = [amps for amps in grid if amps != 0.0]
         pins = list(spec.inputs) + [spec.output]
 
+        netlist, fixed, initial = self._cell(spec, vectors)
+
         # Phase one: nominal cells, one column per vector.
-        nominal_cells = [self._build_cell(spec, vector, {}) for vector in vectors]
         nominal_solver = BatchedDcSolver(
-            [cell.netlist for cell in nominal_cells],
-            self.temperature_k,
-            options.solver,
+            netlist, self.temperature_k, options.solver, fixed=fixed
         )
-        nominal_op = nominal_solver.solve(
-            initial_voltages=[cell.initial for cell in nominal_cells]
-        )
+        nominal_op = nominal_solver.solve(initial_voltages=initial)
         self._record_batched_solve(nominal_op)
         self._check_batched_convergence(
             spec, nominal_op, lambda column: f"vector {vectors[column]}"
         )
         nominal_leakage = nominal_solver.leakage_by_owner(nominal_op)[_DUT]
-        input_nets = nominal_cells[0].input_nets
-        output_net = nominal_cells[0].output_net
         injection_at_pin = {
-            pin: nominal_solver.gate_injection_at_node(nominal_op, net)
-            for pin, net in input_nets.items()
+            pin: nominal_solver.gate_injection_at_node(nominal_op, _pin_net(spec, pin))
+            for pin in spec.inputs
         }
 
         # Phase two: the full (vector, pin, injection) sweep in one batch,
@@ -330,37 +320,36 @@ class GateCharacterizer:
             for pin in pins
             for amps in nonzero
         ]
-        breakdown_of_task: dict[tuple[int, str, float], ComponentBreakdown] = {}
-        if tasks:
-            injection_cells = [
-                self._build_cell(spec, vectors[index], {pin: amps})
-                for index, pin, amps in tasks
-            ]
-            warm_starts = [
-                {
-                    name: float(nominal_op.voltages[row, index])
-                    for name, row in nominal_op.node_index.items()
-                }
-                for index, _pin, _amps in tasks
-            ]
-            injection_solver = BatchedDcSolver(
-                [cell.netlist for cell in injection_cells],
-                self.temperature_k,
-                options.solver,
-            )
-            injection_op = injection_solver.solve(initial_voltages=warm_starts)
-            self._record_batched_solve(injection_op)
-            self._check_batched_convergence(
-                spec,
-                injection_op,
-                lambda column: (
-                    f"vector {vectors[tasks[column][0]]} pin "
-                    f"{tasks[column][1]!r} injection {tasks[column][2]:.2e} A"
-                ),
-            )
-            injection_leakage = injection_solver.leakage_by_owner(injection_op)[_DUT]
-            for column, task in enumerate(tasks):
-                breakdown_of_task[task] = injection_leakage.at(column)
+        task_vector = np.array([index for index, _pin, _amps in tasks])
+        injection = {_pin_net(spec, pin): np.zeros(len(tasks)) for pin in pins}
+        for column, (_index, pin, amps) in enumerate(tasks):
+            injection[_pin_net(spec, pin)][column] = amps
+        injection_solver = BatchedDcSolver(
+            netlist,
+            self.temperature_k,
+            options.solver,
+            fixed={name: rails[task_vector] for name, rails in fixed.items()},
+            injection=injection,
+        )
+        warm = nominal_op.voltages[:, task_vector]
+        injection_op = injection_solver.solve(
+            initial_voltages={
+                name: warm[row] for name, row in nominal_op.node_index.items()
+            }
+        )
+        self._record_batched_solve(injection_op)
+        self._check_batched_convergence(
+            spec,
+            injection_op,
+            lambda column: (
+                f"vector {vectors[tasks[column][0]]} pin "
+                f"{tasks[column][1]!r} injection {tasks[column][2]:.2e} A"
+            ),
+        )
+        injection_leakage = injection_solver.leakage_by_owner(injection_op)[_DUT]
+        breakdown_of_task = {
+            task: injection_leakage.at(column) for column, task in enumerate(tasks)
+        }
 
         records: dict[tuple[int, ...], GateVectorCharacterization] = {}
         for index, vector in enumerate(vectors):
@@ -382,10 +371,10 @@ class GateCharacterizer:
                 gate_type_name=spec.name,
                 vector=vector,
                 nominal=nominal,
-                output_voltage=float(nominal_op.voltage(output_net)[index]),
+                output_voltage=float(nominal_op.voltage(_OUTPUT_NET)[index]),
                 input_voltages={
-                    pin: float(nominal_op.voltage(net)[index])
-                    for pin, net in input_nets.items()
+                    pin: float(nominal_op.voltage(_pin_net(spec, pin))[index])
+                    for pin in spec.inputs
                 },
                 pin_injection={
                     pin: float(array[index])

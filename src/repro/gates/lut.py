@@ -11,16 +11,19 @@ library.  These containers hold that characterization:
   gate-tunneling current each input pin injects into its net, and one
   response curve per pin (inputs and output).
 
-Lookups use piecewise-linear interpolation with flat extrapolation: loading
-currents beyond the characterized range saturate at the outermost
-characterized value rather than extrapolating an unphysical trend.  Because a
-silent clamp can quietly flat-line the response of a heavily loaded net (a
-large-fanout design point outside the Fig. 5-8 sweeps), out-of-range lookups
-are governed by a policy: ``"warn"`` (default) clamps but emits a
-``ResponseCurveRangeWarning`` once per (curve pin, direction), ``"raise"``
+The campaign engine (:mod:`repro.engine`) bakes these records into arrays
+and looks them up with piecewise-linear interpolation and flat
+extrapolation: loading currents beyond the characterized range saturate at
+the outermost characterized value rather than extrapolating an unphysical
+trend.  Because a silent clamp can quietly flat-line the response of a
+heavily loaded net (a large-fanout design point outside the Fig. 5-8
+sweeps), out-of-range lookups are governed by a policy, applied through
+:func:`enforce_injection_range`: ``"warn"`` (default) clamps but emits a
+``ResponseCurveRangeWarning`` once per (source, direction), ``"raise"``
 turns the lookup into a ``ValueError``, and ``"clamp"`` restores the silent
 behaviour.  The policy can be set per call or process-wide with
-:func:`set_extrapolation_policy`.
+:func:`set_extrapolation_policy`.  The per-record lookup the engine is
+checked against is the test oracle :func:`repro.oracle.leakage_with_loading`.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ EXTRAPOLATION_POLICIES = ("clamp", "warn", "raise")
 _extrapolation_policy = "warn"
 
 #: (source, direction) pairs already warned about (the "warn once" memory).
-#: The source is the curve instance (or an external interpolator's label),
-#: so one noisy curve cannot silence warnings for every other gate type.
+#: The source is the interpolator's label (the engine names the gate type),
+#: so one noisy gate type cannot silence warnings for every other one.
 _warned_ranges: set[tuple] = set()
 
 
@@ -79,13 +82,13 @@ def enforce_injection_range(
     policy: str | None = None,
     dedup_key: object = None,
 ) -> None:
-    """Apply the out-of-range policy on behalf of an external interpolator.
+    """Apply the out-of-range policy to one lookup at ``injection`` amps.
 
-    The batched campaign engine interpolates baked LUT arrays directly — it
-    never goes through :meth:`ResponseCurve.breakdown_at` — so it reports
-    its clamped out-of-range lookups here to keep the policy uniform across
-    engines.  ``source`` names the offender in the message; ``dedup_key``
-    scopes the warn-once memory (defaults to ``source``).
+    Every interpolator — the campaign engine over its baked LUT arrays and
+    the per-record oracle lookup — reports its out-of-range lookups here, so
+    the policy is uniform across them.  ``source`` names the offender in
+    the message; ``dedup_key`` scopes the warn-once memory (defaults to
+    ``source``).
     """
     policy = _resolve_policy(policy)
     if policy == "clamp" or low <= injection <= high:
@@ -109,9 +112,7 @@ def enforce_injection_range(
 def set_extrapolation_policy(policy: str) -> str:
     """Set the process-wide out-of-range policy; returns the previous one.
 
-    Also clears the process-wide warn-once memory (used by external
-    interpolators such as the batched campaign engine); response curves keep
-    their own per-instance memory.
+    Also clears the process-wide warn-once memory.
     """
     global _extrapolation_policy
     if policy not in EXTRAPOLATION_POLICIES:
@@ -162,61 +163,6 @@ class ResponseCurve:
         object.__setattr__(self, "subthreshold", np.asarray(self.subthreshold, float))
         object.__setattr__(self, "gate", np.asarray(self.gate, float))
         object.__setattr__(self, "btbt", np.asarray(self.btbt, float))
-        # Per-instance warn-once memory for out-of-range lookups (kept on
-        # the instance so one noisy curve can neither silence other curves
-        # nor grow a process-global set).
-        object.__setattr__(self, "_range_warned", set())
-
-    def _check_range(self, injection: float, policy: str | None) -> None:
-        """Apply the out-of-range policy for a lookup at ``injection``.
-
-        The warn-once memory is scoped per curve instance and direction, so
-        an overrun on one gate type's curve does not silence warnings for
-        same-named pins of other gate types.
-        """
-        policy = _resolve_policy(policy)
-        low = float(self.injections[0])
-        high = float(self.injections[-1])
-        if policy == "clamp" or low <= injection <= high:
-            return
-        message = _range_message(f"pin {self.pin!r}", injection, low, high)
-        if policy == "raise":
-            raise ValueError(message)
-        direction = "low" if injection < low else "high"
-        if direction in self._range_warned:
-            return
-        self._range_warned.add(direction)
-        warnings.warn(message, ResponseCurveRangeWarning, stacklevel=4)
-
-    def breakdown_at(
-        self, injection: float, policy: str | None = None
-    ) -> ComponentBreakdown:
-        """Return the interpolated leakage breakdown at ``injection`` amps.
-
-        ``policy`` overrides the process-wide out-of-range policy for this
-        lookup (``"clamp"``, ``"warn"`` or ``"raise"``); see the module
-        docstring.
-        """
-        self._check_range(injection, policy)
-        return ComponentBreakdown(
-            subthreshold=float(np.interp(injection, self.injections, self.subthreshold)),
-            gate=float(np.interp(injection, self.injections, self.gate)),
-            btbt=float(np.interp(injection, self.injections, self.btbt)),
-        )
-
-    def delta_at(
-        self,
-        injection: float,
-        nominal: ComponentBreakdown,
-        policy: str | None = None,
-    ) -> ComponentBreakdown:
-        """Return the loading-induced change relative to ``nominal``."""
-        loaded = self.breakdown_at(injection, policy=policy)
-        return ComponentBreakdown(
-            subthreshold=loaded.subthreshold - nominal.subthreshold,
-            gate=loaded.gate - nominal.gate,
-            btbt=loaded.btbt - nominal.btbt,
-        )
 
     def component_matrix(self) -> np.ndarray:
         """Return the curve as a ``(grid, component)`` matrix.
@@ -275,39 +221,4 @@ class GateVectorCharacterization:
         """
         return np.array(
             [self.nominal.component(name) for name in COMPONENT_NAMES], dtype=float
-        )
-
-    def response(self, pin: str) -> ResponseCurve:
-        """Return the response curve of ``pin`` (KeyError if not characterized)."""
-        return self.responses[pin]
-
-    def leakage_with_loading(
-        self, pin_injections: dict[str, float] | None = None
-    ) -> ComponentBreakdown:
-        """Return the leakage estimate under the given per-pin loading currents.
-
-        The estimate combines per-pin characterized responses additively
-        around the nominal point (first-order superposition), which is
-        accurate because loading shifts leakage by only a few percent.  Pins
-        absent from ``pin_injections`` (or mapped to zero) contribute nothing.
-        """
-        if not pin_injections:
-            return self.nominal
-        sub = self.nominal.subthreshold
-        gate = self.nominal.gate
-        btbt = self.nominal.btbt
-        for pin, injection in pin_injections.items():
-            if injection == 0.0:
-                continue
-            curve = self.responses.get(pin)
-            if curve is None:
-                raise KeyError(
-                    f"pin {pin!r} of {self.gate_type_name} has no characterized response"
-                )
-            delta = curve.delta_at(injection, self.nominal)
-            sub += delta.subthreshold
-            gate += delta.gate
-            btbt += delta.btbt
-        return ComponentBreakdown(
-            subthreshold=max(sub, 0.0), gate=max(gate, 0.0), btbt=max(btbt, 0.0)
         )

@@ -16,7 +16,8 @@ can hold the production paths to them:
 * :class:`ScalarReference` — one :class:`DcSolver` relaxation per vector,
   the oracle of :meth:`~repro.core.reference.ReferenceSimulator.estimate_batch`;
 * :class:`PerGateEstimator` — the Fig. 13 walk, one LUT lookup per gate
-  and pin, the oracle of the compiled campaign engine;
+  and pin (:func:`leakage_with_loading`, :func:`breakdown_at`), the oracle
+  of the compiled campaign engine;
 * :func:`scalar_cell_solve` and :func:`characterize_per_cell` — one
   scalar cell solve per (pin, injection) grid point, the oracle of the
   batched characterization;
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol
 
 import numpy as np
 from scipy.optimize import brentq
@@ -49,9 +50,19 @@ from repro.core.reference import ReferenceSimulator, _missing_owner_error
 from repro.core.report import CircuitLeakageReport, GateLeakage
 from repro.core.vectors import VectorCampaignResult
 from repro.device.mosfet import MosfetCurrents
-from repro.gates.characterize import _DUT, GateCharacterizer, GateLibrary
+from repro.gates.characterize import (
+    _DUT,
+    _OUTPUT_NET,
+    GateCharacterizer,
+    GateLibrary,
+    _pin_net,
+)
 from repro.gates.library import GateType, gate_spec
-from repro.gates.lut import GateVectorCharacterization, ResponseCurve
+from repro.gates.lut import (
+    GateVectorCharacterization,
+    ResponseCurve,
+    enforce_injection_range,
+)
 from repro.spice.analysis import ComponentBreakdown
 from repro.spice.batched import BatchedDcSolver, BatchedOperatingPoint
 from repro.spice.netlist import NodeKind, TransistorNetlist
@@ -121,7 +132,8 @@ class DcSolver:
     through gate tunneling is weak, so a handful of sweeps reaches
     microvolt-level self-consistency, and the bracketed scalar solves can
     never make the iteration diverge.  ``options`` uses the Gauss–Seidel
-    fields of :class:`~repro.spice.solver.SolverOptions`.
+    fields of :class:`~repro.spice.solver.SolverOptions`; ``injection`` maps
+    free nodes to the current (A) injected into them.
     """
 
     def __init__(
@@ -129,6 +141,7 @@ class DcSolver:
         netlist: TransistorNetlist,
         temperature_k: float,
         options: SolverOptions | None = None,
+        injection: Mapping[str, float] | None = None,
     ) -> None:
         if temperature_k <= 0:
             raise ValueError("temperature_k must be positive")
@@ -137,8 +150,11 @@ class DcSolver:
         self.temperature_k = float(temperature_k)
         self.options = options or SolverOptions()
 
+        injections = dict(injection or {})
+        stray = set(injections) - set(netlist.free_nodes())
+        if stray:
+            raise ValueError(f"injection into nodes that are not free: {sorted(stray)}")
         attachment_index = netlist.attachments()
-        injections = netlist.injections()
         self._problems: list[_NodeProblem] = []
         for node in netlist.nodes.values():
             if node.kind is not NodeKind.FREE:
@@ -147,7 +163,7 @@ class DcSolver:
                 _NodeProblem(
                     name=node.name,
                     attachments=attachment_index[node.name],
-                    injection=injections.get(node.name, 0.0),
+                    injection=float(injections.get(node.name, 0.0)),
                 )
             )
 
@@ -532,6 +548,61 @@ class ScalarReference(ReferenceSimulator):
         )
 
 
+def breakdown_at(
+    curve: ResponseCurve, injection: float, policy: str | None = None
+) -> ComponentBreakdown:
+    """Return ``curve``'s interpolated leakage breakdown at ``injection`` amps.
+
+    Piecewise-linear with flat extrapolation.  An out-of-range lookup goes
+    through :func:`~repro.gates.lut.enforce_injection_range` under
+    ``policy`` (the process-wide policy when None): it clamps silently,
+    warns once per pin name and direction until the policy is next set, or
+    raises, exactly like the campaign engine's lookups.
+    """
+    grid = curve.injections
+    enforce_injection_range(
+        f"pin {curve.pin!r}", injection, float(grid[0]), float(grid[-1]), policy
+    )
+    return ComponentBreakdown(
+        subthreshold=float(np.interp(injection, grid, curve.subthreshold)),
+        gate=float(np.interp(injection, grid, curve.gate)),
+        btbt=float(np.interp(injection, grid, curve.btbt)),
+    )
+
+
+def leakage_with_loading(
+    record: GateVectorCharacterization,
+    pin_injections: Mapping[str, float] | None = None,
+) -> ComponentBreakdown:
+    """Return ``record``'s leakage under the given per-pin loading currents.
+
+    The per-pin responses add around the nominal point (first-order
+    superposition), which is accurate because loading shifts leakage by
+    only a few percent.  Pins absent from ``pin_injections`` (or mapped to
+    zero) contribute nothing; a pin without a response curve raises
+    ``KeyError``.
+    """
+    nominal = record.nominal
+    if not pin_injections:
+        return nominal
+    sub, gate, btbt = nominal.subthreshold, nominal.gate, nominal.btbt
+    for pin, injection in pin_injections.items():
+        if injection == 0.0:
+            continue
+        curve = record.responses.get(pin)
+        if curve is None:
+            raise KeyError(
+                f"pin {pin!r} of {record.gate_type_name} has no characterized response"
+            )
+        loaded = breakdown_at(curve, injection)
+        sub += loaded.subthreshold - nominal.subthreshold
+        gate += loaded.gate - nominal.gate
+        btbt += loaded.btbt - nominal.btbt
+    return ComponentBreakdown(
+        subthreshold=max(sub, 0.0), gate=max(gate, 0.0), btbt=max(btbt, 0.0)
+    )
+
+
 class PerGateEstimator:
     """The Fig. 13 algorithm walked gate by gate, one LUT lookup per pin.
 
@@ -540,8 +611,7 @@ class PerGateEstimator:
     reads the characterized record of (gate type, input vector), sums the
     pin injections per net, turns them into per-pin loading currents (a
     gate never loads itself, primary-input nets are ideal) and looks the
-    loaded breakdown up with
-    :meth:`~repro.gates.lut.GateVectorCharacterization.leakage_with_loading`.
+    loaded breakdown up with :func:`leakage_with_loading`.
     ``include_loading=False`` accumulates the unloaded records instead.
     """
 
@@ -601,7 +671,7 @@ class PerGateEstimator:
                 gate_name=name,
                 gate_type_name=gate.gate_type.value,
                 vector=record.vector,
-                breakdown=record.leakage_with_loading(loading),
+                breakdown=leakage_with_loading(record, loading),
                 input_loading=input_total,
                 output_loading=output_total,
             )
@@ -660,16 +730,23 @@ def scalar_cell_solve(
     """Build one characterization cell and relax it by Gauss–Seidel.
 
     The oracle of :meth:`GateCharacterizer.solve_cell`: the same cell
-    (:meth:`GateCharacterizer._build_cell`), solved by :class:`DcSolver`
-    under the characterizer's solver options and ``on_nonconverged``
-    policy.
+    topology (:meth:`GateCharacterizer._cell`) with its driver rails fixed
+    at ``vector``, solved by :class:`DcSolver` under the characterizer's
+    solver options and ``on_nonconverged`` policy.
     """
     spec = gate_spec(gate_type)
     vector = characterizer._check_vector(spec, vector)
-    cell = characterizer._build_cell(spec, vector, dict(injections or {}))
+    netlist, fixed, initial = characterizer._cell(spec, [vector])
+    for name, rails in fixed.items():
+        netlist.fix_node(name, float(rails[0]))
     op = DcSolver(
-        cell.netlist, characterizer.temperature_k, characterizer.options.solver
-    ).solve(initial_voltages=cell.initial)
+        netlist,
+        characterizer.temperature_k,
+        characterizer.options.solver,
+        injection={
+            _pin_net(spec, pin): amps for pin, amps in (injections or {}).items()
+        },
+    ).solve(initial_voltages={name: float(seed[0]) for name, seed in initial.items()})
     if not op.converged:
         characterizer._report_nonconverged(
             f"scalar characterization cell for {spec.name} vector {vector} "
@@ -677,11 +754,11 @@ def scalar_cell_solve(
             f"sweeps; largest final voltage update {op.max_update:.3e} V"
         )
     return ScalarCellSolution(
-        netlist=cell.netlist,
+        netlist=netlist,
         op=op,
-        dut_breakdown=leakage_by_owner(cell.netlist, op)[_DUT],
-        input_nets=cell.input_nets,
-        output_net=cell.output_net,
+        dut_breakdown=leakage_by_owner(netlist, op)[_DUT],
+        input_nets={pin: _pin_net(spec, pin) for pin in spec.inputs},
+        output_net=_OUTPUT_NET,
     )
 
 
@@ -788,9 +865,7 @@ def monte_carlo_per_sample(
 # --------------------------------------------------------------------- #
 def solve_gauss_seidel(
     solver: BatchedDcSolver,
-    initial_voltages: Mapping[str, float | np.ndarray]
-    | Sequence[Mapping[str, float]]
-    | None = None,
+    initial_voltages: Mapping[str, float | np.ndarray] | None = None,
 ) -> BatchedOperatingPoint:
     """Relax every column of ``solver``'s batch by Gauss–Seidel sweeps alone.
 

@@ -5,11 +5,12 @@ not available here, so this package provides the piece of SPICE that leakage
 estimation actually needs: a DC operating-point solver over transistor-level
 netlists built from the compact models of :mod:`repro.device`.
 
-* :mod:`repro.spice.netlist` — nodes, transistor instances, current sources;
+* :mod:`repro.spice.netlist` — nodes and transistor instances;
 * :mod:`repro.spice.solver` — the solver options;
-* :mod:`repro.spice.batched` — the batched solver over same-topology
-  netlists (characterization cells, reference vectors, Monte-Carlo
-  samples); a single netlist solves as a batch of one;
+* :mod:`repro.spice.batched` — the batched solver: one netlist topology
+  with per-column fixed voltages, injected currents and device parameters
+  bound as arrays (characterization cells, reference vectors, Monte-Carlo
+  samples); a single operating point solves as a batch of one;
 * :mod:`repro.spice.newton` — the batched damped-Newton solve: analytic
   device Jacobians, dense per-column linear solves (sparse SuperLU ones,
   :mod:`repro.spice.sparse`, on large systems), per-column Gauss–Seidel
@@ -28,7 +29,6 @@ solved against the full set of attached transistors.
 """
 
 from repro.spice.netlist import (
-    CurrentSource,
     NodeKind,
     TransistorInstance,
     TransistorNetlist,
@@ -42,7 +42,6 @@ from repro.spice.batched import (
 from repro.spice.analysis import ComponentBreakdown, batched_leakage_by_owner
 
 __all__ = [
-    "CurrentSource",
     "NodeKind",
     "TransistorInstance",
     "TransistorNetlist",

@@ -49,14 +49,6 @@ class ComponentBreakdown:
             btbt=self.btbt + other.btbt,
         )
 
-    def scaled(self, factor: float) -> "ComponentBreakdown":
-        """Return a copy with every component multiplied by ``factor``."""
-        return ComponentBreakdown(
-            subthreshold=self.subthreshold * factor,
-            gate=self.gate * factor,
-            btbt=self.btbt * factor,
-        )
-
     def component(self, name: str) -> float:
         """Return a component by name (``subthreshold``/``gate``/``btbt``/``total``)."""
         if name == "total":

@@ -1,18 +1,21 @@
-"""Batched DC operating-point solver: B same-topology netlists at once.
+"""Batched DC operating-point solver: one topology, ``B`` columns of numbers.
 
 :class:`BatchedDcSolver` solves ``B`` instances of one netlist *topology*
-simultaneously.  The instances must share structure (same node names and
-kinds, same transistor slots and polarities) but may differ in everything
-numeric: fixed-node voltages (including the supply itself), injected
-currents, device parameters and per-transistor threshold shifts.  That covers
-both batched workloads of this library:
+simultaneously.  The topology is one :class:`TransistorNetlist` (node names
+and kinds, transistor slots, polarities and owners); the columns differ only
+in numbers, bound as arrays: fixed-node voltages (the supply among them),
+currents injected into free nodes, and — through a pre-built
+:class:`~repro.device.batched.PackedMosfets` pack — device parameters and
+per-transistor threshold shifts.  That covers every batched workload of this
+library:
 
-* gate characterization — one cell topology swept over (input vector, pin,
-  injection-current) grids, and
-* Monte-Carlo process variation — each structure flattened once, its views
-  run at per-sample supplies, and the per-sample device parameters
-  (inter-die shifts, per-transistor Vth shifts) bound as arrays in a
-  pre-built :class:`~repro.device.batched.PackedMosfets` pack.
+* gate characterization — one cell topology per gate type, its driver
+  inputs bound per input vector and its pin injections per grid point;
+* the transistor-level reference — one flattened circuit, its primary-input
+  rails bound per input vector;
+* Monte-Carlo process variation — one flattened structure, its rails bound
+  at per-sample supplies and its per-sample device parameters (inter-die
+  shifts, per-transistor Vth shifts) bound as a pack.
 
 Solution scheme
 ---------------
@@ -29,7 +32,9 @@ dense memory estimate pick the backend.
 
 The Gauss–Seidel relaxation described below is the fallback of the Newton
 solve; run on every column it is the test oracle
-:func:`repro.oracle.solve_gauss_seidel`.  The sweep structure mirrors the
+:func:`repro.oracle.solve_gauss_seidel`.  Its per-node problems and cluster
+components are built when a column first relaxes, so a batch that never
+falls back never pays for them.  The sweep structure mirrors the
 scalar oracle :class:`repro.oracle.DcSolver` exactly — Gauss–Seidel
 relaxation with a periodic conducting-cluster supernode pass (a rigid common
 shift of each cluster) — but every per-node scalar solve becomes *one*
@@ -46,14 +51,16 @@ of active columns only, so finished instances stop paying for the stragglers.
 Because every update in the sweep, the window expansion and the root finder
 is element-wise and masked, a column's trajectory is bit-for-bit independent
 of which other columns share the batch; solving ``B`` instances in one batch,
-in chunks, or one at a time produces identical voltages.  The parallel
-Monte-Carlo driver relies on this to stay reproducible across worker counts.
+in chunks, or one at a time produces identical voltages.  Chunked reference
+campaigns, :meth:`~repro.variation.qmc.ParameterDraws.slice` blocks of a
+Monte-Carlo run and characterization batches rely on this to give the same
+numbers however their columns are grouped.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 
@@ -63,7 +70,7 @@ from repro.spice.analysis import (
     batched_leakage_by_owner,
     owner_slot_ids,
 )
-from repro.spice.netlist import NodeKind, TransistorNetlist
+from repro.spice.netlist import SUPPLY, NodeKind, TransistorNetlist
 from repro.spice.solver import SolverOptions
 from repro.utils.rootfind import chandrupatla
 
@@ -226,154 +233,158 @@ class _ClusterComponent:
 
 
 class BatchedDcSolver:
-    """DC solver for a batch of same-topology netlists.
+    """DC solver for one netlist topology bound to ``B`` columns of numbers.
 
     Damped Newton, with Gauss–Seidel relaxation as the per-column fallback
     (see :class:`~repro.spice.solver.SolverOptions`).
 
     Parameters
     ----------
-    netlists:
-        ``B`` netlists sharing one topology (see module docstring).  The
-        first netlist is the structural reference; any structural deviation
-        in the others raises ``ValueError``.
+    netlist:
+        The topology (see module docstring).  Its stored node voltages are
+        every column's defaults: the voltage of an unbound fixed node and
+        the initial guess of a free one.
     temperature_k:
         Solve temperature, shared by the batch.
     options:
         Same options as the scalar solver; ``xtol`` bounds the per-node root
         accuracy, ``voltage_tol`` the sweep convergence.
+    fixed:
+        Fixed node to ``(B,)`` volts (or one scalar for every column).  A
+        bound supply node runs each column at its own supply: the bracket
+        limits and the cluster pass's mid-rail are read from its row.
+    injection:
+        Free node to ``(B,)`` amps (or one scalar) injected into it — the
+        loading currents of the characterization cells.
     packed:
-        Optional pre-built ``(transistors, B)`` device pack replacing the
-        one packed from the netlists' Mosfets.  Only for views sharing one
-        transistor list (:meth:`BatchedFlattenedCircuit.netlist_views
-        <repro.circuit.flatten.BatchedFlattenedCircuit.netlist_views>`),
-        whose columns differ in device parameters the list cannot carry.
+        A ``(transistors, B)`` device pack carrying per-column device
+        parameters (the Monte-Carlo binding).  By default the netlist's
+        Mosfets pack once as a ``(transistors, 1)`` grid shared by every
+        column.
+
+    ``B`` is the common length of the bound arrays (and of ``packed``), or
+    1 when nothing is bound.  A length mismatch, an unknown node, a
+    ``fixed`` entry on a free node or an ``injection`` entry on a fixed node
+    raises ``ValueError``.
     """
 
     def __init__(
         self,
-        netlists: Sequence[TransistorNetlist],
+        netlist: TransistorNetlist,
         temperature_k: float,
         options: SolverOptions | None = None,
+        *,
+        fixed: Mapping[str, float | np.ndarray] | None = None,
+        injection: Mapping[str, float | np.ndarray] | None = None,
         packed: PackedMosfets | None = None,
     ) -> None:
-        if not netlists:
-            raise ValueError("need at least one netlist")
         if temperature_k <= 0:
             raise ValueError("temperature_k must be positive")
-        self.netlists = list(netlists)
+        netlist.validate()
+        self.netlist = netlist
+        #: ``[netlist]``, for readers that still index a list of netlists.
+        self.netlists = [netlist]
         self.temperature_k = float(temperature_k)
         self.options = options or SolverOptions()
-        self.batch = len(self.netlists)
 
-        reference = self.netlists[0]
-        reference.validate()
-        self._check_topology(reference)
-
-        self.node_names = list(reference.nodes)
+        self.node_names = list(netlist.nodes)
         self.node_index = {name: row for row, name in enumerate(self.node_names)}
         self._free_rows = [
             self.node_index[n.name]
-            for n in reference.nodes.values()
+            for n in netlist.nodes.values()
             if n.kind is NodeKind.FREE
         ]
+
+        fixed_arrays = self._bind("fixed", fixed, NodeKind.FIXED)
+        injection_arrays = self._bind("injection", injection, NodeKind.FREE)
+        lengths = {
+            array.size
+            for array in (*fixed_arrays.values(), *injection_arrays.values())
+            if array.ndim
+        }
+        if packed is not None and packed.batch > 1:
+            lengths.add(packed.batch)
+        if len(lengths) > 1:
+            raise ValueError(f"bound arrays disagree on the batch size: {sorted(lengths)}")
+        self.batch = lengths.pop() if lengths else 1
 
         # Device grid: slot t, instance b.
         if packed is None:
             packed = PackedMosfets(
-                [
-                    [net.transistors[t].mosfet for net in self.netlists]
-                    for t in range(len(reference.transistors))
-                ],
-                self.temperature_k,
+                [[t.mosfet] for t in netlist.transistors], self.temperature_k
             )
         elif (
-            any(net.transistors is not reference.transistors for net in self.netlists)
-            or (packed.slots, packed.batch) != (len(reference.transistors), self.batch)
+            packed.slots != len(netlist.transistors)
             or packed.temperature_k != self.temperature_k
         ):
             raise ValueError(
-                "a pre-built device pack needs views sharing one transistor "
-                "list, a (transistors, batch) grid and the solve temperature"
+                "a device pack needs one slot per transistor and the solve temperature"
             )
         self.packed = packed
 
-        # Per-transistor terminal rows, used by the post-solve analysis.
+        # Per-column node voltages: bound fixed rails, stored values elsewhere.
+        stored = np.array([node.voltage for node in netlist.nodes.values()])
+        self._voltages = np.repeat(stored[:, None], self.batch, axis=1)
+        for name, rails in fixed_arrays.items():
+            self._voltages[self.node_index[name]] = rails
+        #: ``(free, B)`` injected currents, in free-row order.
+        self._injection = np.zeros((len(self._free_rows), self.batch))
+        free_position = {row: k for k, row in enumerate(self._free_rows)}
+        for name, amps in injection_arrays.items():
+            self._injection[free_position[self.node_index[name]]] = amps
+
+        # Per-transistor terminal rows, used by Newton and the analysis.
         self._transistor_rows = np.array(
             [
-                [self.node_index[getattr(t, term)] for t in reference.transistors]
+                [self.node_index[getattr(t, term)] for t in netlist.transistors]
                 for term in _TERMINALS
             ],
             dtype=int,
         )
-        self._owners = [t.owner for t in reference.transistors]
+        self._owners = [t.owner for t in netlist.transistors]
         self._owner_order, self._owner_ids = owner_slot_ids(self._owners)
 
         # Supply-dependent per-instance quantities.
-        self._vdd = np.array([net.vdd for net in self.netlists])
+        supply = self._voltages[self.node_index[SUPPLY]]
         self._lo_limit = -self.options.bracket_margin
-        self._hi_limit = self._vdd + self.options.bracket_margin
-        self._mid_rail = 0.5 * self._vdd
-
-        self._problems = self._build_problems(reference)
-        self._problems_by_row = {p.row: p for p in self._problems}
-        self._cluster_edges = self._build_cluster_edges(reference)
-        self._cluster_gate_rows = np.array(
-            [e[0] for e in self._cluster_edges], dtype=int
-        )
-        self._cluster_signs = np.array([e[3] for e in self._cluster_edges])[:, None]
-        self._cluster_components = self._build_cluster_components()
+        self._hi_limit = supply + self.options.bracket_margin
+        self._mid_rail = 0.5 * supply
 
     # ------------------------------------------------------------------ #
     # construction helpers
     # ------------------------------------------------------------------ #
-    def _check_topology(self, reference: TransistorNetlist) -> None:
-        ref_nodes = {
-            name: (node.kind, name) for name, node in reference.nodes.items()
-        }
-        for position, net in enumerate(self.netlists[1:], start=1):
-            if set(net.nodes) != set(ref_nodes):
+    def _bind(
+        self, label: str, values: Mapping | None, kind: NodeKind
+    ) -> dict[str, np.ndarray]:
+        """Check one binding's node names and kinds; return float arrays."""
+        bound: dict[str, np.ndarray] = {}
+        for name, value in (values or {}).items():
+            node = self.netlist.nodes.get(name)
+            if node is None:
+                raise ValueError(f"{label} binds unknown node {name!r}")
+            if node.kind is not kind:
                 raise ValueError(
-                    f"netlist {position} has different node names than the reference"
+                    f"{label} binds {node.kind.value} node {name!r}; "
+                    f"it takes {kind.value} nodes only"
                 )
-            for name, node in net.nodes.items():
-                if node.kind is not reference.nodes[name].kind:
-                    raise ValueError(
-                        f"netlist {position}: node {name!r} changed kind"
-                    )
-            if net.transistors is reference.transistors:
-                # Shared-topology views (the batched reference path) share the
-                # transistor list object outright — structurally identical by
-                # construction, so the per-transistor comparison is skipped.
-                continue
-            if len(net.transistors) != len(reference.transistors):
-                raise ValueError(
-                    f"netlist {position} has a different transistor count"
-                )
-            for t_ref, t_other in zip(reference.transistors, net.transistors):
-                if (
-                    t_ref.gate != t_other.gate
-                    or t_ref.drain != t_other.drain
-                    or t_ref.source != t_other.source
-                    or t_ref.bulk != t_other.bulk
-                    or t_ref.owner != t_other.owner
-                    or t_ref.mosfet.polarity is not t_other.mosfet.polarity
-                ):
-                    raise ValueError(
-                        f"netlist {position}: transistor {t_ref.name!r} differs "
-                        "structurally from the reference"
-                    )
+            array = np.asarray(value, dtype=float)
+            if array.ndim > 1:
+                raise ValueError(f"{label} of {name!r} must be a scalar or a (B,) array")
+            bound[name] = array
+        return bound
 
-    def _build_problems(self, reference: TransistorNetlist) -> list[_NodeProblem]:
-        attachment_index = reference.attachments()
-        injections = [net.injections() for net in self.netlists]
-        transistor_slot = {t.name: i for i, t in enumerate(reference.transistors)}
-
-        problems: list[_NodeProblem] = []
-        for node in reference.nodes.values():
-            if node.kind is not NodeKind.FREE:
-                continue
-            attachments = attachment_index[node.name]
+    # The Gauss–Seidel structures below are built when a column first
+    # relaxes (a Newton fallback or the oracle's pure relaxation), never by
+    # a batch that Newton solves outright.
+    @cached_property
+    def _problems(self) -> dict[int, _NodeProblem]:
+        """Free row to its node problem, in free-row (sweep) order."""
+        attachment_index = self.netlist.attachments()
+        transistor_slot = {t.name: i for i, t in enumerate(self.netlist.transistors)}
+        problems: dict[int, _NodeProblem] = {}
+        for k, row in enumerate(self._free_rows):
+            name = self.node_names[row]
+            attachments = attachment_index[name]
             slots = [transistor_slot[t.name] for t, _terminal in attachments]
             terminal_rows = np.array(
                 [
@@ -385,35 +396,29 @@ class BatchedDcSolver:
                 ],
                 dtype=int,
             )
-            row = self.node_index[node.name]
-            self_masks = (terminal_rows == row)[:, :, None]
             weights = np.array(
                 [
                     [1.0 if terminal == term else 0.0 for _t, terminal in attachments]
                     for term in _TERMINALS
                 ]
             )[:, :, None]
-            injection = np.array(
-                [inj.get(node.name, 0.0) for inj in injections]
-            )
-            problems.append(
-                _NodeProblem(
-                    name=node.name,
-                    row=row,
-                    terminal_rows=terminal_rows,
-                    self_masks=self_masks,
-                    weights=weights,
-                    packed=self.packed.rows(slots),
-                    injection=injection,
-                )
+            problems[row] = _NodeProblem(
+                name=name,
+                row=row,
+                terminal_rows=terminal_rows,
+                self_masks=(terminal_rows == row)[:, :, None],
+                weights=weights,
+                packed=self.packed.rows(slots),
+                injection=self._injection[k],
             )
         return problems
 
-    def _build_cluster_edges(self, reference: TransistorNetlist):
+    @cached_property
+    def _cluster_edges(self) -> list[tuple[int, int, int, float]]:
         """Return (gate_row, drain_row, source_row, sign) per free-free channel."""
         free_rows = set(self._free_rows)
         edges = []
-        for transistor in reference.transistors:
+        for transistor in self.netlist.transistors:
             drain = self.node_index[transistor.drain]
             source = self.node_index[transistor.source]
             if drain not in free_rows or source not in free_rows:
@@ -432,21 +437,17 @@ class BatchedDcSolver:
     # public API
     # ------------------------------------------------------------------ #
     def solve(
-        self,
-        initial_voltages: Mapping[str, float | np.ndarray]
-        | Sequence[Mapping[str, float]]
-        | None = None,
+        self, initial_voltages: Mapping[str, float | np.ndarray] | None = None
     ) -> BatchedOperatingPoint:
         """Solve the batch and return the per-instance operating points.
 
         Parameters
         ----------
         initial_voltages:
-            Optional initial guesses for free nodes: either one mapping
-            applied to every instance (values may be scalars or ``(B,)``
-            arrays — the warm-start path of the characterizer passes arrays),
-            or a sequence of ``B`` per-instance mappings.  Unlisted free
-            nodes start from their stored netlist voltage.
+            Optional initial guesses for free nodes, as scalars or ``(B,)``
+            arrays (the characterizer's warm starts are arrays).  Unlisted
+            free nodes start from their stored netlist voltage; entries for
+            other nodes are ignored.
         """
         from repro.spice.newton import solve_newton
 
@@ -508,7 +509,7 @@ class BatchedDcSolver:
             pending_final[active] = False
 
             update_max = np.zeros(active.size)
-            for problem in self._problems:
+            for problem in self._problems.values():
                 active_problem = (
                     problem if whole else problem.take_columns(absolute)
                 )
@@ -570,7 +571,7 @@ class BatchedDcSolver:
         components = self.packed.component_currents(g, d, s, b)
         row = self.node_index[node]
         injection = np.zeros(op.batch)
-        for slot, transistor in enumerate(self.netlists[0].transistors):
+        for slot, transistor in enumerate(self.netlist.transistors):
             if self._transistor_rows[0, slot] != row:
                 continue
             if transistor.owner in exclude_owners:
@@ -582,37 +583,13 @@ class BatchedDcSolver:
     # internals
     # ------------------------------------------------------------------ #
     def _initial_matrix(self, initial_voltages) -> np.ndarray:
-        reference = self.netlists[0]
-        base = np.empty((len(self.node_names), self.batch))
-        for row, name in enumerate(self.node_names):
-            base[row] = [net.nodes[name].voltage for net in self.netlists]
-        if initial_voltages is None:
-            return base
-        free = {
-            name
-            for name, node in reference.nodes.items()
-            if node.kind is NodeKind.FREE
-        }
-        if isinstance(initial_voltages, Mapping):
-            guesses: Sequence[Mapping] = [initial_voltages]
-            broadcast = True
-        else:
-            guesses = list(initial_voltages)
-            if len(guesses) != self.batch:
-                raise ValueError(
-                    f"expected {self.batch} initial-voltage mappings, got {len(guesses)}"
-                )
-            broadcast = False
-        for column, mapping in enumerate(guesses):
-            for name, value in mapping.items():
-                if name not in free:
-                    continue
-                row = self.node_index[name]
-                if broadcast:
-                    base[row] = np.asarray(value, dtype=float)
-                else:
-                    base[row, column] = float(value)
-        return base
+        voltages = self._voltages.copy()
+        nodes = self.netlist.nodes
+        for name, value in (initial_voltages or {}).items():
+            node = nodes.get(name)
+            if node is not None and node.kind is NodeKind.FREE:
+                voltages[self.node_index[name]] = value
+        return voltages
 
     def _residual(
         self, problem: _NodeProblem, voltages: np.ndarray, trial: np.ndarray
@@ -718,17 +695,14 @@ class BatchedDcSolver:
         pass this sweep, and ``active`` maps active columns back to absolute
         batch columns (needed to slice the packed device parameters).
         """
-        if not self._cluster_edges:
-            return
         columns = np.flatnonzero(column_mask)
         if columns.size == 0:
             return
 
-        conducting = (
-            self._cluster_signs
-            * (voltages[self._cluster_gate_rows][:, columns] - mid_rail[columns])
-            > 0.0
-        )
+        edges = self._cluster_edges
+        signs = np.array([e[3] for e in edges])[:, None]
+        gate_rows = np.array([e[0] for e in edges], dtype=int)
+        conducting = signs * (voltages[gate_rows][:, columns] - mid_rail[columns]) > 0.0
 
         # Channel edges never span two potential components, so each
         # component's clusters depend only on its *local* conducting pattern.
@@ -752,12 +726,10 @@ class BatchedDcSolver:
                     items.append((members[0], members, group))
         items.sort(key=lambda item: item[0])
         for _first_row, members, group in items:
-            self._solve_one_cluster(
-                voltages, hi_limit, group, active[group], members,
-                self._problems_by_row,
-            )
+            self._solve_one_cluster(voltages, hi_limit, group, active[group], members)
 
-    def _build_cluster_components(self) -> list["_ClusterComponent"]:
+    @cached_property
+    def _cluster_components(self) -> list[_ClusterComponent]:
         """Connected components of free nodes over *all* channel edges.
 
         A component is the maximal region a conducting cluster could ever
@@ -773,7 +745,8 @@ class BatchedDcSolver:
                 row = parent[row]
             return row
 
-        for _gate, drain, source, _sign in self._cluster_edges:
+        edges = self._cluster_edges
+        for _gate, drain, source, _sign in edges:
             ra, rb = find(drain), find(source)
             if ra != rb:
                 parent[ra] = rb
@@ -782,13 +755,13 @@ class BatchedDcSolver:
         for row in self._free_rows:
             rows_by_root.setdefault(find(row), []).append(row)
         edges_by_root: dict[int, list[int]] = {}
-        for index, (_gate, drain, _source, _sign) in enumerate(self._cluster_edges):
+        for index, (_gate, drain, _source, _sign) in enumerate(edges):
             edges_by_root.setdefault(find(drain), []).append(index)
         return [
             _ClusterComponent(
                 rows=rows,
                 edge_indices=np.array(edges_by_root[root], dtype=int),
-                edges=[self._cluster_edges[i] for i in edges_by_root[root]],
+                edges=[edges[i] for i in edges_by_root[root]],
             )
             for root, rows in rows_by_root.items()
             if len(rows) > 1
@@ -801,10 +774,9 @@ class BatchedDcSolver:
         group: np.ndarray,
         group_abs: np.ndarray,
         members: list[int],
-        problems_by_row: dict[int, _NodeProblem],
     ) -> None:
         member_problems = [
-            problems_by_row[row].take_columns(group_abs) for row in members
+            self._problems[row].take_columns(group_abs) for row in members
         ]
         member_rows = np.array(members)
         base = voltages[member_rows][:, group]

@@ -1,9 +1,11 @@
 """Transistor-level netlist representation.
 
 A :class:`TransistorNetlist` is the structure the DC solver operates on.  It
-is intentionally small: nodes, four-terminal transistor instances
-(:class:`repro.device.mosfet.Mosfet` bound to node names) and ideal current
-sources (used by the gate characterization to emulate loading).
+is intentionally small: nodes and four-terminal transistor instances
+(:class:`repro.device.mosfet.Mosfet` bound to node names).  Currents injected
+into free nodes — the loading currents of the gate characterization — are
+solve inputs, not netlist elements
+(:class:`~repro.spice.batched.BatchedDcSolver`'s ``injection``).
 
 Node semantics
 --------------
@@ -86,20 +88,6 @@ class TransistorInstance:
         )
 
 
-@dataclass(frozen=True)
-class CurrentSource:
-    """An ideal current source injecting ``amps`` into ``node``.
-
-    Positive values push conventional current *into* the node (raising the
-    voltage of a node that would otherwise sit at ground); negative values
-    draw current out of it.  Gate characterization uses these to emulate the
-    loading of neighbouring gates (the paper's I_L-IN / I_L-OUT sweeps).
-    """
-
-    node: str
-    amps: float
-
-
 @dataclass
 class TransistorNetlist:
     """A flat transistor-level netlist.
@@ -113,7 +101,6 @@ class TransistorNetlist:
     vdd: float
     nodes: dict[str, Node] = field(default_factory=dict)
     transistors: list[TransistorInstance] = field(default_factory=list)
-    current_sources: list[CurrentSource] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.vdd <= 0:
@@ -194,13 +181,6 @@ class TransistorNetlist:
         self.transistors.append(instance)
         return instance
 
-    def add_current_source(self, node: str, amps: float) -> CurrentSource:
-        """Add an ideal current source injecting ``amps`` into ``node``."""
-        self.add_node(node)
-        source = CurrentSource(node=node, amps=float(amps))
-        self.current_sources.append(source)
-        return source
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -226,13 +206,6 @@ class TransistorNetlist:
                 index[node_name].append((transistor, terminal))
         return index
 
-    def injections(self) -> dict[str, float]:
-        """Return, per node, the net injected current from ideal sources."""
-        totals: dict[str, float] = {}
-        for source in self.current_sources:
-            totals[source.node] = totals.get(source.node, 0.0) + source.amps
-        return totals
-
     def owners(self) -> list[str]:
         """Return the distinct owner tags in insertion order."""
         seen: dict[str, None] = {}
@@ -244,17 +217,13 @@ class TransistorNetlist:
     def validate(self) -> None:
         """Raise ``ValueError`` for structurally broken netlists.
 
-        Checks: duplicate transistor names, dangling current sources, and
-        free nodes with no attached device (which would make the KCL system
-        singular).
+        Checks: duplicate transistor names and free nodes with no attached
+        device (which would make the KCL system singular).
         """
         names = [t.name for t in self.transistors]
         if len(names) != len(set(names)):
             raise ValueError("duplicate transistor instance names in netlist")
         attachment_index = self.attachments()
-        for source in self.current_sources:
-            if source.node not in self.nodes:
-                raise ValueError(f"current source references unknown node {source.node!r}")
         for name in self.free_nodes():
             if not attachment_index[name]:
                 raise ValueError(f"free node {name!r} has no attached devices")

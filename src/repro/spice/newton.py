@@ -66,7 +66,7 @@ freeze (they are never re-evaluated).  A column's trajectory — and its
 solved voltages, bit for bit — is therefore independent of which other
 columns share the batch, exactly like the Gauss–Seidel path.  The
 characterization, reference-campaign and Monte-Carlo drivers rely on this
-to stay reproducible across chunkings and worker counts.
+to stay reproducible however their columns are chunked.
 """
 
 from __future__ import annotations
@@ -159,11 +159,8 @@ class _NewtonAssembler:
         self.res_source = np.array(res_source, dtype=int)
         self.jac_target = np.array(jac_target, dtype=int)
         self.jac_source = np.array(jac_source, dtype=int)
-
-        # Injections in free-node order; the problems list is built from the
-        # same FREE-filtered node iteration as _free_rows.
-        assert [p.row for p in solver._problems] == list(solver._free_rows)
-        self.injection = np.stack([p.injection for p in solver._problems])
+        #: ``(N, B)`` injected currents, in free-row order.
+        self.injection = solver._injection
 
     def _scatter_currents(self, currents, grid_shape) -> np.ndarray:
         stacked = np.stack(

@@ -38,9 +38,11 @@ def spawn_streams(rng: RngLike, count: int) -> list[np.random.Generator]:
     The streams are derived through ``SeedSequence.spawn`` (or
     ``Generator.spawn`` when an existing generator is passed), so stream
     ``i`` depends only on the root seed and ``i`` — never on how many other
-    streams exist or in which order they are consumed.  This is what makes
-    the parallel Monte-Carlo driver bitwise-reproducible against the serial
-    one: both hand sample ``i`` exactly ``streams[i]``.
+    streams exist or in which order they are consumed.  This is what keeps
+    a Monte-Carlo run's draws independent of its blocking: sample ``i``
+    gets exactly ``streams[i]``, so solving
+    :meth:`~repro.variation.qmc.ParameterDraws.slice` blocks of the drawn
+    block gives bitwise the samples of one whole block.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")

@@ -325,7 +325,11 @@ def _solve_parameter_sets(
         )
         batch = flattened.at_supplies(supply)
         solver = BatchedDcSolver(
-            batch.netlist_views(), task.temperature_k, task.solver_options, packed
+            batch.netlist,
+            task.temperature_k,
+            task.solver_options,
+            fixed=batch.fixed_voltages,
+            packed=packed,
         )
         op = solver.solve(initial_voltages=batch.initial_voltages())
         if not op.all_converged:

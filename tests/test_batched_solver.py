@@ -175,29 +175,55 @@ class TestChandrupatla:
             chandrupatla(f, np.zeros(1), np.ones(1), xtol=1e-13)
 
 
-def _nand2_cell(technology, vector, injection=None):
+def _nand2_cell(technology, vector):
     netlist = TransistorNetlist(vdd=technology.vdd)
     netlist.add_node("a", fixed_voltage=technology.vdd * vector[0])
     netlist.add_node("b", fixed_voltage=technology.vdd * vector[1])
     build_gate_transistors(
         netlist, technology, GateType.NAND2, "g", {"a": "a", "b": "b", "y": "out"}
     )
-    if injection:
-        netlist.add_current_source("out", injection)
+    return netlist
+
+
+def _nand2_batch(technology, vectors, injections=None, options=TIGHT):
+    """NAND2 columns bound to one topology: a vector and an output injection each."""
+    rails = technology.vdd * np.array(vectors, dtype=float)
+    return BatchedDcSolver(
+        _nand2_cell(technology, vectors[0]),
+        300.0,
+        options,
+        fixed={"a": rails[:, 0], "b": rails[:, 1]},
+        injection={"out": np.zeros(len(vectors)) if injections is None else injections},
+    )
+
+
+def _pinned_cell(technology):
+    """A node attached only to a gate terminal."""
+    netlist = TransistorNetlist(vdd=technology.vdd)
+    netlist.add_node("float_gate")
+    netlist.add_transistor(
+        name="m1",
+        mosfet=Mosfet(technology.nmos),
+        gate="float_gate",
+        drain="vdd",
+        source="gnd",
+        bulk="gnd",
+        owner="g",
+    )
     return netlist
 
 
 @pytest.mark.slow
 class TestBatchedSolverEquivalence:
     def test_voltages_and_leakage_match_scalar_oracle(self, bulk25):
-        injections = [None, 5e-7, -5e-7, 2e-6, -2e-6]
-        netlists = [_nand2_cell(bulk25, (1, 0), inj) for inj in injections]
-        batched = BatchedDcSolver(netlists, 300.0, TIGHT)
+        injections = [0.0, 5e-7, -5e-7, 2e-6, -2e-6]
+        batched = _nand2_batch(bulk25, [(1, 0)] * len(injections), injections)
         op = batched.solve()
         assert op.all_converged
         owner_leakage = batched.leakage_by_owner(op)["g"]
-        for index, netlist in enumerate(netlists):
-            scalar_op = DcSolver(netlist, 300.0, TIGHT).solve()
+        for index, injection in enumerate(injections):
+            netlist = _nand2_cell(bulk25, (1, 0))
+            scalar_op = DcSolver(netlist, 300.0, TIGHT, {"out": injection}).solve()
             assert scalar_op.converged
             for name, voltage in scalar_op.voltages.items():
                 batched_v = op.voltages[op.node_index[name], index]
@@ -211,11 +237,11 @@ class TestBatchedSolverEquivalence:
             assert got.btbt == pytest.approx(scalar_leakage.btbt, rel=1e-9, abs=0)
 
     def test_default_tolerances_agree_to_voltage_tol(self, bulk25):
-        netlists = [_nand2_cell(bulk25, (0, 0)), _nand2_cell(bulk25, (1, 1))]
+        vectors = [(0, 0), (1, 1)]
         options = SolverOptions()
-        op = BatchedDcSolver(netlists, 300.0, options).solve()
-        for index, netlist in enumerate(netlists):
-            scalar_op = DcSolver(netlist, 300.0, options).solve()
+        op = _nand2_batch(bulk25, vectors, options=options).solve()
+        for index, vector in enumerate(vectors):
+            scalar_op = DcSolver(_nand2_cell(bulk25, vector), 300.0, options).solve()
             for name, voltage in scalar_op.voltages.items():
                 batched_v = op.voltages[op.node_index[name], index]
                 assert batched_v == pytest.approx(
@@ -226,24 +252,11 @@ class TestBatchedSolverEquivalence:
         """A node attached only to a gate terminal, with a huge forced
         injection the tunneling current cannot absorb: both solvers must pin
         it to the same admissible-range endpoint."""
-
-        def build():
-            netlist = TransistorNetlist(vdd=bulk25.vdd)
-            netlist.add_node("float_gate")
-            netlist.add_transistor(
-                name="m1",
-                mosfet=Mosfet(bulk25.nmos),
-                gate="float_gate",
-                drain="vdd",
-                source="gnd",
-                bulk="gnd",
-                owner="g",
-            )
-            netlist.add_current_source("float_gate", 1.0e-3)
-            return netlist
-
-        scalar_op = DcSolver(build(), 300.0, TIGHT).solve()
-        batched_op = BatchedDcSolver([build()], 300.0, TIGHT).solve()
+        injection = {"float_gate": 1.0e-3}
+        scalar_op = DcSolver(_pinned_cell(bulk25), 300.0, TIGHT, injection).solve()
+        batched_op = BatchedDcSolver(
+            _pinned_cell(bulk25), 300.0, TIGHT, injection=injection
+        ).solve()
         assert batched_op.voltage("float_gate")[0] == pytest.approx(
             scalar_op.voltage("float_gate"), abs=1e-12
         )
@@ -253,43 +266,23 @@ class TestBatchedSolverEquivalence:
         )
 
     def test_instances_converge_at_different_sweep_counts(self, bulk25):
-        netlists = [
-            _nand2_cell(bulk25, (0, 0)),
-            _nand2_cell(bulk25, (1, 1), injection=3e-6),
-        ]
+        vectors = [(0, 0), (1, 1)]
+        injections = [0.0, 3e-6]
         # Deliberately poor initial guess for the second instance only.
-        op = BatchedDcSolver(netlists, 300.0, TIGHT).solve(
-            initial_voltages=[{"out": bulk25.vdd}, {"out": 0.0}]
+        guesses = [bulk25.vdd, 0.0]
+        op = _nand2_batch(bulk25, vectors, injections).solve(
+            initial_voltages={"out": np.array(guesses)}
         )
         assert op.all_converged
         assert op.sweeps[0] != op.sweeps[1]
         # Each instance must match its own single-instance solve bitwise:
         # converged columns freeze, so batch composition cannot leak in.
-        for index, netlist in enumerate(netlists):
-            alone = BatchedDcSolver([netlist], 300.0, TIGHT).solve(
-                initial_voltages=[
-                    {"out": bulk25.vdd} if index == 0 else {"out": 0.0}
-                ]
+        for index, vector in enumerate(vectors):
+            alone = _nand2_batch(bulk25, [vector], [injections[index]]).solve(
+                initial_voltages={"out": guesses[index]}
             )
             assert np.array_equal(alone.voltages[:, 0], op.voltages[:, index])
             assert alone.sweeps[0] == op.sweeps[index]
-
-    def test_prebuilt_pack_needs_views_sharing_one_transistor_list(self, bulk25):
-        netlists = [_nand2_cell(bulk25, (1, 0)), _nand2_cell(bulk25, (0, 1))]
-        packed = BatchedDcSolver(netlists, 300.0).packed
-        with pytest.raises(ValueError, match="pre-built device pack"):
-            BatchedDcSolver(netlists, 300.0, packed=packed)
-
-    def test_topology_mismatch_rejected(self, bulk25):
-        good = _nand2_cell(bulk25, (0, 0))
-        renamed = TransistorNetlist(vdd=bulk25.vdd)
-        renamed.add_node("a", fixed_voltage=0.0)
-        renamed.add_node("b", fixed_voltage=0.0)
-        build_gate_transistors(
-            renamed, bulk25, GateType.NAND2, "g", {"a": "a", "b": "b", "y": "out2"}
-        )
-        with pytest.raises(ValueError, match="node names"):
-            BatchedDcSolver([good, renamed], 300.0)
 
     def test_mixed_supply_voltages_in_one_batch(self, bulk25):
         """Instances may run at different VDD (the Monte-Carlo case)."""
@@ -303,11 +296,13 @@ class TestBatchedSolverEquivalence:
             )
             return netlist
 
-        netlists = [cell(1.0), cell(0.9), cell(1.1)]
-        op = BatchedDcSolver(netlists, 300.0, TIGHT).solve()
+        scales = [1.0, 0.9, 1.1]
+        op = BatchedDcSolver(
+            cell(1.0), 300.0, TIGHT, fixed={"vdd": bulk25.vdd * np.array(scales)}
+        ).solve()
         assert op.all_converged
-        for index, netlist in enumerate(netlists):
-            scalar_op = DcSolver(netlist, 300.0, TIGHT).solve()
+        for index, scale in enumerate(scales):
+            scalar_op = DcSolver(cell(scale), 300.0, TIGHT).solve()
             assert op.voltage("out")[index] == pytest.approx(
                 scalar_op.voltage("out"), abs=1e-9
             )
@@ -325,6 +320,108 @@ def _count_batched_solves(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(BatchedDcSolver, "solve", counting)
     return batches
+
+
+def _count_netlists(monkeypatch) -> list[TransistorNetlist]:
+    """Record every ``TransistorNetlist`` constructed from here on."""
+    built: list[TransistorNetlist] = []
+    real = TransistorNetlist.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(TransistorNetlist, "__post_init__", counting)
+    return built
+
+
+class TestOneTopologyBinding:
+    """A batch is one netlist topology plus per-column arrays."""
+
+    @pytest.mark.parametrize(
+        "binding, message",
+        [
+            (dict(fixed={"a": np.zeros(2)}, injection={"out": np.zeros(3)}), "batch size"),
+            (dict(injection={"nowhere": 1e-6}), "unknown node 'nowhere'"),
+            (dict(fixed={"out": 0.0}), "free node 'out'"),
+            (dict(injection={"a": 1e-6}), "fixed node 'a'"),
+        ],
+        ids=["length-mismatch", "unknown-node", "fixed-on-free", "injection-on-fixed"],
+    )
+    def test_bad_binding_rejected(self, bulk25, binding, message):
+        with pytest.raises(ValueError, match=message):
+            BatchedDcSolver(_nand2_cell(bulk25, (0, 0)), 300.0, **binding)
+
+    def test_characterize_type_builds_one_cell_netlist(self, bulk25, monkeypatch):
+        characterizer = GateCharacterizer(
+            bulk25, options=CharacterizationOptions(injection_grid=SMALL_GRID)
+        )
+        built = _count_netlists(monkeypatch)
+        records = characterizer.characterize_type(GateType.NAND3)
+        assert len(records) == 8
+        assert characterizer.solve_stats["solves"] == 8 + 8 * 4 * len(SMALL_GRID)
+        assert len(built) == 1
+
+    def test_monte_carlo_block_builds_the_two_flattened_netlists(
+        self, d25s, monkeypatch
+    ):
+        task = build_sample_task(d25s, input_loads=1, output_loads=1)
+        draws = draw_qmc_parameters(
+            task.spec, 512, loaded_transistor_count(1, 1), 7
+        )
+        built = _count_netlists(monkeypatch)
+        batches = _count_batched_solves(monkeypatch)
+        samples = simulate_batch_from_draws(task, draws)
+        assert len(samples) == 512
+        assert batches == [512, 512]
+        assert len(built) == 2
+
+    def test_relaxation_is_built_only_for_a_fallback(self, bulk25, monkeypatch):
+        """A batch Newton solves outright builds no Gauss–Seidel node
+        problem; a fallback column builds them and still equals the pure
+        relaxation of the oracle bitwise."""
+        from repro.oracle import solve_gauss_seidel
+        from repro.spice import batched
+
+        problems = []
+        real = batched._NodeProblem.__init__
+
+        def counting(self, *args, **kwargs):
+            problems.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(batched._NodeProblem, "__init__", counting)
+        op = _nand2_batch(bulk25, [(0, 0), (1, 0)], [0.0, 1e-6]).solve()
+        assert op.all_converged and not op.fallback.any()
+        assert problems == []
+
+        injection = {"float_gate": np.array([1e-3, 1e-12])}
+        newton = BatchedDcSolver(
+            _pinned_cell(bulk25), 300.0, TIGHT, injection=injection
+        ).solve()
+        assert newton.fallback.tolist() == [True, False]
+        assert problems
+        relaxed = solve_gauss_seidel(
+            BatchedDcSolver(_pinned_cell(bulk25), 300.0, TIGHT, injection=injection)
+        )
+        assert np.array_equal(newton.voltages[:, 0], relaxed.voltages[:, 0])
+
+
+def _record_values(record):
+    """Every number of a characterization record, as comparable plain values."""
+    return (
+        record.nominal.as_dict(),
+        record.output_voltage,
+        record.input_voltages,
+        record.pin_injection,
+        {
+            pin: [
+                getattr(curve, name).tolist()
+                for name in ("injections", "subthreshold", "gate", "btbt")
+            ]
+            for pin, curve in record.responses.items()
+        },
+    )
 
 
 @pytest.mark.slow
@@ -379,7 +476,10 @@ class TestBatchedCharacterizationEquivalence:
 
     def test_characterize_type_matches_per_vector_calls(self, bulk25, monkeypatch):
         """The whole type characterizes in two solves, whatever its vector
-        count: the nominal cells, then every (vector, pin, injection) cell."""
+        count: the nominal cells, then every (vector, pin, injection) cell.
+        Every vector's record equals its one-vector characterization bitwise:
+        nominal components, node voltages, pin injections and every point of
+        every response curve."""
         options = CharacterizationOptions(injection_grid=SMALL_GRID)
         characterizer = GateCharacterizer(bulk25, options=options)
         batches = _count_batched_solves(monkeypatch)
@@ -390,11 +490,9 @@ class TestBatchedCharacterizationEquivalence:
         pins = len(spec.inputs) + 1
         assert batches == [len(whole), len(whole) * pins * nonzero]
         assert characterizer.solve_stats["solves"] == sum(batches)
-        single = characterizer.characterize(GateType.NAND2, (0, 1))
-        record = whole[(0, 1)]
-        assert record.nominal.total == pytest.approx(
-            single.nominal.total, rel=1e-9, abs=0
-        )
+        for vector, record in whole.items():
+            single = characterizer.characterize(GateType.NAND2, vector)
+            assert _record_values(record) == _record_values(single)
 
     def test_duplicate_vectors_rejected(self, bulk25):
         characterizer = GateCharacterizer(bulk25)
@@ -444,7 +542,9 @@ def _per_sample_flatten_oracle(task, draws):
     Every column flattens both study structures under its own shifted
     technology and writes the intra-die shifts onto the transistors' Mosfets
     (the unloaded twin by name); each structure's columns then solve as one
-    batch, exactly as the engine's do.
+    batch, exactly as the engine's do: every column's rails and seeds bound
+    as arrays, and its Mosfets packed as one column of a (transistor,
+    sample) grid.
     """
     loaded = loaded_inverter_cluster(task.input_loads, task.output_loads)
     unloaded = loaded_inverter_cluster(0, 0, name="unloaded_inverter")
@@ -460,10 +560,27 @@ def _per_sample_flatten_oracle(task, draws):
             for transistor in flat.netlist.transistors:
                 transistor.mosfet.vth_shift = shifts[transistor.name]
             flats.append(flat)
-        solver = BatchedDcSolver(
-            [f.netlist for f in flats], task.temperature_k, task.solver_options
+        netlist = flats[0].netlist
+        packed = PackedMosfets(
+            [
+                [f.netlist.transistors[t].mosfet for f in flats]
+                for t in range(len(netlist.transistors))
+            ],
+            task.temperature_k,
         )
-        op = solver.solve(initial_voltages=[f.initial_voltages() for f in flats])
+        fixed = {
+            node: np.array([f.netlist.nodes[node].voltage for f in flats])
+            for node in netlist.fixed_voltages()
+        }
+        seeds = [f.initial_voltages() for f in flats]
+        solver = BatchedDcSolver(
+            netlist, task.temperature_k, task.solver_options, fixed=fixed, packed=packed
+        )
+        op = solver.solve(
+            initial_voltages={
+                node: np.array([seed[node] for seed in seeds]) for node in seeds[0]
+            }
+        )
         solved.append((solver.leakage_by_owner(op)["g"], op.converged))
     (with_loading, loaded_ok), (without_loading, unloaded_ok) = solved
     return [

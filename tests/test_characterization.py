@@ -18,7 +18,8 @@ from repro.gates.characterize import (
     GateLibrary,
 )
 from repro.gates.library import GateType
-from repro.gates.lut import ResponseCurve
+from repro.gates.lut import GateVectorCharacterization, ResponseCurve
+from repro.oracle import breakdown_at, leakage_with_loading
 from repro.spice.analysis import ComponentBreakdown
 from repro.spice.batched import BatchedDcSolver
 from repro.utils.mathtools import percent_difference
@@ -114,19 +115,19 @@ class TestCharacterizationRecords:
     def test_leakage_with_loading_moves_in_right_direction(self, library25):
         record = library25.characterization(GateType.INV, (0,))
         nominal = record.nominal
-        loaded = record.leakage_with_loading({"a": 2.0e-6})
+        loaded = leakage_with_loading(record, {"a": 2.0e-6})
         assert loaded.subthreshold > nominal.subthreshold
-        unloaded = record.leakage_with_loading({})
+        unloaded = leakage_with_loading(record, {})
         assert unloaded.total == pytest.approx(nominal.total)
 
     def test_unknown_response_pin_raises(self, library25):
         record = library25.characterization(GateType.INV, (0,))
         with pytest.raises(KeyError):
-            record.leakage_with_loading({"b": 1e-6})
+            leakage_with_loading(record, {"b": 1e-6})
 
     def test_loading_effect_percent(self, library25):
         record = library25.characterization(GateType.INV, (0,))
-        loaded = record.leakage_with_loading({"a": 2.0e-6}).subthreshold
+        loaded = leakage_with_loading(record, {"a": 2.0e-6}).subthreshold
         assert percent_difference(loaded, record.nominal.subthreshold) > 0
 
     def test_library_caches_records(self, library25):
@@ -154,12 +155,21 @@ def _example_curve():
 class TestResponseCurve:
     def test_interpolation_and_extrapolation(self):
         curve = _example_curve()
-        mid = curve.breakdown_at(0.5e-6)
+        mid = breakdown_at(curve, 0.5e-6)
         assert mid.subthreshold == pytest.approx(3.0e-9)
-        clamped = curve.breakdown_at(10e-6, policy="clamp")
+        clamped = breakdown_at(curve, 10e-6, policy="clamp")
         assert clamped.subthreshold == pytest.approx(4.0e-9)
-        delta = curve.delta_at(1.0e-6, ComponentBreakdown(2.0e-9, 3.0e-9, 1.0e-9))
-        assert delta.subthreshold == pytest.approx(2.0e-9)
+        record = GateVectorCharacterization(
+            gate_type_name="inv",
+            vector=(0,),
+            nominal=ComponentBreakdown(2.0e-9, 3.0e-9, 1.0e-9),
+            output_voltage=0.0,
+            input_voltages={},
+            pin_injection={},
+            responses={"a": curve},
+        )
+        delta = leakage_with_loading(record, {"a": 1.0e-6}).subthreshold - 2.0e-9
+        assert delta == pytest.approx(2.0e-9)
 
     def test_out_of_range_warns_once_and_still_clamps(self):
         from repro.gates.lut import (
@@ -171,24 +181,24 @@ class TestResponseCurve:
         try:
             curve = _example_curve()
             with pytest.warns(ResponseCurveRangeWarning, match="outside"):
-                clamped = curve.breakdown_at(10e-6)
+                clamped = breakdown_at(curve, 10e-6)
             assert clamped.subthreshold == pytest.approx(4.0e-9)
             # Warn-once: the same (pin, direction) stays quiet afterwards.
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                curve.breakdown_at(11e-6)
+                breakdown_at(curve, 11e-6)
             # The other direction warns independently.
             with pytest.warns(ResponseCurveRangeWarning):
-                curve.breakdown_at(-10e-6)
+                breakdown_at(curve, -10e-6)
         finally:
             set_extrapolation_policy(previous)
 
     def test_out_of_range_raise_policy(self):
         curve = _example_curve()
         with pytest.raises(ValueError, match="outside"):
-            curve.breakdown_at(10e-6, policy="raise")
+            breakdown_at(curve, 10e-6, policy="raise")
         with pytest.raises(ValueError, match="policy"):
-            curve.breakdown_at(0.0, policy="bogus")
+            breakdown_at(curve, 0.0, policy="bogus")
 
     def test_set_extrapolation_policy_validates(self):
         from repro.gates.lut import set_extrapolation_policy

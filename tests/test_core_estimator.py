@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import oracle
 from repro.circuit.generators import (
     fanout_star,
     inverter_chain,
@@ -14,7 +15,6 @@ from repro.core.reference import ReferenceSimulator
 from repro.core.report import CircuitLeakageReport
 from repro.core.vectors import run_vector_campaign
 from repro.engine import campaign as campaign_module
-from repro.gates.lut import GateVectorCharacterization, ResponseCurve
 
 
 class TestEstimatorBasics:
@@ -70,10 +70,8 @@ class TestEstimatorBasics:
             raise AssertionError("per-record LUT lookup on the production path")
 
         monkeypatch.setattr(campaign_module, "_run_chunk", counting_chunk)
-        monkeypatch.setattr(
-            GateVectorCharacterization, "leakage_with_loading", forbidden_lookup
-        )
-        monkeypatch.setattr(ResponseCurve, "breakdown_at", forbidden_lookup)
+        monkeypatch.setattr(oracle, "leakage_with_loading", forbidden_lookup)
+        monkeypatch.setattr(oracle, "breakdown_at", forbidden_lookup)
         report = estimator.estimate(circuit, {"in": 0})
         assert chunks == [1]
         assert lookups == []

@@ -324,30 +324,46 @@ class TestPackedJacobian:
                 assert_grad_close(jacobian[i, x], fd, rtol=2e-3, floor=1e-16)
 
 
-def _nand2_cell(technology, vector, injection=None, vth_shift=0.0):
+def _nand2_cell(technology, vector):
     netlist = TransistorNetlist(vdd=technology.vdd)
     netlist.add_node("a", fixed_voltage=technology.vdd * vector[0])
     netlist.add_node("b", fixed_voltage=technology.vdd * vector[1])
     build_gate_transistors(
         netlist, technology, GateType.NAND2, "g", {"a": "a", "b": "b", "y": "out"}
     )
-    if injection:
-        netlist.add_current_source("out", injection)
-    if vth_shift:
-        for transistor in netlist.transistors:
-            transistor.mosfet.vth_shift = vth_shift
     return netlist
+
+
+def _nand2_batch(technology, vectors, injections=None, vth_shifts=None):
+    """NAND2 columns bound to one topology: per column a vector, an output
+    injection and (through a per-column device pack) a Vth shift."""
+    netlist = _nand2_cell(technology, vectors[0])
+    rails = technology.vdd * np.array(vectors, dtype=float)
+    packed = None
+    if vth_shifts is not None:
+        packed = PackedMosfets(
+            [
+                [Mosfet(t.mosfet.device, vth_shift=shift) for shift in vth_shifts]
+                for t in netlist.transistors
+            ],
+            300.0,
+        )
+    return BatchedDcSolver(
+        netlist,
+        300.0,
+        TIGHT,
+        fixed={"a": rails[:, 0], "b": rails[:, 1]},
+        injection={"out": np.zeros(len(vectors)) if injections is None else injections},
+        packed=packed,
+    )
 
 
 class TestCircuitJacobian:
     def test_assembled_jacobian_matches_finite_differences(self, bulk25):
         """Mixed batch: different vectors, injections and Vth shifts."""
-        netlists = [
-            _nand2_cell(bulk25, (1, 0)),
-            _nand2_cell(bulk25, (0, 0), injection=5e-7),
-            _nand2_cell(bulk25, (1, 1), injection=-2e-7, vth_shift=0.004),
-        ]
-        solver = BatchedDcSolver(netlists, 300.0, TIGHT)
+        solver = _nand2_batch(
+            bulk25, [(1, 0), (0, 0), (1, 1)], [0.0, 5e-7, -2e-7], [0.0, 0.0, 0.004]
+        )
         assembler = _NewtonAssembler(solver)
         voltages = solver._initial_matrix(None)
         # Move off the all-rails start so every device sees generic biases.
@@ -383,16 +399,17 @@ class TestCircuitJacobian:
 @pytest.mark.slow
 class TestNewtonEquivalence:
     def test_voltages_and_leakage_match_scalar_oracle(self, bulk25):
-        injections = [None, 5e-7, -5e-7, 2e-6, -2e-6]
-        netlists = [_nand2_cell(bulk25, (1, 0), inj) for inj in injections]
-        op = BatchedDcSolver(netlists, 300.0, TIGHT).solve()
+        injections = [0.0, 5e-7, -5e-7, 2e-6, -2e-6]
+        vectors = [(1, 0)] * len(injections)
+        op = _nand2_batch(bulk25, vectors, injections).solve()
         assert op.all_converged
         assert op.method == "newton"
         assert not op.fallback.any()
-        solver = BatchedDcSolver(netlists, 300.0, TIGHT)
+        solver = _nand2_batch(bulk25, vectors, injections)
         owner_leakage = solver.leakage_by_owner(op)["g"]
-        for index, netlist in enumerate(netlists):
-            scalar_op = DcSolver(netlist, 300.0, TIGHT).solve()
+        for index, injection in enumerate(injections):
+            netlist = _nand2_cell(bulk25, (1, 0))
+            scalar_op = DcSolver(netlist, 300.0, TIGHT, {"out": injection}).solve()
             assert scalar_op.converged
             for name, voltage in scalar_op.voltages.items():
                 batched_v = op.voltages[op.node_index[name], index]
@@ -405,12 +422,9 @@ class TestNewtonEquivalence:
                 )
 
     def test_newton_matches_batched_gauss_seidel(self, bulk25):
-        netlists = [
-            _nand2_cell(bulk25, (0, 1)),
-            _nand2_cell(bulk25, (1, 1), injection=1e-6),
-        ]
-        newton = BatchedDcSolver(netlists, 300.0, TIGHT).solve()
-        relaxed = solve_gauss_seidel(BatchedDcSolver(netlists, 300.0, TIGHT))
+        columns = ([(0, 1), (1, 1)], [0.0, 1e-6])
+        newton = _nand2_batch(bulk25, *columns).solve()
+        relaxed = solve_gauss_seidel(_nand2_batch(bulk25, *columns))
         assert newton.all_converged and relaxed.all_converged
         assert np.abs(newton.voltages - relaxed.voltages).max() < 1e-9
 
@@ -424,11 +438,13 @@ class TestNewtonEquivalence:
             )
             return netlist
 
-        netlists = [cell(1.0), cell(0.9), cell(1.1)]
-        op = BatchedDcSolver(netlists, 300.0, TIGHT).solve()
+        scales = [1.0, 0.9, 1.1]
+        op = BatchedDcSolver(
+            cell(1.0), 300.0, TIGHT, fixed={"vdd": bulk25.vdd * np.array(scales)}
+        ).solve()
         assert op.all_converged
-        for index, netlist in enumerate(netlists):
-            scalar_op = DcSolver(netlist, 300.0, TIGHT).solve()
+        for index, scale in enumerate(scales):
+            scalar_op = DcSolver(cell(scale), 300.0, TIGHT).solve()
             assert op.voltage("out")[index] == pytest.approx(
                 scalar_op.voltage("out"), abs=1e-9
             )
@@ -440,37 +456,23 @@ class TestNewtonBatchInvariance:
         """Each column solved alone, chunked, or in the full batch must be
         bit-for-bit identical — including columns that converge at
         different iteration counts (warm vs cold starts)."""
-        netlists = [
-            _nand2_cell(bulk25, (0, 0)),
-            _nand2_cell(bulk25, (1, 1), injection=3e-6),
-            _nand2_cell(bulk25, (1, 0), injection=-1e-6),
-            _nand2_cell(bulk25, (0, 1)),
-        ]
-        guesses = [
-            {"out": bulk25.vdd},
-            {"out": 0.0},
-            {"out": 0.5 * bulk25.vdd},
-            {"out": bulk25.vdd},
-        ]
-        whole = BatchedDcSolver(netlists, 300.0, TIGHT).solve(
-            initial_voltages=guesses
-        )
+        vectors = [(0, 0), (1, 1), (1, 0), (0, 1)]
+        injections = np.array([0.0, 3e-6, -1e-6, 0.0])
+        guesses = np.array([bulk25.vdd, 0.0, 0.5 * bulk25.vdd, bulk25.vdd])
+
+        def solve(columns):
+            return _nand2_batch(
+                bulk25, [vectors[c] for c in columns], injections[columns]
+            ).solve(initial_voltages={"out": guesses[columns]})
+
+        whole = solve([0, 1, 2, 3])
         assert whole.all_converged
         assert len(set(whole.newton_iterations.tolist())) > 1
-        for index, netlist in enumerate(netlists):
-            alone = BatchedDcSolver([netlist], 300.0, TIGHT).solve(
-                initial_voltages=[guesses[index]]
-            )
+        for index in range(len(vectors)):
+            alone = solve([index])
             assert np.array_equal(alone.voltages[:, 0], whole.voltages[:, index])
             assert alone.newton_iterations[0] == whole.newton_iterations[index]
-        halves = [
-            BatchedDcSolver(netlists[:2], 300.0, TIGHT).solve(
-                initial_voltages=guesses[:2]
-            ),
-            BatchedDcSolver(netlists[2:], 300.0, TIGHT).solve(
-                initial_voltages=guesses[2:]
-            ),
-        ]
+        halves = [solve([0, 1]), solve([2, 3])]
         recombined = np.concatenate(
             [half.voltages for half in halves], axis=1
         )
@@ -480,6 +482,7 @@ class TestNewtonBatchInvariance:
 @pytest.mark.slow
 class TestNewtonFallback:
     def _pinned_cell(self, technology, injection):
+        """A node attached only to a gate terminal, ``(B,)`` amps forced in."""
         netlist = TransistorNetlist(vdd=technology.vdd)
         netlist.add_node("float_gate")
         netlist.add_transistor(
@@ -491,19 +494,16 @@ class TestNewtonFallback:
             bulk="gnd",
             owner="g",
         )
-        netlist.add_current_source("float_gate", injection)
-        return netlist
+        return BatchedDcSolver(
+            netlist, 300.0, TIGHT, injection={"float_gate": np.asarray(injection)}
+        )
 
     def test_pinned_node_falls_back_bitwise_to_gauss_seidel(self, bulk25):
         """A KCL equation with no root in the admissible band: Newton's
         line search stalls at the band edge and the column must fall back,
         reproducing the relaxation result exactly."""
-        newton = BatchedDcSolver(
-            [self._pinned_cell(bulk25, 1e-3)], 300.0, TIGHT
-        ).solve()
-        relaxed = solve_gauss_seidel(
-            BatchedDcSolver([self._pinned_cell(bulk25, 1e-3)], 300.0, TIGHT)
-        )
+        newton = self._pinned_cell(bulk25, [1e-3]).solve()
+        relaxed = solve_gauss_seidel(self._pinned_cell(bulk25, [1e-3]))
         assert newton.fallback[0]
         assert np.array_equal(newton.voltages, relaxed.voltages)
         assert newton.voltage("float_gate")[0] == pytest.approx(
@@ -513,15 +513,12 @@ class TestNewtonFallback:
     def test_mixed_fallback_batch_stays_column_independent(self, bulk25):
         """One pinned column (fallback) and one benign column (Newton) in
         the same topology: each must match its single-column solve."""
-        netlists = [
-            self._pinned_cell(bulk25, 1e-3),
-            self._pinned_cell(bulk25, 1e-12),
-        ]
-        whole = BatchedDcSolver(netlists, 300.0, TIGHT).solve()
+        injections = [1e-3, 1e-12]
+        whole = self._pinned_cell(bulk25, injections).solve()
         assert whole.all_converged
         assert whole.fallback[0] and not whole.fallback[1]
-        for index, netlist in enumerate(netlists):
-            alone = BatchedDcSolver([netlist], 300.0, TIGHT).solve()
+        for index, injection in enumerate(injections):
+            alone = self._pinned_cell(bulk25, [injection]).solve()
             assert np.array_equal(alone.voltages[:, 0], whole.voltages[:, index])
 
 

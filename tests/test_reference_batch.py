@@ -67,16 +67,20 @@ class TestFlattenBatch:
         ]
         flattened = flatten_batch(circuit, d25s, assignments)
         assert flattened.batch == 2
-        views = flattened.netlist_views()
-        assert len(views) == 2
-        # One shared transistor topology: the views alias the instance list.
-        assert all(view.transistors is flattened.netlist.transistors for view in views)
+        # One shared topology; the per-vector rails are (B,) arrays over it.
+        assert set(flattened.fixed_voltages) == set(circuit.primary_inputs)
+        assert all(
+            rails.shape == (2,) for rails in flattened.fixed_voltages.values()
+        )
         # Per-vector columns equal the scalar flatten of the same assignment.
         seeds = flattened.initial_voltages()
         for column, assignment in enumerate(assignments):
             scalar = flatten(circuit, d25s, assignment)
+            assert [t.name for t in scalar.netlist.transistors] == [
+                t.name for t in flattened.netlist.transistors
+            ]
             for net in circuit.primary_inputs:
-                assert views[column].nodes[net].voltage == pytest.approx(
+                assert flattened.fixed_voltages[net][column] == pytest.approx(
                     scalar.netlist.nodes[net].voltage
                 )
             scalar_seeds = scalar.initial_voltages()

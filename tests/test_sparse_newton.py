@@ -28,6 +28,7 @@ from repro.circuit.flatten import flatten_batch
 from repro.circuit.generators import iscas_like, layered_logic
 from repro.circuit.graph import logic_depth
 from repro.circuit.logic import random_vectors
+from repro.device.batched import PackedMosfets
 from repro.device.mosfet import Mosfet
 from repro.gates.cache import (
     characterization_fingerprint,
@@ -60,28 +61,46 @@ TIGHT_DENSE = SolverOptions(newton_sparse_threshold=10**9, **TIGHT)
 TIGHT_SPARSE = SolverOptions(newton_sparse_threshold=1, **TIGHT)
 
 
-def _nand2_cell(technology, vector, injection=None, vth_shift=0.0):
+def _nand2_cell(technology, vector):
     netlist = TransistorNetlist(vdd=technology.vdd)
     netlist.add_node("a", fixed_voltage=technology.vdd * vector[0])
     netlist.add_node("b", fixed_voltage=technology.vdd * vector[1])
     build_gate_transistors(
         netlist, technology, GateType.NAND2, "g", {"a": "a", "b": "b", "y": "out"}
     )
-    if injection:
-        netlist.add_current_source("out", injection)
-    if vth_shift:
-        for transistor in netlist.transistors:
-            transistor.mosfet.vth_shift = vth_shift
     return netlist
 
 
-def _mixed_batch(technology):
-    return [
-        _nand2_cell(technology, (1, 0)),
-        _nand2_cell(technology, (0, 0), injection=5e-7),
-        _nand2_cell(technology, (1, 1), injection=-2e-7, vth_shift=0.004),
-        _nand2_cell(technology, (0, 1), injection=2e-6),
-    ]
+#: Columns of the mixed batch: vector, output injection and Vth shift.
+_MIXED = (
+    ((1, 0), 0.0, 0.0),
+    ((0, 0), 5e-7, 0.0),
+    ((1, 1), -2e-7, 0.004),
+    ((0, 1), 2e-6, 0.0),
+)
+
+
+def _mixed_batch(technology, options, columns=range(len(_MIXED))):
+    """The mixed NAND2 batch (or a subset of its columns) on one topology,
+    per-column Vth shifts bound through a per-column device pack."""
+    vectors, injections, shifts = zip(*(_MIXED[c] for c in columns))
+    netlist = _nand2_cell(technology, vectors[0])
+    rails = technology.vdd * np.array(vectors, dtype=float)
+    packed = PackedMosfets(
+        [
+            [Mosfet(t.mosfet.device, vth_shift=shift) for shift in shifts]
+            for t in netlist.transistors
+        ],
+        300.0,
+    )
+    return BatchedDcSolver(
+        netlist,
+        300.0,
+        options,
+        fixed={"a": rails[:, 0], "b": rails[:, 1]},
+        injection={"out": np.array(injections)},
+        packed=packed,
+    )
 
 
 def _relative_gap(a, b, floor=1e-30):
@@ -94,9 +113,8 @@ def _relative_gap(a, b, floor=1e-30):
 @pytest.mark.slow
 class TestSparseDenseParity:
     def test_voltages_and_leakage_match_on_mixed_batch(self, bulk25):
-        netlists = _mixed_batch(bulk25)
-        dense_solver = BatchedDcSolver(netlists, 300.0, TIGHT_DENSE)
-        sparse_solver = BatchedDcSolver(netlists, 300.0, TIGHT_SPARSE)
+        dense_solver = _mixed_batch(bulk25, TIGHT_DENSE)
+        sparse_solver = _mixed_batch(bulk25, TIGHT_SPARSE)
         dense = dense_solver.solve()
         sparse = sparse_solver.solve()
         assert dense.all_converged and sparse.all_converged
@@ -107,7 +125,7 @@ class TestSparseDenseParity:
 
         dense_leak = dense_solver.leakage_by_owner(dense)["g"]
         sparse_leak = sparse_solver.leakage_by_owner(sparse)["g"]
-        for index in range(len(netlists)):
+        for index in range(len(_MIXED)):
             got = sparse_leak.at(index)
             want = dense_leak.at(index)
             assert _relative_gap(got.total, want.total) <= 1e-12
@@ -120,9 +138,8 @@ class TestSparseDenseParity:
                 )
 
     def test_sparse_matches_gauss_seidel_oracle(self, bulk25):
-        netlists = _mixed_batch(bulk25)
-        sparse = BatchedDcSolver(netlists, 300.0, TIGHT_SPARSE).solve()
-        relaxed = solve_gauss_seidel(BatchedDcSolver(netlists, 300.0, TIGHT_SPARSE))
+        sparse = _mixed_batch(bulk25, TIGHT_SPARSE).solve()
+        relaxed = solve_gauss_seidel(_mixed_batch(bulk25, TIGHT_SPARSE))
         assert sparse.all_converged and relaxed.all_converged
         assert np.max(np.abs(sparse.voltages - relaxed.voltages)) <= 1e-9
 
@@ -136,7 +153,9 @@ class TestSparsePattern:
         flattened = flatten_batch(
             circuit, bulk25, list(random_vectors(circuit, 1, rng=1))
         )
-        solver = BatchedDcSolver(flattened.netlist_views(), 300.0, TIGHT_SPARSE)
+        solver = BatchedDcSolver(
+            flattened.netlist, 300.0, TIGHT_SPARSE, fixed=flattened.fixed_voltages
+        )
         backend = SparseNewtonBackend(_NewtonAssembler(solver))
         n = backend.assembler.n_free
         pattern = csc_matrix(
@@ -153,16 +172,15 @@ class TestSparseBatchInvariance:
         """Sparse columns solved alone, chunked, or in the full batch must
         be bit-for-bit identical (per-column SuperLU factorization never
         mixes columns)."""
-        netlists = _mixed_batch(bulk25)
-        whole = BatchedDcSolver(netlists, 300.0, TIGHT_SPARSE).solve()
+        whole = _mixed_batch(bulk25, TIGHT_SPARSE).solve()
         assert whole.all_converged
-        for index, netlist in enumerate(netlists):
-            alone = BatchedDcSolver([netlist], 300.0, TIGHT_SPARSE).solve()
+        for index in range(len(_MIXED)):
+            alone = _mixed_batch(bulk25, TIGHT_SPARSE, [index]).solve()
             assert np.array_equal(alone.voltages[:, 0], whole.voltages[:, index])
             assert alone.newton_iterations[0] == whole.newton_iterations[index]
         halves = [
-            BatchedDcSolver(netlists[:2], 300.0, TIGHT_SPARSE).solve(),
-            BatchedDcSolver(netlists[2:], 300.0, TIGHT_SPARSE).solve(),
+            _mixed_batch(bulk25, TIGHT_SPARSE, [0, 1]).solve(),
+            _mixed_batch(bulk25, TIGHT_SPARSE, [2, 3]).solve(),
         ]
         recombined = np.concatenate([half.voltages for half in halves], axis=1)
         assert np.array_equal(recombined, whole.voltages)
@@ -171,6 +189,7 @@ class TestSparseBatchInvariance:
 @pytest.mark.slow
 class TestSparseFallback:
     def _pinned_cell(self, technology, injection):
+        """A node attached only to a gate terminal, ``(B,)`` amps forced in."""
         netlist = TransistorNetlist(vdd=technology.vdd)
         netlist.add_node("float_gate")
         netlist.add_transistor(
@@ -182,30 +201,24 @@ class TestSparseFallback:
             bulk="gnd",
             owner="g",
         )
-        netlist.add_current_source("float_gate", injection)
-        return netlist
+        return BatchedDcSolver(
+            netlist, 300.0, TIGHT_SPARSE, injection={"float_gate": np.asarray(injection)}
+        )
 
     def test_pinned_node_falls_back_bitwise_to_gauss_seidel(self, bulk25):
-        sparse = BatchedDcSolver(
-            [self._pinned_cell(bulk25, 1e-3)], 300.0, TIGHT_SPARSE
-        ).solve()
-        relaxed = solve_gauss_seidel(
-            BatchedDcSolver([self._pinned_cell(bulk25, 1e-3)], 300.0, TIGHT_SPARSE)
-        )
+        sparse = self._pinned_cell(bulk25, [1e-3]).solve()
+        relaxed = solve_gauss_seidel(self._pinned_cell(bulk25, [1e-3]))
         assert sparse.fallback[0]
         assert sparse.method == "newton-sparse"
         assert np.array_equal(sparse.voltages, relaxed.voltages)
 
     def test_mixed_fallback_batch_stays_column_independent(self, bulk25):
-        netlists = [
-            self._pinned_cell(bulk25, 1e-3),
-            self._pinned_cell(bulk25, 1e-12),
-        ]
-        whole = BatchedDcSolver(netlists, 300.0, TIGHT_SPARSE).solve()
+        injections = [1e-3, 1e-12]
+        whole = self._pinned_cell(bulk25, injections).solve()
         assert whole.all_converged
         assert whole.fallback[0] and not whole.fallback[1]
-        for index, netlist in enumerate(netlists):
-            alone = BatchedDcSolver([netlist], 300.0, TIGHT_SPARSE).solve()
+        for index, injection in enumerate(injections):
+            alone = self._pinned_cell(bulk25, [injection]).solve()
             assert np.array_equal(alone.voltages[:, 0], whole.voltages[:, index])
 
 
@@ -227,27 +240,24 @@ class TestAutoDispatch:
 
     @pytest.mark.slow
     def test_auto_below_threshold_is_bitwise_dense(self, bulk25):
-        netlists = _mixed_batch(bulk25)
         auto = SolverOptions(**TIGHT)
-        resolved = BatchedDcSolver(netlists, 300.0, auto).solve()
-        dense = BatchedDcSolver(netlists, 300.0, TIGHT_DENSE).solve()
+        resolved = _mixed_batch(bulk25, auto).solve()
+        dense = _mixed_batch(bulk25, TIGHT_DENSE).solve()
         assert resolved.method == "newton"
         assert np.array_equal(resolved.voltages, dense.voltages)
 
     @pytest.mark.slow
     def test_auto_at_threshold_is_bitwise_sparse(self, bulk25):
-        netlists = _mixed_batch(bulk25)  # two free nodes
-        auto = SolverOptions(newton_sparse_threshold=2, **TIGHT)
-        resolved = BatchedDcSolver(netlists, 300.0, auto).solve()
-        sparse = BatchedDcSolver(netlists, 300.0, TIGHT_SPARSE).solve()
+        auto = SolverOptions(newton_sparse_threshold=2, **TIGHT)  # two free nodes
+        resolved = _mixed_batch(bulk25, auto).solve()
+        sparse = _mixed_batch(bulk25, TIGHT_SPARSE).solve()
         assert resolved.method == "newton-sparse"
         assert np.array_equal(resolved.voltages, sparse.voltages)
 
     @pytest.mark.slow
     def test_auto_over_memory_limit_switches_instead_of_raising(self, bulk25):
-        netlists = _mixed_batch(bulk25)
         auto = SolverOptions(newton_dense_memory_limit=10.0, **TIGHT)
-        resolved = BatchedDcSolver(netlists, 300.0, auto).solve()
+        resolved = _mixed_batch(bulk25, auto).solve()
         assert resolved.method == "newton-sparse"
         assert resolved.all_converged
 
@@ -386,7 +396,6 @@ class TestLayeredGenerator:
         circuit = iscas_like(12, rng=7)
         vectors = list(random_vectors(circuit, 2, rng=1))
         flattened = flatten_batch(circuit, bulk25, vectors)
-        views = flattened.netlist_views()
         free = sum(
             1
             for node in flattened.netlist.nodes.values()
@@ -394,10 +403,12 @@ class TestLayeredGenerator:
         )
         auto = SolverOptions(newton_sparse_threshold=24, **TIGHT)
         assert free >= auto.newton_sparse_threshold
-        assert dense_jacobian_bytes(len(views), free) < auto.newton_dense_memory_limit
+        assert dense_jacobian_bytes(len(vectors), free) < auto.newton_dense_memory_limit
 
         def solve(options, run=BatchedDcSolver.solve):
-            solver = BatchedDcSolver(views, 300.0, options)
+            solver = BatchedDcSolver(
+                flattened.netlist, 300.0, options, fixed=flattened.fixed_voltages
+            )
             op = run(solver, flattened.initial_voltages())
             assert op.all_converged
             return op, solver.leakage_by_owner(op)
@@ -421,7 +432,7 @@ class TestLayeredGenerator:
                 )
         for column, vector in enumerate(vectors):
             alone = flatten_batch(circuit, bulk25, [vector])
-            alone_op = BatchedDcSolver(alone.netlist_views(), 300.0, auto).solve(
-                alone.initial_voltages()
-            )
+            alone_op = BatchedDcSolver(
+                alone.netlist, 300.0, auto, fixed=alone.fixed_voltages
+            ).solve(alone.initial_voltages())
             assert np.array_equal(alone_op.voltages[:, 0], op.voltages[:, column])

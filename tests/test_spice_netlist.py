@@ -71,11 +71,6 @@ class TestTransistorsAndSources:
         assert len(attachments["in"]) == 2
         assert {terminal for _, terminal in attachments["out"]} == {"drain"}
 
-    def test_injections_accumulate(self, netlist):
-        netlist.add_current_source("x", 1e-6)
-        netlist.add_current_source("x", -2.5e-7)
-        assert netlist.injections()["x"] == pytest.approx(7.5e-7)
-
     def test_owner_listing(self, netlist, bulk25):
         netlist.add_node("in", fixed_voltage=0.0)
         _add_inverter(netlist, bulk25, "g1", "in", "n1")

@@ -73,16 +73,14 @@ class TestInverterOperatingPoint:
         base = _inverter_cell(bulk25, 1)
         op0 = DcSolver(base, 300.0).solve()
         loaded = _inverter_cell(bulk25, 1)
-        loaded.add_current_source("out", 1.0e-6)
-        op1 = DcSolver(loaded, 300.0).solve()
+        op1 = DcSolver(loaded, 300.0, injection={"out": 1.0e-6}).solve()
         assert op1.voltage("out") > op0.voltage("out")
 
     def test_injection_lowers_high_node(self, bulk25):
         base = _inverter_cell(bulk25, 0)
         op0 = DcSolver(base, 300.0).solve()
         loaded = _inverter_cell(bulk25, 0)
-        loaded.add_current_source("out", -1.0e-6)
-        op1 = DcSolver(loaded, 300.0).solve()
+        op1 = DcSolver(loaded, 300.0, injection={"out": -1.0e-6}).solve()
         assert op1.voltage("out") < op0.voltage("out")
 
 
@@ -114,7 +112,6 @@ class TestAnalysis:
         b = ComponentBreakdown(0.5, 0.5, 0.5)
         total = a + b
         assert total.total == pytest.approx(7.5)
-        assert a.scaled(2.0).gate == 4.0
         assert a.component("total") == 6.0
         assert a.as_dict()["btbt"] == 3.0
         with pytest.raises(KeyError):
