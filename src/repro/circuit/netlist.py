@@ -15,6 +15,7 @@ combinational-core treatment for leakage analysis).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.gates.library import GateSpec, GateType, gate_spec
@@ -65,7 +66,8 @@ class Circuit:
             return net
         if self.driver_of(net) is not None:
             raise ValueError(f"net {net!r} is already driven by a gate")
-        # A primary input is in neither index: nothing to invalidate.
+        # A primary input is in neither index, only in the structure key.
+        self.__dict__.pop("_structure_key", None)
         self.primary_inputs.append(net)
         return net
 
@@ -109,15 +111,35 @@ class Circuit:
         # so building a circuit gate by gate stays linear.
         self._drivers[output] = name
         self.__dict__.pop("_fanout_index", None)
+        self.__dict__.pop("_structure_key", None)
         return gate
 
     # ------------------------------------------------------------------ #
     # indices (built lazily; add_gate keeps the driver index current)
     # ------------------------------------------------------------------ #
     def _invalidate(self) -> None:
-        """Drop both indices; call after mutating ``gates`` directly."""
+        """Drop both indices and the structure key; call after mutating
+        ``gates`` or ``primary_inputs`` directly."""
         self.__dict__.pop("_driver_index", None)
         self.__dict__.pop("_fanout_index", None)
+        self.__dict__.pop("_structure_key", None)
+
+    @property
+    def structure_key(self) -> str:
+        """Return a structural key of the circuit, stable across copies.
+
+        The SHA-256 hex digest of the name, the primary inputs and every
+        gate's (name, type, inputs, output): structural copies share it,
+        and, as a string caches its hash, a dict lookup keyed by it costs
+        O(1) however many gates the circuit has.  Built on first use and
+        kept until ``add_input``, ``add_gate`` or ``_invalidate`` changes
+        the structure.
+        """
+        key = self.__dict__.get("_structure_key")
+        if key is None:
+            key = _structure_digest(self)
+            self.__dict__["_structure_key"] = key
+        return key
 
     @property
     def _drivers(self) -> dict[str, str]:
@@ -214,3 +236,16 @@ class Circuit:
         clone.primary_outputs = list(self.primary_outputs)
         clone.gates = dict(self.gates)
         return clone
+
+
+def _structure_digest(circuit: Circuit) -> str:
+    """Return the SHA-256 hex digest behind :attr:`Circuit.structure_key`."""
+    structure = (
+        circuit.name,
+        tuple(circuit.primary_inputs),
+        tuple(
+            (gate.name, gate.gate_type.value, gate.inputs, gate.output)
+            for gate in circuit.gates.values()
+        ),
+    )
+    return hashlib.sha256(repr(structure).encode()).hexdigest()

@@ -404,18 +404,6 @@ class CompiledCircuit:
         return bits
 
 
-def _fingerprint(circuit: Circuit) -> tuple:
-    """Return a structural key of ``circuit`` (stable across copies)."""
-    return (
-        circuit.name,
-        tuple(circuit.primary_inputs),
-        tuple(
-            (gate.name, gate.gate_type.value, gate.inputs, gate.output)
-            for gate in circuit.gates.values()
-        ),
-    )
-
-
 #: Default entry bound of a :class:`CompileCache`.  Compiled circuits carry
 #: dense response tensors (every gate type's full (vector, pin, grid, 3)
 #: table), so the bound exists to keep a long-lived session from growing
@@ -458,7 +446,9 @@ class CompileCache:
     module-level detail, with ``cache_info()`` counters so its behavior is
     observable.  Keys pair the *identity* of a :class:`GateLibrary` (held
     weakly — dropping a library frees its compiled circuits) with the
-    structural circuit fingerprint, so structural copies share one entry.
+    circuit's cached :attr:`~repro.circuit.netlist.Circuit.structure_key`,
+    so structural copies share one entry and a hit costs O(1) in the gate
+    count.
 
     All operations are serialized by an internal lock, including the
     compile itself: concurrent lookups of the same key must not
@@ -474,7 +464,7 @@ class CompileCache:
             raise ValueError("maxsize must be positive")
         self._maxsize = int(maxsize)
         self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple[int, tuple], CompiledCircuit] = OrderedDict()
+        self._entries: OrderedDict[tuple[int, str], CompiledCircuit] = OrderedDict()
         #: Keep one weak reference per live library so its entries are
         #: purged when the library is collected (the old WeakKeyDictionary
         #: semantics, preserved under the flat LRU keying).
@@ -508,7 +498,7 @@ class CompileCache:
         under the cache lock (see the class docstring for why) and may
         evict the least-recently-used entry once the bound is reached.
         """
-        key = (id(library), _fingerprint(circuit))
+        key = (id(library), circuit.structure_key)
         with self._lock:
             compiled = self._entries.get(key)
             if compiled is not None:

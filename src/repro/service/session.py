@@ -12,10 +12,11 @@ that boundary into one long-lived object — the shape a serving layer needs:
   on-disk :class:`repro.gates.cache.LibraryStore` so a fleet of worker
   processes shares one warm characterization cache;
 * a **coalescing request front-end** (:mod:`repro.service.coalesce`):
-  concurrent ``totals`` calls from many threads merge into single batched
-  :func:`~repro.engine.campaign.run_totals` engine passes inside a small
-  batch window; ``campaign`` answers full per-gate runs directly through
-  :func:`~repro.engine.campaign.run_compiled`.
+  a ``totals`` call whose circuit runs no engine pass dispatches at once,
+  and calls arriving from other threads while a pass runs merge into the
+  single batched :func:`~repro.engine.campaign.run_totals` pass that
+  starts when it ends; ``campaign`` answers full per-gate runs directly
+  through :func:`~repro.engine.campaign.run_compiled`.
 
 **Invariance contract.**  Coalescing and session routing never change
 numbers: every engine pass computes vector columns independently
@@ -124,9 +125,11 @@ class EstimationSession:
     ``totals`` coalesces through a
     :class:`~repro.service.coalesce.RequestCoalescer` at its default batch
     window, batch size and admission bound (beyond it ``totals`` raises
-    :class:`~repro.resilience.errors.ServiceOverloaded`).  A circuit is
-    linted under the ``"raise"`` policy when it is first compiled; cache
-    hits return the already-linted instance.
+    :class:`~repro.resilience.errors.ServiceOverloaded`): a query waits
+    only behind a running pass of its compiled circuit, at most one
+    window.  A circuit is linted under the ``"raise"`` policy when it is
+    first compiled; cache hits return the already-linted instance, found
+    by the circuit's cached structure key in O(1).
 
     Thread safety: ``totals``/``campaign``/``compiled``/``library`` may be
     called from any number of threads; compiles and library registration

@@ -22,7 +22,8 @@ from repro.circuit.generators import (
 )
 from repro.circuit.graph import levelize
 from repro.circuit.logic import random_vectors
-from repro.circuit.netlist import Circuit
+from repro.circuit import netlist as netlist_module
+from repro.circuit.netlist import Circuit, Gate
 from repro.core.baseline import NoLoadingEstimator
 from repro.core.estimator import LoadingAwareEstimator
 from repro.core.report import REPORT_COMPONENTS
@@ -36,7 +37,7 @@ from repro.engine import (
 )
 from repro.engine import campaign as campaign_module
 from repro.engine.campaign import DEFAULT_CHUNK_SIZE, _lookup_components
-from repro.engine.compile import bracketing_pairs
+from repro.engine.compile import CompileCache, bracketing_pairs
 from repro.gates import lut
 from repro.gates.characterize import GateLibrary
 from repro.gates.library import GateType
@@ -651,3 +652,43 @@ class TestCompileCache:
         first = compile_circuit(nand_tree(2), library_d25s)
         second = compile_circuit(nand_tree(3), library_d25s)
         assert first is not second
+
+    def test_edits_miss_and_hits_reuse_the_key(self, library_d25s, monkeypatch):
+        """add_input, add_gate and _invalidate() after a direct ``gates``
+        edit each force a recompile; a hit reads the cached key."""
+        cache = CompileCache()
+        circuit = nand_tree(2)
+        builds: list[Circuit] = []
+        real_digest = netlist_module._structure_digest
+
+        def counting_digest(c: Circuit) -> str:
+            builds.append(c)
+            return real_digest(c)
+
+        monkeypatch.setattr(netlist_module, "_structure_digest", counting_digest)
+        compiled = cache.get_or_compile(circuit, library_d25s, lint="off")
+        assert len(builds) == 1
+
+        def edit_misses() -> None:
+            nonlocal compiled
+            misses = cache.cache_info().misses
+            recompiled = cache.get_or_compile(circuit, library_d25s, lint="off")
+            assert recompiled is not compiled
+            assert cache.cache_info().misses == misses + 1
+            compiled = recompiled
+
+        circuit.add_input("in4")
+        edit_misses()
+        circuit.add_gate("inv_x", GateType.INV, ["in4"], "x")
+        edit_misses()
+        old = circuit.gates["nand_l2_0"]
+        circuit.gates[old.name] = Gate(old.name, GateType.NOR2, old.inputs, old.output)
+        circuit._invalidate()
+        edit_misses()
+        assert len(builds) == 4
+
+        hits = cache.cache_info().hits
+        for _ in range(3):
+            assert cache.get_or_compile(circuit, library_d25s) is compiled
+        assert cache.cache_info().hits == hits + 3
+        assert len(builds) == 4  # no hit rebuilt the key

@@ -6,11 +6,14 @@ The load-bearing contracts:
   overlapping vector sets through one session receive totals bitwise
   identical to serial per-request evaluation;
 * **every request is accounted for** — the coalescer's vector ledger
-  balances (``request_vectors == batched_vectors``) and every batch is a
-  timeout or a full flush;
+  balances (``request_vectors == batched_vectors``) and every batch is an
+  idle, a timeout or a full flush;
+* **a batch waits only behind a running pass** — a request whose key is
+  idle dispatches at once (idle flush); requests behind a running pass
+  form one batch that dispatches when the pass ends, or after at most one
+  window (timeout flush);
 * **no starvation** — a batch closes before its (possibly slow) evaluation
-  runs, so requests arriving behind a slow one are led independently, and a
-  solo request pays at most one window (timeout flush of a partial batch);
+  runs, so requests arriving behind a slow one are led independently;
 * the compile cache is a bounded LRU whose counters add up;
 * the library store round-trips, refuses mismatches gracefully, and
   converges to the union under multiple publishers.
@@ -18,6 +21,8 @@ The load-bearing contracts:
 
 from __future__ import annotations
 
+import contextlib
+import sys
 import threading
 import time
 
@@ -56,6 +61,56 @@ def session(library_d25s):
 @pytest.fixture(scope="module")
 def circuit():
     return nand_tree(4)
+
+
+def _hold_key_busy(coalescer, key="k"):
+    """Start a pass of ``key`` that blocks until the returned event is set.
+
+    Returns ``(release, thread)``; the pass is running on return.
+    """
+    started = threading.Event()
+    release = threading.Event()
+
+    def blocked_batch(payloads):
+        started.set()
+        assert release.wait(timeout=10.0)
+        return payloads
+
+    thread = threading.Thread(
+        target=coalescer.submit, args=(key, "busy", 1, blocked_batch)
+    )
+    thread.start()
+    assert started.wait(timeout=10.0)
+    return release, thread
+
+
+def _wait_for_vectors(coalescer, n_vectors):
+    """Spin until ``n_vectors`` request vectors have joined batches."""
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        with coalescer._lock:
+            if coalescer._request_vectors >= n_vectors:
+                return
+        time.sleep(0.001)
+    raise AssertionError(f"{n_vectors} request vectors never arrived")
+
+
+@contextlib.contextmanager
+def _flush_threads_fail_to_start():
+    """Make starting a ``coalescer-flush`` thread raise, as a dying leader
+    would; yields the real ``Thread.start`` for the test's own threads."""
+    real_start = threading.Thread.start
+
+    def exploding_start(self, *args, **kwargs):
+        if self.name.startswith("coalescer-flush"):
+            raise RuntimeError("leader died before flush")
+        return real_start(self, *args, **kwargs)
+
+    threading.Thread.start = exploding_start
+    try:
+        yield real_start
+    finally:
+        threading.Thread.start = real_start
 
 
 def _random_bits(circuit, n_vectors, seed=0):
@@ -185,7 +240,9 @@ def test_stats_account_for_every_request(session, circuit, library_d25s):
     assert co["requests"] == len(slices)
     assert co["request_vectors"] == 40
     assert co["batched_vectors"] == co["request_vectors"]
-    assert co["batches"] == co["timeout_flushes"] + co["full_flushes"]
+    assert co["batches"] == (
+        co["idle_flushes"] + co["timeout_flushes"] + co["full_flushes"]
+    )
     assert 1 <= co["batches"] <= len(slices)
     assert co["coalesced_requests"] == co["requests"] - co["batches"]
     assert stats["compile_cache"]["misses"] == 1
@@ -218,8 +275,10 @@ def test_cold_session_from_store_matches_warm_bitwise(tmp_path, circuit, library
 
 
 def test_full_batch_flushes_early_without_waiting_window():
-    """Reaching max_batch_vectors wakes the leader before the deadline."""
+    """Reaching max_batch_vectors dispatches a batch waiting behind a
+    running pass before the window ends and before that pass does."""
     coalescer = RequestCoalescer(window_s=30.0, max_batch_vectors=8)
+    release, busy = _hold_key_busy(coalescer)
     results: dict[str, list] = {}
 
     def run_batch(payloads):
@@ -231,12 +290,7 @@ def test_full_batch_flushes_early_without_waiting_window():
     def follower():
         # Join only once the leader's vectors are registered in the open
         # batch, so the composition (and the full flush) is deterministic.
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            with coalescer._lock:
-                if coalescer._request_vectors >= 4:
-                    break
-            time.sleep(0.001)
+        _wait_for_vectors(coalescer, 5)
         results["follower"] = coalescer.submit("k", [5, 6, 7, 8], 4, run_batch)
 
     start = time.monotonic()
@@ -247,6 +301,11 @@ def test_full_batch_flushes_early_without_waiting_window():
     t1.join(timeout=10.0)
     t2.join(timeout=10.0)
     elapsed = time.monotonic() - start
+    # Both answered while the blocking pass still runs.
+    assert busy.is_alive()
+    release.set()
+    busy.join(timeout=10.0)
+    assert not busy.is_alive()
 
     assert results["leader"] == [10, 20, 30, 40]
     assert results["follower"] == [50, 60, 70, 80]
@@ -254,25 +313,76 @@ def test_full_batch_flushes_early_without_waiting_window():
     # early flush fired.
     assert elapsed < 10.0
     stats = coalescer.stats()
-    assert stats["batches"] == 1
+    assert stats["batches"] == 2  # the blocking pass + the full batch
     assert stats["full_flushes"] == 1
+    assert stats["idle_flushes"] == 1
     assert stats["timeout_flushes"] == 0
     assert stats["coalesced_requests"] == 1
     assert stats["max_batch_requests"] == 2
 
 
 def test_timeout_flushes_partial_batch():
-    """A solo request is answered after one window — never starved."""
+    """A request behind a running pass is answered after one window — never
+    starved by a pass that does not end."""
     coalescer = RequestCoalescer(window_s=0.02, max_batch_vectors=10_000)
+    release, busy = _hold_key_busy(coalescer)
     start = time.monotonic()
     result = coalescer.submit("k", [1], 1, lambda payloads: [p[0] for p in payloads])
     elapsed = time.monotonic() - start
+    assert busy.is_alive()  # it dispatched alongside the blocked pass
+    release.set()
+    busy.join(timeout=10.0)
     assert result == 1
     assert elapsed < 5.0  # one window + evaluation, not the vector bound
     stats = coalescer.stats()
-    assert stats["batches"] == 1
+    assert stats["batches"] == 2
     assert stats["timeout_flushes"] == 1
+    assert stats["idle_flushes"] == 1  # the blocking pass
     assert stats["full_flushes"] == 0
+
+
+def test_idle_key_dispatches_at_once():
+    """A request whose key runs no pass never waits for the window."""
+    coalescer = RequestCoalescer(window_s=30.0, max_batch_vectors=10_000)
+    start = time.monotonic()
+    result = coalescer.submit("k", [1], 1, lambda payloads: [p[0] for p in payloads])
+    assert result == 1
+    assert time.monotonic() - start < 5.0
+    stats = coalescer.stats()
+    assert (stats["batches"], stats["idle_flushes"]) == (1, 1)
+    assert stats["timeout_flushes"] == stats["full_flushes"] == 0
+
+
+def test_requests_behind_a_pass_go_out_together_when_it_ends():
+    """Requests arriving during a pass form one batch that dispatches the
+    moment the pass ends, not when the window does."""
+    coalescer = RequestCoalescer(window_s=30.0, max_batch_vectors=10_000)
+    release, busy = _hold_key_busy(coalescer)
+    results: dict[str, object] = {}
+
+    def member(name: str, after_vectors: int) -> None:
+        _wait_for_vectors(coalescer, after_vectors)
+        results[name] = coalescer.submit("k", name, 1, lambda p: p)
+
+    threads = [
+        threading.Thread(target=member, args=("first", 1)),
+        threading.Thread(target=member, args=("second", 2)),
+    ]
+    for t in threads:
+        t.start()
+    _wait_for_vectors(coalescer, 3)
+    assert results == {}  # both wait behind the blocked pass
+    start = time.monotonic()
+    release.set()
+    for t in threads + [busy]:
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+    assert time.monotonic() - start < 5.0
+    assert results == {"first": "first", "second": "second"}
+    stats = coalescer.stats()
+    assert stats["batches"] == 2
+    assert stats["idle_flushes"] == 2
+    assert stats["max_batch_requests"] == 2
 
 
 def test_slow_request_does_not_starve_later_requests():
@@ -391,6 +501,52 @@ def test_window_zero_flushes_immediately():
     assert coalescer.stats()["batches"] == 1
 
 
+def test_leader_deadline_bounds_its_window_wait():
+    """A leader behind a running pass stops waiting at its deadline, not at
+    the window's end; its batch still dispatches for its follower."""
+    coalescer = RequestCoalescer(window_s=30.0, max_batch_vectors=10_000)
+    release, busy = _hold_key_busy(coalescer)
+    outcomes: dict[str, object] = {}
+    leader_gone = threading.Event()
+
+    def gated_batch(payloads):
+        # Finish only once the leader has given up, so its deadline (not a
+        # fast evaluation) decides what it sees.
+        assert leader_gone.wait(timeout=10.0)
+        return payloads
+
+    def leader() -> None:
+        start = time.monotonic()
+        try:
+            coalescer.submit("k", "leader", 1, gated_batch, deadline_s=0.1)
+        except DeadlineExceeded as exc:
+            outcomes["leader"] = exc
+        outcomes["leader_s"] = time.monotonic() - start
+        leader_gone.set()
+
+    def follower() -> None:
+        _wait_for_vectors(coalescer, 2)
+        outcomes["follower"] = coalescer.submit("k", "follower", 1, gated_batch)
+
+    threads = [threading.Thread(target=leader), threading.Thread(target=follower)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+    assert busy.is_alive()  # the batch went out while the key was busy
+    release.set()
+    busy.join(timeout=10.0)
+
+    assert isinstance(outcomes["leader"], DeadlineExceeded)
+    assert outcomes["leader_s"] < 5.0
+    assert outcomes["follower"] == "follower"
+    stats = coalescer.stats()
+    assert stats["deadline_exceeded"] == 1
+    assert stats["timeout_flushes"] == 1
+    assert stats["max_batch_requests"] == 2
+
+
 def test_admission_control_sheds_load_when_full():
     """At max_in_flight the coalescer refuses instead of queueing forever."""
     coalescer = RequestCoalescer(
@@ -424,50 +580,103 @@ def test_admission_control_sheds_load_when_full():
 def test_leader_death_releases_followers():
     """If the leader dies before flushing, followers get the error — they
     never hang on a batch nobody will run."""
-    coalescer = RequestCoalescer(window_s=0.05, max_batch_vectors=10_000)
+    coalescer = RequestCoalescer(window_s=30.0, max_batch_vectors=10_000)
+    # Leader and follower gather behind a running pass, so both are in the
+    # batch whose leader dies when that pass ends.
+    release, busy = _hold_key_busy(coalescer)
     outcomes: dict[str, BaseException | str] = {}
-    real_start = threading.Thread.start
 
-    def exploding_start(self, *args, **kwargs):
-        if self.name.startswith("coalescer-flush"):
-            raise RuntimeError("leader died before flush")
-        return real_start(self, *args, **kwargs)
-
-    def member(name: str, wait_for_leader: bool):
-        if wait_for_leader:
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                with coalescer._lock:
-                    if coalescer._request_vectors >= 1:
-                        break
-                time.sleep(0.001)
+    def member(name: str, after_vectors: int):
+        _wait_for_vectors(coalescer, after_vectors)
         try:
             coalescer.submit("k", [1], 1, lambda p: p)
             outcomes[name] = "ok"
         except RuntimeError as exc:
             outcomes[name] = exc
 
-    threading.Thread.start = exploding_start
-    try:
+    with _flush_threads_fail_to_start() as real_start:
         threads = [
-            threading.Thread(target=member, args=("leader", False)),
-            threading.Thread(target=member, args=("follower", True)),
+            threading.Thread(target=member, args=("leader", 1)),
+            threading.Thread(target=member, args=("follower", 2)),
         ]
         for t in threads:
             real_start(t)
-        for t in threads:
+        _wait_for_vectors(coalescer, 3)
+        release.set()
+        for t in threads + [busy]:
             t.join(timeout=10.0)
             assert not t.is_alive(), "a coalescer member hung on leader death"
-    finally:
-        threading.Thread.start = real_start
 
+    assert set(outcomes) == {"leader", "follower"}
     assert all(
         isinstance(outcome, RuntimeError)
         and "leader died" in str(outcome)
         for outcome in outcomes.values()
     ), outcomes
+    assert coalescer.stats()["max_batch_requests"] == 2
     # The coalescer recovered: the next request flushes normally.
     assert coalescer.submit("k", [3], 1, lambda p: p) == [3]
+
+
+def test_leader_death_leaves_the_key_idle():
+    """A batch whose flush never started frees its key: the next request
+    is an idle flush, not a wait behind a pass that does not exist."""
+    coalescer = RequestCoalescer(window_s=30.0, max_batch_vectors=10_000)
+    with _flush_threads_fail_to_start(), pytest.raises(RuntimeError, match="leader died"):
+        coalescer.submit("k", [1], 1, lambda p: p)
+
+    start = time.monotonic()
+    assert coalescer.submit("k", [2], 1, lambda p: p) == [2]
+    assert time.monotonic() - start < 5.0
+    stats = coalescer.stats()
+    assert (stats["batches"], stats["idle_flushes"]) == (2, 2)
+    assert stats["timeout_flushes"] == 0
+
+
+def test_coalescer_ledger_under_contention():
+    """More submitting threads than cores, with a short switch interval:
+    every request is answered with its own result and every count adds up,
+    with no flush left running."""
+    coalescer = RequestCoalescer(window_s=0.005, max_batch_vectors=3)
+    n_threads, per_thread = 8, 40
+    answers: dict[tuple[int, int], object] = {}
+
+    def run_batch(payloads):
+        return [payload * 2 for payload in payloads]
+
+    def client(i: int) -> None:
+        for j in range(per_thread):
+            answers[(i, j)] = coalescer.submit("k", i * 1000 + j, 1, run_batch)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert answers == {
+        (i, j): (i * 1000 + j) * 2
+        for i in range(n_threads)
+        for j in range(per_thread)
+    }
+    stats = coalescer.stats()
+    assert stats["requests"] == stats["request_vectors"] == n_threads * per_thread
+    assert stats["batched_vectors"] == stats["request_vectors"]
+    assert stats["batches"] == (
+        stats["idle_flushes"] + stats["timeout_flushes"] + stats["full_flushes"]
+    )
+    assert stats["in_flight"] == 0
+    # A flush thread releases its members before it marks its pass ended.
+    for thread in threading.enumerate():
+        if thread.name == "coalescer-flush":
+            thread.join(timeout=10.0)
+    assert coalescer._running == {} and coalescer._open == {}
 
 
 def test_session_degrades_to_direct_evaluation_on_coalescer_failure(
