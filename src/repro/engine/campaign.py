@@ -6,12 +6,16 @@ One call of :func:`run_compiled` answers an entire vector set:
    gather + truth-table lookup updates a ``(net, vector)`` bit matrix;
 2. per-pin injections are gathered from the compiled LUT arrays and
    summed per net in pin order, the order ``np.add.at`` would use;
-3. per-pin loading currents (input loading excludes the injection of *all*
-   of the gate's own pins on the net — a gate never loads itself, even with
-   tied inputs — and primary-input nets are ideal) feed a batched piecewise-linear
-   interpolation over the characterized response curves — the vectorized
-   equivalent of the scalar per-pin ``np.interp`` calls — that gathers only
-   the two grid points bracketing each lookup;
+3. the loading current of every (gate, pin) slot of the circuit's
+   :class:`~repro.engine.compile.LookupPlan` (input loading excludes the
+   injection of *all* of the gate's own pins on the net — a gate never
+   loads itself, even with tied inputs — and primary-input nets are ideal)
+   feeds one batched piecewise-linear interpolation over the concatenated
+   response curves of every gate type — the vectorized equivalent of the
+   scalar per-pin ``np.interp`` calls — that gathers only the two grid
+   points bracketing each lookup.  It runs in tiles of consecutive gates
+   sized by :data:`LOOKUP_TILE_ELEMENTS`, so a one-vector query is a single
+   pass of array calls and a wide chunk still works within cache;
 4. per-gate components are clamped at zero and summed into circuit totals.
 
 The arithmetic matches the per-gate walk's lookup path step for step
@@ -31,19 +35,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.report import CircuitLeakageReport, GateLeakage
-from repro.engine.compile import N_COMPONENTS, CompiledCircuit, GateTypeTable
+from repro.engine.compile import N_COMPONENTS, CompiledCircuit, LookupPlan
 from repro.gates.lut import enforce_injection_range
 from repro.spice.analysis import ComponentBreakdown
 
-#: Vector-chunk size bounding the engine's peak memory (the widest per-chunk
-#: temporary is one gate type's gathered bracketing pairs:
-#: gates x chunk x pins x 2 x 3).
+#: Vector-chunk size bounding the engine's peak memory.  The widest
+#: per-chunk arrays are the per-slot loading currents and table rows,
+#: (gates + pins) x chunk each; the lookup's temporaries are per tile.
 DEFAULT_CHUNK_SIZE = 512
+
+#: Slot x vector elements one lookup tile holds at most (a tile is at least
+#: one gate).  2**16 keeps a tile's gathered pairs (6 x 8 bytes per
+#: element) within a core's cache; 2**14 and 2**18 were both slower.
+LOOKUP_TILE_ELEMENTS = 2**16
 
 
 @dataclass
@@ -211,12 +221,14 @@ def run_totals(
 
     ``pi_bits`` is a ``(n_primary_inputs, n_vectors)`` 0/1 matrix whose rows
     follow ``compiled.circuit.primary_inputs`` order — the same layout
-    :meth:`CompiledCircuit.validate_assignments` produces.  This is the
-    totals-only fast path of :func:`run_compiled` for callers that never
-    materialize reports (the vector-search optimizers of
+    :meth:`CompiledCircuit.validate_assignments` produces; any other shape
+    or entry raises ``ValueError`` (:meth:`CompiledCircuit.validate_pi_bits`).
+    This is the totals-only fast path of :func:`run_compiled` for callers
+    that never materialize reports (the vector-search optimizers of
     :mod:`repro.optimize` evaluate whole candidate populations through it):
-    per-gate outputs live only per chunk, so peak memory is bounded by
-    ``chunk_size`` regardless of how many candidates are asked about.
+    per-gate outputs live only per chunk and no loading arrays are kept, so
+    peak memory is bounded by ``chunk_size`` regardless of how many
+    candidates are asked about.
 
     Each vector's total is computed column-independently (every array pass
     reduces over gates/pins, never across vectors), so results are bitwise
@@ -225,36 +237,15 @@ def run_totals(
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    pi_bits = np.ascontiguousarray(pi_bits, dtype=np.uint8)
-    n_pi = len(compiled.circuit.primary_inputs)
-    if pi_bits.ndim != 2 or pi_bits.shape[0] != n_pi:
-        raise ValueError(
-            f"pi_bits must have shape (n_primary_inputs={n_pi}, n_vectors), "
-            f"got {pi_bits.shape}"
-        )
-    if pi_bits.size and pi_bits.max() > 1:
-        raise ValueError("pi_bits entries must be 0 or 1")
+    pi_bits = compiled.validate_pi_bits(pi_bits)
     n_vectors = pi_bits.shape[1]
     totals = np.zeros(n_vectors)
     for lo in range(0, n_vectors, chunk_size):
         hi = min(lo + chunk_size, n_vectors)
         n = hi - lo
-        per_gate = np.zeros((compiled.n_gates, n, 3))
-        vec_index = np.zeros((compiled.n_gates, n), dtype=np.int64)
-        # Distinct throwaway loading buffers: _run_chunk currently only
-        # writes them, but sharing one array would silently break if a
-        # future change ever reads or accumulates across the two.
-        input_loading = np.zeros((compiled.n_gates, n))
-        output_loading = np.zeros((compiled.n_gates, n))
-        _run_chunk(
-            compiled,
-            pi_bits[:, lo:hi],
-            include_loading,
-            per_gate,
-            vec_index,
-            input_loading,
-            output_loading,
-        )
+        per_gate = np.empty((compiled.n_gates, n, 3))
+        vec_index = np.empty((compiled.n_gates, n), dtype=np.int64)
+        _run_chunk(compiled, pi_bits[:, lo:hi], include_loading, per_gate, vec_index)
         # Same reduction order as BatchedCampaignRun.component_totals
         # (gates first, then components) so the two paths agree bitwise.
         totals[lo:hi] = per_gate.sum(axis=0).sum(axis=1)
@@ -267,10 +258,14 @@ def _run_chunk(
     include_loading: bool,
     per_gate: np.ndarray,
     vec_index: np.ndarray,
-    input_loading: np.ndarray,
-    output_loading: np.ndarray,
+    input_loading: np.ndarray | None = None,
+    output_loading: np.ndarray | None = None,
 ) -> None:
-    """Evaluate one vector chunk, writing into the output array slices."""
+    """Evaluate one vector chunk, writing into the output array slices.
+
+    The loading arrays are filled only when given (totals-only passes
+    skip them).
+    """
     n_vectors = pi_bits.shape[1]
 
     # 1. propagate logic values as a (net, vector) bit matrix -------------- #
@@ -282,128 +277,200 @@ def _run_chunk(
         vec_index[level.gates] = packed
         net_values[level.output_nets] = compiled.truth[packed + level.truth_offset]
 
-    packed_of = [vec_index[group.gate_indices] for group in compiled.type_groups]
+    plan = compiled.plan
+    # Row gathers use np.take: fancy indexing pays per row at small widths.
+    packed = np.take(vec_index, plan.gates, axis=0)  # (gates, V) in plan order
     if not include_loading:
-        for group, packed in zip(compiled.type_groups, packed_of):
-            table = compiled.tables[group.type_index]
-            per_gate[group.gate_indices] = np.maximum(table.nominal[packed], 0.0)
+        packed += plan.nominal_row[:, None]
+        nominal = np.take(plan.nominal, packed, axis=1)  # (3, gates, V)
+        per_gate[plan.gates] = np.maximum(nominal, 0.0, out=nominal).transpose(1, 2, 0)
         return
 
-    # 2. per-pin injections, accumulated per net -------------------------- #
-    pin_injection = np.zeros((compiled.n_pins, n_vectors))
-    for group, packed in zip(compiled.type_groups, packed_of):
-        table = compiled.tables[group.type_index]
-        inj = table.pin_injection[packed]  # (n, V, k)
-        pin_injection[group.pin_slice] = np.swapaxes(inj, 1, 2).reshape(
-            -1, n_vectors
-        )
-    net_injection = _accumulate(compiled.net_rounds, pin_injection, compiled.n_nets)
+    # 2. per-slot injections (zero on output slots), accumulated per net --- #
+    rows = plan.slot_rows(packed)
+    injection = plan.pin_injection[rows]  # (slots, V)
+    net_injection = _accumulate(compiled.net_rounds, injection, compiled.n_nets)
 
-    # 3. per-pin loading: everyone else's injection on my net -------------- #
-    # "Everyone else" excludes every pin of the pin's own gate on that net,
+    # 3. per-slot loading: everyone else's injection on my net ------------- #
+    # "Everyone else" excludes every pin of the slot's own gate on that net,
     # not just the pin itself: with tied inputs the (gate, net) group sum
     # keeps a gate from loading itself through its other pin (mirrors the
     # per-gate walk's own-injection subtraction).  Without tied inputs
     # every group holds one pin and the group sum IS the pin injection, so
-    # the common case skips the second accumulation.
+    # the common case skips the second accumulation.  An output slot
+    # injects nothing, so it reads its net's whole injection.
     if compiled.has_tied_inputs:
-        own_injection = _accumulate(
-            compiled.group_rounds, pin_injection, compiled.n_pin_groups
-        )
-        pin_loading = (
-            net_injection[compiled.pin_net] - own_injection[compiled.pin_group]
-        )
+        own = _accumulate(compiled.group_rounds, injection, compiled.n_pin_groups + 1)
+        own = np.take(own, compiled.slot_group, axis=0)
     else:
-        pin_loading = net_injection[compiled.pin_net] - pin_injection
-    pin_loading[compiled.pin_on_pi] = 0.0
+        own = injection
+    loading = np.take(net_injection, compiled.slot_net, axis=0)
+    loading -= own
+    loading[compiled.slot_pi] = 0.0
 
-    # 4. LUT lookup per (gate, pin), clamped accumulation ------------------ #
-    for group, packed in zip(compiled.type_groups, packed_of):
-        table = compiled.tables[group.type_index]
-        n = group.gate_indices.size
-        k = table.num_inputs
-        loading = np.empty((k + 1, n, n_vectors))
-        loading[:k] = pin_loading[group.pin_slice].reshape(n, k, n_vectors).transpose(1, 0, 2)
-        loading[k] = net_injection[group.output_nets]
-
-        components = _lookup_components(table, packed, loading)
-        for c in range(N_COMPONENTS):
-            per_gate[group.gate_indices, :, c] = components[c]
-        input_loading[group.gate_indices] = loading[:k].sum(axis=0)
-        output_loading[group.gate_indices] = loading[k]
+    # 4. one LUT lookup over every slot, clamped per gate ------------------ #
+    _lookup(plan, packed, rows, loading, per_gate)
+    if input_loading is None or output_loading is None:
+        return
+    # Input pins summed position by position, i.e. in pin order.
+    counts, offsets = plan.counts, plan.offsets
+    inputs = loading[: counts[0]].copy()
+    for p in range(1, len(counts) - 1):
+        inputs[: counts[p + 1]] += loading[offsets[p] : offsets[p] + counts[p + 1]]
+    input_loading[plan.gates] = inputs
+    output_loading[plan.gates] = np.take(loading, plan.output_slot, axis=0)
 
 
-def _lookup_components(
-    table: GateTypeTable, packed: np.ndarray, loading: np.ndarray
-) -> np.ndarray:
-    """Return the clamped ``(3, n, V)`` leakage components of one type's gates.
+def _lookup(
+    plan: LookupPlan,
+    packed: np.ndarray,
+    rows: np.ndarray,
+    loading: np.ndarray,
+    per_gate: np.ndarray,
+) -> None:
+    """Write every gate's clamped components into ``per_gate`` (levelized order).
 
-    ``packed`` is the ``(n, V)`` packed input vector of every gate and
-    ``loading`` the ``(k+1, n, V)`` loading current at every pin (input pins
-    first, output pin last).  Arrays are pin-major and component-major,
-    ``(3, k+1, n, V)``, so every pass runs over long contiguous rows.
+    ``packed`` is the ``(gates, V)`` packed input vector in plan order,
+    ``rows`` the :meth:`LookupPlan.slot_rows` of it and ``loading`` the
+    ``(slots, V)`` loading current of every slot.  The range checks see
+    the whole chunk; the interpolation runs in tiles of consecutive plan
+    gates holding at most :data:`LOOKUP_TILE_ELEMENTS` slot-vector
+    elements (but at least one gate).
     """
-    k = table.num_inputs
-    grid = table.grid
+    _check_lookups(plan, rows, loading)
+    counts, offsets = plan.counts, plan.offsets
+    n_gates, n_vectors = packed.shape
+    nominal_rows = packed + plan.nominal_row[:, None]
+    tile = max(1, LOOKUP_TILE_ELEMENTS // (n_vectors * len(counts)))
+    for first in range(0, n_gates, tile):
+        last = min(first + tile, n_gates)
+        # The tile's slots at each position it reaches, as slot ranges.
+        pieces = [
+            (offset + first, offset + min(last, count))
+            for offset, count in zip(offsets, counts)
+            if count > first
+        ]
+        components = _interpolate(
+            plan,
+            nominal_rows[first:last],
+            _gather(rows, pieces),
+            _gather(loading, pieces),
+            [stop - start for start, stop in pieces],
+        )
+        per_gate[plan.gates[first:last]] = components.transpose(1, 2, 0)
+
+
+def _gather(array: np.ndarray, pieces: list[tuple[int, int]]) -> np.ndarray:
+    """Return the rows of ``array`` in ``pieces``, a view when they adjoin."""
+    if all(stop == start for (_, stop), (start, _) in zip(pieces, pieces[1:])):
+        return array[pieces[0][0] : pieces[-1][1]]
+    return np.concatenate([array[start:stop] for start, stop in pieces])
+
+
+def _interpolate(
+    plan: LookupPlan,
+    nominal_rows: np.ndarray,
+    rows: np.ndarray,
+    loading: np.ndarray,
+    sizes: list[int],
+) -> np.ndarray:
+    """Return the clamped ``(3, n, V)`` components of a tile of ``n`` gates.
+
+    ``nominal_rows`` are the tile's ``(n, V)`` columns of ``plan.nominal``;
+    ``rows`` and ``loading`` hold the tile's slots position by position,
+    ``sizes[p]`` of them at position ``p`` (the tile's first gates).
+    Arrays are component-major, ``(3, slots, V)``, so every pass runs over
+    long contiguous rows.
+    """
+    grid = plan.grid
+    segments = grid.size - 1
     inactive = loading == 0.0
 
-    if not table.complete:
-        missing = ~inactive & np.take(~table.has_response.T, packed, axis=1)
-        if np.any(missing):
-            # First offender in (gate, vector, pin) order.
-            g_bad, v_bad, p_bad = np.argwhere(missing.transpose(1, 2, 0))[0]
-            raise KeyError(
-                f"pin index {int(p_bad)} of {table.name} has no characterized "
-                f"response but sees a nonzero loading current"
-            )
-
-    # The same out-of-range policy as the oracle's per-record lookup: the
-    # engine interpolates baked arrays directly, so it reports clamped
-    # lookups itself (warn once per gate type and direction).  A zero
-    # loading is no lookup, but the grid brackets zero (compile checks it),
-    # so the extremes of all loadings are the extremes of the lookups.
-    low, high = float(grid[0]), float(grid[-1])
-    lowest, highest = float(loading.min()), float(loading.max())
-    if lowest < low:
-        enforce_injection_range(
-            f"gate type {table.name!r}", lowest, low, high,
-            dedup_key=("engine", table.name),
-        )
-    if highest > high:
-        enforce_injection_range(
-            f"gate type {table.name!r}", highest, low, high,
-            dedup_key=("engine", table.name),
-        )
-
     # Piecewise-linear interpolation with flat extrapolation (np.interp
-    # semantics; a query on a grid point returns that exact sample).  Only
-    # the pair of grid points bracketing each lookup is gathered.
-    left = np.searchsorted(grid, loading, side="right")
-    left -= 1
-    np.clip(left, 0, grid.size - 2, out=left)
-    x0 = grid[left]
-    t = loading - x0
-    t /= grid[left + 1] - x0
+    # semantics; a query on a grid point returns that exact sample).  A
+    # search of the inner grid points finds np.interp's segment, already
+    # clamped to the first and last, and only the pair of grid points
+    # bracketing each lookup is gathered.
+    left = np.searchsorted(grid[1:-1], loading, side="right")
+    t = loading - grid[left]
+    t /= np.diff(grid)[left]
     np.clip(t, 0.0, 1.0, out=t)
-    segments = grid.size - 1
-    pin_offset = np.arange(k + 1)[:, None, None] * (segments << k)
-    rows = packed * segments + pin_offset  # (pin, vector, segment) column
-    rows += left
-    pair = np.take(table.pairs, rows, axis=1)  # (6, k+1, n, V)
+    columns = rows * segments
+    columns += left
+    pair = np.take(plan.pairs, columns, axis=1)  # (6, slots, V)
     v0, interpolated = pair[:N_COMPONENTS], pair[N_COMPONENTS:]
     interpolated -= v0  # in place: v0 + t * (v1 - v0)
     interpolated *= t
     interpolated += v0
 
-    # A zero loading contributes an exactly-zero delta; components are
-    # clamped at zero per gate before any circuit accumulation.
-    nominal = np.take(table.nominal.T, packed, axis=1)  # (3, n, V)
+    # A zero loading contributes an exactly-zero delta; the deltas add up
+    # position by position (pin order), and components are clamped at zero
+    # per gate before any circuit accumulation.
+    nominal = np.take(plan.nominal, nominal_rows, axis=1)  # (3, n, V)
     delta = interpolated
-    delta -= nominal[:, None]
+    starts = list(accumulate(sizes, initial=0))
+    for start, size in zip(starts, sizes):
+        delta[:, start : start + size] -= nominal[:, :size]
     np.copyto(delta, 0.0, where=inactive)
-    components = delta.sum(axis=1)
+    components = delta[:, : sizes[0]]
+    for start, size in zip(starts[1:], sizes[1:]):
+        components[:, :size] += delta[:, start : start + size]
     components += nominal
     return np.maximum(components, 0.0, out=components)
+
+
+def _check_lookups(plan: LookupPlan, rows: np.ndarray, loading: np.ndarray) -> None:
+    """Refuse missing responses and apply the out-of-range policy, per type.
+
+    The same checks, in the same order, as one lookup per gate type in
+    type order: a nonzero loading on a missing response raises
+    ``KeyError`` (first offender in (gate, vector, pin) order), then
+    :func:`enforce_injection_range` sees the type's lowest loading if it
+    is below the grid and its highest if above.  The engine interpolates
+    baked arrays directly, so it reports clamped lookups itself (warn once
+    per gate type and direction).  A zero loading is no lookup, but the
+    grid brackets zero (compile checks it), so the extremes of all
+    loadings are the extremes of the lookups.  Per-type extremes are
+    reduced only when a global one is out of range.
+    """
+    missing = None
+    if not plan.complete:
+        missing = (loading != 0.0) & ~plan.has_response[rows]
+        if not missing.any():
+            missing = None
+    low, high = float(plan.grid[0]), float(plan.grid[-1])
+    if missing is None and low <= loading.min() and loading.max() <= high:
+        return
+    # A run of one (position, type) is one contiguous stretch of the array.
+    flat = loading.ravel()
+    starts = plan.run_start * loading.shape[1]
+    lowest = np.full(len(plan.tables), np.inf)
+    highest = np.full(len(plan.tables), -np.inf)
+    np.minimum.at(lowest, plan.run_type, np.minimum.reduceat(flat, starts))
+    np.maximum.at(highest, plan.run_type, np.maximum.reduceat(flat, starts))
+    for t, table in enumerate(plan.tables):
+        first, last = plan.type_spans[t]
+        if missing is not None:
+            pins = plan.offsets[: table.num_inputs + 1]
+            found = np.stack(
+                [missing[offset + first : offset + last] for offset in pins], axis=-1
+            )  # (gate, vector, pin)
+            if found.any():
+                pin = int(np.argwhere(found)[0][2])
+                raise KeyError(
+                    f"pin index {pin} of {table.name} has no characterized "
+                    f"response but sees a nonzero loading current"
+                )
+        if lowest[t] < low:
+            enforce_injection_range(
+                f"gate type {table.name!r}", float(lowest[t]), low, high,
+                dedup_key=("engine", table.name),
+            )
+        if highest[t] > high:
+            enforce_injection_range(
+                f"gate type {table.name!r}", float(highest[t]), low, high,
+                dedup_key=("engine", table.name),
+            )
 
 
 def _accumulate(

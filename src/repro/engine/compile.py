@@ -7,16 +7,20 @@ minimum-leakage-vector search evaluates hundreds to thousands) nearly all of
 that work is vector-independent: the topological order, the pin wiring, and
 the characterized LUT grids never change.  Compilation hoists it out:
 
-* every gate type present in the circuit is flattened into a
+* every gate type present in the circuit is characterized in one batch
+  (:meth:`GateLibrary.precharacterize`) and flattened into a
   :class:`GateTypeTable` — truth table, nominal components, per-pin
   injections and per-pin response curves as dense NumPy arrays indexed by the
   packed input vector;
 * every response curve is re-laid out as bracketing pairs, so a lookup
   gathers only the two grid points it interpolates between;
+* the tables of all types are concatenated into one :class:`LookupPlan`
+  over every (gate, pin) *slot* of the circuit, so one lookup answers every
+  gate type at once (the per-type tables become views of it);
 * the circuit is levelized and every level gets padded input-net, bit-weight
   and truth-table-offset arrays, so logic values propagate for a whole
   campaign at once with one bit-matrix gather per level;
-* all receiver pins are laid out as flat arrays so per-net loading currents
+* the slots' nets are laid out as flat arrays so per-net loading currents
   accumulate in a few duplicate-free array adds instead of a Python dict
   walk per vector.
 
@@ -30,7 +34,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,15 +74,10 @@ class GateTypeTable:
         ``has_response``.
     has_response:
         ``(2**k, k + 1)`` mask of characterized (vector, pin) responses.
-    pairs:
-        ``(6, (k + 1) * 2**k * (G - 1))`` bracketing pairs of ``response``,
-        one column per (pin, packed vector, grid segment ``g``) in that
-        order: rows 0-2 hold the three components at grid point ``g`` and
-        rows 3-5 at ``g + 1``, so one gather fetches both ends of the
-        segment a lookup interpolates on, one contiguous row per component.
-    complete:
-        True when every (vector, pin) has a response, so no lookup can
-        miss one.
+
+    Apart from ``response``, the tables of a :class:`CompiledCircuit` are
+    views of its :class:`LookupPlan`'s concatenated arrays, so no table is
+    stored twice.
     """
 
     name: str
@@ -89,8 +88,6 @@ class GateTypeTable:
     grid: np.ndarray
     response: np.ndarray
     has_response: np.ndarray
-    pairs: np.ndarray
-    complete: bool
 
 
 def _build_type_table(library: GateLibrary, gate_type_name: str) -> GateTypeTable:
@@ -152,8 +149,6 @@ def _build_type_table(library: GateLibrary, gate_type_name: str) -> GateTypeTabl
         grid=np.asarray(grid, dtype=float),
         response=response,
         has_response=has_response,
-        pairs=bracketing_pairs(response),
-        complete=bool(has_response.all()),
     )
 
 
@@ -178,10 +173,157 @@ def _accumulation_rounds(targets: np.ndarray) -> list[tuple[np.ndarray, np.ndarr
 
 
 def bracketing_pairs(response: np.ndarray) -> np.ndarray:
-    """Return the :attr:`GateTypeTable.pairs` layout of a response tensor."""
+    """Return the bracketing pairs of a ``(2**k, k+1, G, 3)`` response tensor.
+
+    The result is ``(6, (k + 1) * 2**k * (G - 1))``, one column per (pin,
+    packed vector, grid segment ``g``) in that order: rows 0-2 hold the
+    three components at grid point ``g`` and rows 3-5 at ``g + 1``, so one
+    gather fetches both ends of the segment a lookup interpolates on, one
+    contiguous row per component.
+    """
     by_pin = np.transpose(response, (3, 1, 0, 2))  # (3, k+1, 2**k, G)
     return np.concatenate(
         [by_pin[..., :-1].reshape(N_COMPONENTS, -1), by_pin[..., 1:].reshape(N_COMPONENTS, -1)]
+    )
+
+
+@dataclass(frozen=True)
+class LookupPlan:
+    """One LUT lookup over every (gate, pin) slot of a circuit.
+
+    Gates are ordered by input count, descending, then by type and level
+    order; ``gates`` holds the levelized index of each.  Slot *position*
+    ``p`` is input pin ``p`` of every gate with more than ``p`` inputs and
+    the output pin of every gate with exactly ``p``, so position ``p``
+    covers the first ``counts[p]`` gates and its slots start at
+    ``offsets[p]`` of every position-major slot array (``slot_gate`` names
+    each slot's gate, ``output_slot`` each gate's output slot).  Adding a
+    gate's slots position by position sums its pins in pin order.
+
+    The tables of every type are concatenated.  ``pairs`` (the
+    :func:`bracketing_pairs` of the responses, ``G - 1`` columns per row),
+    ``has_response`` and ``pin_injection`` (zero on output pins) have one
+    row per (type, pin, packed vector): a slot reads row ``slot_row`` plus
+    its gate's packed vector, and ``complete`` says every row has a
+    response.  ``nominal`` is ``(3, rows)`` with one column per (type,
+    packed vector), at ``nominal_row`` plus the packed vector, and
+    ``truth`` concatenates the truth tables in the same order.  ``tables``
+    are the per-type tables as views of these arrays.  ``type_spans`` is
+    the gate range of each type, and ``run_start``/``run_type`` split the
+    slot axis into runs of one (position, type).
+    """
+
+    tables: tuple[GateTypeTable, ...]
+    grid: np.ndarray
+    truth: np.ndarray
+    pairs: np.ndarray
+    nominal: np.ndarray
+    pin_injection: np.ndarray
+    has_response: np.ndarray
+    complete: bool
+    gates: np.ndarray
+    nominal_row: np.ndarray
+    counts: tuple[int, ...]
+    offsets: tuple[int, ...]
+    slot_gate: np.ndarray
+    slot_row: np.ndarray
+    output_slot: np.ndarray
+    type_spans: tuple[tuple[int, int], ...]
+    run_start: np.ndarray
+    run_type: np.ndarray
+
+    def slot_rows(self, packed: np.ndarray) -> np.ndarray:
+        """Return the ``(slots, V)`` table row of every lookup.
+
+        ``packed`` is the ``(gates, V)`` packed input vector in plan order.
+        """
+        rows = np.take(packed, self.slot_gate, axis=0)
+        rows += self.slot_row[:, None]
+        return rows
+
+
+def build_lookup_plan(tables: list[GateTypeTable], gate_type: np.ndarray) -> LookupPlan:
+    """Concatenate ``tables`` into the :class:`LookupPlan` of some gates.
+
+    ``gate_type`` indexes ``tables`` for every gate, in levelized order.
+    The types must share one injection grid.
+    """
+    grid = tables[0].grid
+    for table in tables[1:]:
+        if not np.array_equal(table.grid, grid):
+            raise ValueError(
+                f"engine requires one injection grid for every gate type; "
+                f"{tables[0].name} and {table.name} differ"
+            )
+
+    inputs = np.array([table.num_inputs for table in tables])
+    gates = np.lexsort((np.arange(gate_type.size), gate_type, -inputs[gate_type]))
+    types = gate_type[gates]
+    k = inputs[types]  # descending: position p covers the gates with k >= p
+    counts = np.searchsorted(-k, -np.arange(k[0] + 1), side="right")
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    position = np.repeat(np.arange(counts.size), counts)
+    slot_gate = np.arange(offsets[-1]) - offsets[position]
+    sizes = 1 << inputs  # packed vectors per type
+    row_base = np.cumsum((inputs + 1) * sizes) - (inputs + 1) * sizes
+    nominal_base = np.cumsum(sizes) - sizes
+    slot_type = types[slot_gate]
+
+    per_type = np.bincount(types, minlength=len(tables))
+    type_order = np.lexsort((np.arange(len(tables)), -inputs))
+    first = np.empty(len(tables), dtype=np.intp)
+    first[type_order] = np.cumsum(per_type[type_order]) - per_type[type_order]
+    runs = sorted(
+        (offsets[p] + first[t], t)
+        for t in np.flatnonzero(per_type)
+        for p in range(inputs[t] + 1)
+    )
+
+    truth = np.concatenate([table.truth for table in tables])
+    pairs = np.concatenate([bracketing_pairs(table.response) for table in tables], axis=1)
+    nominal = np.concatenate([table.nominal.T for table in tables], axis=1)
+    pin_injection = np.concatenate(
+        [
+            np.concatenate([table.pin_injection.T.ravel(), np.zeros(table.truth.size)])
+            for table in tables
+        ]
+    )
+    has_response = np.concatenate([table.has_response.T.ravel() for table in tables])
+    views = []
+    for table, row, column, n_pins, n in zip(
+        tables, row_base, nominal_base, inputs + 1, sizes
+    ):
+        block = slice(row, row + n_pins * n)
+        views.append(
+            replace(
+                table,
+                truth=truth[column : column + n],
+                nominal=nominal[:, column : column + n].T,
+                pin_injection=pin_injection[block].reshape(n_pins, n)[:-1].T,
+                grid=grid,
+                has_response=has_response[block].reshape(n_pins, n).T,
+            )
+        )
+
+    return LookupPlan(
+        tables=tuple(views),
+        grid=grid,
+        truth=truth,
+        pairs=pairs,
+        nominal=nominal,
+        pin_injection=pin_injection,
+        has_response=has_response,
+        complete=bool(has_response.all()),
+        gates=gates,
+        nominal_row=nominal_base[types],
+        counts=tuple(int(count) for count in counts),
+        offsets=tuple(int(offset) for offset in offsets),
+        slot_gate=slot_gate,
+        slot_row=row_base[slot_type] + (position << inputs[slot_type]),
+        output_slot=offsets[k] + np.arange(k.size),
+        type_spans=tuple((int(a), int(a + n)) for a, n in zip(first, per_type)),
+        run_start=np.array([start for start, _ in runs], dtype=np.intp),
+        run_type=np.array([t for _, t in runs], dtype=np.intp),
     )
 
 
@@ -263,14 +405,13 @@ class CompiledCircuit:
         gate_order = {name: g for g, name in enumerate(self.gate_names)}
         self.n_gates = len(self.gate_names)
 
-        # --- per-type LUT tables ------------------------------------------ #
+        # --- per-type LUT tables, one characterization batch per type ------ #
         type_names = sorted(
             {gate.gate_type.value for gate in circuit.gates.values()}
         )
-        self.tables: list[GateTypeTable] = [
-            _build_type_table(library, name) for name in type_names
-        ]
-        type_of = {table.name: t for t, table in enumerate(self.tables)}
+        library.precharacterize(type_names)
+        tables = [_build_type_table(library, name) for name in type_names]
+        type_of = {table.name: t for t, table in enumerate(tables)}
 
         self.gate_type_index = np.zeros(self.n_gates, dtype=np.intp)
         self.gate_output_net = np.zeros(self.n_gates, dtype=np.intp)
@@ -279,9 +420,13 @@ class CompiledCircuit:
             self.gate_type_index[g] = type_of[gate.gate_type.value]
             self.gate_output_net[g] = self.net_index[gate.output]
 
+        #: The one LUT lookup over every (gate, pin) slot.
+        self.plan = build_lookup_plan(tables, self.gate_type_index)
+        self.tables: list[GateTypeTable] = list(self.plan.tables)
+
         # --- per-level logic arrays ---------------------------------------- #
         #: Concatenated truth tables of every type (row offsets per type).
-        self.truth = np.concatenate([table.truth for table in self.tables])
+        self.truth = self.plan.truth
         type_offset = np.cumsum([0] + [table.truth.size for table in self.tables])
         #: Row ``n_nets`` of the campaign's bit matrix is an always-zero net
         #: that pads the narrower gates of a level.
@@ -363,12 +508,42 @@ class CompiledCircuit:
         #: With no tied inputs every group holds exactly one pin and the
         #: campaign keeps the cheaper per-pin subtraction.
         self.has_tied_inputs = self.n_pin_groups != self.n_pins
+
+        # --- the same wiring per lookup-plan slot ---------------------------- #
+        # A type's gates keep their group order inside the plan, so flat pin
+        # j of a group's gate q sits at slot offsets[j] + first + q.
+        plan = self.plan
+        offsets = np.array(plan.offsets)
+        slot_of_pin = np.empty(self.n_pins, dtype=np.intp)
+        for group in self.type_groups:
+            first, last = plan.type_spans[group.type_index]
+            k = self.tables[group.type_index].num_inputs
+            slot_of_pin[group.pin_slice] = (
+                offsets[:k] + np.arange(first, last)[:, None]
+            ).ravel()
+        #: Net of every slot: an input pin's net, or a gate's output net.
+        self.slot_net = np.empty(offsets[-1], dtype=np.intp)
+        self.slot_net[slot_of_pin] = self.pin_net
+        self.slot_net[plan.output_slot] = self.gate_output_net[plan.gates]
+        #: Slots on primary-input nets (input pins only) carry no loading.
+        self.slot_pi = slot_of_pin[self.pin_on_pi]
         #: The per-net and per-group sums of pin injections, as rounds of
-        #: duplicate-free adds (see :func:`_accumulation_rounds`).
-        self.net_rounds = _accumulation_rounds(self.pin_net)
-        self.group_rounds = (
-            _accumulation_rounds(self.pin_group) if self.has_tied_inputs else []
-        )
+        #: duplicate-free adds over slots (see :func:`_accumulation_rounds`);
+        #: each target still sums its pins in flat pin order.
+        self.net_rounds = [
+            (targets, slot_of_pin[sources])
+            for targets, sources in _accumulation_rounds(self.pin_net)
+        ]
+        self.group_rounds: list[tuple[np.ndarray, np.ndarray]] = []
+        if self.has_tied_inputs:
+            #: (gate, net) group of every slot; output slots read the
+            #: always-zero extra group ``n_pin_groups``.
+            self.slot_group = np.full(offsets[-1], self.n_pin_groups, dtype=np.intp)
+            self.slot_group[slot_of_pin] = self.pin_group
+            self.group_rounds = [
+                (targets, slot_of_pin[sources])
+                for targets, sources in _accumulation_rounds(self.pin_group)
+            ]
 
     # ------------------------------------------------------------------ #
     # queries used by campaign running and report materialization
@@ -381,6 +556,24 @@ class CompiledCircuit:
         """Return the input-bit tuple of gate ``g`` for a packed vector."""
         k = self.table_of_gate(g).num_inputs
         return tuple((int(packed) >> (k - 1 - j)) & 1 for j in range(k))
+
+    def validate_pi_bits(self, pi_bits: np.ndarray) -> np.ndarray:
+        """Return ``pi_bits`` as a contiguous ``uint8`` bit matrix, or raise.
+
+        ``pi_bits`` must be 2-D with one row per primary input, and every
+        entry exactly 0 or 1; the check runs before the cast, which would
+        read e.g. 0.5 as 0.
+        """
+        bits = np.asarray(pi_bits)
+        n_pi = len(self.circuit.primary_inputs)
+        if bits.ndim != 2 or bits.shape[0] != n_pi:
+            raise ValueError(
+                f"pi_bits must have shape (n_primary_inputs={n_pi}, n_vectors), "
+                f"got {bits.shape}"
+            )
+        if bits.size and np.any((bits != 0) & (bits != 1)):
+            raise ValueError("pi_bits entries must be 0 or 1")
+        return np.ascontiguousarray(bits, dtype=np.uint8)
 
     def validate_assignments(
         self, assignments: list[dict[str, int]]

@@ -480,7 +480,8 @@ class GateLibrary:
     The library characterizes lazily: the first request for a
     (gate type, input vector) runs the characterization cells, subsequent
     requests hit the in-memory cache.  :meth:`precharacterize` warms the
-    cache for a set of gate types (useful before timing benchmark runs).
+    cache for a set of gate types, one batch per type; compiling a circuit
+    for the campaign engine calls it for every gate type of the circuit.
     """
 
     def __init__(
@@ -524,7 +525,10 @@ class GateLibrary:
 
         Uncached vectors of a gate type are characterized together through
         :meth:`GateCharacterizer.characterize_type`, so a whole type costs
-        two batched DC solves.
+        two batched DC solves instead of two per vector.  Batch columns
+        solve independently, so the records are bitwise those of
+        one-vector calls; cells that do not converge are reported once per
+        type batch.
         """
         count = 0
         for gate_type in gate_types:

@@ -255,7 +255,8 @@ class EstimationSession:
 
         ``vectors`` is either an iterable of primary-input assignments or
         an already-packed ``(n_primary_inputs, n_vectors)`` 0/1 bit matrix
-        in ``circuit.primary_inputs`` row order.  With ``coalesce=True``
+        in ``circuit.primary_inputs`` row order; a malformed matrix raises
+        ``ValueError`` here, before it can join a batch.  With ``coalesce=True``
         (default) the request may merge with concurrent ``totals`` requests
         against the same compiled circuit into one engine pass — results
         are bitwise identical either way.  ``deadline_s`` bounds this
@@ -265,7 +266,9 @@ class EstimationSession:
         """
         compiled = self.compiled(circuit, library)
         if isinstance(vectors, np.ndarray):
-            pi_bits = np.ascontiguousarray(vectors, dtype=np.uint8)
+            # Checked before it can join a batch: a malformed matrix fails
+            # this request alone.
+            pi_bits = compiled.validate_pi_bits(vectors)
         else:
             pi_bits = compiled.validate_assignments([dict(v) for v in vectors])
         self._count_request()

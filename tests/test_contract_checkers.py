@@ -152,6 +152,14 @@ class TestRC105FloatDowncast:
         snippet = "import numpy as np\nx = np.float32(1.0)\n"
         assert codes(snippet, GENERIC_PATH) == []
 
+    def test_fires_in_engine_lut_code(self):
+        snippet = "import numpy as np\npairs = table.astype(np.float32)\n"
+        assert codes(snippet, "src/repro/engine/snippet.py") == ["RC105"]
+
+    def test_fires_in_gates_characterization_code(self):
+        snippet = "import numpy as np\ncurve = np.zeros(9, dtype='float16')\n"
+        assert codes(snippet, "src/repro/gates/snippet.py") == ["RC105"]
+
 
 RESILIENT_PATH = "src/repro/engine/snippet.py"
 

@@ -36,12 +36,13 @@ from repro.engine import (
     run_totals,
 )
 from repro.engine import campaign as campaign_module
-from repro.engine.campaign import DEFAULT_CHUNK_SIZE, _lookup_components
-from repro.engine.compile import CompileCache, bracketing_pairs
+from repro.engine.campaign import DEFAULT_CHUNK_SIZE, LOOKUP_TILE_ELEMENTS
+from repro.engine.compile import CompileCache, build_lookup_plan
 from repro.gates import lut
-from repro.gates.characterize import GateLibrary
-from repro.gates.library import GateType
+from repro.gates.characterize import GateCharacterizer, GateLibrary
+from repro.gates.library import GateType, gate_spec
 from repro.oracle import PerGateEstimator, per_vector_campaign
+from repro.service import EstimationSession
 
 
 def _assert_campaigns_match(batched, scalar, rtol=1e-12):
@@ -210,33 +211,47 @@ class TestEngineMatchesFullGridOracle:
     @pytest.mark.parametrize("include_loading", [True, False])
     @pytest.mark.parametrize("name", sorted(_ORACLE_CIRCUITS))
     def test_bitwise_equal_under_two_chunkings(
-        self, library_d25s, clamp_policy, name, include_loading
+        self, library_d25s, clamp_policy, monkeypatch, name, include_loading
     ):
+        """At 1, 2 and 37 vectors, in default tiles, one-gate tiles and
+        tiles that split a chunk three ways."""
         circuit = _ORACLE_CIRCUITS[name]()
         compiled = compile_circuit(circuit, library_d25s)
         if name == "tied":
             assert compiled.has_tied_inputs
         if name == "mixed_arity":
+            assert len(compiled.tables) == len(GateType)
             assert {t.num_inputs for t in compiled.tables} == {1, 2, 3, 4}
-        vectors = list(random_vectors(circuit, 37, rng=3))
-        pi_bits = compiled.validate_assignments(vectors)
-        expected = _oracle_run(compiled, pi_bits, include_loading)
-        expected_totals = expected[0].sum(axis=0).sum(axis=1)
-        for chunk_size in (DEFAULT_CHUNK_SIZE, 5):
-            run = run_compiled(
-                compiled, vectors, include_loading=include_loading, chunk_size=chunk_size
-            )
-            observed = (run.per_gate, run.vec_index, run.input_loading, run.output_loading)
-            for label, got, want in zip(
-                ("per_gate", "vec_index", "input_loading", "output_loading"),
-                observed,
-                expected,
-            ):
-                assert _same_bits(got, want), (label, chunk_size)
-            totals = run_totals(
-                compiled, pi_bits, include_loading=include_loading, chunk_size=chunk_size
-            )
-            assert _same_bits(totals, expected_totals), chunk_size
+        positions = len(compiled.plan.counts)
+        for count in (1, 2, 37):
+            vectors = list(random_vectors(circuit, count, rng=3))
+            pi_bits = compiled.validate_assignments(vectors)
+            expected = _oracle_run(compiled, pi_bits, include_loading)
+            expected_totals = expected[0].sum(axis=0).sum(axis=1)
+            for chunk_size in (DEFAULT_CHUNK_SIZE, 5):
+                width = min(count, chunk_size)
+                third = -(-compiled.n_gates // 3)
+                for budget in (LOOKUP_TILE_ELEMENTS, 1, third * width * positions):
+                    monkeypatch.setattr(campaign_module, "LOOKUP_TILE_ELEMENTS", budget)
+                    where = (count, chunk_size, budget)
+                    run = run_compiled(
+                        compiled, vectors, include_loading=include_loading,
+                        chunk_size=chunk_size,
+                    )
+                    observed = (
+                        run.per_gate, run.vec_index, run.input_loading, run.output_loading
+                    )
+                    for label, got, want in zip(
+                        ("per_gate", "vec_index", "input_loading", "output_loading"),
+                        observed,
+                        expected,
+                    ):
+                        assert _same_bits(got, want), (label, *where)
+                    totals = run_totals(
+                        compiled, pi_bits, include_loading=include_loading,
+                        chunk_size=chunk_size,
+                    )
+                    assert _same_bits(totals, expected_totals), where
 
 
 def _edge_loadings(grid):
@@ -274,13 +289,36 @@ def mixed_tables(library_d25s):
     return compile_circuit(_ORACLE_CIRCUITS["mixed_arity"](), library_d25s).tables
 
 
+def _plan_lookup(tables, gate_type, packed, loading):
+    """Return the engine's ``(n, V, 3)`` components over a plan of ``tables``.
+
+    ``gate_type`` types the ``n`` gates, ``packed`` is ``(n, V)`` in plan
+    order and ``loading`` is ``(slots, V)`` in the plan's slot order.
+    """
+    plan = build_lookup_plan(tables, np.asarray(gate_type, dtype=np.intp))
+    per_gate = np.full(packed.shape + (3,), np.nan)
+    campaign_module._lookup(plan, packed, plan.slot_rows(packed), loading, per_gate)
+    return per_gate
+
+
+def _one_type_lookup(table, packed, loading):
+    """The fused lookup over a one-type plan; ``loading`` is ``(k+1, n, V)``.
+
+    A one-type plan keeps its gates in order, and its slots are pin-major.
+    """
+    n, n_vectors = packed.shape
+    return _plan_lookup(
+        [table], np.zeros(n, dtype=np.intp), packed, loading.reshape(-1, n_vectors)
+    )
+
+
 class TestLookupEdges:
     def test_hand_built_loadings_match_oracle_bitwise(self, mixed_tables, clamp_policy):
         for table in mixed_tables:
             packed, loading = _hand_built(table, _edge_loadings(table.grid))
-            observed = _lookup_components(table, packed, loading)
+            observed = _one_type_lookup(table, packed, loading)
             expected = _oracle_components(table, packed, loading.transpose(1, 2, 0))
-            assert _same_bits(np.ascontiguousarray(observed.transpose(1, 2, 0)), expected)
+            assert _same_bits(observed, expected)
 
     def test_random_curves_match_oracle_bitwise(self, mixed_tables, clamp_policy):
         """Curves of comparable magnitude at every pin, so any change in the
@@ -291,9 +329,7 @@ class TestLookupEdges:
             response = nominal[:, None, None, :] * rng.uniform(
                 0.5, 1.5, size=table.response.shape
             )
-            synthetic = dataclasses.replace(
-                table, nominal=nominal, response=response, pairs=bracketing_pairs(response)
-            )
+            synthetic = dataclasses.replace(table, nominal=nominal, response=response)
             packed, loading = _hand_built(synthetic, _edge_loadings(table.grid))
             # 64 more columns: random vectors, loadings up to 20% past each edge.
             n = packed.shape[0]
@@ -302,9 +338,9 @@ class TestLookupEdges:
                 1.2 * table.grid[0], 1.2 * table.grid[-1], size=loading.shape[:2] + (64,)
             )
             loading = np.concatenate([loading, random], axis=2)
-            observed = _lookup_components(synthetic, packed, loading)
+            observed = _one_type_lookup(synthetic, packed, loading)
             expected = _oracle_components(synthetic, packed, loading.transpose(1, 2, 0))
-            assert _same_bits(np.ascontiguousarray(observed.transpose(1, 2, 0)), expected)
+            assert _same_bits(observed, expected)
 
     def test_single_pin_lookups_hit_samples_and_extrapolate_flat(
         self, mixed_tables, clamp_policy
@@ -322,7 +358,7 @@ class TestLookupEdges:
             for p in range(k + 1):
                 loading = np.zeros((k + 1, n, values.size))
                 loading[p] = values[None, :]
-                got = _lookup_components(table, packed, loading).transpose(1, 2, 0)
+                got = _one_type_lookup(table, packed, loading)
                 # every grid point returns that exact sample ...
                 sample = table.response[:, p][:, None, :, :]  # (n, 1, G, 3)
                 for g in range(grid.size):
@@ -351,13 +387,13 @@ class TestLookupEdges:
         has_response = table.has_response.copy()
         has_response[1, k] = False  # output pin of vector 1
         has_response[0, 0] = False  # first input pin of vector 0
-        incomplete = dataclasses.replace(table, has_response=has_response, complete=False)
+        incomplete = dataclasses.replace(table, has_response=has_response)
         packed = np.array([[0, 1], [1, 0]], dtype=np.int64)  # (n=2, V=2)
         loading = np.zeros((k + 1, 2, 2))
         loading[k, 0, 1] = 1e-9  # gate 0, vector 1 -> packed 1, output pin
         loading[0, 1, 1] = 1e-9  # gate 1, vector 1 -> packed 0, pin 0
         with pytest.raises(KeyError) as engine_error:
-            _lookup_components(incomplete, packed, loading)
+            _one_type_lookup(incomplete, packed, loading)
         with pytest.raises(KeyError) as oracle_error:
             _oracle_components(incomplete, packed, loading.transpose(1, 2, 0))
         assert str(engine_error.value) == str(oracle_error.value)
@@ -367,9 +403,9 @@ class TestLookupEdges:
         # and the answer stays bitwise the oracle's.
         loading[k, 0, 1] = loading[0, 1, 1] = 0.0
         loading[1] = 2e-9
-        observed = _lookup_components(incomplete, packed, loading)
+        observed = _one_type_lookup(incomplete, packed, loading)
         expected = _oracle_components(incomplete, packed, loading.transpose(1, 2, 0))
-        assert _same_bits(np.ascontiguousarray(observed.transpose(1, 2, 0)), expected)
+        assert _same_bits(observed, expected)
 
     def test_grid_that_misses_zero_is_refused_at_compile(self, d25s, library_d25s):
         """The range check treats zero loadings as in range, so a grid that
@@ -432,7 +468,7 @@ class TestLookupEdges:
         previous = lut.set_extrapolation_policy(policy)
         try:
             monkeypatch.setattr(campaign_module, "enforce_injection_range", recorder("engine"))
-            engine = outcome(lambda: _lookup_components(table, packed, loading))
+            engine = outcome(lambda: _one_type_lookup(table, packed, loading))
             oracle = outcome(
                 lambda: _oracle_components(
                     table, packed, loading.transpose(1, 2, 0), enforce=recorder("oracle")
@@ -452,6 +488,124 @@ class TestLookupEdges:
             assert engine[0] == "raised" and f"{worst:.3e}" in engine[1]
         else:
             assert engine == ("returned", None, [])
+
+
+    @pytest.mark.parametrize("policy", ["warn", "raise", "clamp"])
+    def test_two_types_check_in_type_order(self, mixed_tables, monkeypatch, policy):
+        """The plan puts the wider type's gates first, but the checks run
+        per type in type order, low before high, so the raise policy names
+        the first type."""
+        narrow = min(mixed_tables, key=lambda t: t.num_inputs)
+        wide = max(mixed_tables, key=lambda t: t.num_inputs)
+        gate_type = np.array([0, 1, 0, 1])
+        plan = build_lookup_plan([narrow, wide], gate_type)
+        assert gate_type[plan.gates].tolist() == [1, 1, 0, 0]
+        slot_type = gate_type[plan.gates[plan.slot_gate]]
+        grid = narrow.grid
+        worst = {0: (2.0 * grid[0], 1.5 * grid[-1]), 1: (3.0 * grid[0], 2.5 * grid[-1])}
+        loading = np.zeros((slot_type.size, 3))
+        for t, (lowest, highest) in worst.items():
+            slots = np.flatnonzero(slot_type == t)
+            loading[slots[0], 0] = lowest
+            loading[slots[-1], 2] = highest
+        packed = np.zeros((4, 3), dtype=np.int64)
+        calls = []
+
+        def enforce(*args, **kwargs):
+            calls.append(args[:2])
+            return lut.enforce_injection_range(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "enforce_injection_range", enforce)
+        previous = lut.set_extrapolation_policy(policy)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if policy == "raise":
+                    with pytest.raises(ValueError, match=f"gate type '{narrow.name}'"):
+                        _plan_lookup([narrow, wide], gate_type, packed, loading)
+                else:
+                    _plan_lookup([narrow, wide], gate_type, packed, loading)
+        finally:
+            lut.set_extrapolation_policy(previous)
+        expected = [
+            (f"gate type {table.name!r}", value)
+            for t, table in enumerate((narrow, wide))
+            for value in worst[t]
+        ]
+        assert calls == (expected[:1] if policy == "raise" else expected)
+        assert len(caught) == (4 if policy == "warn" else 0)
+
+    def test_mixed_grids_are_refused_at_compile(self, d25s, library_d25s):
+        """One lookup needs one grid: a type characterized on another grid
+        is refused, and the message names two of the types."""
+        records = [
+            library_d25s.characterization(GateType.INV, vector) for vector in ((0,), (1,))
+        ]
+        for vector in gate_spec(GateType.NAND2).all_vectors():
+            record = library_d25s.characterization(GateType.NAND2, vector)
+            responses = {
+                pin: dataclasses.replace(curve, injections=2.0 * curve.injections)
+                for pin, curve in record.responses.items()
+            }
+            records.append(dataclasses.replace(record, responses=responses))
+        mixed = GateLibrary(d25s, options=library_d25s.characterizer.options)
+        mixed.load_records(records)
+        circuit = Circuit(name="mixed_grids")
+        circuit.add_input("a")
+        circuit.add_input("b")
+        circuit.add_gate("inv", GateType.INV, ["a"], "x")
+        circuit.add_gate("nand", GateType.NAND2, ["x", "b"], "y")
+        circuit.add_output("y")
+        with pytest.raises(ValueError, match="one injection grid.*inv and nand2"):
+            CompiledCircuit(circuit, mixed)
+
+
+class TestCompileCharacterization:
+    def test_one_characterization_batch_per_type(self, d25s, library_d25s, monkeypatch):
+        """A fresh library characterizes each type of the circuit in one
+        batch, and the records equal the one-vector-at-a-time ones."""
+        options = library_d25s.characterizer.options
+        circuit = _tied_circuit()
+        batches = []
+        real_batch = GateCharacterizer.characterize_type
+
+        def counting_batch(self, gate_type, vectors=None):
+            batches.append(gate_spec(gate_type).name)
+            return real_batch(self, gate_type, vectors)
+
+        def no_single(self, gate_type, vector):
+            raise AssertionError("compile characterized a single vector")
+
+        monkeypatch.setattr(GateCharacterizer, "characterize_type", counting_batch)
+        monkeypatch.setattr(GateCharacterizer, "characterize", no_single)
+        fresh = GateLibrary(d25s, options=options)
+        compiled = CompiledCircuit(circuit, fresh)
+        assert sorted(batches) == [table.name for table in compiled.tables]
+        monkeypatch.undo()
+
+        single = GateCharacterizer(d25s, options=options)
+        records = fresh.cached_records()
+        assert len(records) == sum(2**t.num_inputs for t in compiled.tables)
+        for record in records:
+            alone = single.characterize(record.gate_type_name, record.vector)
+            assert _same_record(record, alone), (record.gate_type_name, record.vector)
+
+
+def _same_record(a, b):
+    """Whether two characterization records hold bitwise the same numbers."""
+    curves_a, curves_b = a.responses, b.responses
+    return (
+        (a.gate_type_name, a.vector, a.nominal, a.output_voltage)
+        == (b.gate_type_name, b.vector, b.nominal, b.output_voltage)
+        and a.input_voltages == b.input_voltages
+        and a.pin_injection == b.pin_injection
+        and list(curves_a) == list(curves_b)
+        and all(
+            _same_bits(getattr(curves_a[pin], field), getattr(curves_b[pin], field))
+            for pin in curves_a
+            for field in ("injections", "subthreshold", "gate", "btbt")
+        )
+    )
 
 
 class TestEngineOutOfRangePolicy:
@@ -627,6 +781,26 @@ class TestBatchedCampaignMatchesScalar:
             run_compiled(compiled, [{"in0": 1}])
         with pytest.raises(KeyError, match="non-primary-input"):
             run_compiled(compiled, [{"in0": 1, "in1": 0, "bogus": 1}])
+
+    def test_malformed_bit_matrix_rejected_before_the_cast(self, library_d25s):
+        """A 0.5 would cast to 0 and a 2 to a bit pattern; both are refused,
+        as is a matrix of the wrong shape."""
+        circuit = nand_tree(1)
+        compiled = compile_circuit(circuit, library_d25s)
+        session = EstimationSession()
+        n_pi = len(circuit.primary_inputs)
+        for bad in (np.full((n_pi, 3), 0.5), np.full((n_pi, 1), 2)):
+            with pytest.raises(ValueError, match="pi_bits entries must be 0 or 1"):
+                run_totals(compiled, bad)
+            with pytest.raises(ValueError, match="pi_bits entries must be 0 or 1"):
+                session.totals(circuit, library_d25s, bad, coalesce=False)
+        for shape in ((n_pi,), (n_pi + 1, 2)):
+            with pytest.raises(ValueError, match="must have shape"):
+                run_totals(compiled, np.zeros(shape))
+        floats = np.ones((n_pi, 2))
+        assert _same_bits(
+            run_totals(compiled, floats), run_totals(compiled, floats.astype(np.uint8))
+        )
 
     def test_chunked_run_equals_single_pass(self, library_d25s):
         circuit = loaded_inverter_cluster(3, 3)

@@ -696,6 +696,47 @@ def test_session_degrades_to_direct_evaluation_on_coalescer_failure(
     assert session.stats()["session"]["degraded_requests"] == 1
 
 
+def test_malformed_bits_fail_alone_before_joining_a_batch(circuit, library_d25s):
+    """A bit matrix holding a 2 or a 0.5 raises in its own caller before it
+    can join a batch: the healthy request waiting behind the same running
+    pass is answered by its batch, and no request degrades."""
+    session = EstimationSession()
+    session._coalescer = coalescer = RequestCoalescer(window_s=30.0)
+    compiled = session.compiled(circuit, library_d25s)
+    healthy = _random_bits(circuit, 1, seed=5)
+    two = healthy.copy()
+    two[0, 0] = 2
+    half = np.full(healthy.shape, 0.5)
+    results: dict[str, object] = {}
+
+    def request(name, bits):
+        try:
+            results[name] = session.totals(circuit, library_d25s, bits)
+        except ValueError as error:
+            results[name] = error
+
+    release, busy = _hold_key_busy(coalescer, (id(compiled), True, "totals"))
+    threads = [threading.Thread(target=request, args=("healthy", healthy))]
+    threads[0].start()
+    _wait_for_vectors(coalescer, 2)
+    for name, bits in (("two", two), ("half", half)):
+        threads.append(threading.Thread(target=request, args=(name, bits)))
+        threads[-1].start()
+        threads[-1].join(timeout=2.0)
+    failed_alone = [name for name in ("two", "half") if name in results]
+    release.set()
+    busy.join(timeout=10.0)
+    for thread in threads:
+        thread.join(timeout=10.0)
+
+    assert failed_alone == ["two", "half"]
+    for name in failed_alone:
+        assert isinstance(results[name], ValueError)
+        assert "pi_bits entries must be 0 or 1" in str(results[name])
+    assert np.array_equal(results["healthy"], run_totals(compiled, healthy))
+    assert session.stats()["session"]["degraded_requests"] == 0
+
+
 def test_session_does_not_degrade_deadline_or_overload(circuit, library_d25s):
     """Deadline/overload are caller contracts — they propagate, with no
     silent serial fallback that would blow the deadline anyway."""

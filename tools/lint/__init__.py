@@ -6,7 +6,7 @@ goes through ``repro.utils.rng``), determinism discipline (no iteration over
 unordered sets feeding fan-out/reduction code), device-model discipline
 (every ``*_grad_v`` Jacobian twin has a same-module value function) and
 numeric-precision discipline (no silent float32 downcasts in the
-``device``/``spice`` numerics).
+``device``/``spice``/``gates``/``engine`` numerics).
 
 Run them with ``python tools/lint/check_contracts.py src`` (the CI lint job
 does exactly that and fails on any violation).

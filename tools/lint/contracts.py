@@ -30,9 +30,10 @@ in every environment the tests run in):
     therefore allowed.)
 
 ``RC105 float-downcast``
-    No float32/float16 dtypes in the ``device``/``spice`` numerics: leakage
-    component magnitudes span ~1e-12..1e-5 A and the solver tolerances sit
-    at 1e-11 V, far below float32 resolution.
+    No float32/float16 dtypes in the ``device``/``spice``/``gates``/``engine``
+    numerics: leakage component magnitudes span ~1e-12..1e-5 A, the solver
+    tolerances sit at 1e-11 V, far below float32 resolution, and the
+    engine's bitwise contracts rest on the float64 LUT tables.
 
 ``RC106 swallowed-failure``
     In the execution-critical paths (``engine/``, ``service/``,
@@ -397,9 +398,12 @@ def check_unordered_set_iteration(
 # --------------------------------------------------------------------- #
 # RC105 — float32/float16 downcasts in the numerics
 # --------------------------------------------------------------------- #
+_NUMERICS_DIRS = ("/device/", "/spice/", "/gates/", "/engine/")
+
+
 def _is_numerics_path(path: str) -> bool:
     posix = Path(path).as_posix()
-    return "/device/" in posix or "/spice/" in posix
+    return any(directory in posix for directory in _NUMERICS_DIRS)
 
 
 def check_float_downcasts(
@@ -412,8 +416,8 @@ def check_float_downcasts(
             Violation(
                 code="RC105",
                 message=(
-                    f"{what} in device/spice numerics; leakage magnitudes "
-                    "and solver tolerances need float64"
+                    f"{what} in device/spice/gates/engine numerics; leakage "
+                    "magnitudes, solver tolerances and the LUT tables need float64"
                 ),
                 path=path,
                 line=getattr(node, "lineno", 0),
@@ -603,7 +607,7 @@ CHECKERS: tuple[CheckerSpec, ...] = (
     CheckerSpec(
         code="RC105",
         slug="float-downcast",
-        description="No float32/float16 dtypes in device/spice numerics.",
+        description="No float32/float16 dtypes in device/spice/gates/engine numerics.",
         applies=_is_numerics_path,
         run=check_float_downcasts,
     ),
