@@ -181,7 +181,7 @@ class ReferenceSimulator:
                 "runtime_s": per_vector,
                 "gate_count": len(per_gate),
                 "transistors": flattened.transistor_count,
-                "solver_sweeps": int(op.sweeps[index]),
+                "solver_sweeps": int(op.newton_iterations[index]),
                 "solver_converged": bool(op.converged[index]),
                 "solver_method": op.method,
                 "engine": "batched",

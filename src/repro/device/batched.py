@@ -257,7 +257,7 @@ class PackedMosfets:
         over row-stacked inputs; the parameter halves are identical and
         bias-independent, so stacking them per residual evaluation (the
         solver hot path) was pure overhead.  Built lazily because subsets
-        (``rows``/``take_columns``) re-slice the base arrays.
+        (``take_columns``) re-slice the base arrays.
         """
         cached = self._btbt_stacked_cache
         if cached is None:
@@ -278,11 +278,6 @@ class PackedMosfets:
             }
             self._btbt_stacked_cache = cached
         return cached
-
-    def rows(self, indices: Sequence[int]) -> "PackedMosfets":
-        """Return a row (transistor-slot) subset; repeats are allowed."""
-        index = np.asarray(indices, dtype=int)
-        return self._subset(lambda a: a[index])
 
     def take_columns(self, columns: np.ndarray) -> "PackedMosfets":
         """Return a batch-column subset (broadcast columns stay broadcast)."""

@@ -42,8 +42,7 @@ def _format_backends(methods: object) -> str:
     """Render a ``solve_stats["methods"]`` count dict as ``name:count`` pairs.
 
     The per-backend counts say what the solver *actually ran*: the dense
-    or sparse Newton backend, and ``gauss-seidel`` for Newton columns that
-    fell back.
+    or sparse Newton backend.
     """
     if not isinstance(methods, dict) or not methods:
         return ""

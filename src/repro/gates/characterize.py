@@ -63,15 +63,25 @@ def _pin_net(spec: GateSpec, pin: str) -> str:
     return _OUTPUT_NET if pin == spec.output else f"net_{pin}"
 
 
-class CharacterizationConvergenceWarning(UserWarning):
-    """A characterization cell's DC solve ended without converging.
+def _listing(columns: np.ndarray, describe: Callable[[int], str]) -> str:
+    """Describe the first five of ``columns``, then count the rest."""
+    shown = ", ".join(describe(int(column)) for column in columns[:5])
+    if columns.size > 5:
+        shown += f", ... ({columns.size - 5} more)"
+    return shown
 
-    Emitted (once per solve, naming the gate type, the offending vectors
-    and the worst final voltage update) when
-    :attr:`CharacterizationOptions.on_nonconverged` is ``"warn"`` — the
-    default.  A record built from a non-converged operating point can carry
-    silently wrong leakage numbers; set ``on_nonconverged="raise"`` to turn
-    the condition into a hard error.
+
+class CharacterizationConvergenceWarning(UserWarning):
+    """A characterization cell's DC solve ended off a DC solution.
+
+    Emitted when :attr:`CharacterizationOptions.on_nonconverged` is
+    ``"warn"`` — the default — once per solve for its columns that did not
+    converge (naming the gate type, the offending cells and the worst final
+    voltage update), and once per solve for its columns with a node pinned
+    on the admissible-band edge (naming the cells and the pinned nets).  A
+    record built from such an operating point can carry silently wrong
+    leakage numbers; set ``on_nonconverged="raise"`` to turn either
+    condition into a hard error.
     """
 
 
@@ -86,13 +96,15 @@ class CharacterizationOptions:
     solver:
         DC solver options used for every cell solve.
     on_nonconverged:
-        Policy for cell solves that end without converging: ``"warn"``
-        (default) emits a :class:`CharacterizationConvergenceWarning` naming
-        the gate type, the offending vectors and the worst final voltage
-        update; ``"raise"`` turns the condition into a ``RuntimeError``.
-        Applies to every cell solve, :meth:`GateCharacterizer.solve_cell`
-        included — a record built from a non-converged operating point
-        would otherwise silently carry wrong leakage.
+        Policy for cell solves that end without converging, or with a node
+        pinned on the admissible-band edge because a loading current has no
+        DC solution inside it: ``"warn"`` (default) emits a
+        :class:`CharacterizationConvergenceWarning` naming the gate type
+        and the offending cells; ``"raise"`` turns the condition into a
+        ``RuntimeError``.  Applies to every cell solve,
+        :meth:`GateCharacterizer.solve_cell` included — a record built from
+        such an operating point would otherwise silently carry wrong
+        leakage.  The record keeps its values either way under ``"warn"``.
     """
 
     injection_grid: tuple[float, ...] = DEFAULT_INJECTION_GRID
@@ -152,16 +164,18 @@ class GateCharacterizer:
         #: Aggregate DC-solve statistics, updated by every cell solve and
         #: read by the benchmarks: the BENCH trajectory tracks convergence
         #: cost (iterations per solve), not just wall clock.  ``iterations``
-        #: counts each cell's Newton iterations, or its Gauss–Seidel sweeps
-        #: when it fell back; ``fallbacks`` counts Newton columns that were
-        #: handed to the Gauss–Seidel fallback.  ``methods`` counts the
-        #: solved cells per backend — dense ``"newton"``, ``"newton-sparse"``
-        #: and ``"gauss-seidel"`` (the fallback columns).
+        #: counts each cell's Newton iterations, continuation steps
+        #: included; ``fallbacks`` counts the cells plain Newton could not
+        #: finish, retried by pseudo-transient continuation; ``pinned``
+        #: counts the cells with a node held on the admissible-band edge.
+        #: ``methods`` counts the solved cells per Newton backend, dense
+        #: ``"newton"`` or ``"newton-sparse"``.
         self.solve_stats: dict[str, object] = {
             "solves": 0,
             "iterations": 0,
             "max_iterations": 0,
             "fallbacks": 0,
+            "pinned": 0,
             "methods": {},
         }
 
@@ -387,23 +401,15 @@ class GateCharacterizer:
     def _record_batched_solve(self, op: BatchedOperatingPoint) -> None:
         stats = self.solve_stats
         stats["solves"] += int(op.batch)
-        stats["iterations"] += int(op.sweeps.sum())
+        stats["iterations"] += int(op.newton_iterations.sum())
         stats["max_iterations"] = max(
-            stats["max_iterations"], int(op.sweeps.max())
+            stats["max_iterations"], int(op.newton_iterations.max())
         )
-        fallbacks = int(op.fallback.sum())
-        stats["fallbacks"] += fallbacks
-        # Fallback columns were solved by the relaxation path, whatever
-        # Newton backend ``op.method`` names.
-        self._count_method("gauss-seidel", fallbacks)
-        self._count_method(op.method, int(op.batch) - fallbacks)
-
-    def _count_method(self, method: str, columns: int) -> None:
-        if columns <= 0:
-            return
-        methods = self.solve_stats["methods"]
+        stats["fallbacks"] += int(op.fallback.sum())
+        stats["pinned"] += int(op.pinned.any(axis=0).sum())
+        methods = stats["methods"]
         assert isinstance(methods, dict)
-        methods[method] = methods.get(method, 0) + columns
+        methods[op.method] = methods.get(op.method, 0) + int(op.batch)
 
     def _report_nonconverged(self, message: str) -> None:
         """Apply the ``on_nonconverged`` policy to a convergence failure."""
@@ -417,24 +423,36 @@ class GateCharacterizer:
         op: BatchedOperatingPoint,
         describe: Callable[[int], str],
     ) -> None:
-        """Check a batched solve's per-column convergence flags.
+        """Apply the ``on_nonconverged`` policy to a batched solve.
 
+        Columns that did not converge and columns with a node pinned on the
+        admissible-band edge are reported, each kind once per solve.
         ``describe`` renders one batch column as a human-readable cell
         identity (vector, pin, injection); the first few offending columns
         are listed so the message stays bounded for wide batches.
         """
         bad = np.flatnonzero(~op.converged)
-        if bad.size == 0:
-            return
-        worst = float(op.max_update[bad].max())
-        shown = ", ".join(describe(int(column)) for column in bad[:5])
-        if bad.size > 5:
-            shown += f", ... ({bad.size - 5} more)"
-        self._report_nonconverged(
-            f"{bad.size} of {op.batch} characterization cells for "
-            f"{spec.name} did not converge (worst final voltage update "
-            f"{worst:.3e} V): {shown}"
-        )
+        if bad.size:
+            worst = float(op.max_update[bad].max())
+            self._report_nonconverged(
+                f"{bad.size} of {op.batch} characterization cells for "
+                f"{spec.name} did not converge (worst final voltage update "
+                f"{worst:.3e} V): {_listing(bad, describe)}"
+            )
+        pinned = np.flatnonzero(op.pinned.any(axis=0))
+        if pinned.size:
+            names = list(op.node_index)
+
+            def describe_pinned(column: int) -> str:
+                nets = np.flatnonzero(op.pinned[:, column])
+                return f"{describe(column)} at {', '.join(names[row] for row in nets)}"
+
+            self._report_nonconverged(
+                f"{pinned.size} of {op.batch} characterization cells for "
+                f"{spec.name} have no DC solution inside the admissible "
+                f"voltage band; a net is pinned on its edge: "
+                f"{_listing(pinned, describe_pinned)}"
+            )
 
     # ------------------------------------------------------------------ #
     # helpers

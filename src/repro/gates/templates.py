@@ -269,7 +269,7 @@ def internal_seed_levels(
     matters to the Newton solver: a wrong-rail seed on an internal stage
     puts a fully-ON stack across the supply, and the resulting mA-scale
     starting residuals are what its damped line search is worst at (the
-    relaxation solver's bracketed root finds shrug them off in one sweep).
+    scalar oracle's bracketed root finds shrug them off in one sweep).
     """
     spec = gate_spec(gate_type)
     if len(input_values) != len(spec.inputs):

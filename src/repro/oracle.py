@@ -23,11 +23,11 @@ can hold the production paths to them:
   batched characterization;
 * :func:`monte_carlo_per_sample` — each sample flattened under its own
   shifted technology and solved by :class:`DcSolver`;
-* :func:`per_vector_campaign` — one ``estimator.estimate`` call per vector;
-* :func:`solve_gauss_seidel` — a :class:`~repro.spice.batched.BatchedDcSolver`
-  batch relaxed by Gauss–Seidel sweeps alone, the batched twin of
-  :class:`DcSolver` that the damped-Newton production solve is checked
-  against.
+* :func:`per_vector_campaign` — one ``estimator.estimate`` call per vector.
+
+:class:`DcSolver` is the one Gauss–Seidel implementation: the batched
+damped-Newton production solve (:mod:`repro.spice.newton`), pinned
+columns included, is checked against it column by column.
 
 No module under ``repro`` imports this one (contract RC107), so an oracle
 can never turn back into a production path.
@@ -64,7 +64,6 @@ from repro.gates.lut import (
     enforce_injection_range,
 )
 from repro.spice.analysis import ComponentBreakdown
-from repro.spice.batched import BatchedDcSolver, BatchedOperatingPoint
 from repro.spice.netlist import NodeKind, TransistorNetlist
 from repro.spice.solver import SolverOptions
 from repro.variation.montecarlo import (
@@ -430,7 +429,8 @@ def leakage_by_owner(
 ) -> dict[str, ComponentBreakdown]:
     """Return the leakage breakdown aggregated per owner (logic gate).
 
-    The scalar twin of :meth:`BatchedDcSolver.leakage_by_owner`, summing
+    The scalar twin of
+    :meth:`repro.spice.batched.BatchedDcSolver.leakage_by_owner`, summing
     in transistor order; transistors without an owner tag are aggregated
     under the empty-string key so nothing is silently dropped.
     """
@@ -858,32 +858,3 @@ def monte_carlo_per_sample(
             MonteCarloSample(with_loading, without_loading, loaded_ok and unloaded_ok)
         )
     return _keep_converged(task, samples)
-
-
-# --------------------------------------------------------------------- #
-# batched relaxation
-# --------------------------------------------------------------------- #
-def solve_gauss_seidel(
-    solver: BatchedDcSolver,
-    initial_voltages: Mapping[str, float | np.ndarray] | None = None,
-) -> BatchedOperatingPoint:
-    """Relax every column of ``solver``'s batch by Gauss–Seidel sweeps alone.
-
-    The oracle of :meth:`BatchedDcSolver.solve`: the same sweeps the
-    Newton solve hands its fallback columns to, run on every column, so a
-    fallback column is bitwise this solve's column.  ``initial_voltages``
-    takes the same forms as in :meth:`BatchedDcSolver.solve`.
-    """
-    voltages = solver._initial_matrix(initial_voltages)
-    converged, sweeps, max_update = solver._solve_gauss_seidel(voltages)
-    return BatchedOperatingPoint(
-        node_index=solver.node_index,
-        voltages=voltages,
-        temperature_k=solver.temperature_k,
-        converged=converged,
-        sweeps=sweeps,
-        max_update=max_update,
-        method="gauss-seidel",
-        newton_iterations=np.zeros(solver.batch, dtype=int),
-        fallback=np.ones(solver.batch, dtype=bool),
-    )

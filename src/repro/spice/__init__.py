@@ -11,10 +11,12 @@ netlists built from the compact models of :mod:`repro.device`.
   with per-column fixed voltages, injected currents and device parameters
   bound as arrays (characterization cells, reference vectors, Monte-Carlo
   samples); a single operating point solves as a batch of one;
-* :mod:`repro.spice.newton` — the batched damped-Newton solve: analytic
-  device Jacobians, dense per-column linear solves (sparse SuperLU ones,
-  :mod:`repro.spice.sparse`, on large systems), per-column Gauss–Seidel
-  fallback;
+* :mod:`repro.spice.newton` — the batched damped-Newton solve, the one
+  production DC solver: analytic device Jacobians, dense per-column linear
+  solves (sparse SuperLU ones, :mod:`repro.spice.sparse`, on large
+  systems), nodes without a root inside the admissible band held on its
+  edge and reported as pinned, and a pseudo-transient continuation retry
+  for the columns plain Newton cannot finish;
 * :mod:`repro.spice.analysis` — per-gate leakage component extraction at a
   solved operating point.
 

@@ -1,11 +1,9 @@
 """Batched damped-Newton DC operating-point solver.
 
 This module is the solve behind
-:meth:`repro.spice.batched.BatchedDcSolver.solve`.  Where the Gauss–Seidel
-sweeps of :mod:`repro.spice.batched` relax one node at a time — tens to
-hundreds of sweeps, each performing one bracketed 1-D root find per free
-node — the Newton solver treats the whole free-node Kirchhoff system per
-batch column at once:
+:meth:`repro.spice.batched.BatchedDcSolver.solve`, the one production DC
+solver.  Per batch column it treats the whole free-node Kirchhoff system
+at once:
 
 1. evaluate every device of the packed ``(T, B)`` grid *once* to get the
    full residual vector ``F`` and, through the analytic model derivatives
@@ -14,20 +12,21 @@ batch column at once:
 2. solve ``J dv = -F`` for all columns;
 3. damp the step with a per-column clamp and a per-column backtracking
    (Armijo) line search on the residual 2-norm, then apply it inside the
-   admissible voltage band.
+   admissible voltage band ``[-bracket_margin, vdd + bracket_margin]``.
 
 Near the solution the iteration converges quadratically, so the whole
 solve finishes in ~5–15 iterations from a cold start and 1–4 from a warm
-start — against up to ``max_sweeps`` relaxation sweeps at tight
-tolerances.
+start.
 
 Linear-algebra backends
 -----------------------
 Steps 1–2 are the only stage whose cost scales super-linearly with the
 free-node count, so exactly that stage is abstracted behind a backend
-object (one ``steps(packed, voltages, injection)`` call per iteration);
-the globalization loop — damping, line search, convergence masking and the
-Gauss–Seidel fallback — is shared verbatim by every backend:
+object: ``linearize(packed, voltages, injection)`` returns the residuals
+and the column Jacobians, ``solve(system, residual, held, shift)`` the
+steps.  The globalization loop — damping, line search, convergence
+masking, the band-edge hold rule and the continuation retry — is shared
+verbatim by every backend:
 
 * :class:`_DenseNewtonBackend` (``"newton"``) scatters the device
   Jacobians into dense ``(B, N, N)`` matrices and factorizes them with one
@@ -42,29 +41,49 @@ Gauss–Seidel fallback — is shared verbatim by every backend:
 count and the dense stack's size (:func:`dense_jacobian_bytes`); the
 chosen name is what :attr:`BatchedOperatingPoint.method` records.
 
-Robustness — the Gauss–Seidel fallback
+Pinned nodes — the band as a bound
+----------------------------------
+A loading current larger than a pin's driver can carry leaves that net
+with no Kirchhoff root inside the band.  Each iteration, a free node that
+sits on a band edge with its residual pushing it outward — at the upper
+limit with ``F < 0``, at the lower with ``F > 0`` — is *held*: its
+Jacobian row becomes the identity and its right-hand side 0, so its step
+is exactly 0, and its residual leaves the line-search norms.  The rest of
+the column takes the Newton step of the reduced system, a projected
+Newton method for a simple bound (Bertsekas, "Projected Newton methods
+for optimization problems with simple constraints", SIAM J. Control
+Optim. 20(2), 1982).  The held set is worked out again every iteration,
+so a node is released as soon as its residual turns inward.  A column
+still converges once its step falls below ``voltage_tol``; the nodes held
+at that point are reported in :attr:`BatchedOperatingPoint.pinned`, an
+out-of-envelope event, since such a column is no root of the full system.
+While no node of the active columns is on an edge, the rule costs one
+edge test per iteration and nothing else.
+
+Retry by pseudo-transient continuation
 --------------------------------------
-Newton's superlinear speed comes without the bracketed solver's
-unconditional robustness, so every failure is handed back, per column, to
-the relaxation path: a rank-deficient Jacobian, a non-finite step, a line
-search that cannot reduce the residual at any damping (the classic case:
-a pinned node whose KCL equation has no root in the admissible band), or
-an exhausted iteration budget all mark the column for fallback.  Fallback
-columns restart from their *initial* voltages and run the unmodified
-Gauss–Seidel sweeps (:meth:`BatchedDcSolver._solve_gauss_seidel` on the
-failed column subset), so their results are bitwise identical to a pure
-relaxation solve of the same columns (the test oracle
-:func:`repro.oracle.solve_gauss_seidel`).
+A column the plain loop leaves open — a singular Jacobian, a non-finite
+step, a line search that cannot reduce the residual at any damping, or an
+exhausted iteration budget — restarts from its initial voltages and takes
+up to ``newton_max_iterations`` clipped steps of ``(J + g·I) dv = -F``
+under the same hold rule, with ``g = G0·‖F‖/‖F₀‖`` per column (Kelley &
+Keyes, "Convergence analysis of pseudo-transient continuation", SIAM J.
+Numer. Anal. 35(2), 1998): the conductance damps the first steps and
+fades to plain Newton as the residual falls.  The plain loop then runs
+again from where the continuation stopped and either certifies the column
+or reports it not converged.  :attr:`BatchedOperatingPoint.fallback` flags
+the retried columns; their continuation steps count as Newton iterations.
 
 Batch-composition invariance
 ----------------------------
 Every step of the iteration is per-column masked: residuals and Jacobians
 are element-wise in the column axis, ``np.linalg.solve`` factorizes each
-stacked matrix independently, the line search tracks one damping factor
-per column and accepts each column at its own step, and converged columns
-freeze (they are never re-evaluated).  A column's trajectory — and its
-solved voltages, bit for bit — is therefore independent of which other
-columns share the batch, exactly like the Gauss–Seidel path.  The
+stacked matrix independently, the held rows, the continuation shift and
+the line search's damping factor belong to one column each, every column
+accepts its own trial, and a column freezes as soon as its own update
+falls below the tolerance — in the plain loop and in the continuation
+alike.  A column's trajectory — and its solved voltages, bit for bit — is
+therefore independent of which other columns share the batch.  The
 characterization, reference-campaign and Monte-Carlo drivers rely on this
 to stay reproducible however their columns are chunked.
 """
@@ -78,6 +97,10 @@ from repro.spice.solver import SolverOptions
 
 #: Armijo sufficient-decrease constant of the backtracking line search.
 _ARMIJO = 1.0e-4
+
+#: Pseudo-transient conductance (S) of the continuation retry's first
+#: step; later steps scale it by the column's residual norm over its first.
+_G0 = 1.0e-4
 
 
 def dense_jacobian_bytes(batch: int, n_free: int) -> int:
@@ -112,9 +135,8 @@ def resolve_newton_method(
 class _NewtonAssembler:
     """Pre-indexed scatter structures for residual and Jacobian assembly.
 
-    The Gauss–Seidel path indexes devices *per node* (it relaxes one node
-    at a time); Newton evaluates the whole transistor grid in one pass, so
-    this helper pre-computes the flat scatter indices that take the
+    Newton evaluates the whole transistor grid in one pass, so this helper
+    pre-computes the flat scatter indices that take the
     ``(4, T, B)`` terminal currents into the ``(N, B)`` free-node residual
     and the ``(4, 4, T, B)`` device Jacobians into the ``(N * N, B)`` flat
     circuit Jacobian.
@@ -173,8 +195,9 @@ class _NewtonAssembler:
     def residual(self, packed, voltages: np.ndarray, injection) -> np.ndarray:
         """Free-node KCL residuals ``(N, columns)`` at ``voltages``.
 
-        Matches the Gauss–Seidel residual convention: summed terminal
-        currents flowing *into* the attached devices, minus the injection.
+        Matches the residual convention of the scalar oracle
+        :meth:`repro.oracle.DcSolver.residual`: summed terminal currents
+        flowing *into* the attached devices, minus the injection.
         """
         g, d, s, b = (voltages[r] for r in self.rows)
         currents = packed.kcl_currents(g, d, s, b)
@@ -239,80 +262,133 @@ class _DenseNewtonBackend:
     def __init__(self, assembler: _NewtonAssembler) -> None:
         self.assembler = assembler
 
-    def steps(
+    def linearize(
         self, packed, voltages: np.ndarray, injection: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One linearization: ``(residual, step, singular)`` per column.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals ``(N, columns)`` and the ``(columns, N, N)`` Jacobians."""
+        return self.assembler.jacobian(packed, voltages, injection)
 
-        ``residual`` is ``(N, columns)`` as in
-        :meth:`_NewtonAssembler.residual`, ``step`` is the ``(N, columns)``
-        undamped Newton step solving ``J dv = -F``, and ``singular`` flags
-        columns whose Jacobian could not be factorized (their step is 0).
+    def solve(
+        self,
+        matrices: np.ndarray,
+        residual: np.ndarray,
+        held: np.ndarray | None = None,
+        shift: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Solve ``(J + shift·I) dv = -F`` per column; ``(step, singular)``.
+
+        ``held`` marks ``(N, columns)`` rows replaced by the identity (the
+        caller has zeroed their residuals, so their steps are 0) and
+        ``shift`` adds a ``(columns,)`` conductance to every diagonal
+        entry.  ``step`` is ``(N, columns)``; ``singular`` flags columns
+        whose Jacobian could not be factorized (their step is 0).
         """
-        residual, matrices = self.assembler.jacobian(
-            packed, voltages, injection
-        )
-        step, singular = _solve_steps(matrices, residual)
-        return residual, step, singular
+        if shift is not None:
+            diagonal = np.arange(self.assembler.n_free)
+            matrices[:, diagonal, diagonal] += shift[:, None]
+        if held is not None:
+            columns, rows = np.nonzero(held.T)
+            matrices[columns, rows] = 0.0
+            matrices[columns, rows, rows] = 1.0
+        return _solve_steps(matrices, residual)
 
 
-def solve_newton(
-    solver: BatchedDcSolver, voltages: np.ndarray
-) -> BatchedOperatingPoint:
-    """Damped-Newton solve of ``solver``'s batch, in place on ``voltages``.
+class _Solve:
+    """One batched solve's per-column state and its two iterations.
 
-    Called by :meth:`BatchedDcSolver.solve`; see the module docstring for
-    the scheme and the backend split.
-    ``voltages`` is the full ``(nodes, B)`` initial matrix and is updated
-    in place.
+    ``voltages`` is the full ``(nodes, B)`` matrix, updated in place; each
+    iteration takes the absolute batch columns it runs on and leaves every
+    other column untouched.
     """
-    options = solver.options
-    batch = solver.batch
-    assembler = _NewtonAssembler(solver)
-    free = assembler.free_rows
-    resolved = resolve_newton_method(options, assembler.n_free, batch)
 
-    converged = np.zeros(batch, dtype=bool)
-    failed = np.zeros(batch, dtype=bool)
-    iterations = np.zeros(batch, dtype=int)
-    max_update = np.full(batch, np.inf)
+    def __init__(self, solver: BatchedDcSolver, assembler, backend, voltages):
+        self.solver = solver
+        self.options = solver.options
+        self.assembler = assembler
+        self.backend = backend
+        self.voltages = voltages
+        batch = solver.batch
+        self.converged = np.zeros(batch, dtype=bool)
+        self.iterations = np.zeros(batch, dtype=int)
+        self.max_update = np.full(batch, np.inf)
+        #: ``(N, B)`` nodes held in each column's latest iteration; built
+        #: when a node is first held.
+        self.pinned: np.ndarray | None = None
 
-    if assembler.n_free == 0:
-        # No free nodes: nothing to solve (mirrors a zero-update GS sweep).
-        converged[:] = True
-        max_update[:] = 0.0
-    else:
-        if resolved == "newton-sparse":
-            from repro.spice.sparse import SparseNewtonBackend
+    def _bind(self, active: np.ndarray):
+        """Device pack, injections, upper band limit and voltages of ``active``."""
+        solver = self.solver
+        whole = active.size == solver.batch
+        packed = solver.packed if whole else solver.packed.take_columns(active)
+        return (
+            packed,
+            self.assembler.injection[:, active],
+            solver._hi_limit[active],
+            self.voltages[:, active],
+        )
 
-            backend: SparseNewtonBackend | _DenseNewtonBackend = (
-                SparseNewtonBackend(assembler)
-            )
-        else:
-            backend = _DenseNewtonBackend(assembler)
+    def _hold(self, v_free, hi_limit, residual, active) -> np.ndarray | None:
+        """Apply the hold rule to one linearization of the ``active`` columns.
 
-        initial = voltages.copy()  # fallback columns restart from here
-        lo_limit = solver._lo_limit
+        A free node on the upper band edge with a negative residual, or on
+        the lower edge with a positive one, is held: its residual is zeroed
+        in place and the ``(N, columns)`` held mask returned (None when no
+        node is held).
+        """
+        upper = v_free >= hi_limit
+        lower = v_free <= self.solver._lo_limit
+        if upper.any() or lower.any():
+            held = (upper & (residual < 0.0)) | (lower & (residual > 0.0))
+            if held.any():
+                residual[held] = 0.0
+                if self.pinned is None:
+                    self.pinned = np.zeros(
+                        (self.assembler.n_free, self.solver.batch), dtype=bool
+                    )
+                self.pinned[:, active] = held
+                return held
+        if self.pinned is not None:
+            self.pinned[:, active] = False
+        return None
 
-        for iteration in range(1, options.newton_max_iterations + 1):
-            active = np.flatnonzero(~converged & ~failed)
-            if active.size == 0:
+    def _solve(self, system, residual, held, norm, shift=None):
+        """One backend solve under the hold rule; ``(step, bad)``.
+
+        ``bad`` flags columns with a singular Jacobian or a non-finite step
+        or residual norm; their step is 0.
+        """
+        step, singular = self.backend.solve(system, residual, held, shift)
+        if held is not None:
+            step[held] = 0.0  # exactly, whatever the pivot order
+        bad = singular | ~np.isfinite(step).all(axis=0) | ~np.isfinite(norm)
+        step[:, bad] = 0.0
+        return step, bad
+
+    def newton(self, live: np.ndarray) -> None:
+        """Run the plain damped-Newton loop on the columns ``live``.
+
+        Each column iterates until its step falls below ``voltage_tol``
+        (converged), its line search fails, or the iteration budget runs
+        out; the last two leave it open.
+        """
+        options = self.options
+        assembler = self.assembler
+        free = assembler.free_rows
+        lo_limit = self.solver._lo_limit
+
+        for _ in range(options.newton_max_iterations):
+            if live.size == 0:
                 break
-            whole = active.size == batch
-            packed = solver.packed if whole else solver.packed.take_columns(active)
-            injection = assembler.injection[:, active]
-            hi_limit = solver._hi_limit[active]
-            v_active = voltages[:, active]
+            active = live
+            packed, injection, hi_limit, v_active = self._bind(active)
+            v_free = v_active[free]
 
-            residual, step, singular = backend.steps(
-                packed, v_active, injection
-            )
+            residual, system = self.backend.linearize(packed, v_active, injection)
+            held = self._hold(v_free, hi_limit, residual, active)
             norm = np.sqrt(np.sum(residual * residual, axis=0))
-            bad = singular | ~np.isfinite(step).all(axis=0) | ~np.isfinite(norm)
-            step[:, bad] = 0.0
+            step, bad = self._solve(system, residual, held, norm)
             raw_size = np.abs(step).max(axis=0)
 
-            v_free = v_active[free]
             accepted = np.zeros(active.size, dtype=bool)
             new_free = v_free.copy()
 
@@ -340,6 +416,8 @@ def solve_newton(
                     trial_residual = assembler.residual(
                         trial_packed, trial, injection[:, open_cols]
                     )
+                    if held is not None:
+                        trial_residual[held[:, open_cols]] = 0.0
                     trial_norm = np.sqrt(
                         np.sum(trial_residual * trial_residual, axis=0)
                     )
@@ -379,8 +457,8 @@ def solve_newton(
             # along the *scaled* step (the whole column shrunk so its
             # largest component is step_limit).  A positive multiple of
             # -J^-1 F is always a descent direction for ||F||^2, so this
-            # pass succeeds whenever the Jacobian is sound; only genuinely
-            # rootless/degenerate columns proceed to the fallback.
+            # pass succeeds whenever the Jacobian is sound; only degenerate
+            # columns are left open for the continuation retry.
             rescue = ~accepted & ~bad & (raw_size > options.newton_step_limit)
             if rescue.any():
                 scale = options.newton_step_limit / np.where(
@@ -390,39 +468,106 @@ def solve_newton(
 
             applied = np.flatnonzero(accepted)
             absolute = active[applied]
-            voltages[np.ix_(free, absolute)] = new_free[:, applied]
-            iterations[active] = iteration
-            max_update[absolute] = np.abs(
+            self.voltages[np.ix_(free, absolute)] = new_free[:, applied]
+            self.iterations[active] += 1
+            self.max_update[absolute] = np.abs(
                 new_free[:, applied] - v_free[:, applied]
             ).max(axis=0)
-            converged[active[small]] = True
-            failed[active[~accepted]] = True
+            self.converged[active[small]] = True
+            live = active[accepted & ~small]
 
-        # Whatever is still open after the iteration budget falls back too.
-        failed |= ~converged & ~failed
+    def continuation(self, live: np.ndarray) -> None:
+        """Pseudo-transient continuation on the columns ``live``.
 
-        fallback = failed
-        sweeps = np.zeros(batch, dtype=int)
-        if fallback.any():
-            columns = np.flatnonzero(fallback)
-            voltages[:, columns] = initial[:, columns]
-            gs_converged, gs_sweeps, gs_update = solver._solve_gauss_seidel(
-                voltages, columns=columns
+        Up to ``newton_max_iterations`` steps of ``(J + g·I) dv = -F`` with
+        ``g = G0·‖F‖/‖F₀‖``, each clipped to ``newton_step_limit`` per node
+        and to the band, under the hold rule.  A column stops once its
+        update falls below ``voltage_tol``.
+        """
+        options = self.options
+        free = self.assembler.free_rows
+        lo_limit = self.solver._lo_limit
+        first_norm = np.ones(self.solver.batch)
+
+        for index in range(options.newton_max_iterations):
+            if live.size == 0:
+                break
+            active = live
+            packed, injection, hi_limit, v_active = self._bind(active)
+            v_free = v_active[free]
+
+            residual, system = self.backend.linearize(packed, v_active, injection)
+            held = self._hold(v_free, hi_limit, residual, active)
+            norm = np.sqrt(np.sum(residual * residual, axis=0))
+            if index == 0:
+                first_norm[active] = np.where(norm > 0.0, norm, 1.0)
+            step, _bad = self._solve(
+                system, residual, held, norm, _G0 * norm / first_norm[active]
             )
-            converged[columns] = gs_converged
-            sweeps[columns] = gs_sweeps
-            max_update[columns] = gs_update
+            new_free = np.clip(
+                v_free
+                + np.clip(
+                    step, -options.newton_step_limit, options.newton_step_limit
+                ),
+                lo_limit,
+                hi_limit,
+            )
+            self.voltages[np.ix_(free, active)] = new_free
+            self.iterations[active] += 1
+            update = np.abs(new_free - v_free).max(axis=0)
+            self.max_update[active] = update
+            live = active[update >= options.voltage_tol]
 
-        return BatchedOperatingPoint(
-            node_index=solver.node_index,
-            voltages=voltages,
-            temperature_k=solver.temperature_k,
-            converged=converged,
-            sweeps=np.where(fallback, sweeps, iterations),
-            max_update=max_update,
-            method=resolved,
-            newton_iterations=iterations,
-            fallback=fallback,
+
+def solve_newton(
+    solver: BatchedDcSolver, voltages: np.ndarray
+) -> BatchedOperatingPoint:
+    """Damped-Newton solve of ``solver``'s batch, in place on ``voltages``.
+
+    Called by :meth:`BatchedDcSolver.solve`; see the module docstring for
+    the scheme, the backend split, the hold rule and the retry.
+    ``voltages`` is the full ``(nodes, B)`` initial matrix and is updated
+    in place.
+    """
+    options = solver.options
+    batch = solver.batch
+    assembler = _NewtonAssembler(solver)
+    free = assembler.free_rows
+    resolved = resolve_newton_method(options, assembler.n_free, batch)
+    retried = np.zeros(batch, dtype=bool)
+    pinned = np.zeros(voltages.shape, dtype=bool)
+
+    if assembler.n_free == 0:
+        # No free nodes: nothing to solve.
+        converged = np.ones(batch, dtype=bool)
+        iterations = np.zeros(batch, dtype=int)
+        max_update = np.zeros(batch)
+    else:
+        if resolved == "newton-sparse":
+            from repro.spice.sparse import SparseNewtonBackend
+
+            backend: SparseNewtonBackend | _DenseNewtonBackend = (
+                SparseNewtonBackend(assembler)
+            )
+        else:
+            backend = _DenseNewtonBackend(assembler)
+
+        initial = voltages.copy()  # retried columns restart from here
+        run = _Solve(solver, assembler, backend, voltages)
+        run.newton(np.arange(batch))
+
+        retried = ~run.converged
+        if retried.any():
+            columns = np.flatnonzero(retried)
+            voltages[:, columns] = initial[:, columns]
+            run.continuation(columns)
+            run.newton(columns)
+        if run.pinned is not None:
+            pinned[free] = run.pinned
+        converged, iterations, max_update = (
+            run.converged,
+            run.iterations,
+            run.max_update,
         )
 
     return BatchedOperatingPoint(
@@ -430,9 +575,9 @@ def solve_newton(
         voltages=voltages,
         temperature_k=solver.temperature_k,
         converged=converged,
-        sweeps=iterations,
         max_update=max_update,
         method=resolved,
         newton_iterations=iterations,
-        fallback=failed,
+        fallback=retried,
+        pinned=pinned,
     )

@@ -31,8 +31,12 @@ count (a handful of entries per row regardless of N).
   bitwise batch-composition invariance — a column's step never depends on
   which other columns share the batch — and exactly singular columns are
   reported through the same ``singular`` flag the dense backend uses, so
-  the shared globalization loop hands them to the Gauss–Seidel fallback
+  the shared globalization loop leaves them to its continuation retry
   unchanged.
+* **Held rows in place.**  A node the shared loop holds on the band edge
+  keeps its pattern: its CSC row entries are zeroed and its diagonal slot
+  (always in the pattern) set to 1, so the factorization sees the same
+  structure with or without held nodes.
 * **A symmetric ordering.**  The pattern is structurally symmetric with a
   full diagonal: free node *i* couples to free node *j* exactly where one
   transistor touches both, and every free node carries its own
@@ -83,14 +87,14 @@ _PERMC_SPEC = "MMD_AT_PLUS_A"
 class SparseNewtonBackend:
     """CSC/SuperLU backend (``"newton-sparse"``).
 
-    Mirrors the ``steps`` interface of
+    Mirrors the ``linearize``/``solve`` interface of
     :class:`repro.spice.newton._DenseNewtonBackend`; see the module
     docstring for the scheme.
     """
 
     name = "newton-sparse"
 
-    __slots__ = ("assembler", "nnz", "indices", "indptr", "entry_slot")
+    __slots__ = ("assembler", "nnz", "indices", "indptr", "entry_slot", "diagonal")
 
     def __init__(self, assembler: _NewtonAssembler) -> None:
         self.assembler = assembler
@@ -106,32 +110,52 @@ class SparseNewtonBackend:
         self.indptr = np.searchsorted(
             keys // n, np.arange(n + 1)
         )  # CSC column pointers
+        #: CSC slot of each diagonal entry (every free node has a self term).
+        self.diagonal = np.searchsorted(keys, np.arange(n) * (n + 1))
 
-    def steps(
+    def linearize(
         self, packed, voltages: np.ndarray, injection: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One linearization: ``(residual, step, singular)`` per column.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals ``(N, columns)`` and the ``(nnz, columns)`` CSC values.
 
-        Same contract as
-        :meth:`repro.spice.newton._DenseNewtonBackend.steps`: ``residual``
-        and ``step`` are ``(N, columns)``, ``singular`` flags columns whose
-        factorization failed (their step is 0 and the globalization loop
-        routes them to the Gauss–Seidel fallback).
+        The values are column-major, so each column's value vector is
+        contiguous for the zero-copy ``csc_matrix`` construction in
+        :meth:`solve`.
         """
         assembler = self.assembler
         g, d, s, b = (voltages[r] for r in assembler.rows)
         currents, flat = packed.kcl_jacobian_flat(g, d, s, b)
-        columns = g.shape[1]
-
-        # Column-major so each column's value vector is contiguous for the
-        # zero-copy csc_matrix construction below.
-        data = np.zeros((self.nnz, columns), order="F")
+        data = np.zeros((self.nnz, g.shape[1]), order="F")
         np.add.at(data, self.entry_slot, flat[assembler.jac_source])
         residual = (
             assembler._scatter_currents(currents, g.shape) - injection
         )
+        return residual, data
 
-        n = assembler.n_free
+    def solve(
+        self,
+        data: np.ndarray,
+        residual: np.ndarray,
+        held: np.ndarray | None = None,
+        shift: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Solve ``(J + shift·I) dv = -F`` per column; ``(step, singular)``.
+
+        Same contract as
+        :meth:`repro.spice.newton._DenseNewtonBackend.solve`: a held row's
+        CSC entries are zeroed and its diagonal slot set to 1, and
+        ``singular`` flags columns whose factorization failed (their step
+        is 0).
+        """
+        if shift is not None:
+            data[self.diagonal] += shift
+        if held is not None:
+            data[held[self.indices]] = 0.0
+            rows, columns = np.nonzero(held)
+            data[self.diagonal[rows], columns] = 1.0
+
+        n = self.assembler.n_free
+        columns = data.shape[1]
         step = np.zeros((n, columns))
         singular = np.zeros(columns, dtype=bool)
         for k in range(columns):
@@ -148,4 +172,4 @@ class SparseNewtonBackend:
                 )
             except RuntimeError:  # SuperLU: factor is exactly singular
                 singular[k] = True
-        return residual, step, singular
+        return step, singular

@@ -30,7 +30,6 @@ from repro.spice.batched import BatchedDcSolver
 from repro.spice.netlist import TransistorNetlist
 from repro.spice.solver import SolverOptions
 from repro.utils.rng import spawn_streams
-from repro.utils.rootfind import chandrupatla
 from repro.variation import moments
 from repro.variation.montecarlo import (
     MonteCarloSample,
@@ -124,57 +123,6 @@ class TestVectorizedDeviceModels:
             assert getattr(got, name).shape == getattr(want, name).shape
 
 
-class TestChandrupatla:
-    def test_finds_roots_of_mixed_functions(self):
-        def f(x):
-            out = np.empty_like(x)
-            out[0] = x[0] ** 3 - 2.0
-            out[1] = np.exp(x[1]) - 5.0
-            out[2] = x[2] - 0.25
-            return out
-
-        roots = chandrupatla(
-            f, np.array([0.0, 0.0, -1.0]), np.array([2.0, 3.0, 1.0]), xtol=1e-13
-        )
-        assert roots == pytest.approx(
-            [2.0 ** (1 / 3), np.log(5.0), 0.25], abs=1e-12
-        )
-
-    def test_batch_composition_does_not_change_roots(self):
-        def f(x):
-            return np.exp(x) - 3.0
-
-        alone = chandrupatla(f, np.array([0.0]), np.array([2.0]), xtol=1e-13)
-        batch = chandrupatla(
-            f, np.zeros(5), np.full(5, 2.0), xtol=1e-13
-        )
-        assert np.all(batch == alone[0])
-
-    def test_frozen_columns_keep_their_values(self):
-        def f(x):
-            return x - 1.0
-
-        frozen = np.array([False, True])
-        values = np.array([0.0, 7.5])
-        roots = chandrupatla(
-            f,
-            np.zeros(2),
-            np.full(2, 2.0),
-            xtol=1e-13,
-            frozen=frozen,
-            frozen_values=values,
-        )
-        assert roots[1] == 7.5
-        assert roots[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_missing_sign_change_rejected(self):
-        def f(x):
-            return x + 10.0
-
-        with pytest.raises(ValueError, match="sign change"):
-            chandrupatla(f, np.zeros(1), np.ones(1), xtol=1e-13)
-
-
 def _nand2_cell(technology, vector):
     netlist = TransistorNetlist(vdd=technology.vdd)
     netlist.add_node("a", fixed_voltage=technology.vdd * vector[0])
@@ -251,7 +199,8 @@ class TestBatchedSolverEquivalence:
     def test_pathological_no_sign_change_node_pins_like_scalar(self, bulk25):
         """A node attached only to a gate terminal, with a huge forced
         injection the tunneling current cannot absorb: both solvers must pin
-        it to the same admissible-range endpoint."""
+        it to the same admissible-range endpoint, and the batched solve
+        reports it pinned."""
         injection = {"float_gate": 1.0e-3}
         scalar_op = DcSolver(_pinned_cell(bulk25), 300.0, TIGHT, injection).solve()
         batched_op = BatchedDcSolver(
@@ -260,12 +209,13 @@ class TestBatchedSolverEquivalence:
         assert batched_op.voltage("float_gate")[0] == pytest.approx(
             scalar_op.voltage("float_gate"), abs=1e-12
         )
+        assert batched_op.pinned[batched_op.node_index["float_gate"], 0]
         # The pin really is at the upper bracket limit.
         assert scalar_op.voltage("float_gate") == pytest.approx(
             bulk25.vdd + TIGHT.bracket_margin
         )
 
-    def test_instances_converge_at_different_sweep_counts(self, bulk25):
+    def test_instances_converge_at_different_iteration_counts(self, bulk25):
         vectors = [(0, 0), (1, 1)]
         injections = [0.0, 3e-6]
         # Deliberately poor initial guess for the second instance only.
@@ -274,7 +224,7 @@ class TestBatchedSolverEquivalence:
             initial_voltages={"out": np.array(guesses)}
         )
         assert op.all_converged
-        assert op.sweeps[0] != op.sweeps[1]
+        assert op.newton_iterations[0] != op.newton_iterations[1]
         # Each instance must match its own single-instance solve bitwise:
         # converged columns freeze, so batch composition cannot leak in.
         for index, vector in enumerate(vectors):
@@ -282,7 +232,7 @@ class TestBatchedSolverEquivalence:
                 initial_voltages={"out": guesses[index]}
             )
             assert np.array_equal(alone.voltages[:, 0], op.voltages[:, index])
-            assert alone.sweeps[0] == op.sweeps[index]
+            assert alone.newton_iterations[0] == op.newton_iterations[index]
 
     def test_mixed_supply_voltages_in_one_batch(self, bulk25):
         """Instances may run at different VDD (the Monte-Carlo case)."""
@@ -376,36 +326,6 @@ class TestOneTopologyBinding:
         assert batches == [512, 512]
         assert len(built) == 2
 
-    def test_relaxation_is_built_only_for_a_fallback(self, bulk25, monkeypatch):
-        """A batch Newton solves outright builds no Gauss–Seidel node
-        problem; a fallback column builds them and still equals the pure
-        relaxation of the oracle bitwise."""
-        from repro.oracle import solve_gauss_seidel
-        from repro.spice import batched
-
-        problems = []
-        real = batched._NodeProblem.__init__
-
-        def counting(self, *args, **kwargs):
-            problems.append(args)
-            real(self, *args, **kwargs)
-
-        monkeypatch.setattr(batched._NodeProblem, "__init__", counting)
-        op = _nand2_batch(bulk25, [(0, 0), (1, 0)], [0.0, 1e-6]).solve()
-        assert op.all_converged and not op.fallback.any()
-        assert problems == []
-
-        injection = {"float_gate": np.array([1e-3, 1e-12])}
-        newton = BatchedDcSolver(
-            _pinned_cell(bulk25), 300.0, TIGHT, injection=injection
-        ).solve()
-        assert newton.fallback.tolist() == [True, False]
-        assert problems
-        relaxed = solve_gauss_seidel(
-            BatchedDcSolver(_pinned_cell(bulk25), 300.0, TIGHT, injection=injection)
-        )
-        assert np.array_equal(newton.voltages[:, 0], relaxed.voltages[:, 0])
-
 
 def _record_values(record):
     """Every number of a characterization record, as comparable plain values."""
@@ -472,6 +392,7 @@ class TestBatchedCharacterizationEquivalence:
                         rtol=1e-9,
                     )
         assert batched.solve_stats["fallbacks"] == 0
+        assert batched.solve_stats["pinned"] == 0
         assert batched.solve_stats["methods"] == {"newton": batched.solve_stats["solves"]}
 
     def test_characterize_type_matches_per_vector_calls(self, bulk25, monkeypatch):

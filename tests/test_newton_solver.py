@@ -10,12 +10,16 @@ Three layers are covered:
   source/drain blend);
 * circuit layer — the assembled dense ``(B, N, N)`` free-node Jacobian
   against finite differences of the assembled residual, on mixed batches;
-* solver layer — Newton-vs-Gauss-Seidel equivalence at tight tolerances,
-  bitwise batch-composition invariance, the Gauss–Seidel fallback
-  (bitwise identical to a pure relaxation solve), the characterization
-  convergence policy, and the cache fingerprint's reporting-policy
-  exemption.
+* solver layer — Newton against the scalar Gauss–Seidel oracle
+  :class:`repro.oracle.DcSolver` at tight tolerances, bitwise
+  batch-composition invariance, nodes pinned on the admissible-band edge
+  and the continuation retry (each checked against the oracle and against
+  its single-column solve), the characterization convergence policy for
+  non-converged and pinned cells, and the cache fingerprint's
+  reporting-policy exemption.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -36,15 +40,16 @@ from repro.device.subthreshold import (
     effective_threshold_grad_v,
     effective_threshold_v,
 )
+from repro.device.presets import make_technology
 from repro.gates.cache import characterization_fingerprint
 from repro.gates.characterize import (
     CharacterizationConvergenceWarning,
     CharacterizationOptions,
     GateCharacterizer,
 )
-from repro.gates.library import GateType
+from repro.gates.library import GateType, gate_spec
 from repro.gates.templates import build_gate_transistors
-from repro.oracle import DcSolver, leakage_by_owner, solve_gauss_seidel
+from repro.oracle import DcSolver, leakage_by_owner, scalar_cell_solve
 from repro.spice.batched import BatchedDcSolver
 from repro.spice.netlist import TransistorNetlist
 from repro.spice.newton import _NewtonAssembler
@@ -52,9 +57,16 @@ from repro.spice.solver import SolverOptions
 
 #: Tight tolerances put both engines at the root, far below the 1e-9
 #: leakage-agreement bar the Newton path is held to.  The batched solver
-#: runs Newton; the scalar oracle ``DcSolver`` and
-#: :func:`repro.oracle.solve_gauss_seidel` relax by Gauss–Seidel sweeps.
+#: runs Newton; the scalar oracle ``DcSolver`` relaxes by Gauss–Seidel
+#: sweeps.
 TIGHT = SolverOptions(voltage_tol=1e-11, xtol=1e-14, max_sweeps=250)
+TIGHT_SPARSE = SolverOptions(
+    voltage_tol=1e-11, xtol=1e-14, max_sweeps=250, newton_sparse_threshold=1
+)
+
+#: A loading current beyond what some d25-g drivers carry: it pins the
+#: driven pin net on the admissible-band edge.
+WIDE = 32e-6
 
 
 def assert_grad_close(analytic, fd, rtol=1e-3, floor=1e-18):
@@ -399,16 +411,16 @@ class TestCircuitJacobian:
 @pytest.mark.slow
 class TestNewtonEquivalence:
     def test_voltages_and_leakage_match_scalar_oracle(self, bulk25):
-        injections = [0.0, 5e-7, -5e-7, 2e-6, -2e-6]
-        vectors = [(1, 0)] * len(injections)
+        vectors = [(1, 0)] * 5 + [(0, 1), (1, 1)]
+        injections = [0.0, 5e-7, -5e-7, 2e-6, -2e-6, 0.0, 1e-6]
         op = _nand2_batch(bulk25, vectors, injections).solve()
         assert op.all_converged
         assert op.method == "newton"
-        assert not op.fallback.any()
+        assert not op.fallback.any() and not op.pinned.any()
         solver = _nand2_batch(bulk25, vectors, injections)
         owner_leakage = solver.leakage_by_owner(op)["g"]
-        for index, injection in enumerate(injections):
-            netlist = _nand2_cell(bulk25, (1, 0))
+        for index, (vector, injection) in enumerate(zip(vectors, injections)):
+            netlist = _nand2_cell(bulk25, vector)
             scalar_op = DcSolver(netlist, 300.0, TIGHT, {"out": injection}).solve()
             assert scalar_op.converged
             for name, voltage in scalar_op.voltages.items():
@@ -420,13 +432,6 @@ class TestNewtonEquivalence:
                 assert got.component(component) == pytest.approx(
                     scalar_leakage.component(component), rel=1e-9, abs=1e-24
                 )
-
-    def test_newton_matches_batched_gauss_seidel(self, bulk25):
-        columns = ([(0, 1), (1, 1)], [0.0, 1e-6])
-        newton = _nand2_batch(bulk25, *columns).solve()
-        relaxed = solve_gauss_seidel(_nand2_batch(bulk25, *columns))
-        assert newton.all_converged and relaxed.all_converged
-        assert np.abs(newton.voltages - relaxed.voltages).max() < 1e-9
 
     def test_mixed_supply_voltages(self, bulk25):
         def cell(vdd_scale):
@@ -479,52 +484,196 @@ class TestNewtonBatchInvariance:
         assert np.array_equal(recombined, whole.voltages)
 
 
+def _float_gate(technology):
+    """A node attached only to a gate terminal: no current can leave it."""
+    netlist = TransistorNetlist(vdd=technology.vdd)
+    netlist.add_node("float_gate")
+    netlist.add_transistor(
+        name="m1",
+        mosfet=Mosfet(technology.nmos),
+        gate="float_gate",
+        drain="vdd",
+        source="gnd",
+        bulk="gnd",
+        owner="g",
+    )
+    return netlist
+
+
 @pytest.mark.slow
 class TestNewtonFallback:
+    """A forced injection the node cannot carry: no root in the band."""
+
     def _pinned_cell(self, technology, injection):
-        """A node attached only to a gate terminal, ``(B,)`` amps forced in."""
-        netlist = TransistorNetlist(vdd=technology.vdd)
-        netlist.add_node("float_gate")
-        netlist.add_transistor(
-            name="m1",
-            mosfet=Mosfet(technology.nmos),
-            gate="float_gate",
-            drain="vdd",
-            source="gnd",
-            bulk="gnd",
-            owner="g",
-        )
+        """The floating gate node, ``(B,)`` amps forced in."""
         return BatchedDcSolver(
-            netlist, 300.0, TIGHT, injection={"float_gate": np.asarray(injection)}
+            _float_gate(technology),
+            300.0,
+            TIGHT,
+            injection={"float_gate": np.asarray(injection)},
         )
 
     def test_pinned_node_falls_back_bitwise_to_gauss_seidel(self, bulk25):
-        """A KCL equation with no root in the admissible band: Newton's
-        line search stalls at the band edge and the column must fall back,
-        reproducing the relaxation result exactly."""
+        """Newton holds the node on the upper band edge and reports it
+        pinned, with no retry; the scalar Gauss–Seidel oracle pins it at
+        the same edge."""
         newton = self._pinned_cell(bulk25, [1e-3]).solve()
-        relaxed = solve_gauss_seidel(self._pinned_cell(bulk25, [1e-3]))
-        assert newton.fallback[0]
-        assert np.array_equal(newton.voltages, relaxed.voltages)
-        assert newton.voltage("float_gate")[0] == pytest.approx(
-            bulk25.vdd + TIGHT.bracket_margin
-        )
+        assert newton.all_converged
+        assert newton.pinned[newton.node_index["float_gate"], 0]
+        assert not newton.fallback[0]
+        assert newton.voltage("float_gate")[0] == bulk25.vdd + TIGHT.bracket_margin
+        scalar_op = DcSolver(
+            _float_gate(bulk25), 300.0, TIGHT, {"float_gate": 1e-3}
+        ).solve()
+        for name, voltage in scalar_op.voltages.items():
+            assert newton.voltage(name)[0] == pytest.approx(voltage, abs=1e-9)
 
     def test_mixed_fallback_batch_stays_column_independent(self, bulk25):
-        """One pinned column (fallback) and one benign column (Newton) in
-        the same topology: each must match its single-column solve."""
+        """One pinned column and one benign column in the same topology:
+        each must match its single-column solve bitwise."""
         injections = [1e-3, 1e-12]
         whole = self._pinned_cell(bulk25, injections).solve()
         assert whole.all_converged
-        assert whole.fallback[0] and not whole.fallback[1]
+        assert whole.pinned.any(axis=0).tolist() == [True, False]
+        assert not whole.fallback.any()
         for index, injection in enumerate(injections):
             alone = self._pinned_cell(bulk25, [injection]).solve()
             assert np.array_equal(alone.voltages[:, 0], whole.voltages[:, index])
+            assert alone.newton_iterations[0] == whole.newton_iterations[index]
+
+
+@pytest.fixture(scope="module")
+def d25g():
+    return make_technology("d25-g")
+
+
+def _relative_gap(got, want) -> float:
+    """Largest relative component difference of two leakage breakdowns."""
+    return max(
+        abs(got.component(name) - want.component(name))
+        / max(abs(want.component(name)), 1e-30)
+        for name in ("subthreshold", "gate", "btbt")
+    )
+
+
+@pytest.mark.slow
+class TestPinnedCells:
+    """d25-g cells whose loading current exceeds what a driver can carry.
+
+    The hold rule pins the pin net on the band edge where the scalar
+    Gauss–Seidel oracle pins it too, and the characterizer reports every
+    pinned cell under its ``on_nonconverged`` policy.
+    """
+
+    def _characterizer(self, technology, policy="warn"):
+        return GateCharacterizer(
+            technology,
+            options=CharacterizationOptions(
+                injection_grid=(-1e-6, 1e-6), solver=TIGHT, on_nonconverged=policy
+            ),
+        )
+
+    def test_wide_loading_cells_match_scalar_oracle(self, d25g):
+        """Every inv and nand2 cell at +/-32 uA on every pin and vector,
+        pinned or not, matches the oracle to 1e-9."""
+        characterizer = self._characterizer(d25g)
+        cells = [
+            (gate_type, vector, pin, amps)
+            for gate_type in (GateType.INV, GateType.NAND2)
+            for vector in gate_spec(gate_type).all_vectors()
+            for pin in (*gate_spec(gate_type).inputs, gate_spec(gate_type).output)
+            for amps in (-WIDE, WIDE)
+        ]
+        for gate_type, vector, pin, amps in cells:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CharacterizationConvergenceWarning)
+                cell = characterizer.solve_cell(gate_type, vector, {pin: amps})
+            oracle = scalar_cell_solve(characterizer, gate_type, vector, {pin: amps})
+            assert cell.converged and oracle.op.converged
+            assert _relative_gap(cell.dut_breakdown, oracle.dut_breakdown) <= 1e-9
+            assert cell.output_voltage == pytest.approx(
+                oracle.op.voltage(oracle.output_net), abs=1e-9
+            )
+        assert characterizer.solve_stats["pinned"] > 0
+        assert characterizer.solve_stats["fallbacks"] == 0
+
+    def test_pinned_cell_warns_naming_cell_and_net(self, d25g):
+        characterizer = self._characterizer(d25g)
+        with pytest.warns(
+            CharacterizationConvergenceWarning,
+            match=r"inv .*pinned.*vector \(0,\).*at net_a",
+        ):
+            cell = characterizer.solve_cell(GateType.INV, (0,), {"a": -WIDE})
+        assert cell.converged
+        assert characterizer.solve_stats["pinned"] == 1
+
+    def test_pinned_cell_raises_under_raise_policy(self, d25g):
+        characterizer = self._characterizer(d25g, policy="raise")
+        with pytest.raises(RuntimeError, match="pinned"):
+            characterizer.solve_cell(GateType.INV, (0,), {"a": -WIDE})
+
+    def test_retried_cell_converges_and_matches_scalar_oracle(self, d25g):
+        """xor2 (1, 0) with -50 uA drawn from pin a defeats plain Newton;
+        the continuation retry finishes it at the oracle's answer."""
+        characterizer = self._characterizer(d25g, policy="raise")
+        cell = characterizer.solve_cell(GateType.XOR2, (1, 0), {"a": -50e-6})
+        assert cell.converged
+        assert characterizer.solve_stats["fallbacks"] == 1
+        oracle = scalar_cell_solve(characterizer, GateType.XOR2, (1, 0), {"a": -50e-6})
+        assert _relative_gap(cell.dut_breakdown, oracle.dut_breakdown) <= 1e-9
+
+    @pytest.mark.parametrize("options", [TIGHT, TIGHT_SPARSE], ids=["dense", "sparse"])
+    def test_plain_pinned_and_retried_columns_stay_independent(self, d25g, options):
+        """One xor2 batch with a plain, a pinned and a retried column: each
+        column is bitwise its single-column solve, on either backend."""
+        columns = [((0, 1), 0.0), ((0, 0), -WIDE), ((1, 0), -50e-6)]
+        characterizer = GateCharacterizer(
+            d25g, options=CharacterizationOptions(solver=options)
+        )
+        spec = gate_spec(GateType.XOR2)
+
+        def solve(chosen):
+            netlist, fixed, initial = characterizer._cell(
+                spec, [columns[c][0] for c in chosen]
+            )
+            return BatchedDcSolver(
+                netlist,
+                characterizer.temperature_k,
+                options,
+                fixed=fixed,
+                injection={"net_a": np.array([columns[c][1] for c in chosen])},
+            ).solve(initial_voltages=initial)
+
+        whole = solve([0, 1, 2])
+        assert whole.all_converged
+        assert whole.pinned.any(axis=0).tolist() == [False, True, False]
+        assert whole.fallback.tolist() == [False, False, True]
+        for index in range(len(columns)):
+            alone = solve([index])
+            assert np.array_equal(alone.voltages[:, 0], whole.voltages[:, index])
+            assert alone.newton_iterations[0] == whole.newton_iterations[index]
+            assert np.array_equal(alone.pinned[:, 0], whole.pinned[:, index])
+
+    def test_wide_grid_pins_exactly_the_overdriven_cells(self, d25g):
+        """Every type on d25-g at 300 K on a +/-32 uA grid: 449 cells pin,
+        none is retried and every one converges."""
+        characterizer = GateCharacterizer(
+            d25g,
+            300.0,
+            CharacterizationOptions(injection_grid=tuple(np.linspace(-WIDE, WIDE, 9))),
+        )
+        with pytest.warns(CharacterizationConvergenceWarning, match="pinned"):
+            for gate_type in GateType:
+                characterizer.characterize_type(gate_type)
+        stats = characterizer.solve_stats
+        assert stats["solves"] == 2908
+        assert stats["pinned"] == 449
+        assert stats["fallbacks"] == 0
 
 
 class TestConvergencePolicy:
-    #: One Newton iteration, then one fallback sweep, at an unreachable
-    #: tolerance: guaranteed non-convergence.
+    #: One Newton iteration, one continuation step and one more Newton
+    #: iteration at an unreachable tolerance: guaranteed non-convergence.
     STARVED = SolverOptions(
         max_sweeps=1, voltage_tol=1e-15, newton_max_iterations=1
     )
@@ -584,6 +733,17 @@ class TestConvergencePolicy:
 
 
 class TestSolverOptionsValidation:
+    def test_band_and_window_validated(self):
+        """A zero window never widens the oracle's bracket, and a negative
+        margin gives a band that excludes the rails."""
+        with pytest.raises(ValueError, match="initial_window"):
+            SolverOptions(initial_window=0.0)
+        with pytest.raises(ValueError, match="initial_window"):
+            SolverOptions(initial_window=-0.01)
+        with pytest.raises(ValueError, match="bracket_margin"):
+            SolverOptions(bracket_margin=-0.05)
+        assert SolverOptions(bracket_margin=0.0).bracket_margin == 0.0
+
     def test_newton_knobs_validated(self):
         with pytest.raises(ValueError, match="newton_max_iterations"):
             SolverOptions(newton_max_iterations=0)

@@ -9,8 +9,9 @@ Covers the backend abstraction introduced around
 * the structure the pinned SuperLU ordering assumes: a structurally
   symmetric shared pattern with a full diagonal;
 * the solver-level invariants the dense path already guarantees, now for
-  the sparse path: bitwise batch-composition invariance and the bitwise
-  Gauss–Seidel fallback;
+  the sparse path: bitwise batch-composition invariance and the node
+  pinned on the admissible-band edge, checked against the scalar
+  Gauss–Seidel oracle;
 * the backend rule (free-node threshold and dense-memory escape) and the
   backend reporting;
 * the characterization-cache fingerprint: the solver options and the
@@ -24,7 +25,7 @@ import pytest
 from scipy.sparse import csc_matrix
 
 from repro.analysis.netlist_lint import lint_circuit
-from repro.circuit.flatten import flatten_batch
+from repro.circuit.flatten import flatten, flatten_batch
 from repro.circuit.generators import iscas_like, layered_logic
 from repro.circuit.graph import logic_depth
 from repro.circuit.logic import random_vectors
@@ -42,7 +43,7 @@ from repro.gates.characterize import (
 )
 from repro.gates.library import GateType
 from repro.gates.templates import build_gate_transistors
-from repro.oracle import solve_gauss_seidel
+from repro.oracle import DcSolver, leakage_by_owner
 from repro.spice.batched import BatchedDcSolver
 from repro.spice.netlist import NodeKind, TransistorNetlist
 from repro.spice.newton import (
@@ -138,10 +139,18 @@ class TestSparseDenseParity:
                 )
 
     def test_sparse_matches_gauss_seidel_oracle(self, bulk25):
+        """Each column of the mixed batch against its own netlist, relaxed
+        by the scalar oracle with the column's Vth shift on every device."""
         sparse = _mixed_batch(bulk25, TIGHT_SPARSE).solve()
-        relaxed = solve_gauss_seidel(_mixed_batch(bulk25, TIGHT_SPARSE))
-        assert sparse.all_converged and relaxed.all_converged
-        assert np.max(np.abs(sparse.voltages - relaxed.voltages)) <= 1e-9
+        assert sparse.all_converged
+        for index, (vector, injection, shift) in enumerate(_MIXED):
+            netlist = _nand2_cell(bulk25, vector)
+            for transistor in netlist.transistors:
+                transistor.mosfet.vth_shift = shift
+            relaxed = DcSolver(netlist, 300.0, TIGHT_SPARSE, {"out": injection}).solve()
+            assert relaxed.converged
+            for name, voltage in relaxed.voltages.items():
+                assert sparse.voltage(name)[index] == pytest.approx(voltage, abs=1e-9)
 
 
 class TestSparsePattern:
@@ -164,6 +173,10 @@ class TestSparsePattern:
         assert n > 100
         assert (pattern != pattern.T).nnz == 0
         assert np.all(pattern.diagonal() == 1.0)
+        # The hold rule sets a held row's diagonal through these slots.
+        columns = np.searchsorted(backend.indptr, backend.diagonal, side="right") - 1
+        assert np.array_equal(backend.indices[backend.diagonal], np.arange(n))
+        assert np.array_equal(columns, np.arange(n))
 
 
 @pytest.mark.slow
@@ -186,40 +199,58 @@ class TestSparseBatchInvariance:
         assert np.array_equal(recombined, whole.voltages)
 
 
+def _float_gate(technology):
+    """A node attached only to a gate terminal: no current can leave it."""
+    netlist = TransistorNetlist(vdd=technology.vdd)
+    netlist.add_node("float_gate")
+    netlist.add_transistor(
+        name="m1",
+        mosfet=Mosfet(technology.nmos),
+        gate="float_gate",
+        drain="vdd",
+        source="gnd",
+        bulk="gnd",
+        owner="g",
+    )
+    return netlist
+
+
 @pytest.mark.slow
 class TestSparseFallback:
     def _pinned_cell(self, technology, injection):
-        """A node attached only to a gate terminal, ``(B,)`` amps forced in."""
-        netlist = TransistorNetlist(vdd=technology.vdd)
-        netlist.add_node("float_gate")
-        netlist.add_transistor(
-            name="m1",
-            mosfet=Mosfet(technology.nmos),
-            gate="float_gate",
-            drain="vdd",
-            source="gnd",
-            bulk="gnd",
-            owner="g",
-        )
+        """The floating gate node, ``(B,)`` amps forced in."""
         return BatchedDcSolver(
-            netlist, 300.0, TIGHT_SPARSE, injection={"float_gate": np.asarray(injection)}
+            _float_gate(technology),
+            300.0,
+            TIGHT_SPARSE,
+            injection={"float_gate": np.asarray(injection)},
         )
 
     def test_pinned_node_falls_back_bitwise_to_gauss_seidel(self, bulk25):
+        """The sparse backend holds the node on the upper band edge, with
+        no retry, where the scalar oracle pins it too."""
         sparse = self._pinned_cell(bulk25, [1e-3]).solve()
-        relaxed = solve_gauss_seidel(self._pinned_cell(bulk25, [1e-3]))
-        assert sparse.fallback[0]
         assert sparse.method == "newton-sparse"
-        assert np.array_equal(sparse.voltages, relaxed.voltages)
+        assert sparse.all_converged
+        assert sparse.pinned[sparse.node_index["float_gate"], 0]
+        assert not sparse.fallback[0]
+        assert sparse.voltage("float_gate")[0] == bulk25.vdd + TIGHT_SPARSE.bracket_margin
+        relaxed = DcSolver(
+            _float_gate(bulk25), 300.0, TIGHT_SPARSE, {"float_gate": 1e-3}
+        ).solve()
+        for name, voltage in relaxed.voltages.items():
+            assert sparse.voltage(name)[0] == pytest.approx(voltage, abs=1e-9)
 
     def test_mixed_fallback_batch_stays_column_independent(self, bulk25):
         injections = [1e-3, 1e-12]
         whole = self._pinned_cell(bulk25, injections).solve()
         assert whole.all_converged
-        assert whole.fallback[0] and not whole.fallback[1]
+        assert whole.pinned.any(axis=0).tolist() == [True, False]
+        assert not whole.fallback.any()
         for index, injection in enumerate(injections):
             alone = self._pinned_cell(bulk25, [injection]).solve()
             assert np.array_equal(alone.voltages[:, 0], whole.voltages[:, index])
+            assert alone.newton_iterations[0] == whole.newton_iterations[index]
 
 
 class TestAutoDispatch:
@@ -389,10 +420,10 @@ class TestLayeredGenerator:
         threshold lowered to 24, so the solver sends it to the sparse
         backend by its node count alone (its dense stack is far below the
         memory limit; ``TestAutoDispatch::test_resolution_policy`` covers
-        the default threshold).  Every column converges without a
-        Gauss–Seidel fallback; per-gate leakage matches dense to 1e-12 and
-        Gauss–Seidel to 1e-9 relative; each column solved alone is
-        bitwise the batch's."""
+        the default threshold).  Every column converges without a retry
+        or a pinned node; per-gate leakage matches dense to 1e-12 and each
+        vector's scalar Gauss–Seidel relaxation to 1e-9 relative; each
+        column solved alone is bitwise the batch's."""
         circuit = iscas_like(12, rng=7)
         vectors = list(random_vectors(circuit, 2, rng=1))
         flattened = flatten_batch(circuit, bulk25, vectors)
@@ -405,32 +436,43 @@ class TestLayeredGenerator:
         assert free >= auto.newton_sparse_threshold
         assert dense_jacobian_bytes(len(vectors), free) < auto.newton_dense_memory_limit
 
-        def solve(options, run=BatchedDcSolver.solve):
+        def solve(options):
             solver = BatchedDcSolver(
                 flattened.netlist, 300.0, options, fixed=flattened.fixed_voltages
             )
-            op = run(solver, flattened.initial_voltages())
+            op = solver.solve(flattened.initial_voltages())
             assert op.all_converged
             return op, solver.leakage_by_owner(op)
 
-        (op, leakage), (dense, dense_leakage), (relaxed, relaxed_leakage) = (
-            solve(auto), solve(TIGHT_DENSE), solve(auto, solve_gauss_seidel)
-        )
+        (op, leakage), (dense, dense_leakage) = solve(auto), solve(TIGHT_DENSE)
         assert op.method == "newton-sparse"
-        assert not op.fallback.any()
+        assert not op.fallback.any() and not op.pinned.any()
         assert np.max(np.abs(op.voltages - dense.voltages)) <= 1e-12
-        assert np.max(np.abs(op.voltages - relaxed.voltages)) <= 1e-9
         assert set(leakage) == set(circuit.gates)
         for owner, breakdown in leakage.items():
             for component in ("subthreshold", "gate", "btbt"):
-                got = getattr(breakdown, component)
                 np.testing.assert_allclose(
-                    got, getattr(dense_leakage[owner], component), rtol=1e-12, atol=0
-                )
-                np.testing.assert_allclose(
-                    got, getattr(relaxed_leakage[owner], component), rtol=1e-9, atol=0
+                    getattr(breakdown, component),
+                    getattr(dense_leakage[owner], component),
+                    rtol=1e-12,
+                    atol=0,
                 )
         for column, vector in enumerate(vectors):
+            scalar = flatten(circuit, bulk25, vector)
+            relaxed = DcSolver(scalar.netlist, 300.0, auto).solve(
+                scalar.initial_voltages()
+            )
+            assert relaxed.converged
+            for name, voltage in relaxed.voltages.items():
+                assert op.voltage(name)[column] == pytest.approx(voltage, abs=1e-9)
+            for owner, breakdown in leakage_by_owner(scalar.netlist, relaxed).items():
+                for component in ("subthreshold", "gate", "btbt"):
+                    np.testing.assert_allclose(
+                        getattr(leakage[owner], component)[column],
+                        getattr(breakdown, component),
+                        rtol=1e-9,
+                        atol=0,
+                    )
             alone = flatten_batch(circuit, bulk25, [vector])
             alone_op = BatchedDcSolver(
                 alone.netlist, 300.0, auto, fixed=alone.fixed_voltages

@@ -49,9 +49,9 @@ from repro.variation.statistics import (
     yield_fraction,
 )
 
-#: One Newton iteration and one fallback Gauss-Seidel sweep cannot reach the
-#: 5 uV tolerance from the DC seed; every sample of a study run with these
-#: options comes back non-converged.
+#: One Newton iteration, then one continuation step and one more Newton
+#: iteration, cannot reach the 5 uV tolerance from the DC seed; every sample
+#: of a study run with these options comes back non-converged.
 NONCONVERGING = SolverOptions(max_sweeps=1, newton_max_iterations=1)
 
 #: Only the inter-die Vth varies: one moment axis, no cross terms.
